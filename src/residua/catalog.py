@@ -19,12 +19,12 @@ Named extension references resolve against programmatic registrations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from . import dsl
 from .chains import (
-    ChainError,
     ChainSchema,
     DepthInterval,
     concat_extension,
@@ -41,10 +41,12 @@ from .groups import (
     CountablePoints,
     DirectProductGroup,
     Element,
+    ExtensionHandle,
     FinitePoints,
     Group,
     GroupError,
     extension_from_quotient,
+    finite_support_power,
     make_cyclic,
     make_infinite_dihedral,
     make_integers,
@@ -53,7 +55,7 @@ from .groups import (
     wreath_product,
 )
 from .oracle import ORACLE_CAP, minimax_chain
-from .ordinal import OMEGA, ONE, ZERO, Ordinal, add, multiply
+from .ordinal import OMEGA, ONE, ZERO, Ordinal, add, decompose_successor, multiply
 
 __all__ = [
     "UnregisteredConstructionError",
@@ -88,50 +90,28 @@ def registered_extensions() -> tuple[str, ...]:
     return tuple(sorted(_EXTENSIONS))
 
 
+_Claim = tuple[Optional[Ordinal], str, tuple[str, ...]]
+_NO_CLAIM: _Claim = (None, "", ())
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """An expression's group, with its chain and depth claim built on demand.
+
+    Compiled without ``need_group`` (for ``chain_for``), the group may be
+    None: only the groups a chain is built over are made, so no other
+    group's construction error can come first.
+    """
+
+    group: Optional[Group]
+    chain: Callable[[], ChainSchema]
+    claim: Callable[[], _Claim] = lambda: _NO_CLAIM
+
+
 def _natural_points() -> CountablePoints:
     return CountablePoints(
         lambda i: i, "N", membership=lambda p: isinstance(p, int) and p >= 0
     )
-
-
-def build_group(expr: dsl.GroupExpr) -> Group:
-    if isinstance(expr, dsl.Trivial):
-        return make_cyclic(1)
-    if isinstance(expr, dsl.Cyclic):
-        return make_cyclic(expr.n)
-    if isinstance(expr, dsl.Perm):
-        images = [perm_from_cycles(expr.degree, gen) for gen in expr.generators]
-        return make_perm(expr.degree, images)
-    if isinstance(expr, dsl.Int):
-        return make_integers()
-    if isinstance(expr, dsl.Dinf):
-        return make_infinite_dihedral()
-    if isinstance(expr, dsl.Product):
-        if len(expr.items) == 1:
-            return build_group(expr.items[0])
-        return DirectProductGroup([build_group(i) for i in expr.items])
-    if isinstance(expr, dsl.FinSupportPower):
-        from .groups import finite_support_power
-
-        base = build_group(expr.base)
-        points = _natural_points() if expr.points == "N" else FinitePoints(range(expr.points))
-        return finite_support_power(base, points)
-    if isinstance(expr, dsl.Wreath):
-        return wreath_product(build_group(expr.base), build_group(expr.top))
-    if isinstance(expr, dsl.Tower):
-        g = build_group(expr.base)
-        current = g
-        for _ in range(2, expr.n + 1):
-            current = wreath_product(current, g)
-        return current
-    if isinstance(expr, dsl.ExtensionRef):
-        entry = _EXTENSIONS.get(expr.name)
-        if entry is None:
-            raise UnregisteredConstructionError(
-                f"no construction registered under {expr.name!r}"
-            )
-        return entry.group_factory()
-    raise UnregisteredConstructionError(f"unknown expression {expr!r}")
 
 
 def _finite_group_chain(group: Group) -> ChainSchema:
@@ -145,62 +125,17 @@ def _omega_shaped(chain: ChainSchema) -> ChainSchema:
     return promote_to_omega(chain) if chain.num_blocks == 0 else chain
 
 
-def chain_for(expr: dsl.GroupExpr) -> ChainSchema:
-    """The registered chain construction for an expression shape."""
-    if isinstance(expr, dsl.Trivial):
-        return finite_chain(make_cyclic(1), [], name="trivial")
-    if isinstance(expr, (dsl.Cyclic, dsl.Perm)):
-        return _finite_group_chain(build_group(expr))
-    if isinstance(expr, dsl.Int):
-        return integers_chain(2)
-    if isinstance(expr, dsl.Dinf):
-        return dihedral_chain(2)
-    if isinstance(expr, dsl.Product):
-        return _product_chain(expr.items)
-    if isinstance(expr, dsl.FinSupportPower):
-        base_chain = chain_for(expr.base)
-        if expr.points == "N":
-            return power_chain(_omega_shaped(base_chain), _natural_points())
-        return diagonal_power_chain(base_chain, FinitePoints(range(expr.points)))
-    if isinstance(expr, dsl.Wreath):
-        w = wreath_product(build_group(expr.base), build_group(expr.top))
-        top_chain = chain_for(expr.top)
-        base_chain = chain_for(expr.base)
-        if w.top.order is None:
-            kernel_chain = power_chain(_omega_shaped(base_chain), w.points)
-        else:
-            kernel_chain = diagonal_power_chain(base_chain, w.points)
-        return concat_extension(w.extension(), top_chain, kernel_chain)
-    if isinstance(expr, dsl.Tower):
-        g = build_group(expr.base)
-        return tower_chain(g, chain_for(expr.base), expr.n)
-    if isinstance(expr, dsl.ExtensionRef):
-        entry = _EXTENSIONS.get(expr.name)
-        if entry is None or entry.chain_factory is None:
-            raise UnregisteredConstructionError(
-                f"no chain constructor registered under {expr.name!r}"
-            )
-        return entry.chain_factory()
-    raise UnregisteredConstructionError(f"unknown expression {expr!r}")
-
-
-def _product_chain(items: tuple) -> ChainSchema:
-    if len(items) == 1:
-        return chain_for(items[0])
-    factors = [build_group(i) for i in items]
-    total = DirectProductGroup(factors)
-    head = factors[0]
-    rest_exprs = items[1:]
-    if len(rest_exprs) == 1:
-        rest_group = factors[1]
+def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> ExtensionHandle:
+    """The product as an extension of its later factors by its first one."""
+    head, rest = total.factors[0], total.factors[1:]
+    if len(rest) == 1:
         embed = lambda k: Element(total, (head.identity_value(), k.value))
         retract = lambda e: Element(rest_group, e.value[1])
     else:
-        rest_group = DirectProductGroup(factors[1:])
         embed = lambda k: Element(total, (head.identity_value(),) + k.value)
         retract = lambda e: Element(rest_group, e.value[1:])
-    identities = tuple(f.identity_value() for f in factors[1:])
-    ext = extension_from_quotient(
+    identities = tuple(f.identity_value() for f in rest)
+    return extension_from_quotient(
         total=total,
         projection=lambda e: Element(head, e.value[0]),
         quotient=head,
@@ -209,30 +144,119 @@ def _product_chain(items: tuple) -> ChainSchema:
         kernel_embed=embed,
         kernel_retract=retract,
     )
-    return concat_extension(ext, chain_for(items[0]), _product_chain(rest_exprs))
 
 
-def _tower_claim(expr: dsl.Tower) -> tuple[Optional[Ordinal], str, tuple[str, ...]]:
-    base = build_group(expr.base)
-    hypotheses_met = (
-        base.order is None
-        and base.is_residually_finite_claimed
-        and base.has_finite_abelianization_claimed
-    )
-    if hypotheses_met:
-        return (
-            multiply(OMEGA, expr.n),
-            "iterated wreath tower: exact depth claimed",
-            (),
-        )
-    return (
-        None,
-        "",
-        (
-            "exact-depth claim withheld: the tower base does not carry the "
-            "residual-finiteness and finite-abelianization hypotheses",
-        ),
-    )
+def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
+    """Build each sub-expression's group once; chains reuse those groups.
+
+    Chains are built head factor first and wreath top before base; that
+    order decides which error a bad expression reports first.
+    """
+    if isinstance(expr, dsl.Trivial):
+        trivial = make_cyclic(1)
+        return _Compiled(trivial, lambda: finite_chain(trivial, [], name="trivial"))
+    if isinstance(expr, dsl.Cyclic):
+        cyclic = make_cyclic(expr.n)
+        return _Compiled(cyclic, partial(_finite_group_chain, cyclic))
+    if isinstance(expr, dsl.Perm):
+        images = [perm_from_cycles(expr.degree, gen) for gen in expr.generators]
+        perm = make_perm(expr.degree, images)
+        return _Compiled(perm, partial(_finite_group_chain, perm))
+    if isinstance(expr, dsl.Int):
+        return _Compiled(make_integers(), partial(integers_chain, 2))
+    if isinstance(expr, dsl.Dinf):
+        return _Compiled(make_infinite_dihedral(), partial(dihedral_chain, 2))
+    if isinstance(expr, dsl.Product):
+        if len(expr.items) == 1:
+            only = _compile(expr.items[0], need_group)
+            return _Compiled(only.group, only.chain)
+        parts = [_compile(item) for item in expr.items]
+        factors = [part.group for part in parts]
+        product = DirectProductGroup(factors)
+
+        def product_chain() -> ChainSchema:
+            chains = [part.chain() for part in parts]
+            chain, rest = chains[-1], factors[-1]
+            for i in range(len(parts) - 2, -1, -1):
+                total = product if i == 0 else DirectProductGroup(factors[i:])
+                chain = concat_extension(_split_first_factor(total, rest), chains[i], chain)
+                rest = total
+            return chain
+
+        return _Compiled(product, product_chain)
+    if isinstance(expr, dsl.FinSupportPower):
+        base = _compile(expr.base, need_group)
+        points = _natural_points() if expr.points == "N" else FinitePoints(range(expr.points))
+        power = finite_support_power(base.group, points) if need_group else None
+
+        def power_of_base_chain() -> ChainSchema:
+            if expr.points == "N":
+                return power_chain(_omega_shaped(base.chain()), points)
+            return diagonal_power_chain(base.chain(), points)
+
+        return _Compiled(power, power_of_base_chain)
+    if isinstance(expr, dsl.Wreath):
+        base, top = _compile(expr.base), _compile(expr.top)
+        wreath = wreath_product(base.group, top.group)
+
+        def wreath_chain() -> ChainSchema:
+            top_chain, base_chain = top.chain(), base.chain()
+            if top.group.order is None:
+                kernel_chain = power_chain(_omega_shaped(base_chain), wreath.points)
+            else:
+                kernel_chain = diagonal_power_chain(base_chain, wreath.points)
+            return concat_extension(wreath.extension(), top_chain, kernel_chain)
+
+        def tower_wreath_claim() -> _Claim:
+            if not isinstance(expr.base, dsl.Tower) or top.group.order in (None, 1):
+                return _NO_CLAIM
+            tower_depth, _, flags = base.claim()
+            if tower_depth is None:
+                return None, "", flags
+            tag = "tower wreath a nontrivial finite group: claimed one past the tower depth"
+            return add(tower_depth, 1), tag, flags
+
+        return _Compiled(wreath, wreath_chain, tower_wreath_claim)
+    if isinstance(expr, dsl.Tower):
+        base = _compile(expr.base)
+        g, tower = base.group, None
+        if need_group:
+            tower = g
+            for _ in range(2, expr.n + 1):
+                tower = wreath_product(tower, g)
+
+        def tower_claim() -> _Claim:
+            if (g.order is None and g.is_residually_finite_claimed
+                    and g.has_finite_abelianization_claimed):
+                return multiply(OMEGA, expr.n), "iterated wreath tower: exact depth claimed", ()
+            return None, "", ("exact-depth claim withheld: the tower base does not carry the "
+                              "residual-finiteness and finite-abelianization hypotheses",)
+
+        return _Compiled(tower, lambda: tower_chain(g, base.chain(), expr.n), tower_claim)
+    if isinstance(expr, dsl.ExtensionRef):
+        entry = _EXTENSIONS.get(expr.name)
+        registered = f"registered under {expr.name!r}"
+
+        def registered_chain() -> ChainSchema:
+            if entry is None or entry.chain_factory is None:
+                raise UnregisteredConstructionError(f"no chain constructor {registered}")
+            return entry.chain_factory()
+
+        if not need_group:
+            return _Compiled(None, registered_chain)
+        if entry is None:
+            raise UnregisteredConstructionError(f"no construction {registered}")
+        return _Compiled(entry.group_factory(), registered_chain)
+    raise UnregisteredConstructionError(f"unknown expression {expr!r}")
+
+
+def build_group(expr: dsl.GroupExpr) -> Group:
+    return _compile(expr).group
+
+
+def chain_for(expr: dsl.GroupExpr) -> ChainSchema:
+    """The registered chain construction for an expression shape."""
+    return _compile(expr, need_group=False).chain()
 
 
 def _valid_depth_bound(length: Ordinal) -> Ordinal:
@@ -244,8 +268,6 @@ def _valid_depth_bound(length: Ordinal) -> Ordinal:
     """
     if length == ZERO:
         return length
-    from .ordinal import decompose_successor
-
     limit_part, tail = decompose_successor(length)
     return add(limit_part, min(tail, 1))
 
@@ -260,42 +282,18 @@ def depth_interval(expr: dsl.GroupExpr) -> DepthInterval:
     groups; when such a claim falls outside the bracket the interval flags
     the discrepancy instead of resolving it.
     """
-    group = build_group(expr)
-    chain = chain_for(expr)
-    upper = _valid_depth_bound(chain.length)
-    if group.order == 1:
-        lower = ZERO
-    elif group.order is not None:
-        lower = ONE
-    else:
-        lower = OMEGA
-    claimed: Optional[Ordinal] = None
-    claim_tag = ""
-    flags: tuple[str, ...] = ()
-    if isinstance(expr, dsl.Tower):
-        claimed, claim_tag, flags = _tower_claim(expr)
-    elif isinstance(expr, dsl.Wreath) and isinstance(expr.base, dsl.Tower):
-        top = build_group(expr.top)
-        if top.order is not None and top.order > 1:
-            tower_claim, _, tower_flags = _tower_claim(expr.base)
-            if tower_claim is not None:
-                claimed = add(tower_claim, 1)
-                claim_tag = "tower wreath a nontrivial finite group: claimed one past the tower depth"
-            flags = tower_flags
+    compiled = _compile(expr)
+    upper = _valid_depth_bound(compiled.chain().length)
+    order = compiled.group.order
+    lower = ZERO if order == 1 else ONE if order is not None else OMEGA
+    claimed, claim_tag, flags = compiled.claim()
     interval = DepthInterval(
         lower=lower, upper=upper, paper_claimed=claimed, claim_tag=claim_tag, flags=flags,
     )
     if interval.claim_discrepancy:
-        interval = DepthInterval(
-            lower=lower,
-            upper=upper,
-            paper_claimed=claimed,
-            claim_tag=claim_tag,
-            flags=flags
-            + (
-                "claimed exact depth lies outside the constructed bracket: the "
-                "concatenated chain gives a tighter upper bound; discrepancy "
-                "reported, not adjudicated",
-            ),
-        )
+        interval = replace(interval, flags=flags + (
+            "claimed exact depth lies outside the constructed bracket: the "
+            "concatenated chain gives a tighter upper bound; discrepancy "
+            "reported, not adjudicated",
+        ))
     return interval

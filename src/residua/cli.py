@@ -30,6 +30,7 @@ from .dsl import DslParseError, parse_expr, print_expr
 from .groups import GroupError
 from .oracle import (
     OracleCapError,
+    _sorted_values,
     all_subgroups,
     core_up_to_index,
     depth_exact_finite,
@@ -207,7 +208,7 @@ def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
             "group": group.tag,
             "max_index": config.max_index,
             "core_order": len(core),
-            "core": [group.value_to_jsonable(v) for v in sorted_values(core)],
+            "core": [group.value_to_jsonable(v) for v in _sorted_values(core)],
             "is_trivial": core == lattice.trivial,
         }
     elif subcommand == "min-kappa":
@@ -230,12 +231,6 @@ def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
         else:
             _emit(_json_text(payload), config)
     return EXIT_OK
-
-
-def sorted_values(values):
-    from .groups import label_sort_key
-
-    return sorted(values, key=label_sort_key)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .groups import _alternating_cycles, _symmetric_cycles
+
 __all__ = [
     "DslError",
     "DslParseError",
@@ -140,24 +142,6 @@ GroupExpr = Union[
 ]
 
 
-def _symmetric_generators(n: int) -> tuple:
-    if n <= 1:
-        return ()
-    gens = [((0, 1),)]
-    if n > 2:
-        gens.append((tuple(range(n)),))
-    return tuple(gens)
-
-
-def _alternating_generators(n: int) -> tuple:
-    if n <= 2:
-        return ()
-    gens = [((0, 1, 2),)]
-    if n > 3:
-        gens.append((tuple(range(n)),) if n % 2 else (tuple(range(1, n)),))
-    return tuple(gens)
-
-
 class _Parser:
     KEYWORDS = ("1", "Z", "Dinf", "N", "C", "S", "A", "perm", "power", "wreath", "tower", "prod")
 
@@ -265,7 +249,7 @@ class _Parser:
             if n_value < 0:
                 raise DslParseError("degree must be >= 0", n_start)
             self.expect(")")
-            gens = _symmetric_generators(n_value) if name == "S" else _alternating_generators(n_value)
+            gens = _symmetric_cycles(n_value) if name == "S" else _alternating_cycles(n_value)
             return Perm(n_value, gens)
         if name == "perm":
             self.expect("(")

@@ -206,15 +206,6 @@ class Group:
     def element(self, value) -> Element:
         return Element(self, self.validate_value(value))
 
-    def multiply(self, a: Element, b: Element) -> Element:
-        return a * b
-
-    def invert(self, a: Element) -> Element:
-        return a.inverse()
-
-    def equals(self, a: Element, b: Element) -> bool:
-        return a == b
-
     def element_values(self) -> list:
         """All canonical values, for finite groups; deterministic order."""
         if self.order is None:
@@ -1083,25 +1074,35 @@ def make_perm(degree: int, generators: Iterable) -> PermGroup:
     return PermGroup(degree, generators)
 
 
-def make_symmetric(n: int) -> PermGroup:
+def _symmetric_cycles(n: int) -> tuple:
+    """Standard generators of S(n) as cycle lists: (0 1), and (0 1 ... n-1) for n > 2."""
     if n <= 1:
-        return PermGroup(max(n, 0), [], name=f"S{n}")
-    gens = [perm_from_cycles(n, [(0, 1)])]
+        return ()
+    gens = [((0, 1),)]
     if n > 2:
-        gens.append(perm_from_cycles(n, [tuple(range(n))]))
-    return PermGroup(n, gens, name=f"S{n}")
+        gens.append((tuple(range(n)),))
+    return tuple(gens)
+
+
+def _alternating_cycles(n: int) -> tuple:
+    """Standard generators of A(n) as cycle lists: (0 1 2), and for n > 3 an
+    n-cycle (n odd) or an (n-1)-cycle fixing 0 (n even)."""
+    if n <= 2:
+        return ()
+    gens = [((0, 1, 2),)]
+    if n > 3:
+        gens.append((tuple(range(n)),) if n % 2 else (tuple(range(1, n)),))
+    return tuple(gens)
+
+
+def make_symmetric(n: int) -> PermGroup:
+    gens = [perm_from_cycles(n, gen) for gen in _symmetric_cycles(n)]
+    return PermGroup(max(n, 0), gens, name=f"S{n}")
 
 
 def make_alternating(n: int) -> PermGroup:
-    if n <= 2:
-        return PermGroup(max(n, 0), [], name=f"A{n}")
-    gens = [perm_from_cycles(n, [(0, 1, 2)])]
-    if n > 3:
-        if n % 2:
-            gens.append(perm_from_cycles(n, [tuple(range(n))]))
-        else:
-            gens.append(perm_from_cycles(n, [tuple(range(1, n))]))
-    return PermGroup(n, gens, name=f"A{n}")
+    gens = [perm_from_cycles(n, gen) for gen in _alternating_cycles(n)]
+    return PermGroup(max(n, 0), gens, name=f"A{n}")
 
 
 def finite_support_power(base: Group, points: PointSet) -> FinSupportPowerGroup:
@@ -1111,11 +1112,6 @@ def finite_support_power(base: Group, points: PointSet) -> FinSupportPowerGroup:
 def wreath_product(base: Group, top: Group, points: Optional[PointSet] = None,
                    action: Optional[Callable] = None, seed: int = 0) -> WreathProductGroup:
     return WreathProductGroup(base, top, points, action, probe_seed=seed)
-
-
-def embed_at_point(power: FinSupportPowerGroup, point) -> Callable[[Element], Element]:
-    """Module-level alias for the finite-support embedding at one point."""
-    return power.embed_at(point)
 
 
 def commutator_subgroup(g: Group) -> SubgroupHandle:

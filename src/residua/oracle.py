@@ -55,9 +55,6 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def index_of(self, subgroup: frozenset) -> int:
-        return self.subgroups.index(subgroup)
-
     @property
     def trivial(self) -> frozenset:
         return self.subgroups[0]
@@ -65,12 +62,6 @@ class SubgroupLattice:
     @property
     def whole(self) -> frozenset:
         return self.subgroups[-1]
-
-    def contained_in(self, a: frozenset, b: frozenset) -> bool:
-        return a <= b
-
-    def proper_subgroups_of(self, h: frozenset) -> list[frozenset]:
-        return [s for s in self.subgroups if s < h]
 
     def to_jsonable(self):
         return {

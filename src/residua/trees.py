@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chains import ChainSchema, finite_chain
+from .chains import ChainError, ChainSchema, _probe_id, _split_stage_ordinal, finite_chain
 from .groups import Element, Group, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 
@@ -52,51 +52,14 @@ class NonMaterializableError(TreeError):
 
 @dataclass(frozen=True)
 class AlphaTreeSchema:
-    """Lazily defined coset tree of a chain: depth, fibre bound, and rules.
+    """Lazily defined coset tree of a chain.
 
     A vertex at stage w*b + n is a coherent tuple of cosets of the first n
-    stages of block b, encoded as digits into the stage transversals; the
-    edge rule drops the last digit.
+    stages of block b, encoded as digits into the stage transversals; its
+    parent drops the last digit.
     """
 
     chain: ChainSchema
-
-    @property
-    def depth(self) -> Ordinal:
-        return self.chain.length
-
-    @property
-    def kappa(self):
-        return self.chain.kappa
-
-    @property
-    def root(self) -> tuple:
-        return ()
-
-    def vertex_rule(self, i) -> tuple[int, ...]:
-        """Digit space of the level-i vertices: the fibre size at each stage."""
-        from .chains import _split_stage_ordinal
-
-        if isinstance(i, int):
-            b, n = 0, i
-        else:
-            b, n = _split_stage_ordinal(i)
-        sizes = []
-        for k in range(1, n + 1):
-            stage = self.chain.stage_at(b, k)
-            idx = stage.index_in_parent
-            if idx is None or not idx.is_finite:
-                raise NonMaterializableError(
-                    f"stage {format_ordinal(OMEGA * b + k)} has no certified finite fibre"
-                )
-            sizes.append(idx.value)
-        return tuple(sizes)
-
-    def edge_rule(self, digits: tuple[int, ...]) -> tuple[int, ...]:
-        """Parent of a digit-encoded vertex."""
-        if not digits:
-            raise TreeError("the root has no parent")
-        return digits[:-1]
 
 
 @dataclass(frozen=True)
@@ -263,21 +226,14 @@ def _local_level(tr: TreeTruncation, i) -> int:
     if isinstance(i, int):
         local = i
     else:
-        base = tr.base_ordinal()
-        if i < base:
+        if i < tr.base_ordinal():
             raise TreeError(f"level {format_ordinal(i)} below this truncation's base")
-        rest = None
-        for exp, coeff in i.terms:
-            if exp.is_zero:
-                rest = coeff
-        offset = 0 if rest is None else rest
-        blocks = 0
-        for exp, coeff in i.terms:
-            if exp == Ordinal.from_int(1):
-                blocks = coeff
+        try:
+            blocks, local = _split_stage_ordinal(i)
+        except ChainError as exc:
+            raise TreeError(str(exc)) from exc
         if blocks != tr.block:
             raise TreeError(f"level {format_ordinal(i)} is not in block {tr.block}")
-        local = offset
     if not 0 <= local <= tr.depth:
         raise TreeError(f"level {local} not materialized (depth {tr.depth})")
     return local
@@ -343,10 +299,6 @@ class SimplicityReport:
             "moved": list(self.moved),
             "unresolved": list(self.unresolved),
         }
-
-
-def _probe_id(e: Element) -> str:
-    return json.dumps(e.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
 def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,

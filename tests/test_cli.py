@@ -1,6 +1,8 @@
 import json
 
+from residua import catalog
 from residua.cli import main
+from residua.groups import make_cyclic
 
 
 def run(capsys, *argv):
@@ -36,6 +38,14 @@ class TestDepth:
         code, _, err = run(capsys, "depth", "Deligne")
         assert code == 4
         assert "Deligne" in err
+
+    def test_extension_without_chain_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "_EXTENSIONS", dict(catalog._EXTENSIONS))
+        catalog.register_extension("test_only_c6", lambda: make_cyclic(6))
+        code, out, err = run(capsys, "depth", "test_only_c6")
+        assert code == 4
+        assert out == ""
+        assert "no chain constructor registered" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "depth", "tower(Dinf, 3)", "--format", "json")

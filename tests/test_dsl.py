@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from residua import catalog
 from residua.catalog import (
     UnregisteredConstructionError,
     build_group,
@@ -27,6 +28,7 @@ from residua.dsl import (
     parse_expr,
     print_expr,
 )
+from residua.groups import make_alternating, make_cyclic, make_symmetric
 from residua.ordinal import OMEGA, ONE, ZERO, add, multiply
 
 
@@ -165,11 +167,24 @@ class TestBuildGroup:
         with pytest.raises(UnregisteredConstructionError):
             build_group(parse_expr("mystery_group"))
 
-    def test_registered_extension(self):
-        from residua.groups import make_cyclic
-
+    def test_registered_extension(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_EXTENSIONS", dict(catalog._EXTENSIONS))
         register_extension("test_only_c6", lambda: make_cyclic(6))
         assert build_group(parse_expr("test_only_c6")).order == 6
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_symmetric_and_alternating_sugar_match_factories(self, n):
+        assert build_group(parse_expr(f"S({n})")).tag == make_symmetric(n).tag
+        assert build_group(parse_expr(f"A({n})")).tag == make_alternating(n).tag
+
+    @pytest.mark.parametrize("text", ["wreath(S(3), Z)", "prod(S(3), Z)", "tower(Dinf, 3)"])
+    def test_builds_no_chain(self, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_group built a chain")
+
+        monkeypatch.setattr(catalog, "minimax_chain", refuse)
+        monkeypatch.setattr(catalog, "tower_chain", refuse)
+        assert build_group(parse_expr(text)).order is None
 
 
 class TestChainFor:
@@ -207,6 +222,16 @@ class TestChainFor:
     def test_no_chain_for_unregistered(self):
         with pytest.raises(UnregisteredConstructionError):
             chain_for(parse_expr("Deligne"))
+
+    def test_registered_chain_factory(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_EXTENSIONS", dict(catalog._EXTENSIONS))
+        chain = chain_for(parse_expr("prod(Z, C(2))"))
+        register_extension(
+            "test_only_zc2", lambda: build_group(parse_expr("prod(Z, C(2))")), lambda: chain
+        )
+        assert chain_for(parse_expr("test_only_zc2")) is chain
+        iv = depth_interval(parse_expr("test_only_zc2"))
+        assert (iv.lower, iv.upper) == (OMEGA, add(OMEGA, 1))
 
 
 class TestDepthInterval:

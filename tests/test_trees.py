@@ -5,7 +5,7 @@ import pytest
 from residua.chains import chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.groups import make_cyclic, make_integers, make_symmetric, wreath_product
 from residua.oracle import chain_enumerate
-from residua.ordinal import OMEGA, add
+from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
     NonMaterializableError,
     TreeError,
@@ -136,6 +136,13 @@ class TestRestrictionMap:
         tr = truncate(coset_tree(chain), 2, block=1)
         down = restriction_map(tr, add(OMEGA, 1), add(OMEGA, 2))
         assert [down(i) for i in range(4)] == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("level", [omega_power(2), add(omega_power(2), 2)])
+    def test_level_not_of_stage_shape_rejected(self, level):
+        # w^2 and w^2 + 2 are not of the form w*q + r, so they name no level
+        tr = truncate(coset_tree(integers_chain(2)), 3)
+        with pytest.raises(TreeError, match="w\\*q \\+ r"):
+            restriction_map(tr, level, 3)
 
 
 class TestAct:
