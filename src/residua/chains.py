@@ -17,8 +17,8 @@ witness element and stage.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -105,11 +105,54 @@ class StepIndex:
         return self.value if self.kind == "finite" else self.kind
 
 
+class Transversal:
+    """Coset representatives of a stage in its parent, indexed 0..size-1.
+
+    An explicit transversal wraps a tuple.  A product transversal holds
+    factor transversals and ``combine``: representative i is ``combine``
+    applied to the factors' representatives at the mixed-radix digits of i,
+    the last factor varying fastest (the order of nested loops over the
+    factors), and it is built only when asked.  There is no ``__len__``: a
+    product's ``size`` can exceed ``sys.maxsize``.
+    """
+
+    def __init__(self, reps=(), *, factors=(), combine: Optional[Callable[..., Element]] = None):
+        self._reps = tuple(reps)
+        self._factors = tuple(factors)
+        self._combine = combine
+        self.size = (len(self._reps) if combine is None
+                     else math.prod(f.size for f in self._factors))
+
+    def rep(self, i: int) -> Element:
+        if not 0 <= i < self.size:
+            raise IndexError(f"representative {i} outside 0..{self.size - 1}")
+        if self._combine is None:
+            return self._reps[i]
+        picks = []
+        for f in reversed(self._factors):
+            i, digit = divmod(i, f.size)
+            picks.append(f.rep(digit))
+        return self._combine(*reversed(picks))
+
+    def __iter__(self):
+        if self._combine is None:
+            return iter(self._reps)
+        return (self.rep(i) for i in range(self.size))
+
+
+def _ordered_product(*reps: Element) -> Element:
+    """reps[0] * reps[1] * ... * reps[-1], multiplied left to right."""
+    e = reps[0]
+    for x in reps[1:]:
+        e = e * x
+    return e
+
+
 @dataclass(frozen=True)
 class SubgroupDescriptor:
     """One chain stage: a membership test plus index evidence.
 
-    ``transversal`` lists coset representatives of this stage inside its
+    ``transversal`` holds coset representatives of this stage inside its
     parent stage; when present the index is certified exactly, otherwise the
     verifier can only count cosets among probes and reports it unverified.
     """
@@ -117,7 +160,7 @@ class SubgroupDescriptor:
     owner: Group
     membership: Callable[[Element], bool]
     index_in_parent: Optional[StepIndex] = None
-    transversal: Optional[tuple[Element, ...]] = None
+    transversal: Optional[Transversal] = None
     label: str = ""
 
     def contains(self, e: Element) -> bool:
@@ -128,8 +171,6 @@ def _full_stage(group: Group) -> SubgroupDescriptor:
     return SubgroupDescriptor(
         owner=group,
         membership=lambda e: True,
-        index_in_parent=None,
-        transversal=None,
         label="full group",
     )
 
@@ -174,16 +215,10 @@ class ChainSchema:
             raise ChainError("negative stage address")
         if b < self.num_blocks:
             stage = self.block_rule(b, n)
-        elif b == self.num_blocks:
-            if n == 0:
-                stage = self.final_limit if self.num_blocks else _full_stage(self.group)
-            elif n <= len(self.tail):
-                stage = self.tail[n - 1]
-            else:
-                raise ChainError(
-                    f"stage {format_ordinal(OMEGA * b + n)} beyond chain length "
-                    f"{format_ordinal(self.length)}"
-                )
+        elif b == self.num_blocks and n == 0:
+            stage = self.final_limit if self.num_blocks else _full_stage(self.group)
+        elif b == self.num_blocks and n <= len(self.tail):
+            stage = self.tail[n - 1]
         else:
             raise ChainError(
                 f"stage {format_ordinal(OMEGA * b + n)} beyond chain length "
@@ -238,11 +273,19 @@ def limit_membership(chain: ChainSchema, i, element: Element,
     b, n = _split_stage_ordinal(i)
     if n != 0 or b == 0:
         raise ChainError(f"{format_ordinal(i)} is not a limit stage of this chain")
-    for k in range(budget + 1):
-        if not chain.stage_at(b - 1, k).contains(element):
-            return False
+    if _first_excluding_step(chain, b - 1, element, budget) is not None:
+        return False
     if chain.stage_at(b, 0).contains(element):
         return True
+    return None
+
+
+def _first_excluding_step(chain: ChainSchema, block: int, element: Element,
+                          budget: int) -> Optional[int]:
+    """The first n <= budget whose stage w*block + n excludes the element."""
+    for n in range(budget + 1):
+        if not chain.stage_at(block, n).contains(element):
+            return n
     return None
 
 
@@ -261,7 +304,7 @@ def integers_chain(p: int = 2) -> ChainSchema:
         modulus = p ** n
         if n == 0:
             return _full_stage(z)
-        reps = tuple(Element(z, j * p ** (n - 1)) for j in range(p))
+        reps = Transversal(Element(z, j * p ** (n - 1)) for j in range(p))
         return SubgroupDescriptor(
             owner=z,
             membership=lambda e, m=modulus: e.value % m == 0,
@@ -273,8 +316,6 @@ def integers_chain(p: int = 2) -> ChainSchema:
     final = SubgroupDescriptor(
         owner=z,
         membership=lambda e: e.value == 0,
-        index_in_parent=None,
-        transversal=None,
         label="zero",
     )
     return ChainSchema(
@@ -299,11 +340,11 @@ def dihedral_chain(p: int = 2) -> ChainSchema:
                 owner=d,
                 membership=lambda e: e.value[1] == 0,
                 index_in_parent=StepIndex.finite(2),
-                transversal=(Element(d, (0, 0)), Element(d, (0, 1))),
+                transversal=Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
                 label="translations",
             )
         modulus = p ** (n - 1)
-        reps = tuple(Element(d, (j * p ** (n - 2), 0)) for j in range(p))
+        reps = Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p))
         return SubgroupDescriptor(
             owner=d,
             membership=lambda e, m=modulus: e.value[1] == 0 and e.value[0] % m == 0,
@@ -356,7 +397,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
                 owner=group,
                 membership=lambda e, ss=s: e.value in ss,
                 index_in_parent=StepIndex.finite(len(reps)),
-                transversal=tuple(Element(group, v) for v in reps),
+                transversal=Transversal(Element(group, v) for v in reps),
                 label=f"order {len(s)}",
             )
         )
@@ -393,7 +434,7 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
             owner=chain.group,
             membership=last.membership,
             index_in_parent=StepIndex.finite(1),
-            transversal=(identity,),
+            transversal=Transversal((identity,)),
             label=(last.label or "last stage") + " (repeated)",
         )
 
@@ -411,24 +452,24 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 # --- combinators -------------------------------------------------------------
 
 
+def _mapped_transversal(stage: SubgroupDescriptor,
+                        embed: Optional[Callable[[Element], Element]]) -> Optional[Transversal]:
+    if stage.transversal is None or embed is None:
+        return None
+    return Transversal(factors=(stage.transversal,), combine=embed)
+
+
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
-    reps = None
-    if stage.transversal is not None and ext.section is not None:
-        reps = tuple(ext.section(r) for r in stage.transversal)
     return SubgroupDescriptor(
         owner=ext.total,
         membership=lambda e: stage.membership(ext.projection(e)),
         index_in_parent=stage.index_in_parent,
-        transversal=reps,
+        transversal=_mapped_transversal(stage, ext.section),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
     )
 
 
 def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
-    reps = None
-    if stage.transversal is not None and ext.kernel_embed is not None:
-        reps = tuple(ext.kernel_embed(r) for r in stage.transversal)
-
     def member(e: Element) -> bool:
         if not ext.kernel_contains(e):
             return False
@@ -438,7 +479,7 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
         owner=ext.total,
         membership=member,
         index_in_parent=stage.index_in_parent,
-        transversal=reps,
+        transversal=_mapped_transversal(stage, ext.kernel_embed),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
 
@@ -503,14 +544,8 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
         product *= idx.value
     reps = None
     if all(s.transversal is not None for s in chain.tail):
-        combos = itertools.product(*[s.transversal for s in chain.tail])
-        out = []
-        for combo in combos:
-            e = combo[0]
-            for x in combo[1:]:
-                e = e * x
-            out.append(e)
-        reps = tuple(out)
+        reps = Transversal(factors=[s.transversal for s in chain.tail],
+                           combine=_ordered_product)
     last = chain.tail[-1]
     merged = SubgroupDescriptor(
         owner=chain.group,
@@ -523,6 +558,47 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
         group=chain.group, kappa=chain.kappa, num_blocks=chain.num_blocks,
         block_rule=chain.block_rule, final_limit=chain.final_limit,
         tail=(merged,), name=f"compressed {chain.name}", flags=chain.flags,
+    )
+
+
+def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, support: Optional[SubgroupDescriptor],
+                          label: str) -> SubgroupDescriptor:
+    """A finite-support power stage: every supported value in ``support``
+    (when given), and the value at each point of ``coords`` (point, base
+    stage) in that stage.  Index and transversal are the products of the
+    points' ones; the index is infinite when one point's is."""
+    base = grp.base
+    points = [x for x, _ in coords]
+
+    def member(e: Element) -> bool:
+        value = e.value
+        if support is not None:
+            for _, v in value:
+                if not support.contains(Element(base, v)):
+                    return False
+        for x, stage in coords:
+            if not stage.contains(Element(base, grp.value_at(value, x))):
+                return False
+        return True
+
+    def combine(*reps: Element) -> Element:
+        return Element(grp, grp.validate_value(zip(points, [r.value for r in reps])))
+
+    indices = [stage.index_in_parent for _, stage in coords]
+    index: Optional[StepIndex] = None
+    reps = None
+    if any(i is not None and i.kind == "infinite" for i in indices):
+        index = StepIndex.infinite()
+    elif indices and None not in indices:
+        if all(i.is_finite for i in indices):
+            index = StepIndex.finite(math.prod(i.value for i in indices))
+            if all(stage.transversal is not None for _, stage in coords):
+                reps = Transversal(factors=[stage.transversal for _, stage in coords],
+                                   combine=combine)
+        else:
+            index = StepIndex.unverified()
+    return SubgroupDescriptor(
+        owner=grp, membership=member, index_in_parent=index, transversal=reps, label=label,
     )
 
 
@@ -543,71 +619,18 @@ def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
         )
     if points.size is not None:
         raise ChainError("power chains need a countable point enumeration")
-    base = base_chain.group
-    grp = finite_support_power(base, points)
+    grp = finite_support_power(base_chain.group, points)
     q = base_chain.num_blocks
 
-    def member_at(b: int, n: int, e: Element) -> bool:
-        value = e.value
-        if b > 0:
-            support_stage = base_chain.stage_at(b, 0)
-            for _, v in value:
-                if not support_stage.contains(Element(base, v)):
-                    return False
-        for i in range(n):
-            x = points.label(i)
-            v = grp.value_at(value, x)
-            if not base_chain.stage_at(b, n - i).contains(Element(base, v)):
-                return False
-        return True
-
     def rule(b: int, n: int) -> SubgroupDescriptor:
-        index: Optional[StepIndex] = None
-        reps = None
-        if n >= 1:
-            sizes = []
-            per_coordinate = []
-            certified = True
-            for i in range(n):
-                stage = base_chain.stage_at(b, n - i)
-                idx = stage.index_in_parent
-                if idx is None or not idx.is_finite:
-                    certified = False
-                    break
-                sizes.append(idx.value)
-                per_coordinate.append((points.label(i), stage.transversal))
-            if certified:
-                total = 1
-                for s in sizes:
-                    total *= s
-                index = StepIndex.finite(total)
-                if all(t is not None for _, t in per_coordinate):
-                    reps = []
-                    pools = [
-                        [(x, rep.value) for rep in t] for x, t in per_coordinate
-                    ]
-                    for combo in itertools.product(*pools):
-                        mapping = {x: v for x, v in combo}
-                        reps.append(Element(grp, grp.validate_value(mapping.items())))
-                    reps = tuple(reps)
-            else:
-                index = StepIndex.unverified()
-        return SubgroupDescriptor(
-            owner=grp,
-            membership=lambda e, bb=b, nn=n: member_at(bb, nn, e),
-            index_in_parent=index,
-            transversal=reps,
-            label=f"coordinatewise block {b} step {n}",
+        return _coordinatewise_stage(
+            grp,
+            [(points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)],
+            base_chain.stage_at(b, 0) if b > 0 else None,
+            f"coordinatewise block {b} step {n}",
         )
 
-    base_final = base_chain.stage_at(q, 0)
-
-    def final_member(e: Element) -> bool:
-        return all(base_final.contains(Element(base, v)) for _, v in e.value)
-
-    final = SubgroupDescriptor(
-        owner=grp, membership=final_member, label="supportwise final stage",
-    )
+    final = _coordinatewise_stage(grp, [], base_chain.stage_at(q, 0), "supportwise final stage")
     return ChainSchema(
         group=grp, kappa=ALEPH0, num_blocks=q, block_rule=rule, final_limit=final,
         name=f"power of {base_chain.name}", flags=base_chain.flags,
@@ -618,35 +641,12 @@ def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> Chain
     """Same-length chain over a finite power: every coordinate in the base stage."""
     if not isinstance(points, FinitePoints):
         raise ChainError("diagonal power chains need finite points")
-    base = base_chain.group
-    grp = finite_support_power(base, points)
-    m = points.size
+    grp = finite_support_power(base_chain.group, points)
 
     def lift(stage: SubgroupDescriptor) -> SubgroupDescriptor:
-        index: Optional[StepIndex] = None
-        reps = None
-        idx = stage.index_in_parent
-        if idx is not None:
-            if idx.is_finite:
-                index = StepIndex.finite(idx.value ** m)
-                if stage.transversal is not None:
-                    pools = [
-                        [(points.label(i), rep.value) for rep in stage.transversal]
-                        for i in range(m)
-                    ]
-                    reps = tuple(
-                        Element(grp, grp.validate_value({x: v for x, v in combo}.items()))
-                        for combo in itertools.product(*pools)
-                    )
-            else:
-                index = StepIndex(idx.kind)
-
-        def member(e: Element) -> bool:
-            return all(stage.contains(Element(base, v)) for _, v in e.value)
-
-        return SubgroupDescriptor(
-            owner=grp, membership=member, index_in_parent=index, transversal=reps,
-            label=f"diagonal of {stage.label}" if stage.label else "diagonal",
+        return _coordinatewise_stage(
+            grp, [(x, stage) for x in points.labels], None,
+            f"diagonal of {stage.label}" if stage.label else "diagonal",
         )
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
@@ -787,7 +787,8 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     left unverified), coherence of each declared limit stage against the
     lazy intersection of the previous block, triviality of the final stage
     on probes, and the first excluding stage of every probe.  Failures are
-    verdicts with witnesses, never exceptions.
+    verdicts with witnesses, never exceptions.  A run that draws no probes
+    is at best inconclusive.
     """
     if levels < 1:
         raise ChainError("need at least one level")
@@ -833,11 +834,7 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     for k, b in limit_rows:
         for pi, p in enumerate(probe_elements):
             claimed = mem[pi][k]
-            found = None
-            for step in range(limit_budget + 1):
-                if not chain.stage_at(b - 1, step).contains(p):
-                    found = step
-                    break
+            found = _first_excluding_step(chain, b - 1, p, limit_budget)
             if found is not None:
                 if claimed:
                     fail(
@@ -868,7 +865,7 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
                 fail("step index is infinite", ordinal_i, None)
                 index_value = "infinite"
             elif stage.transversal is not None:
-                reps = stage.transversal
+                reps = tuple(stage.transversal)
                 valid = True
                 if not any(stage.contains(rep) for rep in reps):
                     # the subgroup's own coset must be represented
@@ -968,10 +965,12 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
         )
     if index_unverified:
         flags.append("some step indices could not be certified by a transversal")
+    if not probe_elements:
+        flags.append("no probes were drawn, so no probe-based check ran")
 
     if failures:
         verdict = "fail"
-    elif unresolved or index_unverified or any(
+    elif not probe_elements or unresolved or index_unverified or any(
         s["first_excluding_stage"] == "unresolved" for s in separations
     ):
         verdict = "inconclusive"

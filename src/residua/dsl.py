@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .groups import _alternating_cycles, _symmetric_cycles
+from .ordinal import _Scanner
 
 __all__ = [
     "DslError",
@@ -142,30 +143,8 @@ GroupExpr = Union[
 ]
 
 
-class _Parser:
-    KEYWORDS = ("1", "Z", "Dinf", "N", "C", "S", "A", "perm", "power", "wreath", "tower", "prod")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, ch: str):
-        if not self.take(ch):
-            raise DslParseError("unexpected character", self.pos, (repr(ch),))
+class _Parser(_Scanner):
+    error = DslParseError
 
     def integer(self) -> tuple[int, int]:
         self.skip_ws()

@@ -119,9 +119,6 @@ class Element:
             n >>= 1
         return Element(self.group, out)
 
-    def conjugate_by(self, g: "Element") -> "Element":
-        return g * self * g.inverse()
-
     def commutator_with(self, other: "Element") -> "Element":
         return self * other * self.inverse() * other.inverse()
 

@@ -110,10 +110,6 @@ class Ordinal:
     def is_limit(self) -> bool:
         return bool(self._terms) and not self._terms[-1][0].is_zero
 
-    @property
-    def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0].is_zero
-
     def to_int(self) -> int:
         if self.is_zero:
             return 0
@@ -354,6 +350,11 @@ def format_ordinal(a: OrdinalLike) -> str:
 
 
 class _Scanner:
+    """Whitespace-skipping cursor over a text; the parsers in ``ordinal`` and
+    ``dsl`` share it and differ only in the error class they raise."""
+
+    error = OrdinalParseError
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -374,7 +375,7 @@ class _Scanner:
 
     def expect(self, ch: str):
         if not self.take(ch):
-            raise OrdinalParseError("unexpected character", self.pos, (repr(ch),))
+            raise self.error("unexpected character", self.pos, (repr(ch),))
 
     def integer(self) -> int:
         self.skip_ws()
@@ -382,7 +383,7 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise OrdinalParseError("unexpected character", start, ("integer",))
+            raise self.error("unexpected character", start, ("integer",))
         return int(self.text[start:self.pos])
 
 
@@ -477,10 +478,6 @@ class CardinalBound:
         return CardinalBound(n)
 
     @property
-    def is_aleph0(self) -> bool:
-        return self._finite is None
-
-    @property
     def value(self) -> int | None:
         return self._finite
 
@@ -514,12 +511,6 @@ class CardinalBound:
 
     def to_jsonable(self):
         return "aleph0" if self._finite is None else self._finite
-
-    @staticmethod
-    def from_jsonable(data) -> "CardinalBound":
-        if data == "aleph0":
-            return ALEPH0
-        return CardinalBound(int(data))
 
     @staticmethod
     def parse(text: str) -> "CardinalBound":

@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chains import ChainError, ChainSchema, _probe_id, _split_stage_ordinal, finite_chain
+from .chains import (ChainError, ChainSchema, Transversal, _ordered_product, _probe_id,
+                     _split_stage_ordinal, finite_chain)
 from .groups import Element, Group, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 
@@ -77,7 +78,7 @@ class TreeTruncation:
     fibres: tuple[int, ...]
     provenance: str
     chain: Optional[ChainSchema] = None
-    transversals: Optional[tuple[tuple[Element, ...], ...]] = None
+    transversals: Optional[tuple[Transversal, ...]] = None
 
     @property
     def depth(self) -> int:
@@ -92,13 +93,6 @@ class TreeTruncation:
     def base_ordinal(self) -> Ordinal:
         return OMEGA * self.block
 
-    def digits(self, level: int, idx: int) -> tuple[int, ...]:
-        out = []
-        for k in range(level, 0, -1):
-            out.append(idx % self.fibres[k - 1])
-            idx //= self.fibres[k - 1]
-        return tuple(reversed(out))
-
     def index_of_digits(self, digits: tuple[int, ...]) -> int:
         idx = 0
         for k, d in enumerate(digits):
@@ -109,10 +103,10 @@ class TreeTruncation:
         """A group element whose coset thread is this vertex."""
         if self.transversals is None or self.chain is None:
             raise TreeError("truncation has no chain backing")
-        e = self.chain.group.identity()
-        for k, d in enumerate(self.digits(level, idx)):
-            e = e * self.transversals[k][d]
-        return e
+        identity = self.chain.group.identity()
+        thread = Transversal(factors=self.transversals[:level],
+                             combine=lambda *reps: _ordered_product(identity, *reps))
+        return thread.rep(idx)
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
         """Digit string of the coset thread of a group element."""
@@ -199,11 +193,11 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
             raise TreeError(
                 f"fibre {idx.value} at level {k} is not below kappa {chain.kappa}"
             )
-        fibres.append(idx.value)
-        transversals.append(stage.transversal)
         total *= idx.value
         if total > MATERIALIZATION_CAP:
             raise NonMaterializableError("materialization exceeds the vertex cap")
+        fibres.append(idx.value)
+        transversals.append(stage.transversal)
     levels = [(1, ())]
     size = 1
     for k in range(1, d + 1):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -33,7 +34,7 @@ from residua.groups import (
     random_words,
     wreath_product,
 )
-from residua.ordinal import OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
+from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
 
 
 def lamplighter():
@@ -156,6 +157,14 @@ class TestVerifyPrefix:
         b = verify_prefix(integers_chain(2), levels=5, probes=32, seed=9).to_jsonable()
         assert a == b
 
+    @pytest.mark.parametrize("probes", [0, -3])
+    def test_no_probes_is_inconclusive(self, probes):
+        for chain in (integers_chain(2), tower_chain(make_infinite_dihedral(), dihedral_chain(), 2)):
+            cert = verify_prefix(chain, levels=4, probes=probes, seed=0)
+            assert cert.verdict == "inconclusive"
+            assert cert.probes_used == 0
+            assert any("no probes were drawn" in f for f in cert.flags)
+
     def test_broken_limit_claim_fails(self):
         # claim the full group at the limit: probes excluded below contradict it
         base = integers_chain(2)
@@ -259,7 +268,7 @@ class TestCompress:
         assert squeezed.length == Ordinal.from_int(1)
         stage = squeezed.tail[0]
         assert stage.index_in_parent == StepIndex.finite(24)
-        assert len(stage.transversal) == 24
+        assert stage.transversal.size == 24
         assert len({e.value for e in stage.transversal}) == 24
         cert = verify_prefix(squeezed, levels=1, probes=24, seed=0)
         assert cert.verdict == "pass"
@@ -443,6 +452,30 @@ class TestPowerChain:
         cert = verify_prefix(chain, levels=5, probes=32, seed=3)
         assert cert.verdict == "pass"
 
+    def test_infinite_base_index_fails(self):
+        from residua.chains import ChainSchema, SubgroupDescriptor
+
+        z = make_integers()
+
+        def rule(b, n):
+            if n == 0:
+                return SubgroupDescriptor(owner=z, membership=lambda e: True)
+            return SubgroupDescriptor(
+                owner=z, membership=lambda e: e.value == 0,
+                index_in_parent=StepIndex.infinite(), label="zero",
+            )
+
+        base = ChainSchema(
+            group=z, kappa=ALEPH0, num_blocks=1, block_rule=rule,
+            final_limit=SubgroupDescriptor(owner=z, membership=lambda e: e.value == 0),
+            name="one infinite jump",
+        )
+        chain = power_chain(base, natural_points())
+        assert chain.stage_at(0, 2).index_in_parent == StepIndex.infinite()
+        cert = verify_prefix(chain, levels=2, probes=8, seed=0)
+        assert cert.verdict == "fail"
+        assert cert.failure["reason"] == "step index is infinite"
+
 
 class TestDiagonalPowerChain:
     def test_s3_indices(self):
@@ -487,6 +520,11 @@ class TestTowerChain:
         assert any("finite abelianization claimed=True" in f for f in cert.flags)
         assert any("upper bound" in f for f in cert.flags)
 
+    def test_height_three_verifies(self):
+        chain = tower_chain(make_integers(), integers_chain(2), 3)
+        cert = verify_prefix(chain, levels=1, probes=8, seed=0)
+        assert cert.verdict == "pass"
+
     def test_height_three_length(self):
         d = make_infinite_dihedral()
         chain = tower_chain(d, dihedral_chain(), 3)
@@ -501,6 +539,63 @@ class TestTowerChain:
             tower_chain(make_cyclic(2), single_step_chain(make_cyclic(2)), 2)
 
 
+class TestTransversal:
+    """Product transversals list their representatives in the order of
+    itertools.product over the factor transversals, built eagerly here as
+    the reference."""
+
+    @staticmethod
+    def coordinatewise_reference(grp, coords):
+        pools = [[(x, rep.value) for rep in stage.transversal] for x, stage in coords]
+        return [
+            grp.validate_value(dict(combo).items()) for combo in itertools.product(*pools)
+        ]
+
+    def test_compressed_tail_order(self):
+        s4 = make_symmetric(4)
+        a4 = frozenset(v for v in s4.element_values() if _is_even(v))
+        v4 = frozenset({(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)})
+        chain = finite_chain(s4, [a4, v4, {s4.identity_value()}])
+        reference = []
+        for combo in itertools.product(*[list(s.transversal) for s in chain.tail]):
+            e = combo[0]
+            for x in combo[1:]:
+                e = e * x
+            reference.append(e.value)
+        t = compress_successor_tail(chain).tail[0].transversal
+        assert [e.value for e in t] == reference
+        assert [t.rep(i).value for i in range(t.size)] == reference
+
+    def test_power_stage_order(self):
+        base = integers_chain(2)
+        chain = power_chain(base, natural_points())
+        coords = [(i, base.stage_at(0, 3 - i)) for i in range(3)]
+        t = chain.stage_at(0, 3).transversal
+        assert t.size == 8
+        assert [e.value for e in t] == self.coordinatewise_reference(chain.group, coords)
+
+    def test_diagonal_stage_order(self):
+        base = single_step_chain(make_cyclic(2))
+        diag = diagonal_power_chain(base, FinitePoints([0, 1, 2]))
+        coords = [(x, base.tail[0]) for x in (0, 1, 2)]
+        t = diag.tail[0].transversal
+        assert t.size == 8
+        assert [e.value for e in t] == self.coordinatewise_reference(diag.group, coords)
+
+    def test_deep_stage_built_on_demand(self):
+        chain = tower_chain(make_integers(), integers_chain(2), 2)
+        start = time.perf_counter()
+        stage = chain.stage_at(1, 64)
+        assert time.perf_counter() - start < 5
+        t = stage.transversal
+        assert t.size == 2 ** 64
+        last = t.rep(t.size - 1)
+        assert chain.stage_at(1, 63).contains(last)
+        assert not stage.contains(last)
+        with pytest.raises(IndexError):
+            t.rep(t.size)
+
+
 class TestIndexProductLaw:
     def test_finite_chain_indices_multiply_to_total(self):
         # [stage 0 : stage m] equals the product of per-step transversal
@@ -512,7 +607,7 @@ class TestIndexProductLaw:
                 chain = finite_chain(group, sets[1:])
                 product = 1
                 for stage in chain.tail:
-                    product *= len(stage.transversal)
+                    product *= stage.transversal.size
                 assert product == group.order // len(sets[-1])
 
     def test_enumerated_chains_all_verify(self):

@@ -97,6 +97,13 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["verdict"] == "inconclusive"
 
+    def test_no_probes_inconclusive_exit_3(self, capsys):
+        for expr, probes in (("Z", "0"), ("Z", "-3"), ("tower(Dinf,2)", "0")):
+            code, out, _ = run(capsys, "verify", expr, "--probes", probes)
+            assert code == 3
+            assert "verdict: inconclusive" in out
+            assert "flag: no probes were drawn" in out
+
     def test_unknown_selector_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "Z", "--chain", "p5")
         assert code == 4
