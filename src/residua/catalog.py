@@ -27,15 +27,15 @@ from . import dsl
 from .chains import (
     ChainSchema,
     DepthInterval,
+    _lifted_power_chain,
+    _tower_chain,
+    _tower_levels,
+    _wreath_chain,
     concat_extension,
-    diagonal_power_chain,
     dihedral_chain,
     finite_chain,
     integers_chain,
-    power_chain,
-    promote_to_omega,
     single_step_chain,
-    tower_chain,
 )
 from .groups import (
     CountablePoints,
@@ -96,14 +96,9 @@ _NO_CLAIM: _Claim = (None, "", ())
 
 @dataclass(frozen=True)
 class _Compiled:
-    """An expression's group, with its chain and depth claim built on demand.
+    """An expression's group, with its chain and depth claim built on demand."""
 
-    Compiled without ``need_group`` (for ``chain_for``), the group may be
-    None: only the groups a chain is built over are made, so no other
-    group's construction error can come first.
-    """
-
-    group: Optional[Group]
+    group: Group
     chain: Callable[[], ChainSchema]
     claim: Callable[[], _Claim] = lambda: _NO_CLAIM
 
@@ -119,10 +114,6 @@ def _finite_group_chain(group: Group) -> ChainSchema:
         sets = minimax_chain(group)[1:]
         return finite_chain(group, sets, name=f"minimax chain over {group.tag}")
     return single_step_chain(group)
-
-
-def _omega_shaped(chain: ChainSchema) -> ChainSchema:
-    return promote_to_omega(chain) if chain.num_blocks == 0 else chain
 
 
 def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> ExtensionHandle:
@@ -146,11 +137,12 @@ def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> Extensi
     )
 
 
-def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
+def _compile(expr: dsl.GroupExpr) -> _Compiled:
     """Build each sub-expression's group once; chains reuse those groups.
 
-    Chains are built head factor first and wreath top before base; that
-    order decides which error a bad expression reports first.
+    Every group is built first, in AST order, so a bad expression reports
+    the same error whichever reader asks.  Chains are built afterwards, head
+    factor first and wreath top before base.
     """
     if isinstance(expr, dsl.Trivial):
         trivial = make_cyclic(1)
@@ -168,7 +160,7 @@ def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
         return _Compiled(make_infinite_dihedral(), partial(dihedral_chain, 2))
     if isinstance(expr, dsl.Product):
         if len(expr.items) == 1:
-            only = _compile(expr.items[0], need_group)
+            only = _compile(expr.items[0])
             return _Compiled(only.group, only.chain)
         parts = [_compile(item) for item in expr.items]
         factors = [part.group for part in parts]
@@ -185,27 +177,13 @@ def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
 
         return _Compiled(product, product_chain)
     if isinstance(expr, dsl.FinSupportPower):
-        base = _compile(expr.base, need_group)
+        base = _compile(expr.base)
         points = _natural_points() if expr.points == "N" else FinitePoints(range(expr.points))
-        power = finite_support_power(base.group, points) if need_group else None
-
-        def power_of_base_chain() -> ChainSchema:
-            if expr.points == "N":
-                return power_chain(_omega_shaped(base.chain()), points)
-            return diagonal_power_chain(base.chain(), points)
-
-        return _Compiled(power, power_of_base_chain)
+        return _Compiled(finite_support_power(base.group, points),
+                         lambda: _lifted_power_chain(base.chain(), points))
     if isinstance(expr, dsl.Wreath):
         base, top = _compile(expr.base), _compile(expr.top)
         wreath = wreath_product(base.group, top.group)
-
-        def wreath_chain() -> ChainSchema:
-            top_chain, base_chain = top.chain(), base.chain()
-            if top.group.order is None:
-                kernel_chain = power_chain(_omega_shaped(base_chain), wreath.points)
-            else:
-                kernel_chain = diagonal_power_chain(base_chain, wreath.points)
-            return concat_extension(wreath.extension(), top_chain, kernel_chain)
 
         def tower_wreath_claim() -> _Claim:
             if not isinstance(expr.base, dsl.Tower) or top.group.order in (None, 1):
@@ -216,14 +194,12 @@ def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
             tag = "tower wreath a nontrivial finite group: claimed one past the tower depth"
             return add(tower_depth, 1), tag, flags
 
-        return _Compiled(wreath, wreath_chain, tower_wreath_claim)
+        return _Compiled(wreath, lambda: _wreath_chain(wreath, top.chain(), base.chain()),
+                         tower_wreath_claim)
     if isinstance(expr, dsl.Tower):
         base = _compile(expr.base)
-        g, tower = base.group, None
-        if need_group:
-            tower = g
-            for _ in range(2, expr.n + 1):
-                tower = wreath_product(tower, g)
+        g = base.group
+        levels = _tower_levels(g, expr.n)
 
         def tower_claim() -> _Claim:
             if (g.order is None and g.is_residually_finite_claimed
@@ -232,20 +208,18 @@ def _compile(expr: dsl.GroupExpr, need_group: bool = True) -> _Compiled:
             return None, "", ("exact-depth claim withheld: the tower base does not carry the "
                               "residual-finiteness and finite-abelianization hypotheses",)
 
-        return _Compiled(tower, lambda: tower_chain(g, base.chain(), expr.n), tower_claim)
+        return _Compiled(levels[-1], lambda: _tower_chain(levels, base.chain()), tower_claim)
     if isinstance(expr, dsl.ExtensionRef):
         entry = _EXTENSIONS.get(expr.name)
         registered = f"registered under {expr.name!r}"
+        if entry is None:
+            raise UnregisteredConstructionError(f"no construction {registered}")
 
         def registered_chain() -> ChainSchema:
-            if entry is None or entry.chain_factory is None:
+            if entry.chain_factory is None:
                 raise UnregisteredConstructionError(f"no chain constructor {registered}")
             return entry.chain_factory()
 
-        if not need_group:
-            return _Compiled(None, registered_chain)
-        if entry is None:
-            raise UnregisteredConstructionError(f"no construction {registered}")
         return _Compiled(entry.group_factory(), registered_chain)
     raise UnregisteredConstructionError(f"unknown expression {expr!r}")
 
@@ -256,7 +230,7 @@ def build_group(expr: dsl.GroupExpr) -> Group:
 
 def chain_for(expr: dsl.GroupExpr) -> ChainSchema:
     """The registered chain construction for an expression shape."""
-    return _compile(expr, need_group=False).chain()
+    return _compile(expr).chain()
 
 
 def _valid_depth_bound(length: Ordinal) -> Ordinal:

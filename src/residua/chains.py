@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .groups import (
@@ -665,17 +665,39 @@ def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> Chain
     )
 
 
-def tower_chain(g: Group, g_chain: ChainSchema, n: int) -> ChainSchema:
-    """Chain over the n-th iterated wreath tower of g, of length w*n.
+def _omega_shaped(chain: ChainSchema) -> ChainSchema:
+    return promote_to_omega(chain) if chain.num_blocks == 0 else chain
 
-    Level by level: the chain over the next tower group concatenates the
-    pullback of the base chain through the top projection with the power
-    chain over the previous level, adding one w block each time.  The result
-    is an upper bound on depth; exactness is a claim that additionally needs
-    the base's finite-abelianization hypothesis, which is echoed in flags.
-    """
+
+def _lifted_power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
+    """The base chain lifted to its finite-support power: coordinatewise, with
+    the base padded to length w, over countable points, and diagonally over
+    finite ones."""
+    if points.size is None:
+        return power_chain(_omega_shaped(base_chain), points)
+    return diagonal_power_chain(base_chain, points)
+
+
+def _wreath_chain(wreath: WreathProductGroup, top_chain: ChainSchema,
+                  base_chain: ChainSchema) -> ChainSchema:
+    """The top chain's pullback, then the base chain lifted to the kernel."""
+    return concat_extension(wreath.extension(), top_chain,
+                            _lifted_power_chain(base_chain, wreath.points))
+
+
+def _tower_levels(g: Group, n: int) -> list[Group]:
+    """The tower groups g, wreath(g;g), ... up to height n."""
     if n < 1:
         raise ChainError("tower height must be >= 1")
+    levels = [g]
+    for _ in range(2, n + 1):
+        levels.append(wreath_product(levels[-1], g))
+    return levels
+
+
+def _tower_chain(levels: list[Group], g_chain: ChainSchema) -> ChainSchema:
+    """Chain over the last of the tower ``levels``, one w block per level."""
+    g = levels[0]
     if g_chain.group.tag != g.tag:
         raise ChainError("chain is over the wrong group")
     if g.order is not None:
@@ -691,17 +713,22 @@ def tower_chain(g: Group, g_chain: ChainSchema, n: int) -> ChainSchema:
         f"finite abelianization claimed={g.has_finite_abelianization_claimed}",
     )
     chain = g_chain
-    group = g
-    for _ in range(2, n + 1):
-        w = wreath_product(group, g)
-        kernel_chain = power_chain(chain, w.points)
-        chain = concat_extension(w.extension(), g_chain, kernel_chain)
-        group = w
-    return ChainSchema(
-        group=chain.group, kappa=chain.kappa, num_blocks=chain.num_blocks,
-        block_rule=chain.block_rule, final_limit=chain.final_limit,
-        tail=chain.tail, name=f"tower({g.tag}, {n})", flags=flags,
-    )
+    for wreath in levels[1:]:
+        chain = _wreath_chain(wreath, g_chain, chain)
+    return replace(chain, name=f"tower({g.tag}, {len(levels)})", flags=flags,
+                   _stage_cache={})
+
+
+def tower_chain(g: Group, g_chain: ChainSchema, n: int) -> ChainSchema:
+    """Chain over the n-th iterated wreath tower of g, of length w*n.
+
+    Level by level: the chain over the next tower group concatenates the
+    pullback of the base chain through the top projection with the power
+    chain over the previous level, adding one w block each time.  The result
+    is an upper bound on depth; exactness is a claim that additionally needs
+    the base's finite-abelianization hypothesis, which is echoed in flags.
+    """
+    return _tower_chain(_tower_levels(g, n), g_chain)
 
 
 def core_sandwich(wreath: WreathProductGroup) -> tuple[SubgroupDescriptor, SubgroupDescriptor]:
@@ -752,7 +779,6 @@ class ChainCertificate:
     separations: tuple[dict, ...]
     seed: int
     probes_used: int
-    levels_checked: int
     flags: tuple[str, ...]
     failure: Optional[dict] = None
 
@@ -985,7 +1011,6 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
         separations=tuple(separations),
         seed=seed,
         probes_used=len(probe_elements),
-        levels_checked=levels,
         flags=tuple(flags),
         failure=failures[0] if failures else None,
     )

@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .catalog import UnregisteredConstructionError, build_group, chain_for, depth_interval
@@ -63,28 +63,25 @@ class RunConfig:
     max_index: int = 2
 
     def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "probes": self.probes,
-            "levels": self.levels,
-            "kappa": self.kappa.to_jsonable(),
-            "format": self.format,
-            "word_len": self.word_len,
-            "limit_budget": self.limit_budget,
-            "block": self.block,
-            "chain": self.chain,
-            "max_index": self.max_index,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        out["kappa"] = self.kappa.to_jsonable()
+        return out
 
 
-def _default_seed() -> int:
-    env = os.environ.get("RESIDUA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+def _env_seed() -> int | None:
+    try:
+        return int(os.environ["RESIDUA_SEED"])
+    except (KeyError, ValueError):
+        return None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _emit(text: str, config: RunConfig):
@@ -244,26 +241,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]):
         p.add_argument("expr", help="group expression, e.g. 'wreath(C(2), Z)'")
-        p.add_argument("--seed", type=int, default=None, help="probe RNG seed")
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", default=None, help="write the artifact to a file")
+        p.add_argument("--seed", type=int, help="probe RNG seed")
+        p.add_argument("--format", choices=formats)
+        p.add_argument("--out", help="write the artifact to a file")
 
     p_depth = sub.add_parser("depth", help="depth interval for an expression")
     common(p_depth, ("text", "json"))
 
     p_verify = sub.add_parser("verify", help="verify the registered chain, emit a certificate")
     common(p_verify, ("text", "json"))
-    p_verify.add_argument("--levels", type=int, default=4, help="steps checked past each limit stage")
-    p_verify.add_argument("--probes", type=int, default=64)
-    p_verify.add_argument("--kappa", default="aleph0", help="index bound: an integer or 'aleph0'")
-    p_verify.add_argument("--chain", default="auto", help="chain selector (auto)")
-    p_verify.add_argument("--word-len", type=int, default=8, dest="word_len")
-    p_verify.add_argument("--limit-budget", type=int, default=64, dest="limit_budget")
+    p_verify.add_argument("--levels", type=int, help="steps checked past each limit stage")
+    p_verify.add_argument("--probes", type=int)
+    p_verify.add_argument("--kappa", type=CardinalBound.parse,
+                          help="index bound: an integer or 'aleph0'")
+    p_verify.add_argument("--chain", help="chain selector (auto)")
+    p_verify.add_argument("--word-len", type=_positive_int, dest="word_len")
+    p_verify.add_argument("--limit-budget", type=int, dest="limit_budget")
 
     p_tree = sub.add_parser("tree", help="materialize and emit a coset tree truncation")
     common(p_tree, ("text", "dot", "json"))
-    p_tree.add_argument("--levels", type=int, default=4)
-    p_tree.add_argument("--block", type=int, default=0)
+    p_tree.add_argument("--levels", type=int)
+    p_tree.add_argument("--block", type=int)
 
     p_oracle = sub.add_parser("oracle", help="brute-force finite-group ground truth")
     p_oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
@@ -271,42 +269,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p = p_oracle_sub.add_parser(name)
         common(p, ("text", "json"))
         if name == "core":
-            p.add_argument("--max-index", type=int, default=2, dest="max_index")
+            p.add_argument("--max-index", type=int, dest="max_index")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    if "seed" not in given and (env_seed := _env_seed()) is not None:
+        given["seed"] = env_seed
+    config = RunConfig(**given)
     try:
-        kappa = (
-            CardinalBound.parse(args.kappa)
-            if getattr(args, "kappa", None) is not None
-            else ALEPH0
-        )
-        config = RunConfig(
-            seed=seed,
-            probes=getattr(args, "probes", 64),
-            levels=getattr(args, "levels", 4),
-            kappa=kappa,
-            format=args.format,
-            out=args.out,
-            word_len=getattr(args, "word_len", 8),
-            limit_budget=getattr(args, "limit_budget", 64),
-            block=getattr(args, "block", 0),
-            chain=getattr(args, "chain", "auto"),
-            max_index=getattr(args, "max_index", 2),
-        )
         if args.command == "depth":
             return cmd_depth(args.expr, config)
         if args.command == "verify":
             return cmd_verify(args.expr, config)
         if args.command == "tree":
             return cmd_tree(args.expr, config)
-        if args.command == "oracle":
-            return cmd_oracle(args.oracle_command, args.expr, config)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_oracle(args.oracle_command, args.expr, config)
     except DslParseError as exc:
         print(f"residua: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -325,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     except GroupError as exc:
         print(f"residua: {exc}", file=sys.stderr)
         return EXIT_UNREGISTERED
-    return EXIT_OK
 
 
 if __name__ == "__main__":

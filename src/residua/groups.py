@@ -451,7 +451,7 @@ class PermGroup(Group):
     is_residually_finite_claimed = True
     has_finite_abelianization_claimed = True
 
-    def __init__(self, degree: int, generators: Iterable, name: str = ""):
+    def __init__(self, degree: int, generators: Iterable):
         super().__init__()
         if degree < 0:
             raise GroupError("degree must be >= 0")
@@ -460,7 +460,6 @@ class PermGroup(Group):
         for g in generators:
             gens.append(self.validate_value(tuple(g)))
         self._gens = tuple(dict.fromkeys(gens))
-        self.name = name
 
     @property
     def tag(self) -> str:
@@ -827,9 +826,7 @@ class WreathProductGroup(Group):
         return k * t
 
     def _generator_values(self):
-        base_point = (
-            self.top.identity_value() if self._self_action else self.points.label(0)
-        )
+        base_point = self.base_point()
         out = []
         for g in self.base._generator_values():
             out.append((self.kernel._canon({base_point: g}), self.top.identity_value()))
@@ -1094,12 +1091,12 @@ def _alternating_cycles(n: int) -> tuple:
 
 def make_symmetric(n: int) -> PermGroup:
     gens = [perm_from_cycles(n, gen) for gen in _symmetric_cycles(n)]
-    return PermGroup(max(n, 0), gens, name=f"S{n}")
+    return PermGroup(max(n, 0), gens)
 
 
 def make_alternating(n: int) -> PermGroup:
     gens = [perm_from_cycles(n, gen) for gen in _alternating_cycles(n)]
-    return PermGroup(max(n, 0), gens, name=f"A{n}")
+    return PermGroup(max(n, 0), gens)
 
 
 def finite_support_power(base: Group, points: PointSet) -> FinSupportPowerGroup:

@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chains import (ChainError, ChainSchema, Transversal, _ordered_product, _probe_id,
-                     _split_stage_ordinal, finite_chain)
+from .chains import (ChainError, ChainSchema, Transversal, _first_excluding_step,
+                     _ordered_product, _probe_id, _split_stage_ordinal, finite_chain)
 from .groups import Element, Group, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 
@@ -344,12 +344,9 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     for p in probe_elements:
         found = None
         for b in range(q + 1):
-            steps = budget if b < q else r
-            for n in range(steps + 1):
-                if not chain.stage_at(b, n).contains(p):
-                    found = OMEGA * b + n
-                    break
-            if found is not None:
+            n = _first_excluding_step(chain, b, p, budget if b < q else r)
+            if n is not None:
+                found = OMEGA * b + n
                 break
         if found is None:
             # the probe survives every checked stage; at the final stage this

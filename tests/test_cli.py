@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import residua
 from residua import catalog
 from residua.cli import main
-from residua.groups import make_cyclic
+from residua.groups import WreathProductGroup, make_cyclic
 
 
 def run(capsys, *argv):
@@ -190,3 +197,53 @@ class TestDeterminismAndIO:
     def test_version_embedded(self, capsys):
         _, out, _ = run(capsys, "verify", "Z", "--format", "json")
         assert json.loads(out)["version"] == "0.1.0"
+
+
+class TestOneBuildPerExpression:
+    @pytest.mark.parametrize(
+        "expr",
+        ["tower(wreath(C(2),Z),2)", "Deligne", "tower(power(prod(Z,C(2)),N),2)"],
+    )
+    def test_bad_expression_same_message_everywhere(self, capsys, expr):
+        results = [
+            run(capsys, *argv)
+            for argv in (("depth", expr), ("verify", expr), ("tree", expr),
+                         ("oracle", "lattice", expr))
+        ]
+        assert [code for code, _, _ in results] == [4] * 4
+        assert len({err for _, _, err in results}) == 1
+
+    @pytest.mark.parametrize(
+        "argv, wreaths",
+        [
+            (("depth", "tower(Dinf,4)"), 3),
+            (("verify", "wreath(tower(Z,2),C(2))"), 2),
+            (("verify", "tower(Z,3)", "--levels", "1", "--probes", "8"), 2),
+        ],
+        ids=["depth-tower4", "verify-wreath-of-tower2", "verify-tower3"],
+    )
+    def test_wreath_groups_built_once(self, capsys, monkeypatch, argv, wreaths):
+        built = []
+        init = WreathProductGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WreathProductGroup, "__init__", counting_init)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(built) == wreaths
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag, value", [("--kappa", "foo"), ("--word-len", "0")])
+    def test_bad_value_is_a_usage_error(self, flag, value):
+        src = str(Path(residua.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "residua.cli", "verify", "Z", flag, value],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1].startswith(f"residua verify: error: argument {flag}")

@@ -183,7 +183,7 @@ class TestBuildGroup:
             raise AssertionError("build_group built a chain")
 
         monkeypatch.setattr(catalog, "minimax_chain", refuse)
-        monkeypatch.setattr(catalog, "tower_chain", refuse)
+        monkeypatch.setattr(catalog, "_tower_chain", refuse)
         assert build_group(parse_expr(text)).order is None
 
 
