@@ -30,13 +30,13 @@ from .dsl import DslParseError, parse_expr, print_expr
 from .groups import GroupError
 from .oracle import (
     OracleCapError,
+    _core,
     _sorted_values,
     all_subgroups,
-    core_up_to_index,
     depth_exact_finite,
     min_kappa,
 )
-from .ordinal import ALEPH0, CardinalBound, format_ordinal
+from .ordinal import ALEPH0, CardinalBound, OrdinalError, format_ordinal
 from .trees import NonMaterializableError, coset_tree, emit, truncate
 
 EXIT_OK = 0
@@ -82,6 +82,13 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
+def _kappa(text: str) -> CardinalBound:
+    try:
+        return CardinalBound.parse(text)
+    except OrdinalError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, config: RunConfig):
@@ -199,8 +206,8 @@ def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
     if subcommand == "lattice":
         payload = all_subgroups(group).to_jsonable()
     elif subcommand == "core":
-        core = core_up_to_index(group, config.max_index)
         lattice = all_subgroups(group)
+        core = _core(lattice, config.max_index)
         payload = {
             "group": group.tag,
             "max_index": config.max_index,
@@ -252,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_verify, ("text", "json"))
     p_verify.add_argument("--levels", type=int, help="steps checked past each limit stage")
     p_verify.add_argument("--probes", type=int)
-    p_verify.add_argument("--kappa", type=CardinalBound.parse,
+    p_verify.add_argument("--kappa", type=_kappa,
                           help="index bound: an integer or 'aleph0'")
     p_verify.add_argument("--chain", help="chain selector (auto)")
     p_verify.add_argument("--word-len", type=_positive_int, dest="word_len")

@@ -98,11 +98,12 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        if self.group.tag != other.group.tag:
+        g = self.group
+        if g is not other.group and g.tag != other.group.tag:
             raise GroupMismatchError(
-                f"cannot multiply element of {self.group.tag} by element of {other.group.tag}"
+                f"cannot multiply element of {g.tag} by element of {other.group.tag}"
             )
-        return Element(self.group, self.group.mul_values(self.value, other.value))
+        return Element(g, g.mul_values(self.value, other.value))
 
     def inverse(self) -> "Element":
         return Element(self.group, self.group.inv_value(self.value))
@@ -128,10 +129,12 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.group.tag == other.group.tag and self.value == other.value
+        return self.value == other.value and (
+            self.group is other.group or self.group.tag == other.group.tag
+        )
 
     def __hash__(self) -> int:
-        return hash((self.group.tag, self.value))
+        return hash(self.value)  # equal elements have equal values
 
     def to_jsonable(self):
         return self.group.value_to_jsonable(self.value)

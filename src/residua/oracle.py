@@ -1,6 +1,6 @@
 """Brute-force ground truth for finite groups.
 
-Complete subgroup lattices by cyclic-subgroup join closure, the intersection
+Complete subgroup lattices by cyclic extension over a Cayley table, the intersection
 of bounded-index subgroups, the least workable strict index bound for a
 descending chain, exact depth for finite groups, and exhaustive descending
 chain enumeration.  Everything here is independent of the chain machinery so
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import Group, GroupError, label_sort_key, mulclose
+from .groups import Group, GroupError, label_sort_key
 from .ordinal import ONE, ZERO, Ordinal
 
 __all__ = [
@@ -97,47 +97,74 @@ def _canon_lattice(group: Group, subs: Iterable[frozenset]) -> SubgroupLattice:
 def all_subgroups(g: Group) -> SubgroupLattice:
     """The complete subgroup lattice of a finite group with |g| <= the cap.
 
-    Every subgroup is the join of its cyclic subgroups, so closing the set of
-    cyclic subgroups under pairwise joins reaches all of them.  Each listed
-    set is then re-verified closed, exhaustively.
+    Cyclic extension over one Cayley table: elements are indexed once,
+    subgroups are int bitmasks with a short generator list, and each
+    subgroup found in a round is joined with every cyclic subgroup it does
+    not contain.  Every subgroup is an iterated join of cyclic ones, so this
+    reaches all of them.  Each found mask is then re-verified closed,
+    exhaustively, through the tables.
     """
     _require_small(g)
     values = g.element_values()
-    ident = g.identity_value()
-    cyclic = set()
-    for v in values:
-        sub = {ident}
-        x = v
-        while x not in sub:
-            sub.add(x)
-            x = g.mul_values(x, v)
-        cyclic.add(frozenset(sub))
-    subs = set(cyclic)
-    worklist = sorted(cyclic, key=lambda s: (len(s), [label_sort_key(v) for v in _sorted_values(s)]))
-    while worklist:
+    index = {v: i for i, v in enumerate(values)}
+    mul = [[index[g.mul_values(a, b)] for b in values] for a in values]
+    inv = [index[g.inv_value(a)] for a in values]
+    e = index[g.identity_value()]
+    cyclic = {}
+    for i in range(len(values)):
+        cyclic.setdefault(_join(mul, 1 << e, [e], [i]), i)
+    found = {mask: [c] for mask, c in cyclic.items()}
+    layer = list(found.items())
+    while layer:
         fresh = []
-        for a in list(subs):
-            for b in worklist:
-                if a <= b or b <= a:
+        for mask, gens in layer:
+            members = _members(mask)
+            for c in cyclic.values():
+                if mask >> c & 1:
                     continue
-                join = frozenset(mulclose(_sorted_values(a | b), g.mul_values))
-                if join not in subs:
-                    subs.add(join)
-                    fresh.append(join)
-        worklist = fresh
-    for s in subs:
-        _verify_closed(g, s)
-    return _canon_lattice(g, subs)
+                ext = gens + [c]
+                join = _join(mul, mask, members, ext)
+                if join not in found:
+                    found[join] = ext
+                    fresh.append((join, ext))
+        layer = fresh
+    for mask in found:
+        _verify_closed(mul, inv, e, mask)
+    return _canon_lattice(g, (frozenset(values[i] for i in _members(mask)) for mask in found))
 
 
-def _verify_closed(g: Group, s: frozenset):
-    if g.identity_value() not in s:
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _join(mul: list, mask: int, members: list[int], gens: list[int]) -> int:
+    """Close a subgroup H (its mask and members) with gens, through the table.
+
+    Breadth-first over left cosets y*H: the union of the cosets reached by
+    left multiplication with the generators is the subgroup they generate.
+    """
+    reps = members[:1]
+    for y in reps:
+        for s in gens:
+            z = mul[s][y]
+            if not mask >> z & 1:
+                row = mul[z]
+                for h in members:
+                    mask |= 1 << row[h]
+                reps.append(z)
+    return mask
+
+
+def _verify_closed(mul: list, inv: list, e: int, mask: int):
+    if not mask >> e & 1:
         raise GroupError("subgroup candidate misses the identity")
-    for a in s:
-        if g.inv_value(a) not in s:
+    members = _members(mask)
+    for a in members:
+        if not mask >> inv[a] & 1:
             raise GroupError("subgroup candidate not closed under inversion")
-        for b in s:
-            if g.mul_values(a, b) not in s:
+        row = mul[a]
+        for b in members:
+            if not mask >> row[b] & 1:
                 raise GroupError("subgroup candidate not closed under multiplication")
 
 
@@ -160,8 +187,11 @@ def all_subgroups_naive(g: Group) -> SubgroupLattice:
 
 def core_up_to_index(g: Group, k: int) -> frozenset:
     """Intersection of all subgroups of index strictly below k."""
-    lat = all_subgroups(g)
-    n = g.order
+    return _core(all_subgroups(g), k)
+
+
+def _core(lat: SubgroupLattice, k: int) -> frozenset:
+    n = len(lat.whole)
     core = set(lat.whole)
     for s in lat.subgroups:
         if n // len(s) < k:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import residua
-from residua import catalog
+from residua import catalog, cli, oracle
 from residua.cli import main
 from residua.groups import WreathProductGroup, make_cyclic
 
@@ -171,6 +171,20 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "lattice", "S(6)")
         assert code == 6
 
+    def test_core_builds_the_lattice_once(self, capsys, monkeypatch):
+        calls, real = [], oracle.all_subgroups
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(oracle, "all_subgroups", counting)
+        monkeypatch.setattr(cli, "all_subgroups", counting)
+        code, out, _ = run(capsys, "oracle", "core", "S(4)", "--max-index", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["core_order"] == 4
+        assert len(calls) == 1
+
 
 class TestDeterminismAndIO:
     def test_byte_identical_runs(self, capsys):
@@ -247,3 +261,11 @@ class TestUsageErrors:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines()[-1].startswith(f"residua verify: error: argument {flag}")
+
+    @pytest.mark.parametrize("value", ["foo", "-3"])
+    def test_bad_kappa_names_a_cardinal_bound(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "Z", "--kappa", value])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"residua verify: error: argument --kappa: not a cardinal bound: '{value}'"

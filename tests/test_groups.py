@@ -326,3 +326,19 @@ class TestProbes:
         vals = [e.value for e in probes]
         assert 0 not in vals
         assert len(set(vals)) == len(vals)
+
+
+class TestElementAcrossHandles:
+    def test_equal_tags_compare_hash_and_multiply(self):
+        g, h = make_symmetric(3), make_symmetric(3)
+        assert g is not h and g.tag == h.tag
+        a, b = g.generators[0], h.generators[0]
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a * b == g.identity() and (b * a).group is h
+
+    def test_different_tags_still_raise(self):
+        a, b = make_cyclic(4).generators[0], make_cyclic(6).generators[0]
+        assert a.value == b.value and a != b
+        with pytest.raises(GroupMismatchError):
+            a * b

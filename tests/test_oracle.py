@@ -1,7 +1,16 @@
 import pytest
 
+from residua import oracle
+from residua.catalog import build_group
+from residua.dsl import parse_expr
 from residua.fixtures import finite_fixtures, make_klein_four
-from residua.groups import make_alternating, make_cyclic, make_integers, make_symmetric
+from residua.groups import (
+    GroupError,
+    make_alternating,
+    make_cyclic,
+    make_integers,
+    make_symmetric,
+)
 from residua.oracle import (
     OracleCapError,
     all_subgroups,
@@ -171,3 +180,56 @@ def _is_even(perm) -> bool:
             length += 1
         parity ^= (length - 1) & 1
     return parity == 0
+
+
+def _dsl_group(text):
+    return build_group(parse_expr(text))
+
+
+class TestCayleyTableLattice:
+    @pytest.mark.parametrize(
+        "expr,count",
+        # power(C(2),n): the sum over k of the Gaussian binomials [n, k] at q = 2
+        [("S(4)", 30), ("A(5)", 59), ("S(5)", 156), ("power(C(2),4)", 67), ("power(C(2),5)", 374)],
+    )
+    def test_known_counts(self, expr, count):
+        assert len(all_subgroups(_dsl_group(expr))) == count
+
+    def test_one_table_of_multiplications(self, monkeypatch):
+        g = make_symmetric(5)
+        g.element_values()
+        calls = []
+        real = g.mul_values
+
+        def counting(a, b):
+            calls.append(None)
+            return real(a, b)
+
+        monkeypatch.setattr(g, "mul_values", counting)
+        assert len(all_subgroups(g)) == 156
+        assert len(calls) <= 120 ** 2
+
+    def test_broken_join_is_caught_by_reverification(self, monkeypatch):
+        real = oracle._join
+        dropped = []
+
+        def lossy(*args):
+            mask = real(*args)
+            if not dropped and bin(mask).count("1") > 2:
+                dropped.append(mask)
+                mask &= ~(1 << (mask.bit_length() - 1))
+            return mask
+
+        monkeypatch.setattr(oracle, "_join", lossy)
+        with pytest.raises(GroupError):
+            all_subgroups(make_symmetric(4))
+        assert dropped
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["power(C(2),3)", "prod(C(2),C(6))", "wreath(C(2),C(2))", "A(4)", "prod(C(3),C(3))", "S(3)"],
+    )
+    def test_matches_naive_scan_on_dsl_groups(self, expr):
+        g = _dsl_group(expr)
+        assert g.order <= 12
+        assert all_subgroups(g).subgroups == all_subgroups_naive(g).subgroups
