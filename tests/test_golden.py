@@ -1,0 +1,46 @@
+"""Certificates of chains with product transversal rows stay byte-identical.
+
+Each argv is one the benchmark runs; ``bench/golden.json`` pins the first
+16 hex digits of the sha256 of its stdout (a list indexed by ``--seed`` for
+seeded ops).  The file is only read here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from residua import cli
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+
+# (argv without --seed, seeds to run)
+CASES = [
+    (("verify", "tower(Dinf,2)", "--format", "json", "--levels", "6"), (0, 7, 45)),
+    (("verify", "tower(Dinf,2)", "--format", "json", "--levels", "7"), (0, 3)),
+    (("verify", "tower(Dinf,2)", "--format", "json", "--levels", "8"), (2,)),
+    (("verify", "tower(Z,3)", "--format", "json", "--levels", "3", "--probes", "16",
+      "--limit-budget", "6"), (0, 5, 90)),
+    (("verify", "wreath(wreath(C(2),Z),Z)", "--format", "json", "--levels", "3",
+      "--probes", "32", "--limit-budget", "8"), (0, 9, 127)),
+    (("tree", "tower(Dinf,2)", "--block", "1"), (0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "args, seed", [(args, seed) for args, seeds in CASES for seed in seeds],
+    ids=lambda v: shlex.join(v) if isinstance(v, tuple) else str(v),
+)
+def test_output_matches_pinned_digest(args, seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*args, "--seed", str(seed)])
+    assert code == 0
+    pinned = GOLDEN["cli"][shlex.join(args)]
+    if isinstance(pinned, list):
+        pinned = pinned[seed]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == pinned
