@@ -802,193 +802,208 @@ def _probe_id(e: Element) -> str:
     return json.dumps(e.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
-def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
-                  kappa: Optional[CardinalBound] = None, word_len: int = 8,
-                  limit_budget: int = 64) -> ChainCertificate:
-    """Probe-based verification of a chain prefix.
+_Row = tuple[Ordinal, int, int, SubgroupDescriptor]  # (ordinal, block, step, stage)
+_Fail = Callable[[str, Ordinal, Optional[Element]], None]
 
-    Checks ``levels`` finite steps past each limit stage: the full stage 0,
-    descent between consecutive stages, step indices strictly below kappa
-    (certified by transversals where present, otherwise probe-counted and
-    left unverified), coherence of each declared limit stage against the
-    lazy intersection of the previous block, triviality of the final stage
-    on probes, and the first excluding stage of every probe.  Failures are
-    verdicts with witnesses, never exceptions.  A run that draws no probes
-    is at best inconclusive.
-    """
-    if levels < 1:
-        raise ChainError("need at least one level")
-    kappa = kappa if kappa is not None else chain.kappa
-    probe_elements = random_words(chain.group, probes, seed, max_len=word_len)
-    identity = chain.group.identity()
 
+def _rows(chain: ChainSchema, levels: int) -> list[_Row]:
+    """The stages checked: ``levels`` steps into every block, then the
+    final limit and the tail."""
     q, r = chain.num_blocks, len(chain.tail)
-    rows: list[tuple[Ordinal, int, int, SubgroupDescriptor]] = []
-    for b in range(q):
-        for n in range(levels + 1):
-            rows.append((OMEGA * b + n, b, n, chain.stage_at(b, n)))
-    for n in range(r + 1):
-        rows.append((OMEGA * q + n, q, n, chain.stage_at(q, n)))
+    rows = [(OMEGA * b + n, b, n, chain.stage_at(b, n))
+            for b in range(q) for n in range(levels + 1)]
+    rows += [(OMEGA * q + n, q, n, chain.stage_at(q, n)) for n in range(r + 1)]
+    return rows
 
-    failures: list[dict] = []
-    flags: list[str] = list(chain.flags)
-    unresolved: list[tuple[int, Ordinal]] = []
 
-    def fail(reason: str, stage: Ordinal, witness: Optional[Element]):
-        failures.append(
-            {
-                "reason": reason,
-                "stage": format_ordinal(stage),
-                "witness": None if witness is None else _probe_id(witness),
-            }
-        )
-
-    # identity sanity and stage-0 fullness
-    for ordinal_i, b, n, stage in rows:
+def _check_identity_and_fullness(rows: list[_Row], probes: list[Element], mem,
+                                 identity: Element, fail: _Fail) -> None:
+    for ordinal_i, _, _, stage in rows:
         if not stage.contains(identity):
             fail("stage rejects the identity", ordinal_i, identity)
-    mem = [[stage.contains(p) for (_, _, _, stage) in rows] for p in probe_elements]
-    for pi, p in enumerate(probe_elements):
+    for pi, p in enumerate(probes):
         if not mem[pi][0]:
             fail("stage 0 is not the full group", ZERO, p)
 
-    # limit coherence: declared limit stage vs lazy intersection of block b-1
+
+def _check_limit_coherence(chain: ChainSchema, rows: list[_Row], probes: list[Element], mem,
+                           budget: int, fail: _Fail):
+    """Each declared limit stage against the lazy intersection of the block
+    before it.  Returns the stage of that block that excludes each rejected
+    probe, keyed (probe, block), and the (probe, limit ordinal) pairs whose
+    rejection no stage within the budget confirms."""
     witness_stage: dict[tuple[int, int], Ordinal] = {}
-    limit_rows = [
-        (k, b) for k, (o, b, n, _) in enumerate(rows) if n == 0 and b >= 1
-    ]
-    for k, b in limit_rows:
-        for pi, p in enumerate(probe_elements):
+    unresolved: list[tuple[int, Ordinal]] = []
+    for k, (ordinal_i, b, n, _) in enumerate(rows):
+        if n != 0 or b < 1:
+            continue
+        for pi, p in enumerate(probes):
             claimed = mem[pi][k]
-            found = _first_excluding_step(chain, b - 1, p, limit_budget)
+            found = _first_excluding_step(chain, b - 1, p, budget)
             if found is not None:
                 if claimed:
-                    fail(
-                        "limit stage accepts an element excluded below it",
-                        OMEGA * (b - 1) + found,
-                        p,
-                    )
+                    fail("limit stage accepts an element excluded below it",
+                         OMEGA * (b - 1) + found, p)
                 else:
                     witness_stage[(pi, b)] = OMEGA * (b - 1) + found
             elif not claimed:
-                unresolved.append((pi, rows[k][0]))
+                unresolved.append((pi, ordinal_i))
+    return witness_stage, unresolved
 
-    # index verification per successor row
-    level_reports: list[dict] = []
-    index_unverified = False
+
+def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
+                 stage: SubgroupDescriptor) -> Optional[tuple[str, Optional[Element]]]:
+    """The first reason, with its witness, why ``reps`` is not a transversal
+    of ``stage`` in ``parent``: no representative in ``stage`` itself, one
+    outside ``parent``, or two in one left coset of ``stage``."""
+    if not any(stage.contains(rep) for rep in reps):
+        return "transversal misses the identity coset", None
+    for rep in reps:
+        if not parent.contains(rep):
+            return "transversal leaves the parent stage", rep
+    for i, rep in enumerate(reps):
+        inverse = rep.inverse()
+        for other in reps[i + 1:]:
+            if stage.contains(inverse * other):
+                return "transversal representatives share a coset", other
+    return None
+
+
+def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
+                         parent_probes: list[Element]):
+    """The certified index of ``stage`` in ``parent`` and None, or None and
+    the first failure (reason, witness) of its transversal ``t``."""
+    reps = tuple(t)
+    failure = _coset_check(reps, parent, stage)
+    if failure is not None:
+        return None, failure
+    inverses = [rep.inverse() for rep in reps]
+    for p in parent_probes:
+        if not any(stage.contains(inverse * p) for inverse in inverses):
+            return None, ("transversal does not cover a parent probe", p)
+    return t.size, None
+
+
+def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
+                parent_probes: list[Element], kappa: CardinalBound, fail: _Fail):
+    """The index entry of one successor row: certified by the transversal when
+    the stage has one, otherwise a probe-counted lower bound or "unverified"."""
+    claimed = stage.index_in_parent
+    if claimed is not None and claimed.kind == "infinite":
+        fail("step index is infinite", ordinal_i, None)
+        return "infinite"
+    if stage.transversal is not None:
+        size, failure = _certify_transversal(stage.transversal, parent, stage, parent_probes)
+        if failure is not None:
+            fail(failure[0], ordinal_i, failure[1])
+            return None
+        if claimed is not None and claimed.is_finite and claimed.value != size:
+            fail("declared index disagrees with its transversal", ordinal_i, None)
+        if not kappa.admits(size):
+            fail(f"index {size} is not below kappa {kappa}", ordinal_i, None)
+        return size
+    classes: list[Element] = []
+    for p in parent_probes:
+        if not any(stage.contains(c.inverse() * p) for c in classes):
+            classes.append(p)
+    lower = len(classes) if classes else 1
+    if not kappa.admits(lower):
+        fail(f"at least {lower} cosets found, not below kappa {kappa}",
+             ordinal_i, classes[-1] if classes else None)
+        return lower
+    return "unverified"
+
+
+def _check_indices(rows: list[_Row], probes: list[Element], mem, kappa: CardinalBound,
+                   fail: _Fail) -> list[dict]:
+    """Descent from the previous row and the step index, one report per row."""
+    reports = []
     for k, (ordinal_i, b, n, stage) in enumerate(rows):
         descent_ok = True
         if k > 0 and rows[k - 1][1] == b and rows[k - 1][2] == n - 1:
-            for pi, p in enumerate(probe_elements):
+            for pi, p in enumerate(probes):
                 if mem[pi][k] and not mem[pi][k - 1]:
                     fail("descent violated", ordinal_i, p)
                     descent_ok = False
         index_value = None
         if n >= 1:
-            parent = rows[k - 1][3]
-            claimed = stage.index_in_parent
-            if claimed is not None and claimed.kind == "infinite":
-                fail("step index is infinite", ordinal_i, None)
-                index_value = "infinite"
-            elif stage.transversal is not None:
-                reps = tuple(stage.transversal)
-                valid = True
-                if not any(stage.contains(rep) for rep in reps):
-                    # the subgroup's own coset must be represented
-                    fail("transversal misses the identity coset", ordinal_i, None)
-                    valid = False
-                for rep in reps:
-                    if not parent.contains(rep):
-                        fail("transversal leaves the parent stage", ordinal_i, rep)
-                        valid = False
-                        break
-                if valid:
-                    for i in range(len(reps)):
-                        for j in range(i + 1, len(reps)):
-                            if stage.contains(reps[i].inverse() * reps[j]):
-                                fail("transversal representatives share a coset",
-                                     ordinal_i, reps[j])
-                                valid = False
-                                break
-                        if not valid:
-                            break
-                if valid:
-                    for pi, p in enumerate(probe_elements):
-                        if mem[pi][k - 1] and not any(
-                            stage.contains(rep.inverse() * p) for rep in reps
-                        ):
-                            fail("transversal does not cover a parent probe",
-                                 ordinal_i, p)
-                            valid = False
-                            break
-                if valid:
-                    index_value = len(reps)
-                    if claimed is not None and claimed.is_finite and claimed.value != len(reps):
-                        fail("declared index disagrees with its transversal",
-                             ordinal_i, None)
-                    if not kappa.admits(len(reps)):
-                        fail(f"index {len(reps)} is not below kappa {kappa}",
-                             ordinal_i, None)
-            else:
-                # probe-counted lower bound only
-                in_parent = [p for pi, p in enumerate(probe_elements) if mem[pi][k - 1]]
-                classes: list[Element] = []
-                for p in in_parent:
-                    if not any(stage.contains(c.inverse() * p) for c in classes):
-                        classes.append(p)
-                lower = len(classes) if classes else 1
-                if not kappa.admits(lower):
-                    fail(
-                        f"at least {lower} cosets found, not below kappa {kappa}",
-                        ordinal_i,
-                        classes[-1] if classes else None,
-                    )
-                    index_value = lower
-                else:
-                    index_value = "unverified"
-                    index_unverified = True
-        level_reports.append(
-            {
-                "stage": format_ordinal(ordinal_i),
-                "index": index_value,
-                "descent": descent_ok,
-            }
-        )
+            parent_probes = [p for pi, p in enumerate(probes) if mem[pi][k - 1]]
+            index_value = _step_index(ordinal_i, stage, rows[k - 1][3], parent_probes, kappa, fail)
+        reports.append({"stage": format_ordinal(ordinal_i), "index": index_value,
+                        "descent": descent_ok})
+    return reports
 
-    # final stage accepts only the identity among probes
-    final_row = len(rows) - 1
-    final_ordinal = rows[final_row][0]
-    for pi, p in enumerate(probe_elements):
-        if mem[pi][final_row]:
-            fail("final stage accepts a non-identity probe", final_ordinal, p)
 
-    # separations: the first stage known to exclude each probe
-    separations: list[dict] = []
-    for pi, p in enumerate(probe_elements):
+def _check_finality(rows: list[_Row], probes: list[Element], mem, fail: _Fail) -> None:
+    """The final stage accepts only the identity among probes."""
+    for pi, p in enumerate(probes):
+        if mem[pi][-1]:
+            fail("final stage accepts a non-identity probe", rows[-1][0], p)
+
+
+def _separations(rows: list[_Row], probes: list[Element], mem,
+                 witness_stage: dict[tuple[int, int], Ordinal]) -> list[dict]:
+    """The first stage known to exclude each probe, sorted by probe."""
+    separations = []
+    for pi, p in enumerate(probes):
         first: Optional[Ordinal] = None
         for k, (ordinal_i, b, n, _) in enumerate(rows):
-            if n == 0 and b >= 1 and (pi, b) in witness_stage:
-                if not mem[pi][k]:
-                    first = witness_stage[(pi, b)]
-                    break
-            if not mem[pi][k]:
-                first = ordinal_i
-                break
-        separations.append(
-            {
-                "probe": _probe_id(p),
-                "first_excluding_stage": format_ordinal(first)
-                if first is not None
-                else "unresolved",
-            }
-        )
+            if mem[pi][k]:
+                continue
+            first = witness_stage.get((pi, b), ordinal_i) if n == 0 and b >= 1 else ordinal_i
+            break
+        separations.append({
+            "probe": _probe_id(p),
+            "first_excluding_stage": "unresolved" if first is None else format_ordinal(first),
+        })
     separations.sort(key=lambda s: (s["probe"], s["first_excluding_stage"]))
+    return separations
 
+
+def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
+                  kappa: Optional[CardinalBound] = None, word_len: int = 8,
+                  limit_budget: int = 64) -> ChainCertificate:
+    """Probe-based verification of a chain prefix.
+
+    Checks ``levels`` finite steps past each limit stage, in phases: the
+    rows to check; the identity in every stage and stage 0 full; coherence
+    of each declared limit stage against the lazy intersection of the
+    previous block; descent between consecutive stages and step indices
+    strictly below kappa (certified by transversals where present,
+    otherwise probe-counted and left unverified); triviality of the final
+    stage on probes; and the first excluding stage of every probe.
+    Failures are verdicts with witnesses, never exceptions.  A run that
+    draws no probes is at best inconclusive.
+    """
+    if levels < 1:
+        raise ChainError("need at least one level")
+    kappa = kappa if kappa is not None else chain.kappa
+    probe_elements = random_words(chain.group, probes, seed, max_len=word_len)
+    rows = _rows(chain, levels)
+    failures: list[dict] = []
+
+    def fail(reason: str, stage: Ordinal, witness: Optional[Element]):
+        failures.append({
+            "reason": reason,
+            "stage": format_ordinal(stage),
+            "witness": None if witness is None else _probe_id(witness),
+        })
+
+    mem = [[stage.contains(p) for (*_, stage) in rows] for p in probe_elements]
+    _check_identity_and_fullness(rows, probe_elements, mem, chain.group.identity(), fail)
+    witness_stage, unresolved = _check_limit_coherence(chain, rows, probe_elements, mem,
+                                                       limit_budget, fail)
+    level_reports = _check_indices(rows, probe_elements, mem, kappa, fail)
+    _check_finality(rows, probe_elements, mem, fail)
+    separations = _separations(rows, probe_elements, mem, witness_stage)
+
+    flags = list(chain.flags)
     for pi, ordinal_i in unresolved:
         flags.append(
             f"limit {format_ordinal(ordinal_i)} rejection of probe "
             f"{_probe_id(probe_elements[pi])} unresolved within budget {limit_budget}"
         )
+    index_unverified = any(report["index"] == "unverified" for report in level_reports)
     if index_unverified:
         flags.append("some step indices could not be certified by a transversal")
     if not probe_elements:
