@@ -106,38 +106,63 @@ class StepIndex:
 
 
 class Transversal:
-    """Coset representatives of a stage in its parent, indexed 0..size-1.
+    """Coset representatives of a stage L in its parent stage H, indexed
+    0..size-1.
 
     An explicit transversal wraps a tuple.  A product transversal holds
-    factor transversals and ``combine``: representative i is ``combine``
-    applied to the factors' representatives at the mixed-radix digits of i,
-    the last factor varying fastest (the order of nested loops over the
-    factors), and it is built only when asked.  There is no ``__len__``: a
+    factor transversals T_1 .. T_m and names the subgroups K_1 .. K_{m-1}
+    between them as ``intermediates``; with K_0 = H and K_m = L, T_j is a
+    transversal of K_j in K_{j-1}.  Representative i is the ordered product
+    t_1 * ... * t_m of the factors' representatives at the mixed-radix
+    digits of i, the last factor varying fastest (the order of nested loops
+    over the factors), each first mapped into the owner group by ``lift``
+    when there is one; it is built only when asked.  By the product theorem
+    these are a transversal of L in H (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4), so ``verify_prefix`` certifies each factor
+    against its own pair (K_{j-1}, K_j) and places an element by sifting it
+    through the factors.  A ``lift`` (pullback sections, kernel and
+    coordinate embeddings) needs exactly one factor: a map that is not a
+    homomorphism does not carry a product.  There is no ``__len__``: a
     product's ``size`` can exceed ``sys.maxsize``.
     """
 
-    def __init__(self, reps=(), *, factors=(), combine: Optional[Callable[..., Element]] = None):
+    def __init__(self, reps=(), *, factors=(), intermediates=(),
+                 lift: Optional[Callable[[Element], Element]] = None):
         self._reps = tuple(reps)
-        self._factors = tuple(factors)
-        self._combine = combine
-        self.size = (len(self._reps) if combine is None
-                     else math.prod(f.size for f in self._factors))
+        self.factors = tuple(factors)
+        self.intermediates = tuple(intermediates)
+        self.lift = lift
+        if self.factors and len(self.intermediates) != len(self.factors) - 1:
+            raise ChainError("a product of m factors names m - 1 intermediate subgroups")
+        if lift is not None and len(self.factors) != 1:
+            raise ChainError("a lifted transversal has exactly one factor")
+        self.size = (math.prod(f.size for f in self.factors) if self.factors
+                     else len(self._reps))
 
     def rep(self, i: int) -> Element:
         if not 0 <= i < self.size:
             raise IndexError(f"representative {i} outside 0..{self.size - 1}")
-        if self._combine is None:
+        if not self.factors:
             return self._reps[i]
         picks = []
-        for f in reversed(self._factors):
+        for f in reversed(self.factors):
             i, digit = divmod(i, f.size)
             picks.append(f.rep(digit))
-        return self._combine(*reversed(picks))
+        if self.lift is not None:
+            return self.lift(picks[0])
+        return _ordered_product(*reversed(picks))
 
     def __iter__(self):
-        if self._combine is None:
+        if not self.factors:
             return iter(self._reps)
         return (self.rep(i) for i in range(self.size))
+
+    def factor_reps(self) -> list[tuple[Element, ...]]:
+        """Each factor's representatives in the owner group; an explicit or
+        lifted transversal is its own single factor."""
+        if len(self.factors) > 1:
+            return [tuple(f) for f in self.factors]
+        return [tuple(self)]
 
 
 def _ordered_product(*reps: Element) -> Element:
@@ -452,20 +477,27 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 # --- combinators -------------------------------------------------------------
 
 
-def _mapped_transversal(stage: SubgroupDescriptor,
-                        embed: Optional[Callable[[Element], Element]]) -> Optional[Transversal]:
-    if stage.transversal is None or embed is None:
-        return None
-    return Transversal(factors=(stage.transversal,), combine=embed)
-
-
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
+    reps = None
+    if stage.transversal is not None and ext.section is not None:
+        reps = Transversal(factors=(stage.transversal,), lift=ext.section)
     return SubgroupDescriptor(
         owner=ext.total,
         membership=lambda e: stage.membership(ext.projection(e)),
         index_in_parent=stage.index_in_parent,
-        transversal=_mapped_transversal(stage, ext.section),
+        transversal=reps,
         label=f"pullback of {stage.label}" if stage.label else "pullback",
+    )
+
+
+def _embedded_transversal(ext: ExtensionHandle, t: Transversal) -> Transversal:
+    """``t`` through the kernel embedding, an injective homomorphism: a
+    product keeps its factors and intermediates, each embedded."""
+    if len(t.factors) < 2:
+        return Transversal(factors=(t,), lift=ext.kernel_embed)
+    return Transversal(
+        factors=[_embedded_transversal(ext, f) for f in t.factors],
+        intermediates=[_embed_kernel_stage(ext, k) for k in t.intermediates],
     )
 
 
@@ -479,7 +511,8 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
         owner=ext.total,
         membership=member,
         index_in_parent=stage.index_in_parent,
-        transversal=_mapped_transversal(stage, ext.kernel_embed),
+        transversal=None if stage.transversal is None
+        else _embedded_transversal(ext, stage.transversal),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
 
@@ -530,8 +563,9 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
     """Collapse a tail of n >= 2 finite steps into one jump.
 
     The new final step keeps the old final stage and carries the product of
-    the old tail indices; its transversal is the ordered products of the old
-    tail transversals when all of them are present.
+    the old tail indices; its transversal is the product of the old tail
+    transversals, with the old tail stages between them, when all of them
+    are present.
     """
     r = len(chain.tail)
     if r < 2:
@@ -545,7 +579,7 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
     reps = None
     if all(s.transversal is not None for s in chain.tail):
         reps = Transversal(factors=[s.transversal for s in chain.tail],
-                           combine=_ordered_product)
+                           intermediates=chain.tail[:-1])
     last = chain.tail[-1]
     merged = SubgroupDescriptor(
         owner=chain.group,
@@ -561,14 +595,11 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
     )
 
 
-def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, support: Optional[SubgroupDescriptor],
-                          label: str) -> SubgroupDescriptor:
-    """A finite-support power stage: every supported value in ``support``
-    (when given), and the value at each point of ``coords`` (point, base
-    stage) in that stage.  Index and transversal are the products of the
-    points' ones; the index is infinite when one point's is."""
+def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
+                               support: Optional[SubgroupDescriptor]) -> Callable[[Element], bool]:
+    """Every supported value in ``support`` (when given), and the value at
+    each point of ``coords`` (point, base stage) in that stage."""
     base = grp.base
-    points = [x for x, _ in coords]
 
     def member(e: Element) -> bool:
         value = e.value
@@ -581,9 +612,20 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, support: Optional[S
                 return False
         return True
 
-    def combine(*reps: Element) -> Element:
-        return Element(grp, grp.validate_value(zip(points, [r.value for r in reps])))
+    return member
 
+
+def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
+                          support: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
+    """A finite-support power stage with the membership test of ``coords``
+    and ``support``.  Index and transversal are the products of the points'
+    ones; the index is infinite when one point's is.  ``parent_coords``
+    constrains the parent stage the same way (points past its end only by
+    ``support``).  Factor j of the transversal is the base transversal at
+    the j-th point, lifted to that point, and the intermediate K_j takes the
+    stage's constraints at the first j points and the parent's at the rest,
+    so each factor moves one coordinate down one base stage; elements with
+    disjoint supports commute."""
     indices = [stage.index_in_parent for _, stage in coords]
     index: Optional[StepIndex] = None
     reps = None
@@ -593,12 +635,27 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, support: Optional[S
         if all(i.is_finite for i in indices):
             index = StepIndex.finite(math.prod(i.value for i in indices))
             if all(stage.transversal is not None for _, stage in coords):
-                reps = Transversal(factors=[stage.transversal for _, stage in coords],
-                                   combine=combine)
+                reps = Transversal(
+                    factors=[
+                        Transversal(factors=(stage.transversal,),
+                                    lift=lambda r, x=x: Element(grp, grp.validate_value(((x, r.value),))))
+                        for x, stage in coords
+                    ],
+                    intermediates=[
+                        SubgroupDescriptor(
+                            owner=grp,
+                            membership=_coordinatewise_membership(
+                                grp, [*coords[:j], *parent_coords[j:]], support),
+                            label=f"{label}, intermediate {j}",
+                        )
+                        for j in range(1, len(coords))
+                    ],
+                )
         else:
             index = StepIndex.unverified()
     return SubgroupDescriptor(
-        owner=grp, membership=member, index_in_parent=index, transversal=reps, label=label,
+        owner=grp, membership=_coordinatewise_membership(grp, coords, support),
+        index_in_parent=index, transversal=reps, label=label,
     )
 
 
@@ -622,15 +679,18 @@ def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
     grp = finite_support_power(base_chain.group, points)
     q = base_chain.num_blocks
 
+    def coords(b: int, n: int) -> list:
+        return [(points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)]
+
     def rule(b: int, n: int) -> SubgroupDescriptor:
         return _coordinatewise_stage(
-            grp,
-            [(points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)],
+            grp, coords(b, n), coords(b, n - 1),
             base_chain.stage_at(b, 0) if b > 0 else None,
             f"coordinatewise block {b} step {n}",
         )
 
-    final = _coordinatewise_stage(grp, [], base_chain.stage_at(q, 0), "supportwise final stage")
+    final = _coordinatewise_stage(grp, [], [], base_chain.stage_at(q, 0),
+                                  "supportwise final stage")
     return ChainSchema(
         group=grp, kappa=ALEPH0, num_blocks=q, block_rule=rule, final_limit=final,
         name=f"power of {base_chain.name}", flags=base_chain.flags,
@@ -643,23 +703,28 @@ def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> Chain
         raise ChainError("diagonal power chains need finite points")
     grp = finite_support_power(base_chain.group, points)
 
-    def lift(stage: SubgroupDescriptor) -> SubgroupDescriptor:
+    def lift(stage: SubgroupDescriptor,
+             parent: Optional[SubgroupDescriptor] = None) -> SubgroupDescriptor:
         return _coordinatewise_stage(
-            grp, [(x, stage) for x in points.labels], None,
+            grp, [(x, stage) for x in points.labels],
+            [] if parent is None else [(x, parent) for x in points.labels], None,
             f"diagonal of {stage.label}" if stage.label else "diagonal",
         )
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
-        return lift(base_chain.stage_at(b, n))
+        if n == 0:
+            return lift(base_chain.stage_at(b, 0))
+        return lift(base_chain.stage_at(b, n), base_chain.stage_at(b, n - 1))
 
     q = base_chain.num_blocks
+    parents = (base_chain.stage_at(q, 0) if q else None, *base_chain.tail)
     return ChainSchema(
         group=grp,
         kappa=ALEPH0,
         num_blocks=q,
         block_rule=rule if q else None,
         final_limit=lift(base_chain.stage_at(q, 0)) if q else None,
-        tail=tuple(lift(s) for s in base_chain.tail),
+        tail=tuple(lift(s, parent) for s, parent in zip(base_chain.tail, parents)),
         name=f"diagonal power of {base_chain.name}",
         flags=base_chain.flags,
     )
@@ -869,23 +934,59 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
     return None
 
 
+def _sift(p: Element, inverses: list[list[Element]],
+          subgroups: tuple[SubgroupDescriptor, ...]) -> Optional[list[int]]:
+    """The digit of each factor whose coset holds ``p``: for j = 1..m, the
+    d with t_jd^-1 * p_(j-1) in K_j, where p_j is that element; None when
+    some factor has no such digit."""
+    digits = []
+    for inv_reps, k in zip(inverses, subgroups[1:]):
+        for d, inverse in enumerate(inv_reps):
+            shifted = inverse * p
+            if k.contains(shifted):
+                digits.append(d)
+                p = shifted
+                break
+        else:
+            return None
+    return digits
+
+
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
-                         parent_probes: list[Element]):
+                         probes: list[Element], in_parent: list[bool], in_stage: list[bool]):
     """The certified index of ``stage`` in ``parent`` and None, or None and
-    the first failure (reason, witness) of its transversal ``t``."""
-    reps = tuple(t)
-    failure = _coset_check(reps, parent, stage)
-    if failure is not None:
-        return None, failure
-    inverses = [rep.inverse() for rep in reps]
-    for p in parent_probes:
-        if not any(stage.contains(inverse * p) for inverse in inverses):
+    the first failure (reason, witness) of its transversal ``t``.
+
+    Each factor is checked against its own pair (K_(j-1), K_j) of the
+    subgroups parent = K_0, K_1, ..., K_m = stage; the K_j must nest on the
+    probes; and each probe in the parent is sifted through the factors, the
+    representative found being confirmed by ``stage`` itself.  An explicit
+    transversal is one factor, so this is the pairwise check and a scan."""
+    subgroups = (parent, *t.intermediates, stage)
+    factors = t.factor_reps()
+    for j, reps in enumerate(factors):
+        failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
+        if failure is not None:
+            return None, failure
+    if t.intermediates:
+        for p, in_k0, in_km in zip(probes, in_parent, in_stage):
+            inside = [in_k0, *(k.contains(p) for k in t.intermediates), in_km]
+            if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
+                return None, ("descent violated", p)
+    inverses = [[rep.inverse() for rep in reps] for reps in factors]
+    for p, in_k0 in zip(probes, in_parent):
+        if not in_k0:
+            continue
+        digits = _sift(p, inverses, subgroups)
+        if digits is None or (len(factors) > 1 and not stage.contains(
+                _ordered_product(*(reps[d] for reps, d in zip(factors, digits))).inverse() * p)):
             return None, ("transversal does not cover a parent probe", p)
     return t.size, None
 
 
 def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
-                parent_probes: list[Element], kappa: CardinalBound, fail: _Fail):
+                probes: list[Element], in_parent: list[bool], in_stage: list[bool],
+                kappa: CardinalBound, fail: _Fail):
     """The index entry of one successor row: certified by the transversal when
     the stage has one, otherwise a probe-counted lower bound or "unverified"."""
     claimed = stage.index_in_parent
@@ -893,7 +994,8 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
         fail("step index is infinite", ordinal_i, None)
         return "infinite"
     if stage.transversal is not None:
-        size, failure = _certify_transversal(stage.transversal, parent, stage, parent_probes)
+        size, failure = _certify_transversal(stage.transversal, parent, stage, probes,
+                                             in_parent, in_stage)
         if failure is not None:
             fail(failure[0], ordinal_i, failure[1])
             return None
@@ -903,7 +1005,7 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
             fail(f"index {size} is not below kappa {kappa}", ordinal_i, None)
         return size
     classes: list[Element] = []
-    for p in parent_probes:
+    for p in (p for p, inside in zip(probes, in_parent) if inside):
         if not any(stage.contains(c.inverse() * p) for c in classes):
             classes.append(p)
     lower = len(classes) if classes else 1
@@ -927,8 +1029,9 @@ def _check_indices(rows: list[_Row], probes: list[Element], mem, kappa: Cardinal
                     descent_ok = False
         index_value = None
         if n >= 1:
-            parent_probes = [p for pi, p in enumerate(probes) if mem[pi][k - 1]]
-            index_value = _step_index(ordinal_i, stage, rows[k - 1][3], parent_probes, kappa, fail)
+            index_value = _step_index(ordinal_i, stage, rows[k - 1][3], probes,
+                                      [row[k - 1] for row in mem], [row[k] for row in mem],
+                                      kappa, fail)
         reports.append({"stage": format_ordinal(ordinal_i), "index": index_value,
                         "descent": descent_ok})
     return reports

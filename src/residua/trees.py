@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chains import (ChainError, ChainSchema, Transversal, _first_excluding_step,
-                     _ordered_product, _probe_id, _split_stage_ordinal, finite_chain)
+                     _probe_id, _split_stage_ordinal, finite_chain)
 from .groups import Element, Group, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 
@@ -103,9 +103,12 @@ class TreeTruncation:
         """A group element whose coset thread is this vertex."""
         if self.transversals is None or self.chain is None:
             raise TreeError("truncation has no chain backing")
-        identity = self.chain.group.identity()
-        thread = Transversal(factors=self.transversals[:level],
-                             combine=lambda *reps: _ordered_product(identity, *reps))
+        if level == 0:
+            return Transversal((self.chain.group.identity(),)).rep(idx)
+        thread = Transversal(
+            factors=self.transversals[:level],
+            intermediates=[self.chain.stage_at(self.block, k) for k in range(1, level)],
+        )
         return thread.rep(idx)
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
