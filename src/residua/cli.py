@@ -8,7 +8,7 @@ diagnostics go to stderr.
 Exit codes are a stable contract:
     0  success (verify: Pass)
     1  expression parse error
-    2  verify: Fail
+    2  verify: Fail; also a usage error (argparse) or an unwritable --out
     3  verify: Inconclusive
     4  unregistered construction / no chain constructor
     5  non-materializable tree level
@@ -42,6 +42,7 @@ from .trees import NonMaterializableError, coset_tree, emit, truncate
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_FAIL = 2
+EXIT_USAGE = 2  # shared with EXIT_FAIL
 EXIT_INCONCLUSIVE = 3
 EXIT_UNREGISTERED = 4
 EXIT_NON_MATERIALIZABLE = 5
@@ -75,13 +76,18 @@ def _env_seed() -> int | None:
         return None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _kappa(text: str) -> CardinalBound:
@@ -257,17 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the registered chain, emit a certificate")
     common(p_verify, ("text", "json"))
-    p_verify.add_argument("--levels", type=int, help="steps checked past each limit stage")
+    p_verify.add_argument("--levels", type=_int_at_least(1),
+                          help="steps checked past each limit stage")
     p_verify.add_argument("--probes", type=int)
     p_verify.add_argument("--kappa", type=_kappa,
                           help="index bound: an integer or 'aleph0'")
     p_verify.add_argument("--chain", help="chain selector (auto)")
-    p_verify.add_argument("--word-len", type=_positive_int, dest="word_len")
+    p_verify.add_argument("--word-len", type=_int_at_least(1), dest="word_len")
     p_verify.add_argument("--limit-budget", type=int, dest="limit_budget")
 
     p_tree = sub.add_parser("tree", help="materialize and emit a coset tree truncation")
     common(p_tree, ("text", "dot", "json"))
-    p_tree.add_argument("--levels", type=int)
+    p_tree.add_argument("--levels", type=_int_at_least(0))
     p_tree.add_argument("--block", type=int)
 
     p_oracle = sub.add_parser("oracle", help="brute-force finite-group ground truth")
@@ -314,6 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     except GroupError as exc:
         print(f"residua: {exc}", file=sys.stderr)
         return EXIT_UNREGISTERED
+    except OSError as exc:
+        if config.out is None:
+            raise
+        print(f"residua: cannot write '{config.out}': {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

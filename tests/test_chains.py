@@ -4,9 +4,15 @@ import time
 
 import pytest
 
+from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
+    ChainSchema,
     StepIndex,
+    SubgroupDescriptor,
+    Transversal,
+    _certify_transversal,
+    _rows,
     chain_at,
     compress_successor_tail,
     concat_extension,
@@ -22,6 +28,7 @@ from residua.chains import (
     tower_chain,
     verify_prefix,
 )
+from residua.dsl import parse_expr
 from residua.groups import (
     CountablePoints,
     Element,
@@ -594,6 +601,138 @@ class TestTransversal:
         assert not stage.contains(last)
         with pytest.raises(IndexError):
             t.rep(t.size)
+
+
+def multiples(m):
+    return SubgroupDescriptor(owner=make_integers(), membership=lambda e: e.value % m == 0,
+                              label=f"multiples of {m}")
+
+
+def integer_reps(*values):
+    z = make_integers()
+    return Transversal(Element(z, v) for v in values)
+
+
+def certify(t, parent, stage, probes):
+    """_certify_transversal on integer probes, with their memberships."""
+    probes = [Element(make_integers(), v) for v in probes]
+    return _certify_transversal(t, parent, stage, probes, [parent.contains(p) for p in probes],
+                                [stage.contains(p) for p in probes])
+
+
+def integer_product(first, second, middle=2):
+    """T_1 from ``first`` (of ``middle``Z in Z) times T_2 from ``second``."""
+    return Transversal(factors=(integer_reps(*first), integer_reps(*second)),
+                       intermediates=(multiples(middle),))
+
+
+# (name, transversal, parent modulus, stage modulus, probes, reason, witness value)
+BAD_EXPLICIT_ROWS = [
+    ("identity", integer_reps(1, 2, 3), 1, 4, (), "transversal misses the identity coset",
+     None),
+    ("outside", integer_reps(0, 2, 4, 5), 2, 8, (), "transversal leaves the parent stage", 5),
+    ("shared", integer_reps(0, 1, 2, 5), 1, 4, (),
+     "transversal representatives share a coset", 5),
+    ("uncovered", integer_reps(0, 1, 2), 1, 4, (0, 1, 3),
+     "transversal does not cover a parent probe", 3),
+]
+BAD_PRODUCT_ROWS = [
+    ("identity", integer_product((0, 1), (2, 6)), 1, 4, (),
+     "transversal misses the identity coset", None),
+    ("outside", integer_product((0, 1), (0, 1)), 1, 4, (),
+     "transversal leaves the parent stage", 1),
+    ("shared", integer_product((0, 1), (0, 4)), 1, 4, (),
+     "transversal representatives share a coset", 4),
+    ("uncovered", integer_product((0, 1), (0, 2)), 1, 8, (1, 2, 4),
+     "transversal does not cover a parent probe", 4),
+    ("not nested", integer_product((0, 1, 2), (0, 3, 6, 9), middle=3), 1, 4, (3, 4),
+     "descent violated", 4),
+]
+
+
+class TestTransversalCertification:
+    """Each failure reason of the transversal checks, on hand-built rows of
+    the integers: an explicit transversal, and a product through an
+    intermediate subgroup, whose failures name a factor representative."""
+
+    def test_explicit_row_passes(self):
+        assert certify(integer_reps(0, 1, 2, 3), multiples(1), multiples(4),
+                       range(-6, 7)) == (4, None)
+
+    def test_product_row_passes(self):
+        t = integer_product((0, 1), (0, 2))
+        assert [t.rep(i).value for i in range(t.size)] == [0, 2, 1, 3]
+        assert certify(t, multiples(1), multiples(4), range(-6, 7)) == (4, None)
+
+    @pytest.mark.parametrize("case", BAD_EXPLICIT_ROWS + BAD_PRODUCT_ROWS,
+                             ids=lambda c: c[0])
+    def test_failure_reason_and_witness(self, case):
+        _, t, parent, stage, probes, reason, witness = case
+        index, failure = certify(t, multiples(parent), multiples(stage), probes)
+        assert index is None
+        assert failure[0] == reason
+        assert (None if failure[1] is None else failure[1].value) == witness
+
+    def test_product_failure_reaches_the_certificate(self):
+        z = make_integers()
+        stage = SubgroupDescriptor(
+            owner=z, membership=multiples(4).membership, index_in_parent=StepIndex.finite(12),
+            transversal=integer_product((0, 1, 2), (0, 3, 6, 9), middle=3), label="4Z",
+        )
+        chain = ChainSchema(group=z, kappa=ALEPH0, num_blocks=0, tail=(stage,))
+        cert = verify_prefix(chain, levels=1, probes=32, seed=0)
+        assert cert.verdict == "fail"
+        assert cert.failure["reason"] == "descent violated"
+        assert cert.failure["stage"] == "1"
+        assert cert.levels[1]["index"] is None
+
+    @pytest.mark.parametrize("case", BAD_PRODUCT_ROWS, ids=lambda c: c[0])
+    def test_bad_product_rows_fail_when_materialized(self, case):
+        _, t, parent, stage, probes, *_ = case
+        explicit = Transversal(tuple(t))
+        assert certify(explicit, multiples(parent), multiples(stage), probes)[0] is None
+
+    @pytest.mark.parametrize("expr, levels, probes", [
+        ("tower(Dinf,2)", 6, 64),
+        ("tower(Z,3)", 3, 16),
+    ])
+    def test_factorwise_agrees_with_pairwise(self, expr, levels, probes):
+        chain = chain_for(parse_expr(expr))
+        rows = _rows(chain, levels)
+        sample = random_words(chain.group, probes, 0)
+        compared = 0
+        for (*_, parent), (_, _, n, stage) in zip(rows, rows[1:]):
+            t = stage.transversal
+            if n == 0 or t is None or len(t.factors) < 2 or t.size > 64:
+                continue
+            # parent elements in many cosets, so that the sift does real work
+            inside = [chain.group.identity(), *[p for p in sample if stage.contains(p)][:1]]
+            row_sample = sample + [t.rep(i) * h for i in range(0, t.size, 3) for h in inside]
+            in_parent = [parent.contains(p) for p in row_sample]
+            in_stage = [stage.contains(p) for p in row_sample]
+            factorwise = _certify_transversal(t, parent, stage, row_sample, in_parent, in_stage)
+            pairwise = _certify_transversal(Transversal(tuple(t)), parent, stage, row_sample,
+                                            in_parent, in_stage)
+            assert factorwise == pairwise == (t.size, None)
+            compared += 1
+        assert compared >= 4
+
+    def test_big_row_needs_few_membership_calls(self, monkeypatch):
+        # the 2^8 row w + 8 of tower(Dinf,2), on the probes verify draws by
+        # default; the pairwise check makes about 10^5 calls on it
+        chain = chain_for(parse_expr("tower(Dinf,2)"))
+        parent, stage = chain.stage_at(1, 7), chain.stage_at(1, 8)
+        assert stage.transversal.size == 2 ** 8
+        sample = random_words(chain.group, 64, 0)
+        in_parent = [parent.contains(p) for p in sample]
+        in_stage = [stage.contains(p) for p in sample]
+        calls = []
+        contains = SubgroupDescriptor.contains
+        monkeypatch.setattr(SubgroupDescriptor, "contains",
+                            lambda self, e: calls.append(1) or contains(self, e))
+        assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
+                                    in_stage) == (2 ** 8, None)
+        assert len(calls) < 1000
 
 
 class TestIndexProductLaw:

@@ -250,17 +250,35 @@ class TestOneBuildPerExpression:
         assert len(built) == wreaths
 
 
+def run_module(*argv, timeout=None):
+    src = str(Path(residua.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "residua.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=timeout,
+    )
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize("flag, value", [("--kappa", "foo"), ("--word-len", "0")])
-    def test_bad_value_is_a_usage_error(self, flag, value):
-        src = str(Path(residua.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-m", "residua.cli", "verify", "Z", flag, value],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        )
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--kappa", "foo"),
+        ("verify", "--word-len", "0"),
+        ("verify", "--levels", "0"),
+        ("tree", "--levels", "-1"),
+    ])
+    def test_bad_value_is_a_usage_error(self, command, flag, value):
+        result = run_module(command, "Z", flag, value)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert result.stderr.splitlines()[-1].startswith(f"residua verify: error: argument {flag}")
+        assert result.stderr.splitlines()[-1].startswith(
+            f"residua {command}: error: argument {flag}")
+
+    def test_unwritable_out_is_one_line(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        result = run_module("verify", "Z", "--out", str(target))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"residua: cannot write '{target}': No such file or directory\n")
 
     @pytest.mark.parametrize("value", ["foo", "-3"])
     def test_bad_kappa_names_a_cardinal_bound(self, capsys, value):
@@ -269,3 +287,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"residua verify: error: argument --kappa: not a cardinal bound: '{value}'"
+
+
+class TestDeepRows:
+    def test_height_three_tower_to_level_five(self):
+        # row w*2 + 5 has 2^15 representatives; its factors are certified
+        # one by one, so the whole run takes well under a second
+        result = run_module("verify", "tower(Dinf,3)", "--levels", "5", timeout=10)
+        assert result.returncode == 0
+        assert result.stdout.startswith("verdict: pass\n")
