@@ -615,6 +615,12 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
     return member
 
 
+def _at_point(grp: FinSupportPowerGroup, x, t: Transversal) -> Transversal:
+    """A base transversal lifted to the functions supported at point x."""
+    return Transversal(factors=(t,),
+                       lift=lambda r: Element(grp, grp.validate_value(((x, r.value),))))
+
+
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
                           support: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
     """A finite-support power stage with the membership test of ``coords``
@@ -636,11 +642,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
             index = StepIndex.finite(math.prod(i.value for i in indices))
             if all(stage.transversal is not None for _, stage in coords):
                 reps = Transversal(
-                    factors=[
-                        Transversal(factors=(stage.transversal,),
-                                    lift=lambda r, x=x: Element(grp, grp.validate_value(((x, r.value),))))
-                        for x, stage in coords
-                    ],
+                    factors=[_at_point(grp, x, stage.transversal) for x, stage in coords],
                     intermediates=[
                         SubgroupDescriptor(
                             owner=grp,
@@ -712,9 +714,7 @@ def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> Chain
         )
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
-        if n == 0:
-            return lift(base_chain.stage_at(b, 0))
-        return lift(base_chain.stage_at(b, n), base_chain.stage_at(b, n - 1))
+        return lift(base_chain.stage_at(b, n), base_chain.stage_at(b, n - 1) if n else None)
 
     q = base_chain.num_blocks
     parents = (base_chain.stage_at(q, 0) if q else None, *base_chain.tail)
@@ -936,9 +936,9 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
 
 def _sift(p: Element, inverses: list[list[Element]],
           subgroups: tuple[SubgroupDescriptor, ...]) -> Optional[list[int]]:
-    """The digit of each factor whose coset holds ``p``: for j = 1..m, the
-    d with t_jd^-1 * p_(j-1) in K_j, where p_j is that element; None when
-    some factor has no such digit."""
+    """The digit of each factor whose coset holds ``p``: for j = 1..m in
+    turn, the d with inverses[j][d] * p in K_j, after which p is that
+    element; None when some factor has no such digit."""
     digits = []
     for inv_reps, k in zip(inverses, subgroups[1:]):
         for d, inverse in enumerate(inv_reps):
@@ -977,10 +977,14 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     for p, in_k0 in zip(probes, in_parent):
         if not in_k0:
             continue
+        uncovered = None, ("transversal does not cover a parent probe", p)
         digits = _sift(p, inverses, subgroups)
-        if digits is None or (len(factors) > 1 and not stage.contains(
-                _ordered_product(*(reps[d] for reps, d in zip(factors, digits))).inverse() * p)):
-            return None, ("transversal does not cover a parent probe", p)
+        if digits is None:
+            return uncovered
+        if len(factors) > 1:
+            found = _ordered_product(*(reps[d] for reps, d in zip(factors, digits)))
+            if not stage.contains(found.inverse() * p):
+                return uncovered
     return t.size, None
 
 
