@@ -131,7 +131,7 @@ class Transversal:
         self._reps = tuple(reps)
         self.factors = tuple(factors)
         self.intermediates = tuple(intermediates)
-        self.lift = lift
+        self._lift = lift
         if self.factors and len(self.intermediates) != len(self.factors) - 1:
             raise ChainError("a product of m factors names m - 1 intermediate subgroups")
         if lift is not None and len(self.factors) != 1:
@@ -148,8 +148,8 @@ class Transversal:
         for f in reversed(self.factors):
             i, digit = divmod(i, f.size)
             picks.append(f.rep(digit))
-        if self.lift is not None:
-            return self.lift(picks[0])
+        if self._lift is not None:
+            return self._lift(picks[0])
         return _ordered_product(*reversed(picks))
 
     def __iter__(self):
@@ -1081,6 +1081,14 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     stage on probes; and the first excluding stage of every probe.
     Failures are verdicts with witnesses, never exceptions.  A run that
     draws no probes is at best inconclusive.
+
+    A transversal is certified factor by factor (see ``Transversal``):
+    each factor must hit the identity coset, lie inside K_(j-1) and be
+    pairwise distinct modulo K_j; the K_j must nest on the probes; and each
+    parent probe is sifted through the factors, the representative found
+    being confirmed by the stage's own membership test.  The index is the
+    product of the factor sizes, so a row is never built in full.  An
+    explicit transversal is a single factor, checked pairwise.
     """
     if levels < 1:
         raise ChainError("need at least one level")
