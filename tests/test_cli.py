@@ -260,10 +260,10 @@ def run_module(*argv, timeout=None):
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command, flag, value", [
-        ("verify", "--kappa", "foo"),
-        ("verify", "--word-len", "0"),
-        ("verify", "--levels", "0"),
-        ("tree", "--levels", "-1"),
+        pytest.param("verify", "--kappa", "foo", id="--kappa-foo"),
+        pytest.param("verify", "--word-len", "0", id="--word-len-0"),
+        pytest.param("verify", "--levels", "0", id="verify---levels-0"),
+        pytest.param("tree", "--levels", "-1", id="tree---levels--1"),
     ])
     def test_bad_value_is_a_usage_error(self, command, flag, value):
         result = run_module(command, "Z", flag, value)
