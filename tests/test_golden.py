@@ -1,8 +1,10 @@
-"""Certificates of chains with product transversal rows stay byte-identical.
+"""Certificates and coset trees stay byte-identical.
 
 Each argv is one the benchmark runs; ``bench/golden.json`` pins the first
 16 hex digits of the sha256 of its stdout (a list indexed by ``--seed`` for
-seeded ops).  The file is only read here.
+seeded ops).  Its ``tree`` entries pin the same digest of a library round
+trip over chain number i of ``chain_enumerate(group, 3)``.  The file is only
+read here.
 """
 
 import contextlib
@@ -14,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from residua import cli
+from residua import cli, coset_tree, emit, finite_chain, truncate, verify_simple
+from residua.catalog import build_group
+from residua.dsl import parse_expr
+from residua.oracle import chain_enumerate
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
 
@@ -44,3 +49,25 @@ def test_output_matches_pinned_digest(args, seed):
     if isinstance(pinned, list):
         pinned = pinned[seed]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == pinned
+
+
+# group -> chain numbers: one of length 2 and two of length 3 each
+TREE_CASES = {
+    "S(4)": (15, 36, 87),
+    "wreath(C(2),C(3))": (13, 40, 71),
+    "prod(S(3),C(4))": (10, 29, 67),
+    "prod(A(4),C(2))": (13, 40, 71),
+}
+
+
+@pytest.mark.parametrize(
+    "name, number", [(name, n) for name, numbers in TREE_CASES.items() for n in numbers],
+)
+def test_tree_matches_pinned_digest(name, number):
+    group = build_group(parse_expr(name))
+    sets = chain_enumerate(group, 3)[number]
+    chain = finite_chain(group, sets[1:])
+    tr = truncate(coset_tree(chain), len(sets) - 1)
+    report = json.dumps(verify_simple(chain, tr).to_jsonable(), sort_keys=True)
+    data = (emit(tr, "json") + emit(tr, "dot") + report).encode()
+    assert hashlib.sha256(data).hexdigest()[:16] == GOLDEN["tree"][f"{name}#{number}"]
