@@ -17,8 +17,10 @@ witness element and stage.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -150,7 +152,7 @@ class Transversal:
             picks.append(f.rep(digit))
         if self._lift is not None:
             return self._lift(picks[0])
-        return _ordered_product(*reversed(picks))
+        return functools.reduce(operator.mul, reversed(picks))
 
     def __iter__(self):
         if not self.factors:
@@ -163,14 +165,6 @@ class Transversal:
         if len(self.factors) > 1:
             return [tuple(f) for f in self.factors]
         return [tuple(self)]
-
-
-def _ordered_product(*reps: Element) -> Element:
-    """reps[0] * reps[1] * ... * reps[-1], multiplied left to right."""
-    e = reps[0]
-    for x in reps[1:]:
-        e = e * x
-    return e
 
 
 @dataclass(frozen=True)
@@ -934,22 +928,33 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
     return None
 
 
-def _sift(p: Element, inverses: list[list[Element]],
-          subgroups: tuple[SubgroupDescriptor, ...]) -> Optional[list[int]]:
-    """The digit of each factor whose coset holds ``p``: for j = 1..m in
-    turn, the d with inverses[j][d] * p in K_j, after which p is that
-    element; None when some factor has no such digit."""
-    digits = []
-    for inv_reps, k in zip(inverses, subgroups[1:]):
-        for d, inverse in enumerate(inv_reps):
-            shifted = inverse * p
-            if k.contains(shifted):
-                digits.append(d)
-                p = shifted
-                break
-        else:
-            return None
-    return digits
+def _placer(subgroups: tuple[SubgroupDescriptor, ...], factors: list[tuple[Element, ...]]
+            ) -> Callable[[Element], Optional[tuple[int, Element]]]:
+    """Placement in a row whose transversal has factor representatives
+    ``factors`` between ``subgroups`` K_0 > K_1 > ... > K_m.
+
+    The returned function sifts ``p``: for j = 1..m in turn it takes the
+    digit d with t_j[d]^-1 * p in K_j and continues with that element.  It
+    returns the row index (mixed radix over the factor sizes, the last
+    factor fastest, as ``Transversal.rep`` counts) and the residue
+    rep^-1 * p, or None when some factor has no such digit.  Each factor's
+    inverses are computed once, here."""
+    steps = [([rep.inverse() for rep in reps], k) for reps, k in zip(factors, subgroups[1:])]
+
+    def place(p: Element) -> Optional[tuple[int, Element]]:
+        index = 0
+        for inverses, k in steps:
+            for d, inverse in enumerate(inverses):
+                shifted = inverse * p
+                if k.contains(shifted):
+                    index = index * len(inverses) + d
+                    p = shifted
+                    break
+            else:
+                return None
+        return index, p
+
+    return place
 
 
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
@@ -973,16 +978,16 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
             inside = [in_k0, *(k.contains(p) for k in t.intermediates), in_km]
             if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
                 return None, ("descent violated", p)
-    inverses = [[rep.inverse() for rep in reps] for reps in factors]
+    place = _placer(subgroups, factors)
     for p, in_k0 in zip(probes, in_parent):
         if not in_k0:
             continue
         uncovered = None, ("transversal does not cover a parent probe", p)
-        digits = _sift(p, inverses, subgroups)
-        if digits is None:
+        placed = place(p)
+        if placed is None:
             return uncovered
         if len(factors) > 1:
-            found = _ordered_product(*(reps[d] for reps, d in zip(factors, digits)))
+            found = t.rep(placed[0])
             if not stage.contains(found.inverse() * p):
                 return uncovered
     return t.size, None

@@ -4,8 +4,8 @@ A chain whose materialized stages carry transversals induces a rooted tree:
 the level-k vertices inside one block are the coherent tuples of cosets of
 the first k stages, encoded as mixed-radix digit strings over the stage
 transversals (digit i picks the coset representative at stage i).  Parent
-maps drop the last digit.  Group elements act by left translation, computed
-by re-extracting digits; stabilizers of a root-to-leaf thread recover a
+maps drop the last digit.  Group elements act by left translation, placed
+by the verifier's factorwise sift; stabilizers of a root-to-leaf thread recover a
 chain, conjugate to the original when the thread is not the identity one.
 
 Limit levels are never enumerated: a truncation materializes finitely many
@@ -18,9 +18,10 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chains import (ChainError, ChainSchema, Transversal, _first_excluding_step,
-                     _probe_id, _split_stage_ordinal, finite_chain)
-from .groups import Element, Group, GroupError, random_words
+from .chains import (ChainError, ChainSchema, SubgroupDescriptor, Transversal,
+                     _first_excluding_step, _placer, _probe_id, _split_stage_ordinal,
+                     finite_chain)
+from .groups import Element, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 
 __all__ = [
@@ -69,8 +70,8 @@ class TreeTruncation:
 
     ``levels[k]`` is (size, parents) with parents[i] the index of vertex i's
     parent one level up; vertices are mixed-radix digit strings, siblings
-    consecutive.  ``transversals`` and ``chain`` power the group action and
-    are absent on truncations parsed back from JSON.
+    consecutive.  ``chain``, whose stages carry the transversals, powers the
+    group action; it is absent on truncations parsed back from JSON.
     """
 
     block: int
@@ -78,7 +79,6 @@ class TreeTruncation:
     fibres: tuple[int, ...]
     provenance: str
     chain: Optional[ChainSchema] = None
-    transversals: Optional[tuple[Transversal, ...]] = None
 
     @property
     def depth(self) -> int:
@@ -99,45 +99,49 @@ class TreeTruncation:
             idx = idx * self.fibres[k] + d
         return idx
 
+    def _stages(self, depth: int) -> list[SubgroupDescriptor]:
+        """The block's stages at local levels 0..depth."""
+        if self.chain is None:
+            raise TreeError("truncation has no chain backing")
+        return [self.chain.stage_at(self.block, k) for k in range(depth + 1)]
+
     def representative(self, level: int, idx: int) -> Element:
         """A group element whose coset thread is this vertex."""
-        if self.transversals is None or self.chain is None:
-            raise TreeError("truncation has no chain backing")
-        if level == 0:
+        stages = self._stages(level)[1:]
+        if not stages:
             return Transversal((self.chain.group.identity(),)).rep(idx)
-        thread = Transversal(
-            factors=self.transversals[:level],
-            intermediates=[self.chain.stage_at(self.block, k) for k in range(1, level)],
-        )
+        thread = Transversal(factors=[s.transversal for s in stages], intermediates=stages[:-1])
         return thread.rep(idx)
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
         """Digit string of the coset thread of a group element."""
-        if self.transversals is None or self.chain is None:
-            raise TreeError("truncation has no chain backing")
-        depth = self.depth if depth is None else depth
-        digits = []
-        residue = e
-        for k in range(1, depth + 1):
-            stage = self.chain.stage_at(self.block, k)
-            for d, rep in enumerate(self.transversals[k - 1]):
-                shifted = rep.inverse() * residue
-                if stage.contains(shifted):
-                    digits.append(d)
-                    residue = shifted
-                    break
-            else:
-                raise TreeError(
-                    f"transversal at level {k} does not cover the element"
-                )
-        return tuple(digits)
+        return _placement(self._stages(self.depth if depth is None else depth))(e)
 
     def thread_of(self, e: Element) -> tuple[int, ...]:
         """Vertex indices of the element's coset thread, root to deepest."""
         digits = self.digits_of_element(e)
-        return tuple(
-            self.index_of_digits(digits[:k]) for k in range(self.depth + 1)
-        )
+        return tuple(self.index_of_digits(digits[:k]) for k in range(self.depth + 1))
+
+
+def _placement(stages: list[SubgroupDescriptor]) -> Callable[[Element], tuple[int, ...]]:
+    """The digits of an element's coset thread through ``stages`` (levels
+    0..d): each level sifts, through its stage's transversal, the residue
+    the level above leaves."""
+    placers = [_placer((parent, *stage.transversal.intermediates, stage),
+                       stage.transversal.factor_reps())
+               for parent, stage in zip(stages, stages[1:])]
+
+    def digits(e: Element) -> tuple[int, ...]:
+        out = []
+        for k, place in enumerate(placers, start=1):
+            placed = place(e)
+            if placed is None:
+                raise TreeError(f"transversal at level {k} does not cover the element")
+            d, e = placed
+            out.append(d)
+        return tuple(out)
+
+    return digits
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,6 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
             f"{d} levels requested but the final segment has {len(chain.tail)} steps"
         )
     fibres = []
-    transversals = []
     total = 1
     for k in range(1, d + 1):
         stage = chain.stage_at(block, k)
@@ -200,21 +203,16 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
         if total > MATERIALIZATION_CAP:
             raise NonMaterializableError("materialization exceeds the vertex cap")
         fibres.append(idx.value)
-        transversals.append(stage.transversal)
-    levels = [(1, ())]
-    size = 1
-    for k in range(1, d + 1):
-        parents = tuple(i // fibres[k - 1] for i in range(size * fibres[k - 1]))
-        size *= fibres[k - 1]
-        levels.append((size, parents))
-    provenance = f"coset_tree({chain.name or chain.group.tag}; block={block})"
+    levels, size = [(1, ())], 1
+    for f in fibres:
+        size *= f
+        levels.append((size, tuple(i // f for i in range(size))))
     return TreeTruncation(
         block=block,
         levels=tuple(levels),
         fibres=tuple(fibres),
-        provenance=provenance,
+        provenance=f"coset_tree({chain.name or chain.group.tag}; block={block})",
         chain=chain,
-        transversals=tuple(transversals),
     )
 
 
@@ -248,24 +246,28 @@ def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
 
 
 def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
-    """Left translation of a group element on the materialized levels."""
-    if tr.chain is None:
-        raise TreeError("truncation has no chain backing")
-    if g.group.tag != tr.chain.group.tag:
-        raise TreeError(
-            f"element of {g.group.tag} cannot act on a tree over {tr.chain.group.tag}"
-        )
-    if tr.block > 0 and not tr.chain.stage_at(tr.block, 0).contains(g):
+    """Left translation of a group element on the materialized levels.
+
+    Each deepest vertex is placed once, by sifting g times its
+    representative; a shallower vertex's image is the matching digit prefix,
+    on which all of its descendants must agree."""
+    stages = tr._stages(tr.depth)
+    group = tr.chain.group
+    if g.group is not group and g.group.tag != group.tag:
+        raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
+    if tr.block > 0 and not stages[0].contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    tables = [(0,)]
-    for level in range(1, tr.depth + 1):
-        table = []
-        for idx in range(tr.size(level)):
-            moved = g * tr.representative(level, idx)
-            table.append(tr.index_of_digits(tr.digits_of_element(moved, level)))
-        tables.append(tuple(table))
+    deepest, place = tr.depth, _placement(stages)
+    digits = [place(g * tr.representative(deepest, idx)) for idx in range(tr.size(deepest))]
+    tables = []
+    for level in range(deepest + 1):
+        span = len(digits) // tr.size(level)  # a vertex's descendants are consecutive
+        images = [{tr.index_of_digits(d[:level]) for d in digits[v * span:(v + 1) * span]}
+                  for v in range(tr.size(level))]
+        assert all(len(i) == 1 for i in images), "sibling vertices disagree"
+        tables.append(tuple(i.pop() for i in images))
     auto = TreeAutomorphism(tables=tuple(tables))
-    for level in range(1, tr.depth + 1):
+    for level in range(1, deepest + 1):
         for idx in range(tr.size(level)):
             assert tr.parent(level, auto.apply(level, idx)) == auto.apply(
                 level - 1, tr.parent(level, idx)
@@ -326,13 +328,7 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
             auto = act(e, tr)
             for idx in range(tr.size(deepest)):
                 if auto.apply(deepest, idx) == idx:
-                    violations.append(
-                        {
-                            "element": _probe_id(e),
-                            "level": deepest,
-                            "vertex": idx,
-                        }
-                    )
+                    violations.append({"element": _probe_id(e), "level": deepest, "vertex": idx})
         return SimplicityReport(
             mode="exhaustive",
             verdict="simple" if not violations else "violation",
@@ -356,13 +352,8 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
             # witnesses a fixed deepest vertex on the identity thread
             final = chain.stage_at(q, r)
             if final.contains(p):
-                violations.append(
-                    {
-                        "element": _probe_id(p),
-                        "level": format_ordinal(chain.length),
-                        "vertex": "identity thread",
-                    }
-                )
+                violations.append({"element": _probe_id(p), "level": format_ordinal(chain.length),
+                                   "vertex": "identity thread"})
             else:
                 unresolved.append(_probe_id(p))
         else:
@@ -386,8 +377,7 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
     The identity thread returns the original stages; any other thread gives
     the conjugate chain by the deepest representative.
     """
-    if tr.chain is None:
-        raise TreeError("truncation has no chain backing")
+    stages = tr._stages(tr.depth)
     group = tr.chain.group
     if group.order is None:
         raise TreeError("stabilizer chains need a finite acting group")
@@ -396,20 +386,19 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
     for k in range(1, len(thread)):
         if tr.parent(k, thread[k]) != thread[k - 1]:
             raise TreeError("incoherent thread: parent links broken")
-    stages = []
+    subgroups = []
     for k in range(1, tr.depth + 1):
         rep = tr.representative(k, thread[k])
         rep_inv = rep.inverse()
-        stage = tr.chain.stage_at(tr.block, k)
         members = {
             e.value
             for e in group.elements()
-            if stage.contains(rep_inv * e * rep)
+            if stages[k].contains(rep_inv * e * rep)
         }
-        stages.append(members)
+        subgroups.append(members)
     return finite_chain(
         group,
-        stages,
+        subgroups,
         kappa=tr.chain.kappa,
         name=f"stabilizers along {list(thread)} of {tr.provenance}",
     )

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from residua.chains import chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.catalog import build_group, chain_for
+from residua.chains import SubgroupDescriptor, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.dsl import parse_expr
 from residua.groups import make_cyclic, make_integers, make_symmetric, wreath_product
 from residua.oracle import chain_enumerate
 from residua.ordinal import OMEGA, add, omega_power
@@ -333,3 +335,73 @@ class TestFiniteCorrespondence:
                 for i in range(len(subgroup_sets) - 1)
             ]
             assert list(tr.fibres) == expected
+
+
+def count_membership(monkeypatch):
+    """A one-item list that counts SubgroupDescriptor.contains calls from now on."""
+    calls = [0]
+    original = SubgroupDescriptor.contains
+
+    def counting(self, e):
+        calls[0] += 1
+        return original(self, e)
+
+    monkeypatch.setattr(SubgroupDescriptor, "contains", counting)
+    return calls
+
+
+class TestPlacement:
+    def test_element_outside_block_base_rejected(self):
+        w, chain = lamplighter_chain()
+        tr = truncate(coset_tree(chain), 2, block=1)
+        with pytest.raises(TreeError, match="does not cover the element"):
+            tr.digits_of_element(w.element(((), 1)))
+
+    @pytest.mark.parametrize("call", [
+        lambda tr, g: tr.representative(1, 0),
+        lambda tr, g: tr.digits_of_element(g),
+        lambda tr, g: act(g, tr),
+        lambda tr, g: stabilizer_chain(tr, (0, 0, 0)),
+    ], ids=["representative", "digits_of_element", "act", "stabilizer_chain"])
+    def test_parsed_truncation_has_no_chain_backing(self, call):
+        s3, chain = s3_chain()
+        parsed = parse_truncation(emit(truncate(coset_tree(chain), 2), "json"))
+        with pytest.raises(TreeError, match="truncation has no chain backing"):
+            call(parsed, s3.identity())
+
+    @pytest.mark.parametrize("name", ["S(4)", "wreath(C(2),C(3))"])
+    def test_act_matches_placing_every_vertex(self, name):
+        # act places only the deepest vertices; placing each vertex of each
+        # level on its own must give the same tables
+        group = build_group(parse_expr(name))
+        for sets in chain_enumerate(group, 3):
+            if len(sets) != 4:
+                continue
+            tr = truncate(coset_tree(finite_chain(group, sets[1:])), 3)
+            reps = [[tr.representative(level, idx) for idx in range(tr.size(level))]
+                    for level in range(4)]
+            for g in group.elements():
+                auto = act(g, tr)
+                for level in range(4):
+                    for idx, rep in enumerate(reps[level]):
+                        digits = tr.digits_of_element(g * rep, level)
+                        assert auto.apply(level, idx) == tr.index_of_digits(digits)
+
+    def test_exhaustive_check_membership_calls(self, monkeypatch):
+        s4 = make_symmetric(4)
+        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+        assert [len(s) for s in sets] == [24, 4, 2, 1]
+        chain = finite_chain(s4, sets[1:])
+        tr = truncate(coset_tree(chain), 3)
+        calls = count_membership(monkeypatch)
+        assert verify_simple(chain, tr).verdict == "simple"
+        assert calls[0] < 4000
+
+    def test_deepest_placement_membership_calls(self, monkeypatch):
+        tr = truncate(coset_tree(chain_for(parse_expr("tower(Z,3)"))), 3, block=2)
+        reps = [tr.representative(3, idx) for idx in range(tr.size(3))]
+        assert len(reps) == 1024
+        calls = count_membership(monkeypatch)
+        for idx, rep in enumerate(reps):
+            assert tr.index_of_digits(tr.digits_of_element(rep)) == idx
+        assert calls[0] < 150_000
