@@ -63,7 +63,6 @@ __all__ = [
     "chain_for",
     "depth_interval",
     "register_extension",
-    "registered_extensions",
 ]
 
 
@@ -84,10 +83,6 @@ def register_extension(name: str, group_factory: Callable[[], Group],
                        chain_factory: Optional[Callable[[], ChainSchema]] = None):
     """Register a named group (and optionally a chain) for ExtensionRef use."""
     _EXTENSIONS[name] = _ExtensionEntry(group_factory, chain_factory)
-
-
-def registered_extensions() -> tuple[str, ...]:
-    return tuple(sorted(_EXTENSIONS))
 
 
 _Claim = tuple[Optional[Ordinal], str, tuple[str, ...]]

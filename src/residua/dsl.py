@@ -38,8 +38,6 @@ __all__ = [
     "ExtensionRef",
     "parse_expr",
     "print_expr",
-    "ast_to_jsonable",
-    "ast_from_jsonable",
 ]
 
 
@@ -322,59 +320,3 @@ def print_expr(ast: GroupExpr) -> str:
         return ast.name
     raise DslError(f"not an expression AST: {ast!r}")
 
-
-def ast_to_jsonable(ast: GroupExpr) -> dict:
-    if isinstance(ast, Trivial):
-        return {"kind": "trivial"}
-    if isinstance(ast, Int):
-        return {"kind": "integers"}
-    if isinstance(ast, Dinf):
-        return {"kind": "dihedral_inf"}
-    if isinstance(ast, Cyclic):
-        return {"kind": "cyclic", "n": ast.n}
-    if isinstance(ast, Perm):
-        return {
-            "kind": "perm",
-            "degree": ast.degree,
-            "generators": [[list(c) for c in gen] for gen in ast.generators],
-        }
-    if isinstance(ast, Product):
-        return {"kind": "product", "items": [ast_to_jsonable(i) for i in ast.items]}
-    if isinstance(ast, FinSupportPower):
-        return {"kind": "power", "base": ast_to_jsonable(ast.base), "points": ast.points}
-    if isinstance(ast, Wreath):
-        return {"kind": "wreath", "base": ast_to_jsonable(ast.base), "top": ast_to_jsonable(ast.top)}
-    if isinstance(ast, Tower):
-        return {"kind": "tower", "base": ast_to_jsonable(ast.base), "n": ast.n}
-    if isinstance(ast, ExtensionRef):
-        return {"kind": "extension_ref", "name": ast.name}
-    raise DslError(f"not an expression AST: {ast!r}")
-
-
-def ast_from_jsonable(data: dict) -> GroupExpr:
-    kind = data["kind"]
-    if kind == "trivial":
-        return Trivial()
-    if kind == "integers":
-        return Int()
-    if kind == "dihedral_inf":
-        return Dinf()
-    if kind == "cyclic":
-        return Cyclic(int(data["n"]))
-    if kind == "perm":
-        return Perm(
-            int(data["degree"]),
-            tuple(tuple(tuple(int(p) for p in c) for c in gen) for gen in data["generators"]),
-        )
-    if kind == "product":
-        return Product(tuple(ast_from_jsonable(i) for i in data["items"]))
-    if kind == "power":
-        points = data["points"]
-        return FinSupportPower(ast_from_jsonable(data["base"]), points if points == "N" else int(points))
-    if kind == "wreath":
-        return Wreath(ast_from_jsonable(data["base"]), ast_from_jsonable(data["top"]))
-    if kind == "tower":
-        return Tower(ast_from_jsonable(data["base"]), int(data["n"]))
-    if kind == "extension_ref":
-        return ExtensionRef(str(data["name"]))
-    raise DslError(f"unknown AST kind {kind!r}")

@@ -151,7 +151,6 @@ class Group:
     ``tag``; two handles with the same tag present the same group.
     """
 
-    kind: str = "group"
     is_residually_finite_claimed: bool = False
     has_finite_abelianization_claimed: bool = False
 
@@ -376,7 +375,6 @@ def _zigzag(i: int) -> int:
 
 
 class CyclicGroup(Group):
-    kind = "cyclic"
     is_residually_finite_claimed = True
     has_finite_abelianization_claimed = True
 
@@ -415,7 +413,6 @@ class CyclicGroup(Group):
 
 
 class IntegerGroup(Group):
-    kind = "integers"
     is_residually_finite_claimed = True
     has_finite_abelianization_claimed = False
 
@@ -450,7 +447,6 @@ class IntegerGroup(Group):
 class PermGroup(Group):
     """Permutation group on {0..degree-1}, given by generator image tuples."""
 
-    kind = "perm"
     is_residually_finite_claimed = True
     has_finite_abelianization_claimed = True
 
@@ -513,7 +509,6 @@ class InfiniteDihedralGroup(Group):
     The abelianization is the Klein four-group, hence finite.
     """
 
-    kind = "dihedral"
     is_residually_finite_claimed = True
     has_finite_abelianization_claimed = True
 
@@ -556,8 +551,6 @@ class InfiniteDihedralGroup(Group):
 
 
 class DirectProductGroup(Group):
-    kind = "product"
-
     def __init__(self, factors: Iterable[Group]):
         super().__init__()
         self.factors = tuple(factors)
@@ -640,8 +633,6 @@ class FinSupportPowerGroup(Group):
     Values store only the points carrying a non-identity base value, as a
     tuple of (point, base_value) pairs sorted by point.
     """
-
-    kind = "finsupport"
 
     def __init__(self, base: Group, points: PointSet):
         super().__init__()
@@ -753,8 +744,6 @@ class WreathProductGroup(Group):
     left multiplication.
     """
 
-    kind = "wreath"
-
     def __init__(self, base: Group, top: Group, points: Optional[PointSet] = None,
                  action: Optional[Callable] = None, probe_seed: int = 0):
         super().__init__()
@@ -858,7 +847,7 @@ class WreathProductGroup(Group):
         return embed
 
     def projection(self, e: Element) -> Element:
-        if e.group.tag != self.tag:
+        if e.group is not self and e.group.tag != self.tag:
             raise GroupMismatchError(f"expected element of {self.tag}")
         return Element(self.top, e.value[1])
 
@@ -893,8 +882,6 @@ def _is_valid_value(group: Group, v) -> bool:
 
 class SubgroupHandle(Group):
     """A finite subgroup of a parent group, as its own handle."""
-
-    kind = "subgroup"
 
     def __init__(self, parent: Group, values: Iterable, generators: Iterable = ()):
         super().__init__()

@@ -23,8 +23,6 @@ from residua.dsl import (
     Tower,
     Trivial,
     Wreath,
-    ast_from_jsonable,
-    ast_to_jsonable,
     parse_expr,
     print_expr,
 )
@@ -138,12 +136,6 @@ class TestPrint:
         for _ in range(1000):
             ast = random_ast(rng, depth=rng.randint(0, 5))
             assert parse_expr(print_expr(ast)) == ast
-
-    def test_json_roundtrip_random(self):
-        rng = random.Random(78)
-        for _ in range(300):
-            ast = random_ast(rng, depth=rng.randint(0, 4))
-            assert ast_from_jsonable(ast_to_jsonable(ast)) == ast
 
 
 class TestBuildGroup:

@@ -192,6 +192,13 @@ class TestWreath:
             for b in probes[:4]:
                 assert ext.projection(a * b) == ext.projection(a) * ext.projection(b)
 
+    def test_projection_checks_the_group(self):
+        w = wreath_product(make_cyclic(2), make_integers())
+        twin = wreath_product(make_cyclic(2), make_integers())
+        assert w.projection(twin.element(((), 2))).value == 2
+        with pytest.raises(GroupMismatchError):
+            w.projection(wreath_product(make_cyclic(3), make_integers()).element(((), 2)))
+
     def test_embed_then_project_is_identity_of_top(self):
         w = wreath_product(make_cyclic(2), make_integers())
         embed = w.embed_base_at(0)
