@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .chains import (ChainError, ChainSchema, SubgroupDescriptor, Transversal,
@@ -113,35 +114,33 @@ class TreeTruncation:
         thread = Transversal(factors=[s.transversal for s in stages], intermediates=stages[:-1])
         return thread.rep(idx)
 
+    @cached_property
+    def _placers(self) -> list[Callable]:
+        """Each level's placement in its stage's transversal, by the
+        verifier's sift (``chains._placer``); built on first use."""
+        stages = self._stages(self.depth)
+        return [_placer((parent, *stage.transversal.intermediates, stage),
+                        stage.transversal.factor_reps())
+                for parent, stage in zip(stages, stages[1:])]
+
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
-        """Digit string of the coset thread of a group element."""
-        return _placement(self._stages(self.depth if depth is None else depth))(e)
+        """Digit string of the coset thread of a group element: each level
+        places the residue the level above leaves."""
+        if depth is not None and not 0 <= depth <= self.depth:
+            raise TreeError(f"level {depth} not materialized (depth {self.depth})")
+        digits = []
+        for k, place in enumerate(self._placers[:depth], start=1):
+            placed = place(e)
+            if placed is None:
+                raise TreeError(f"transversal at level {k} does not cover the element")
+            d, e = placed
+            digits.append(d)
+        return tuple(digits)
 
     def thread_of(self, e: Element) -> tuple[int, ...]:
         """Vertex indices of the element's coset thread, root to deepest."""
         digits = self.digits_of_element(e)
         return tuple(self.index_of_digits(digits[:k]) for k in range(self.depth + 1))
-
-
-def _placement(stages: list[SubgroupDescriptor]) -> Callable[[Element], tuple[int, ...]]:
-    """The digits of an element's coset thread through ``stages`` (levels
-    0..d): each level sifts, through its stage's transversal, the residue
-    the level above leaves."""
-    placers = [_placer((parent, *stage.transversal.intermediates, stage),
-                       stage.transversal.factor_reps())
-               for parent, stage in zip(stages, stages[1:])]
-
-    def digits(e: Element) -> tuple[int, ...]:
-        out = []
-        for k, place in enumerate(placers, start=1):
-            placed = place(e)
-            if placed is None:
-                raise TreeError(f"transversal at level {k} does not cover the element")
-            d, e = placed
-            out.append(d)
-        return tuple(out)
-
-    return digits
 
 
 @dataclass(frozen=True)
@@ -248,17 +247,18 @@ def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
 def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
     """Left translation of a group element on the materialized levels.
 
-    Each deepest vertex is placed once, by sifting g times its
-    representative; a shallower vertex's image is the matching digit prefix,
-    on which all of its descendants must agree."""
-    stages = tr._stages(tr.depth)
+    Each deepest vertex is placed once: g times its representative, sifted
+    level by level.  A shallower vertex's image is the digit prefix that all
+    of its descendants' images share."""
+    base = tr._stages(0)[0]
     group = tr.chain.group
     if g.group is not group and g.group.tag != group.tag:
         raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
-    if tr.block > 0 and not stages[0].contains(g):
+    if tr.block > 0 and not base.contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    deepest, place = tr.depth, _placement(stages)
-    digits = [place(g * tr.representative(deepest, idx)) for idx in range(tr.size(deepest))]
+    deepest = tr.depth
+    digits = [tr.digits_of_element(g * tr.representative(deepest, idx))
+              for idx in range(tr.size(deepest))]
     tables = []
     for level in range(deepest + 1):
         span = len(digits) // tr.size(level)  # a vertex's descendants are consecutive

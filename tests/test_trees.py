@@ -357,6 +357,13 @@ class TestPlacement:
         with pytest.raises(TreeError, match="does not cover the element"):
             tr.digits_of_element(w.element(((), 1)))
 
+    @pytest.mark.parametrize("depth", [-1, 3])
+    def test_unmaterialized_depth_rejected(self, depth):
+        s3, chain = s3_chain()
+        tr = truncate(coset_tree(chain), 2)
+        with pytest.raises(TreeError, match="not materialized"):
+            tr.digits_of_element(s3.identity(), depth)
+
     @pytest.mark.parametrize("call", [
         lambda tr, g: tr.representative(1, 0),
         lambda tr, g: tr.digits_of_element(g),
