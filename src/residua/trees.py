@@ -5,8 +5,9 @@ the level-k vertices inside one block are the coherent tuples of cosets of
 the first k stages, encoded as mixed-radix digit strings over the stage
 transversals (digit i picks the coset representative at stage i).  Parent
 maps drop the last digit.  Group elements act by left translation, placed
-by the verifier's factorwise sift; stabilizers of a root-to-leaf thread recover a
-chain, conjugate to the original when the thread is not the identity one.
+by the verifier's factorwise sift; stabilizers of a root-to-leaf thread
+recover a chain, conjugate to the original when the thread is not the
+identity one.
 
 Limit levels are never enumerated: a truncation materializes finitely many
 levels of one block, hanging off the identity thread at the block's base.
@@ -116,16 +117,14 @@ class TreeTruncation:
 
     @cached_property
     def _placers(self) -> list[Callable]:
-        """Each level's placement in its stage's transversal, by the
-        verifier's sift (``chains._placer``); built on first use."""
+        """Each level's placement routine (``chains._placer``), built on first use."""
         stages = self._stages(self.depth)
         return [_placer((parent, *stage.transversal.intermediates, stage),
                         stage.transversal.factor_reps())
                 for parent, stage in zip(stages, stages[1:])]
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
-        """Digit string of the coset thread of a group element: each level
-        places the residue the level above leaves."""
+        """Digit string of the coset thread of a group element."""
         if depth is not None and not 0 <= depth <= self.depth:
             raise TreeError(f"level {depth} not materialized (depth {self.depth})")
         digits = []
@@ -140,7 +139,9 @@ class TreeTruncation:
     def thread_of(self, e: Element) -> tuple[int, ...]:
         """Vertex indices of the element's coset thread, root to deepest."""
         digits = self.digits_of_element(e)
-        return tuple(self.index_of_digits(digits[:k]) for k in range(self.depth + 1))
+        return tuple(
+            self.index_of_digits(digits[:k]) for k in range(self.depth + 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -238,18 +239,15 @@ def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
     li, lj = _local_level(tr, i), _local_level(tr, j)
     if li > lj:
         raise TreeError("restriction maps go from deeper levels to shallower ones")
-    divisor = 1
-    for k in range(li, lj):
-        divisor *= tr.fibres[k]
+    divisor = tr.size(lj) // tr.size(li)
     return lambda idx: idx // divisor
 
 
 def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
     """Left translation of a group element on the materialized levels.
 
-    Each deepest vertex is placed once: g times its representative, sifted
-    level by level.  A shallower vertex's image is the digit prefix that all
-    of its descendants' images share."""
+    Each deepest vertex is placed once; a shallower vertex's image is the
+    digit prefix its descendants' images share."""
     base = tr._stages(0)[0]
     group = tr.chain.group
     if g.group is not group and g.group.tag != group.tag:
@@ -328,7 +326,13 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
             auto = act(e, tr)
             for idx in range(tr.size(deepest)):
                 if auto.apply(deepest, idx) == idx:
-                    violations.append({"element": _probe_id(e), "level": deepest, "vertex": idx})
+                    violations.append(
+                        {
+                            "element": _probe_id(e),
+                            "level": deepest,
+                            "vertex": idx,
+                        }
+                    )
         return SimplicityReport(
             mode="exhaustive",
             verdict="simple" if not violations else "violation",
@@ -352,8 +356,13 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
             # witnesses a fixed deepest vertex on the identity thread
             final = chain.stage_at(q, r)
             if final.contains(p):
-                violations.append({"element": _probe_id(p), "level": format_ordinal(chain.length),
-                                   "vertex": "identity thread"})
+                violations.append(
+                    {
+                        "element": _probe_id(p),
+                        "level": format_ordinal(chain.length),
+                        "vertex": "identity thread",
+                    }
+                )
             else:
                 unresolved.append(_probe_id(p))
         else:
