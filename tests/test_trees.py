@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -412,3 +414,27 @@ class TestPlacement:
         for idx, rep in enumerate(reps):
             assert tr.index_of_digits(tr.digits_of_element(rep)) == idx
         assert calls[0] < 150_000
+
+
+# group -> (first, last) length-3 chain of chain_enumerate(group, 3), and the
+# first 16 hex digits of the sha256 of every element's act tables on its
+# depth-3 truncation, in group.elements() order
+ACT_TABLE_DIGESTS = {
+    "S(4)": ((15, "682cab57accd340c"), (91, "805589db57a4e185")),
+    "wreath(C(2),C(3))": ((13, "a7b64191e23615cc"), (75, "d75e7a684b36ff89")),
+    "prod(S(3),C(4))": ((10, "7b59928981903e78"), (89, "2b169472e5c22cc6")),
+    "prod(A(4),C(2))": ((13, "0a0fd63960039e7e"), (75, "e9cf8ea52ec636bf")),
+}
+
+
+@pytest.mark.parametrize("name", list(ACT_TABLE_DIGESTS))
+def test_act_tables_match_pinned_digest(name):
+    group = build_group(parse_expr(name))
+    chains = chain_enumerate(group, 3)
+    lengths = [i for i, sets in enumerate(chains) if len(sets) == 4]
+    pinned = ACT_TABLE_DIGESTS[name]
+    assert (lengths[0], lengths[-1]) == tuple(number for number, _ in pinned)
+    for number, digest in pinned:
+        tr = truncate(coset_tree(finite_chain(group, chains[number][1:])), 3)
+        tables = json.dumps([act(e, tr).tables for e in group.elements()])
+        assert hashlib.sha256(tables.encode()).hexdigest()[:16] == digest
