@@ -90,7 +90,8 @@ def _require_small(g: Group, cap: int = ORACLE_CAP) -> int:
 
 
 def _canon_lattice(group: Group, subs: Iterable[frozenset]) -> SubgroupLattice:
-    uniq = sorted(set(subs), key=lambda s: (len(s), [label_sort_key(v) for v in _sorted_values(s)]))
+    keys = {v: label_sort_key(v) for v in group.element_values()}
+    uniq = sorted(set(subs), key=lambda s: (len(s), sorted(keys[v] for v in s)))
     return SubgroupLattice(group=group, subgroups=tuple(uniq))
 
 

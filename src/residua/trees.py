@@ -123,6 +123,19 @@ class TreeTruncation:
                         stage.transversal.factor_reps())
                 for parent, stage in zip(stages, stages[1:])]
 
+    @cached_property
+    def _deepest_reps(self) -> list[Element]:
+        """Representatives of the deepest vertices, in index order, built on first use."""
+        stages, reps = self._stages(self.depth), [self.chain.group.identity()]
+        for stage in stages[1:]:  # the last factor varies fastest, as in representative
+            reps = [r * t for r in reps for t in stage.transversal]
+        return reps
+
+    @cached_property
+    def _placed(self) -> dict[Element, tuple[int, ...]]:
+        """Deepest digit strings of the elements ``act`` placed (at most MATERIALIZATION_CAP)."""
+        return {}
+
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
         """Digit string of the coset thread of a group element."""
         if depth is not None and not 0 <= depth <= self.depth:
@@ -246,17 +259,24 @@ def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
 def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
     """Left translation of a group element on the materialized levels.
 
-    Each deepest vertex is placed once; a shallower vertex's image is the
-    digit prefix its descendants' images share."""
+    Each deepest vertex's image g * rep is placed once (elements placed by
+    earlier calls are looked up on the truncation); a shallower vertex's
+    image is the digit prefix its descendants' images share."""
     base = tr._stages(0)[0]
     group = tr.chain.group
     if g.group is not group and g.group.tag != group.tag:
         raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
     if tr.block > 0 and not base.contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    deepest = tr.depth
-    digits = [tr.digits_of_element(g * tr.representative(deepest, idx))
-              for idx in range(tr.size(deepest))]
+    deepest, placed, digits = tr.depth, tr._placed, []
+    for rep in tr._deepest_reps:
+        h = g * rep
+        d = placed.get(h)
+        if d is None:
+            d = tr.digits_of_element(h)
+            if len(placed) < MATERIALIZATION_CAP:
+                placed[h] = d
+        digits.append(d)
     tables = []
     for level in range(deepest + 1):
         span = len(digits) // tr.size(level)  # a vertex's descendants are consecutive

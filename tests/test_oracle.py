@@ -225,6 +225,19 @@ class TestCayleyTableLattice:
             all_subgroups(make_symmetric(4))
         assert dropped
 
+    def test_one_sort_key_per_element(self, monkeypatch):
+        # the canonical order keys each element once, not once per subgroup
+        calls = []
+        real = oracle.label_sort_key
+
+        def counting(label):
+            calls.append(None)
+            return real(label)
+
+        monkeypatch.setattr(oracle, "label_sort_key", counting)
+        assert len(all_subgroups(_dsl_group("power(C(2),5)"))) == 374
+        assert len(calls) <= 32
+
     @pytest.mark.parametrize(
         "expr",
         ["power(C(2),3)", "prod(C(2),C(6))", "wreath(C(2),C(2))", "A(4)", "prod(C(3),C(3))", "S(3)"],

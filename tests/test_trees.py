@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from residua import trees
 from residua.catalog import build_group, chain_for
-from residua.chains import SubgroupDescriptor, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.chains import SubgroupDescriptor, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
 from residua.groups import make_cyclic, make_integers, make_symmetric, wreath_product
 from residua.oracle import chain_enumerate
@@ -13,6 +14,7 @@ from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
     NonMaterializableError,
     TreeError,
+    TreeTruncation,
     act,
     coset_tree,
     emit,
@@ -405,6 +407,65 @@ class TestPlacement:
         calls = count_membership(monkeypatch)
         assert verify_simple(chain, tr).verdict == "simple"
         assert calls[0] < 4000
+
+    def test_exhaustive_check_places_each_element_once(self, monkeypatch):
+        s4 = make_symmetric(4)
+        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+        assert [len(s) for s in sets] == [24, 4, 2, 1]
+        chain = finite_chain(s4, sets[1:])
+        tr = truncate(coset_tree(chain), 3)
+        placements = [0]
+        original = TreeTruncation.digits_of_element
+
+        def counting(self, e, depth=None):
+            placements[0] += 1
+            return original(self, e, depth)
+
+        monkeypatch.setattr(TreeTruncation, "digits_of_element", counting)
+        calls = count_membership(monkeypatch)
+        assert verify_simple(chain, tr).verdict == "simple"
+        assert placements[0] <= 24
+        assert calls[0] < 400
+
+    def test_exhaustive_violations_above_trivial(self):
+        # S(4) > V4 > C2: a pair (g, vertex) is a violation exactly when g
+        # fixes the vertex, i.e. r^-1 * g * r lies in the final stage
+        s4 = make_symmetric(4)
+        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+        chain = finite_chain(s4, sets[1:3])
+        tr = truncate(coset_tree(chain), 2)
+        final = chain_at(chain, 2)
+        reps = [tr.representative(2, idx) for idx in range(tr.size(2))]
+        expected = [
+            {"element": _probe_id(g), "level": 2, "vertex": idx}
+            for g in s4.elements() if not g.is_identity()
+            for idx, r in enumerate(reps) if final.contains(r.inverse() * g * r)
+        ]
+        report = verify_simple(chain, tr)
+        assert report.verdict == "violation"
+        assert list(report.violations) == expected
+
+    @pytest.mark.parametrize("name", ["S(4)", "prod(A(4),C(2))"])
+    def test_remembered_placements_do_not_change_act(self, name):
+        group = build_group(parse_expr(name))
+        sets = [s for s in chain_enumerate(group, 3) if len(s) == 4][-1]
+        chain = finite_chain(group, sets[1:])
+        used = truncate(coset_tree(chain), 3)
+        report = verify_simple(chain, used)
+        assert verify_simple(chain, used) == report
+        for g in group.elements():
+            fresh = truncate(coset_tree(chain), 3)
+            assert act(g, used).tables == act(g, fresh).tables
+
+    def test_remembered_placements_are_capped(self, monkeypatch):
+        s4 = make_symmetric(4)
+        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+        chain = finite_chain(s4, sets[1:])
+        report = verify_simple(chain, truncate(coset_tree(chain), 3))
+        tr = truncate(coset_tree(chain), 3)
+        monkeypatch.setattr(trees, "MATERIALIZATION_CAP", 5)
+        assert verify_simple(chain, tr) == report
+        assert len(tr._placed) == 5
 
     def test_deepest_placement_membership_calls(self, monkeypatch):
         tr = truncate(coset_tree(chain_for(parse_expr("tower(Z,3)"))), 3, block=2)
