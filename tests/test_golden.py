@@ -2,7 +2,7 @@
 
 Each argv is one the benchmark runs; ``bench/golden.json`` pins the first
 16 hex digits of the sha256 of its stdout (a list indexed by ``--seed`` for
-seeded ops).  Its ``tree`` entries pin the same digest of a library round
+seeded ops); ``PULLBACK_CASES`` pins a few more argv the same way.  Its ``tree`` entries pin the same digest of a library round
 trip over chain number i of ``chain_enumerate(group, 3)``.  The file is only
 read here.
 """
@@ -49,6 +49,29 @@ def test_output_matches_pinned_digest(args, seed):
     if isinstance(pinned, list):
         pinned = pinned[seed]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == pinned
+
+
+# Shapes whose rows map product transversals through a pullback or a
+# coordinate embedding; pinned here, not in golden.json, which only holds
+# what the benchmark runs.  The same 16 hex digits of the stdout sha256.
+PULLBACK_CASES = {
+    ("verify", "prod(tower(Dinf,2),Z)", "--format", "json", "--levels", "6"): "d9a5a14c80e7ec7e",
+    ("verify", "prod(Z,tower(Dinf,2))", "--format", "json", "--levels", "6"): "cbb5614c8d4177eb",
+    ("verify", "power(tower(Dinf,2),3)", "--format", "json", "--levels", "5"): "c76e50c4c5d3ef0e",
+    ("verify", "power(tower(Z,2),N)", "--format", "json", "--levels", "4"): "4d2b7f189614bb61",
+    ("verify", "prod(tower(Z,2),C(3))", "--format", "json", "--levels", "5"): "6c223cb2972b14ec",
+    ("tree", "prod(tower(Dinf,2),Z)", "--block", "1", "--levels", "4", "--format", "json"):
+        "9b6556ff4ef4cb53",
+}
+
+
+@pytest.mark.parametrize("args", list(PULLBACK_CASES), ids=shlex.join)
+def test_mapped_product_output_matches_pinned_digest(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == PULLBACK_CASES[args]
 
 
 # group -> chain numbers: one of length 2 and two of length 3 each
