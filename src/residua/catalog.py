@@ -174,8 +174,8 @@ def _compile(expr: dsl.GroupExpr) -> _Compiled:
     if isinstance(expr, dsl.FinSupportPower):
         base = _compile(expr.base)
         points = _natural_points() if expr.points == "N" else FinitePoints(range(expr.points))
-        return _Compiled(finite_support_power(base.group, points),
-                         lambda: _lifted_power_chain(base.chain(), points))
+        power = finite_support_power(base.group, points)
+        return _Compiled(power, lambda: _lifted_power_chain(base.chain(), power))
     if isinstance(expr, dsl.Wreath):
         base, top = _compile(expr.base), _compile(expr.top)
         wreath = wreath_product(base.group, top.group)

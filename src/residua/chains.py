@@ -111,33 +111,33 @@ class Transversal:
     """Coset representatives of a stage L in its parent stage H, indexed
     0..size-1.
 
-    An explicit transversal wraps a tuple.  A product transversal holds
-    factor transversals T_1 .. T_m and names the subgroups K_1 .. K_{m-1}
-    between them as ``intermediates``; with K_0 = H and K_m = L, T_j is a
-    transversal of K_j in K_{j-1}.  Representative i is the ordered product
-    t_1 * ... * t_m of the factors' representatives at the mixed-radix
-    digits of i, the last factor varying fastest (the order of nested loops
-    over the factors), each first mapped into the owner group by ``lift``
-    when there is one; it is built only when asked.  By the product theorem
-    these are a transversal of L in H (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, ch. 4), so ``verify_prefix`` certifies each factor
-    against its own pair (K_{j-1}, K_j) and places an element by sifting it
-    through the factors.  A ``lift`` (pullback sections, kernel and
-    coordinate embeddings) needs exactly one factor: a map that is not a
-    homomorphism does not carry a product.  There is no ``__len__``: a
+    An explicit transversal wraps a tuple.  A product transversal holds at
+    least two explicit factor transversals T_1 .. T_m and names the
+    subgroups K_1 .. K_{m-1} between them as ``intermediates``; with K_0 = H
+    and K_m = L, T_j is a transversal of K_j in K_{j-1}.  A factor that is
+    itself a product is spliced in with its own intermediates, and a
+    product of one factor is that factor.  Representative i is the ordered
+    product t_1 * ... * t_m of the factors' representatives at the
+    mixed-radix digits of i, the last factor varying fastest (the order of
+    nested loops over the factors); it is built only when asked.  By the
+    product theorem these are a transversal of L in H (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4), so ``verify_prefix``
+    certifies each factor against its own pair (K_{j-1}, K_j) and places an
+    element by sifting it through the factors.  There is no ``__len__``: a
     product's ``size`` can exceed ``sys.maxsize``.
     """
 
-    def __init__(self, reps=(), *, factors=(), intermediates=(),
-                 lift: Optional[Callable[[Element], Element]] = None):
-        self._reps = tuple(reps)
-        self.factors = tuple(factors)
-        self.intermediates = tuple(intermediates)
-        self._lift = lift
-        if self.factors and len(self.intermediates) != len(self.factors) - 1:
+    def __init__(self, reps=(), *, factors=(), intermediates=()):
+        factors, intermediates = tuple(factors), tuple(intermediates)
+        if factors and len(intermediates) != len(factors) - 1:
             raise ChainError("a product of m factors names m - 1 intermediate subgroups")
-        if lift is not None and len(self.factors) != 1:
-            raise ChainError("a lifted transversal has exactly one factor")
+        self.factors, self.intermediates = (), ()
+        for j, f in enumerate(factors):
+            self.intermediates += (*intermediates[j - 1:j], *f.intermediates)
+            self.factors += f.factors or (f,)
+        if len(self.factors) == 1:
+            reps, self.factors = self.factors[0]._reps, ()
+        self._reps = tuple(reps)
         self.size = (math.prod(f.size for f in self.factors) if self.factors
                      else len(self._reps))
 
@@ -149,9 +149,7 @@ class Transversal:
         picks = []
         for f in reversed(self.factors):
             i, digit = divmod(i, f.size)
-            picks.append(f.rep(digit))
-        if self._lift is not None:
-            return self._lift(picks[0])
+            picks.append(f._reps[digit])
         return functools.reduce(operator.mul, reversed(picks))
 
     def __iter__(self):
@@ -160,11 +158,8 @@ class Transversal:
         return (self.rep(i) for i in range(self.size))
 
     def factor_reps(self) -> list[tuple[Element, ...]]:
-        """Each factor's representatives in the owner group; an explicit or
-        lifted transversal is its own single factor."""
-        if len(self.factors) > 1:
-            return [tuple(f) for f in self.factors]
-        return [tuple(self)]
+        """Each factor's representatives; an explicit transversal is one factor."""
+        return [f._reps for f in self.factors] or [self._reps]
 
 
 @dataclass(frozen=True)
@@ -471,27 +466,25 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 # --- combinators -------------------------------------------------------------
 
 
+def _mapped(t: Transversal, f: Callable[[Element], Element],
+            stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]) -> Transversal:
+    """``t`` carried into another group: each explicit representative through
+    ``f``, now, and each intermediate subgroup through ``stage_map``.  A
+    product stays a product of the images of its factors."""
+    return Transversal(factors=[Transversal(map(f, reps)) for reps in t.factor_reps()],
+                       intermediates=map(stage_map, t.intermediates))
+
+
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
     reps = None
     if stage.transversal is not None and ext.section is not None:
-        reps = Transversal(factors=(stage.transversal,), lift=ext.section)
+        reps = _mapped(stage.transversal, ext.section, lambda k: _pullback_stage(ext, k))
     return SubgroupDescriptor(
         owner=ext.total,
         membership=lambda e: stage.membership(ext.projection(e)),
         index_in_parent=stage.index_in_parent,
         transversal=reps,
         label=f"pullback of {stage.label}" if stage.label else "pullback",
-    )
-
-
-def _embedded_transversal(ext: ExtensionHandle, t: Transversal) -> Transversal:
-    """``t`` through the kernel embedding, an injective homomorphism: a
-    product keeps its factors and intermediates, each embedded."""
-    if len(t.factors) < 2:
-        return Transversal(factors=(t,), lift=ext.kernel_embed)
-    return Transversal(
-        factors=[_embedded_transversal(ext, f) for f in t.factors],
-        intermediates=[_embed_kernel_stage(ext, k) for k in t.intermediates],
     )
 
 
@@ -506,7 +499,7 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
         membership=member,
         index_in_parent=stage.index_in_parent,
         transversal=None if stage.transversal is None
-        else _embedded_transversal(ext, stage.transversal),
+        else _mapped(stage.transversal, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
 
@@ -609,12 +602,6 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
     return member
 
 
-def _at_point(grp: FinSupportPowerGroup, x, t: Transversal) -> Transversal:
-    """A base transversal lifted to the functions supported at point x."""
-    return Transversal(factors=(t,),
-                       lift=lambda r: Element(grp, grp.validate_value(((x, r.value),))))
-
-
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
                           support: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
     """A finite-support power stage with the membership test of ``coords``
@@ -622,13 +609,24 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     ones; the index is infinite when one point's is.  ``parent_coords``
     constrains the parent stage the same way (points past its end only by
     ``support``).  Factor j of the transversal is the base transversal at
-    the j-th point, lifted to that point, and the intermediate K_j takes the
-    stage's constraints at the first j points and the parent's at the rest,
-    so each factor moves one coordinate down one base stage; elements with
-    disjoint supports commute."""
+    the j-th point, embedded at that point, and the intermediate K_j takes
+    the stage's constraints at the first j points and the parent's at the
+    rest, so each factor moves one coordinate down one base stage; elements
+    with disjoint supports commute.  A base intermediate M of factor j
+    becomes K_(j-1) with the j-th point at M."""
     indices = [stage.index_in_parent for _, stage in coords]
     index: Optional[StepIndex] = None
     reps = None
+
+    def between(j: int, at_j: list) -> SubgroupDescriptor:
+        """The first j points as in the stage, then ``at_j``, then the parent's."""
+        return SubgroupDescriptor(
+            owner=grp,
+            membership=_coordinatewise_membership(
+                grp, [*coords[:j], *at_j, *parent_coords[j + 1:]], support),
+            label=f"{label}, intermediate",
+        )
+
     if any(i is not None and i.kind == "infinite" for i in indices):
         index = StepIndex.infinite()
     elif indices and None not in indices:
@@ -636,16 +634,11 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
             index = StepIndex.finite(math.prod(i.value for i in indices))
             if all(stage.transversal is not None for _, stage in coords):
                 reps = Transversal(
-                    factors=[_at_point(grp, x, stage.transversal) for x, stage in coords],
-                    intermediates=[
-                        SubgroupDescriptor(
-                            owner=grp,
-                            membership=_coordinatewise_membership(
-                                grp, [*coords[:j], *parent_coords[j:]], support),
-                            label=f"{label}, intermediate {j}",
-                        )
-                        for j in range(1, len(coords))
-                    ],
+                    factors=[_mapped(stage.transversal, grp.embed_at(x),
+                                     lambda m, j=j, x=x: between(j, [(x, m)]))
+                             for j, (x, stage) in enumerate(coords)],
+                    intermediates=[between(j, parent_coords[j:j + 1])
+                                   for j in range(1, len(coords))],
                 )
         else:
             index = StepIndex.unverified()
@@ -665,18 +658,22 @@ def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
     input, and padding a finite chain to length w first is the caller's
     explicit, sound choice.
     """
+    return _power_chain(base_chain, finite_support_power(base_chain.group, points))
+
+
+def _power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSchema:
+    """``power_chain`` over the power group ``grp`` of the base."""
     if base_chain.num_blocks < 1 or base_chain.tail:
         raise ChainError(
             "power chains need a base of length w*q; promote finite chains first "
             "and re-shape successor-tailed ones"
         )
-    if points.size is not None:
+    if grp.points.size is not None:
         raise ChainError("power chains need a countable point enumeration")
-    grp = finite_support_power(base_chain.group, points)
     q = base_chain.num_blocks
 
     def coords(b: int, n: int) -> list:
-        return [(points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)]
+        return [(grp.points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)]
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
         return _coordinatewise_stage(
@@ -695,15 +692,19 @@ def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
 
 def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> ChainSchema:
     """Same-length chain over a finite power: every coordinate in the base stage."""
-    if not isinstance(points, FinitePoints):
+    return _diagonal_power_chain(base_chain, finite_support_power(base_chain.group, points))
+
+
+def _diagonal_power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSchema:
+    """``diagonal_power_chain`` over the power group ``grp`` of the base."""
+    if not isinstance(grp.points, FinitePoints):
         raise ChainError("diagonal power chains need finite points")
-    grp = finite_support_power(base_chain.group, points)
 
     def lift(stage: SubgroupDescriptor,
              parent: Optional[SubgroupDescriptor] = None) -> SubgroupDescriptor:
         return _coordinatewise_stage(
-            grp, [(x, stage) for x in points.labels],
-            [] if parent is None else [(x, parent) for x in points.labels], None,
+            grp, [(x, stage) for x in grp.points.labels],
+            [] if parent is None else [(x, parent) for x in grp.points.labels], None,
             f"diagonal of {stage.label}" if stage.label else "diagonal",
         )
 
@@ -724,24 +725,22 @@ def diagonal_power_chain(base_chain: ChainSchema, points: FinitePoints) -> Chain
     )
 
 
-def _omega_shaped(chain: ChainSchema) -> ChainSchema:
-    return promote_to_omega(chain) if chain.num_blocks == 0 else chain
-
-
-def _lifted_power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
-    """The base chain lifted to its finite-support power: coordinatewise, with
-    the base padded to length w, over countable points, and diagonally over
-    finite ones."""
-    if points.size is None:
-        return power_chain(_omega_shaped(base_chain), points)
-    return diagonal_power_chain(base_chain, points)
+def _lifted_power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSchema:
+    """The base chain lifted to its finite-support power ``grp``:
+    coordinatewise, with the base padded to length w, over countable points,
+    and diagonally over finite ones."""
+    if grp.points.size is not None:
+        return _diagonal_power_chain(base_chain, grp)
+    if base_chain.num_blocks == 0:
+        base_chain = promote_to_omega(base_chain)
+    return _power_chain(base_chain, grp)
 
 
 def _wreath_chain(wreath: WreathProductGroup, top_chain: ChainSchema,
                   base_chain: ChainSchema) -> ChainSchema:
     """The top chain's pullback, then the base chain lifted to the kernel."""
     return concat_extension(wreath.extension(), top_chain,
-                            _lifted_power_chain(base_chain, wreath.points))
+                            _lifted_power_chain(base_chain, wreath.kernel))
 
 
 def _tower_levels(g: Group, n: int) -> list[Group]:
@@ -928,10 +927,10 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
     return None
 
 
-def _placer(subgroups: tuple[SubgroupDescriptor, ...], factors: list[tuple[Element, ...]]
+def _placer(t: Transversal, stage: SubgroupDescriptor
             ) -> Callable[[Element], Optional[tuple[int, Element]]]:
-    """Placement in a row whose transversal has factor representatives
-    ``factors`` between ``subgroups`` K_0 > K_1 > ... > K_m.
+    """Placement in the row of ``stage`` with transversal ``t``, whose
+    factors T_1 .. T_m lie between the subgroups K_1 > ... > K_m = stage.
 
     The returned function sifts ``p``: for j = 1..m in turn it takes the
     digit d with t_j[d]^-1 * p in K_j and continues with that element.  It
@@ -939,7 +938,8 @@ def _placer(subgroups: tuple[SubgroupDescriptor, ...], factors: list[tuple[Eleme
     factor fastest, as ``Transversal.rep`` counts) and the residue
     rep^-1 * p, or None when some factor has no such digit.  Each factor's
     inverses are computed once, here."""
-    steps = [([rep.inverse() for rep in reps], k) for reps, k in zip(factors, subgroups[1:])]
+    steps = [([rep.inverse() for rep in reps], k)
+             for reps, k in zip(t.factor_reps(), (*t.intermediates, stage))]
 
     def place(p: Element) -> Optional[tuple[int, Element]]:
         index = 0
@@ -968,8 +968,7 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     representative found being confirmed by ``stage`` itself.  An explicit
     transversal is one factor, so this is the pairwise check and a scan."""
     subgroups = (parent, *t.intermediates, stage)
-    factors = t.factor_reps()
-    for j, reps in enumerate(factors):
+    for j, reps in enumerate(t.factor_reps()):
         failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
         if failure is not None:
             return None, failure
@@ -978,7 +977,7 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
             inside = [in_k0, *(k.contains(p) for k in t.intermediates), in_km]
             if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
                 return None, ("descent violated", p)
-    place = _placer(subgroups, factors)
+    place = _placer(t, stage)
     for p, in_k0 in zip(probes, in_parent):
         if not in_k0:
             continue
@@ -986,7 +985,7 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
         placed = place(p)
         if placed is None:
             return uncovered
-        if len(factors) > 1:
+        if t.factors:
             found = t.rep(placed[0])
             if not stage.contains(found.inverse() * p):
                 return uncovered
@@ -1092,8 +1091,10 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     pairwise distinct modulo K_j; the K_j must nest on the probes; and each
     parent probe is sifted through the factors, the representative found
     being confirmed by the stage's own membership test.  The index is the
-    product of the factor sizes, so a row is never built in full.  An
-    explicit transversal is a single factor, checked pairwise.
+    product of the factor sizes, so a row is never built in full.  Rows of
+    pullbacks, kernel copies and powers are products whenever the stages
+    they map are, so they are certified the same way.  An explicit
+    transversal is a single factor, checked pairwise.
     """
     if levels < 1:
         raise ChainError("need at least one level")

@@ -270,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="index bound: an integer or 'aleph0'")
     p_verify.add_argument("--chain", help="chain selector (auto)")
     p_verify.add_argument("--word-len", type=_int_at_least(1), dest="word_len")
-    p_verify.add_argument("--limit-budget", type=int, dest="limit_budget")
+    p_verify.add_argument("--limit-budget", type=_int_at_least(0), dest="limit_budget")
 
     p_tree = sub.add_parser("tree", help="materialize and emit a coset tree truncation")
     common(p_tree, ("text", "dot", "json"))
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = p_oracle_sub.add_parser(name)
         common(p, ("text", "json"))
         if name == "core":
-            p.add_argument("--max-index", type=int, dest="max_index")
+            p.add_argument("--max-index", type=_int_at_least(1), dest="max_index")
     return parser
 
 

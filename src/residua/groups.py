@@ -693,7 +693,7 @@ class FinSupportPowerGroup(Group):
             raise InvalidElementError(f"{point!r} is not a point of {self.points.tag}")
 
         def inject(e: Element) -> Element:
-            if e.group.tag != self.base.tag:
+            if e.group is not self.base and e.group.tag != self.base.tag:
                 raise GroupMismatchError(
                     f"expected element of base {self.base.tag}, got {e.group.tag}"
                 )

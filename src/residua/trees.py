@@ -109,19 +109,16 @@ class TreeTruncation:
 
     def representative(self, level: int, idx: int) -> Element:
         """A group element whose coset thread is this vertex."""
-        stages = self._stages(level)[1:]
-        if not stages:
-            return Transversal((self.chain.group.identity(),)).rep(idx)
-        thread = Transversal(factors=[s.transversal for s in stages], intermediates=stages[:-1])
-        return thread.rep(idx)
+        stages = self._stages(level)
+        root = Transversal((self.chain.group.identity(),))
+        return Transversal(factors=[root, *(s.transversal for s in stages[1:])],
+                           intermediates=stages[:-1]).rep(idx)
 
     @cached_property
     def _placers(self) -> list[Callable]:
         """Each level's placement routine (``chains._placer``), built on first use."""
         stages = self._stages(self.depth)
-        return [_placer((parent, *stage.transversal.intermediates, stage),
-                        stage.transversal.factor_reps())
-                for parent, stage in zip(stages, stages[1:])]
+        return [_placer(stage.transversal, stage) for stage in stages[1:]]
 
     @cached_property
     def _deepest_reps(self) -> list[Element]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -695,6 +696,7 @@ class TestTransversalCertification:
     @pytest.mark.parametrize("expr, levels, probes", [
         ("tower(Dinf,2)", 6, 64),
         ("tower(Z,3)", 3, 16),
+        ("prod(tower(Dinf,2),Z)", 6, 64),
     ])
     def test_factorwise_agrees_with_pairwise(self, expr, levels, probes):
         chain = chain_for(parse_expr(expr))
@@ -718,22 +720,44 @@ class TestTransversalCertification:
         assert compared >= 4
 
     def test_big_row_needs_few_membership_calls(self, monkeypatch):
-        # the 2^8 row w + 8 of tower(Dinf,2), on the probes verify draws by
-        # default; the pairwise check makes about 10^5 calls on it
-        chain = chain_for(parse_expr("tower(Dinf,2)"))
-        parent, stage = chain.stage_at(1, 7), chain.stage_at(1, 8)
-        assert stage.transversal.size == 2 ** 8
-        sample = random_words(chain.group, 64, 0)
-        in_parent = [parent.contains(p) for p in sample]
-        in_stage = [stage.contains(p) for p in sample]
+        # row w + 8, on the probes verify draws by default; checked
+        # pairwise, the 2^8 rows take about 10^5 calls and the 2^24 row more
+        # than 10^6, so each bound holds only if every factor stays separate
         calls = []
         contains = SubgroupDescriptor.contains
         monkeypatch.setattr(SubgroupDescriptor, "contains",
                             lambda self, e: calls.append(1) or contains(self, e))
-        assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
-                                    in_stage) == (2 ** 8, None)
-        assert len(calls) < 1000
+        for expr, size, bound in [("tower(Dinf,2)", 2 ** 8, 1000),
+                                  ("prod(tower(Dinf,2),Z)", 2 ** 8, 2000),
+                                  ("power(tower(Dinf,2),3)", 2 ** 24, 16000)]:
+            chain = chain_for(parse_expr(expr))
+            parent, stage = chain.stage_at(1, 7), chain.stage_at(1, 8)
+            assert stage.transversal.size == size
+            sample = random_words(chain.group, 64, 0)
+            in_parent = [parent.contains(p) for p in sample]
+            in_stage = [stage.contains(p) for p in sample]
+            calls.clear()
+            assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
+                                        in_stage) == (size, None)
+            assert len(calls) < bound, expr
 
+    @pytest.mark.parametrize("expr", [
+        "tower(Z,3)", "prod(tower(Dinf,2),Z)", "power(tower(Dinf,2),3)",
+    ])
+    def test_product_factors_are_explicit(self, expr):
+        # pullbacks, kernel copies and coordinate embeddings keep a product's
+        # factors, and nested products are spliced flat
+        products = 0
+        for *_, stage in _rows(chain_for(parse_expr(expr)), 5):
+            t = stage.transversal
+            if t is None or not t.factors:
+                continue
+            products += 1
+            assert len(t.factors) >= 2
+            assert len(t.intermediates) == len(t.factors) - 1
+            assert all(not f.factors and not f.intermediates for f in t.factors)
+            assert t.size == math.prod(f.size for f in t.factors)
+        assert products >= 4
 
 class TestIndexProductLaw:
     def test_finite_chain_indices_multiply_to_total(self):

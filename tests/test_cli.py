@@ -9,7 +9,7 @@ import pytest
 import residua
 from residua import catalog, cli, oracle
 from residua.cli import main
-from residua.groups import WreathProductGroup, make_cyclic
+from residua.groups import FinSupportPowerGroup, WreathProductGroup, make_cyclic
 
 
 def run(capsys, *argv):
@@ -237,17 +237,39 @@ class TestOneBuildPerExpression:
         ids=["depth-tower4", "verify-wreath-of-tower2", "verify-tower3"],
     )
     def test_wreath_groups_built_once(self, capsys, monkeypatch, argv, wreaths):
-        built = []
-        init = WreathProductGroup.__init__
+        assert count_builds(capsys, monkeypatch, WreathProductGroup, argv) == wreaths
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+    @pytest.mark.parametrize(
+        "argv, powers",
+        [
+            (("verify", "wreath(C(2),Z)"), 1),
+            (("verify", "power(C(2),N)"), 1),
+            (("verify", "power(C(2),3)"), 1),
+            (("verify", "tower(Z,3)", "--levels", "1", "--probes", "8"), 2),
+            (("depth", "tower(Dinf,4)"), 3),
+        ],
+        ids=["verify-wreath", "verify-countable-power", "verify-finite-power",
+             "verify-tower3", "depth-tower4"],
+    )
+    def test_power_groups_built_once(self, capsys, monkeypatch, argv, powers):
+        # the power chain runs over the kernel of its wreath, or the power
+        # the expression names, never a second copy
+        assert count_builds(capsys, monkeypatch, FinSupportPowerGroup, argv) == powers
 
-        monkeypatch.setattr(WreathProductGroup, "__init__", counting_init)
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-        assert len(built) == wreaths
+
+def count_builds(capsys, monkeypatch, cls, argv):
+    """How many ``cls`` objects one successful ``main(argv)`` builds."""
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(built)
 
 
 def run_module(*argv, timeout=None):
@@ -264,9 +286,11 @@ class TestUsageErrors:
         pytest.param("verify", "--word-len", "0", id="--word-len-0"),
         pytest.param("verify", "--levels", "0", id="verify---levels-0"),
         pytest.param("tree", "--levels", "-1", id="tree---levels--1"),
+        pytest.param("verify", "--limit-budget", "-1", id="--limit-budget--1"),
+        pytest.param("oracle core", "--max-index", "-1", id="--max-index--1"),
     ])
     def test_bad_value_is_a_usage_error(self, command, flag, value):
-        result = run_module(command, "Z", flag, value)
+        result = run_module(*command.split(), "Z", flag, value)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.splitlines()[-1].startswith(
