@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 
 import pytest
+
+from residua.catalog import build_group
+from residua.dsl import parse_expr
 
 from residua.groups import (
     CountablePoints,
@@ -320,7 +324,32 @@ class TestSerialization:
         assert ordered == sorted(ordered, key=label_sort_key)
 
 
+# (expression, count, max_len, sha256 of the probe values for seeds 0-3).
+# Z, Dinf and power(C(2),N) saturate: their balls of radius 8 hold fewer
+# than 64 non-identity elements.  C(3) at 8 probes of length 5 is what
+# wreath products draw to check their action.
+PINNED_PROBES = (
+    ("Z", 64, 8, "29ce6f31caf3cf80e25632b1291f7c940b9405fac7b429961e2f91785fa325a0"),
+    ("Dinf", 64, 8, "a4294402266722bf3481178e24958903a7b339a91b6118ccdf8e209589b8f2cd"),
+    ("power(C(2),N)", 64, 8, "5b028622e45be50bc25600b03ff5da3be645317d3566a1b3d72ea81586255a17"),
+    ("wreath(C(2),Z)", 160, 8, "bf708ade50c7d44b12b9915d3dfa43d52650307f9c33abe6c5d635f4c49a618d"),
+    ("wreath(S(3),Z)", 64, 8, "ebeeb70699d869be683442a810edafcaa4665235ce67435bf3aebb367e1793f8"),
+    ("prod(Z,Dinf)", 64, 8, "0cbc01fe89d16c978f404f01f1eec289f3e1496a9b17145dad123954261c5834"),
+    ("tower(Z,3)", 16, 8, "8a33b0f998668fb235a0f54e463c93de845ef833f1dc6cb0a3198ffb9d0eb2ed"),
+    ("C(3)", 8, 5, "ef2e0c1bc7b9bef210af47a7b3f860606d54e68894755ccd6fd9470f8bf41c04"),
+    ("S(4)", 24, 8, "d106f3dbe62ba4f3f1e4059a6b4009948b23086b4700812a690e6d7f6f15a90b"),
+)
+
+
 class TestProbes:
+    @pytest.mark.parametrize("expr,count,max_len,digest", PINNED_PROBES,
+                             ids=[case[0] for case in PINNED_PROBES])
+    def test_output_matches_pinned_digest(self, expr, count, max_len, digest):
+        g = build_group(parse_expr(expr))
+        runs = [[e.value for e in random_words(g, count, seed, max_len=max_len)]
+                for seed in range(4)]
+        assert hashlib.sha256(repr(runs).encode()).hexdigest() == digest
+
     def test_deterministic(self):
         g = make_symmetric(4)
         a = [e.value for e in random_words(g, 16, seed=9)]
