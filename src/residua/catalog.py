@@ -150,9 +150,11 @@ def _compile(expr: dsl.GroupExpr) -> _Compiled:
         perm = make_perm(expr.degree, images)
         return _Compiled(perm, partial(_finite_group_chain, perm))
     if isinstance(expr, dsl.Int):
-        return _Compiled(make_integers(), partial(integers_chain, 2))
+        z = make_integers()
+        return _Compiled(z, partial(integers_chain, 2, z))
     if isinstance(expr, dsl.Dinf):
-        return _Compiled(make_infinite_dihedral(), partial(dihedral_chain, 2))
+        d = make_infinite_dihedral()
+        return _Compiled(d, partial(dihedral_chain, 2, d))
     if isinstance(expr, dsl.Product):
         if len(expr.items) == 1:
             only = _compile(expr.items[0])

@@ -31,11 +31,15 @@ from .groups import (
     FinSupportPowerGroup,
     Group,
     GroupError,
+    InfiniteDihedralGroup,
+    IntegerGroup,
     PointSet,
     WreathProductGroup,
     commutator_subgroup,
     finite_support_power,
     label_sort_key,
+    make_infinite_dihedral,
+    make_integers,
     random_words,
     wreath_product,
 )
@@ -306,13 +310,17 @@ def _first_excluding_step(chain: ChainSchema, block: int, element: Element,
 # --- built-in chains ---------------------------------------------------------
 
 
-def integers_chain(p: int = 2) -> ChainSchema:
-    """The p-adic chain over the integers: stage n holds multiples of p^n."""
-    from .groups import make_integers
+def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSchema:
+    """The p-adic chain over the integers: stage n holds multiples of p^n.
 
+    The chain is over ``group`` when given, so that it shares the caller's
+    group object, and over a new integers group otherwise.
+    """
     if p < 2:
         raise ChainError("need p >= 2")
-    z = make_integers()
+    z = make_integers() if group is None else group
+    if not isinstance(z, IntegerGroup):
+        raise ChainError(f"the p-adic chain needs the integers, not {z.tag}")
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
         modulus = p ** n
@@ -338,13 +346,16 @@ def integers_chain(p: int = 2) -> ChainSchema:
     )
 
 
-def dihedral_chain(p: int = 2) -> ChainSchema:
-    """Translations by growing powers of p inside the infinite dihedral group."""
-    from .groups import make_infinite_dihedral
+def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) -> ChainSchema:
+    """Translations by growing powers of p inside the infinite dihedral group.
 
+    The chain is over ``group`` when given, and over a new copy otherwise.
+    """
     if p < 2:
         raise ChainError("need p >= 2")
-    d = make_infinite_dihedral()
+    d = make_infinite_dihedral() if group is None else group
+    if not isinstance(d, InfiniteDihedralGroup):
+        raise ChainError(f"the dihedral chain needs Dinf, not {d.tag}")
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
         if n == 0:

@@ -18,6 +18,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,7 +244,9 @@ def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="residua",
         description="ordinal-indexed residual chains: depth intervals, chain "

@@ -256,28 +256,67 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
 
 
 def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[Element]:
-    """Deduplicated non-identity probe elements as random generator words."""
-    gens = [g for g in group.generators if not g.is_identity()]
-    if not gens or count <= 0:
+    """Up to ``count`` distinct non-identity elements drawn as random generator words.
+
+    Each of at most ``30 * count`` attempts multiplies 1 to ``max_len``
+    random generators or their inverses; identities and repeats are dropped.
+    ``verify --probes N --word-len L`` draws ``random_words(group, N, seed, L)``.
+    The list is a fixed function of the group, ``count``, ``seed`` and
+    ``max_len``.  It is shorter than ``count`` when the ball of radius
+    ``max_len`` is small (``Z`` at 64 probes and seed 0 gives 14).
+
+    Products are taken on values, each (prefix, letter) product once.  After
+    ``count`` misses the ball is counted, up to ``count + 1`` elements; if it
+    is smaller, drawing stops once all its non-identity elements are found,
+    since every later word would be the identity or a repeat.
+    """
+    one = group.identity_value()
+    letters = [(v, group.inv_value(v)) for v in group._generator_values() if v != one]
+    if not letters or count <= 0:
         return []
+    products = {}
+
+    def times(a, b):
+        key = (a, b)
+        if key not in products:
+            products[key] = group.mul_values(a, b)
+        return products[key]
+
+    def ball_size(cap: int) -> int:
+        ball, frontier = {one}, [one]
+        for _ in range(max_len):
+            new = []
+            for a in frontier:
+                for letter in letters:
+                    for b in letter:
+                        c = times(a, b)
+                        if c not in ball:
+                            ball.add(c)
+                            new.append(c)
+                            if len(ball) == cap:
+                                return cap
+            frontier = new
+        return len(ball)
+
     rng = random.Random(seed)
-    seen = set()
+    seen = {one}
     out = []
+    wanted = count
     attempts = 0
-    while len(out) < count and attempts < 30 * count:
+    while len(out) < wanted and attempts < 30 * count:
         attempts += 1
         length = rng.randint(1, max_len)
-        e = group.identity()
+        e = one
         for _ in range(length):
-            g = rng.choice(gens)
-            if rng.random() < 0.5:
-                g = g.inverse()
-            e = e * g
-        if e.is_identity() or e.value in seen:
+            v, inv = rng.choice(letters)
+            e = times(e, inv if rng.random() < 0.5 else v)
+        if e in seen:
+            if attempts - len(out) == count:
+                wanted = ball_size(count + 1) - 1
             continue
-        seen.add(e.value)
+        seen.add(e)
         out.append(e)
-    return out
+    return [Element(group, v) for v in out]
 
 
 # --- point sets -------------------------------------------------------------

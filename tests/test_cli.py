@@ -9,6 +9,7 @@ import pytest
 import residua
 from residua import catalog, cli, oracle
 from residua.cli import main
+from residua.dsl import parse_expr
 from residua.groups import FinSupportPowerGroup, WreathProductGroup, make_cyclic
 
 
@@ -256,6 +257,22 @@ class TestOneBuildPerExpression:
         # the expression names, never a second copy
         assert count_builds(capsys, monkeypatch, FinSupportPowerGroup, argv) == powers
 
+    @pytest.mark.parametrize("expr, top", [
+        ("Z", False), ("Dinf", False), ("wreath(C(2),Z)", True), ("tower(Dinf,2)", True),
+    ])
+    def test_base_chains_hold_the_catalog_group(self, monkeypatch, expr, top):
+        # object-identity fast paths then never fall back to comparing tags
+        base_chains = []
+        for name in ("integers_chain", "dihedral_chain"):
+            def recording(*args, _build=getattr(catalog, name), **kwargs):
+                base_chains.append(_build(*args, **kwargs))
+                return base_chains[-1]
+            monkeypatch.setattr(catalog, name, recording)
+        compiled = catalog._compile(parse_expr(expr))
+        compiled.chain()
+        base = compiled.group.top if top else compiled.group
+        assert base_chains and all(chain.group is base for chain in base_chains)
+
 
 def count_builds(capsys, monkeypatch, cls, argv):
     """How many ``cls`` objects one successful ``main(argv)`` builds."""
@@ -311,6 +328,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"residua verify: error: argument --kappa: not a cardinal bound: '{value}'"
+
+    def test_one_parser_serves_every_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "Z", "--word-len", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("residua verify: error: argument --word-len")
+        code, out, _ = run(capsys, "verify", "Z")
+        assert code == 0 and out.startswith("verdict: pass\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli._build_parser.__wrapped__().format_help()
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestDeepRows:

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from residua import groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 
@@ -349,6 +350,39 @@ class TestProbes:
         runs = [[e.value for e in random_words(g, count, seed, max_len=max_len)]
                 for seed in range(4)]
         assert hashlib.sha256(repr(runs).encode()).hexdigest() == digest
+
+    @staticmethod
+    def count_products(monkeypatch) -> list[int]:
+        """Count ``mul_values`` calls of every group family, nested ones included."""
+        calls = [0]
+        for cls in vars(groups).values():
+            if isinstance(cls, type) and "mul_values" in vars(cls):
+                def counted(self, a, b, _mul=cls.mul_values):
+                    calls[0] += 1
+                    return _mul(self, a, b)
+                monkeypatch.setattr(cls, "mul_values", counted)
+        return calls
+
+    @pytest.mark.parametrize("expr,count,bound", [("Z", 64, 100), ("wreath(C(2),Z)", 160, 2000)])
+    def test_each_prefix_product_is_computed_once(self, monkeypatch, expr, count, bound):
+        g = build_group(parse_expr(expr))
+        calls = self.count_products(monkeypatch)
+        assert random_words(g, count, seed=0)
+        assert calls[0] <= bound
+
+    def test_small_ball_stops_once_exhausted(self, monkeypatch):
+        g = build_group(parse_expr("power(C(2),N)"))
+        calls = self.count_products(monkeypatch)
+        values = [e.value for e in random_words(g, 64, seed=0)]
+        # Words of length <= 8 in the first four points' flips reach all 15
+        # non-identity subsets of {0, 1, 2, 3}; the order is the seeded draw's.
+        assert values == [
+            ((0, 1), (1, 1), (2, 1)), ((1, 1),), ((0, 1), (2, 1)), ((3, 1),),
+            ((0, 1), (1, 1), (2, 1), (3, 1)), ((2, 1),), ((0, 1), (1, 1)), ((0, 1),),
+            ((1, 1), (3, 1)), ((0, 1), (3, 1)), ((2, 1), (3, 1)), ((1, 1), (2, 1)),
+            ((1, 1), (2, 1), (3, 1)), ((0, 1), (1, 1), (3, 1)), ((0, 1), (2, 1), (3, 1)),
+        ]
+        assert calls[0] <= 200
 
     def test_deterministic(self):
         g = make_symmetric(4)
