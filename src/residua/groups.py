@@ -255,6 +255,18 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
     return list(seen)
 
 
+class _ProductTable(dict):
+    """``table[a, b]`` is ``mul(a, b)``, computed on first use and kept."""
+
+    def __init__(self, mul: Callable):
+        super().__init__()
+        self.mul = mul
+
+    def __missing__(self, key):
+        value = self[key] = self.mul(*key)
+        return value
+
+
 def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[Element]:
     """Up to ``count`` distinct non-identity elements drawn as random generator words.
 
@@ -274,13 +286,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     letters = [(v, group.inv_value(v)) for v in group._generator_values() if v != one]
     if not letters or count <= 0:
         return []
-    products = {}
-
-    def times(a, b):
-        key = (a, b)
-        if key not in products:
-            products[key] = group.mul_values(a, b)
-        return products[key]
+    products = _ProductTable(group.mul_values)
 
     def ball_size(cap: int) -> int:
         ball, frontier = {one}, [one]
@@ -289,7 +295,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
             for a in frontier:
                 for letter in letters:
                     for b in letter:
-                        c = times(a, b)
+                        c = products[a, b]
                         if c not in ball:
                             ball.add(c)
                             new.append(c)
@@ -309,7 +315,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
         e = one
         for _ in range(length):
             v, inv = rng.choice(letters)
-            e = times(e, inv if rng.random() < 0.5 else v)
+            e = products[e, inv if rng.random() < 0.5 else v]
         if e in seen:
             if attempts - len(out) == count:
                 wanted = ball_size(count + 1) - 1

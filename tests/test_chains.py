@@ -104,6 +104,15 @@ class TestChainAt:
         with pytest.raises(ChainError):
             chain_at(integers_chain(2), add(OMEGA, 1))
 
+    def test_base_chain_over_a_given_group(self):
+        z, d = make_integers(), make_infinite_dihedral()
+        assert integers_chain(2, z).group is z
+        assert dihedral_chain(2, d).group is d
+        with pytest.raises(ChainError):
+            integers_chain(2, d)
+        with pytest.raises(ChainError):
+            dihedral_chain(2, make_cyclic(2))
+
     def test_lamplighter_limit_is_kernel(self):
         w, chain = lamplighter_chain()
         ext = w.extension()
