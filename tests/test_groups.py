@@ -6,7 +6,6 @@ import pytest
 from residua import groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
-
 from residua.groups import (
     CountablePoints,
     Element,
