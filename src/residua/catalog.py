@@ -45,7 +45,6 @@ from .groups import (
     FinitePoints,
     Group,
     GroupError,
-    extension_from_quotient,
     finite_support_power,
     make_cyclic,
     make_infinite_dihedral,
@@ -121,7 +120,7 @@ def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> Extensi
         embed = lambda k: Element(total, (head.identity_value(),) + k.value)
         retract = lambda e: Element(rest_group, e.value[1:])
     identities = tuple(f.identity_value() for f in rest)
-    return extension_from_quotient(
+    return ExtensionHandle(
         total=total,
         projection=lambda e: Element(head, e.value[0]),
         quotient=head,

@@ -70,11 +70,15 @@ class RunConfig:
         return out
 
 
-def _env_seed() -> int | None:
-    try:
-        return int(os.environ["RESIDUA_SEED"])
-    except (KeyError, ValueError):
+def _env_seed(parser: argparse.ArgumentParser) -> int | None:
+    """``RESIDUA_SEED`` as an integer, None when unset; a usage error when malformed."""
+    text = os.environ.get("RESIDUA_SEED")
+    if text is None:
         return None
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"RESIDUA_SEED is not an integer: {text!r}")
 
 
 def _int_at_least(low: int):
@@ -295,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None}
-    if "seed" not in given and (env_seed := _env_seed()) is not None:
+    if "seed" not in given and (env_seed := _env_seed(parser)) is not None:
         given["seed"] = env_seed
     config = RunConfig(**given)
     try:

@@ -781,55 +781,33 @@ class FinSupportPowerGroup(Group):
 
 
 class WreathProductGroup(Group):
-    """Restricted wreath product: finite-support functions extended by the top.
+    """Regular restricted wreath product: finite-support functions extended by the top.
 
-    Elements are pairs (f, g) with f a finite-support function from the point
-    set into the base and g in the top group; the top shifts supports by the
-    point action.  The default point set is the top group acting on itself by
-    left multiplication.
+    Elements are pairs (f, g) with f a finite-support function from the top
+    group into the base and g in the top group; the top acts on the points,
+    its own elements, by left multiplication and shifts supports with it.
+    The library builds these maps itself and trusts them; maps a caller
+    supplies are probe-checked by ``extension_from_quotient``.
     """
 
-    def __init__(self, base: Group, top: Group, points: Optional[PointSet] = None,
-                 action: Optional[Callable] = None, probe_seed: int = 0):
+    def __init__(self, base: Group, top: Group):
         super().__init__()
         self.base = base
         self.top = top
-        self._self_action = points is None and action is None
-        if points is None:
-            if top.order is not None:
-                points = FinitePoints([v for v in top.element_values()])
-            else:
-                points = CountablePoints(
-                    lambda i: top.enumerate_element(i).value,
-                    name=top.tag,
-                    membership=lambda v: _is_valid_value(top, v),
-                )
-        if action is None:
-            action = lambda g_value, point: top.mul_values(g_value, point)
-        self.points = points
-        self.action = action
-        self.kernel = FinSupportPowerGroup(base, points)
-        self._validate_action(probe_seed)
-
-    def _validate_action(self, seed: int):
-        pts = [self.points.label(i) for i in range(min(6, self.points.size or 6))]
-        probes = random_words(self.top, 8, seed, max_len=5) or [self.top.identity()]
-        idv = self.top.identity_value()
-        for p in pts:
-            if self.action(idv, p) != p:
-                raise GroupError(f"action of identity moves point {p!r}")
-        for a in probes:
-            for b in probes:
-                ab = (a * b).value
-                for p in pts:
-                    if self.action(ab, p) != self.action(a.value, self.action(b.value, p)):
-                        raise GroupError("action incompatible with multiplication")
+        if top.order is not None:
+            self.points = FinitePoints(top.element_values())
+        else:
+            self.points = CountablePoints(
+                lambda i: top.enumerate_element(i).value,
+                name=top.tag,
+                membership=lambda v: _is_valid_value(top, v),
+            )
+            self.points.label(0)  # a top with no enumeration fails here, not mid-chain
+        self.kernel = FinSupportPowerGroup(base, self.points)
 
     @property
     def tag(self) -> str:
-        if self._self_action:
-            return f"wreath({self.base.tag};{self.top.tag})"
-        return f"wreath({self.base.tag};{self.top.tag};{self.points.tag})"
+        return f"wreath({self.base.tag};{self.top.tag})"
 
     def identity_value(self):
         return ((), self.top.identity_value())
@@ -838,7 +816,7 @@ class WreathProductGroup(Group):
         (f1, g1), (f2, g2) = a, b
         shifted = {}
         for p, v in f2:
-            shifted[self.action(g1, p)] = v
+            shifted[self.top.mul_values(g1, p)] = v
         f = self.kernel.mul_values(f1, self.kernel._canon(shifted))
         return (f, self.top.mul_values(g1, g2))
 
@@ -847,7 +825,7 @@ class WreathProductGroup(Group):
         ginv = self.top.inv_value(g)
         shifted = {}
         for p, v in f:
-            shifted[self.action(ginv, p)] = self.base.inv_value(v)
+            shifted[self.top.mul_values(ginv, p)] = self.base.inv_value(v)
         return (self.kernel._canon(shifted), ginv)
 
     def validate_value(self, v):
@@ -879,8 +857,8 @@ class WreathProductGroup(Group):
         ]
 
     def base_point(self):
-        """The point carrying embedded base generators (identity under self-action)."""
-        return self.top.identity_value() if self._self_action else self.points.label(0)
+        """The point carrying embedded base generators: the top's identity."""
+        return self.top.identity_value()
 
     def embed_base_at(self, point) -> Callable[[Element], Element]:
         """Embed the base group at one point, with trivial top part."""
@@ -896,9 +874,9 @@ class WreathProductGroup(Group):
             raise GroupMismatchError(f"expected element of {self.tag}")
         return Element(self.top, e.value[1])
 
-    def extension(self, seed: int = 0) -> "ExtensionHandle":
+    def extension(self) -> "ExtensionHandle":
         """The short exact sequence: finite-support power, wreath, top."""
-        return extension_from_quotient(
+        return ExtensionHandle(
             total=self,
             projection=self.projection,
             quotient=self.top,
@@ -906,7 +884,6 @@ class WreathProductGroup(Group):
             kernel_group=self.kernel,
             kernel_embed=lambda k: Element(self, (k.value, self.top.identity_value())),
             kernel_retract=lambda e: Element(self.kernel, e.value[0]),
-            seed=seed,
         )
 
     def value_to_jsonable(self, v):
@@ -1010,20 +987,20 @@ def extension_from_quotient(
     kernel_group: Optional[Group] = None,
     kernel_embed: Optional[Callable[[Element], Element]] = None,
     kernel_retract: Optional[Callable[[Element], Element]] = None,
-    probes: int = 24,
-    seed: int = 0,
 ) -> ExtensionHandle:
-    """Validate and bundle a short exact sequence.
+    """Validate and bundle a short exact sequence whose maps a caller supplies.
 
-    Probe checks: the projection maps identity to identity and is a
+    Probe checks, on up to 24 words of ``total`` and 8 of the kernel, drawn
+    from seed 0: the projection maps identity to identity and is a
     homomorphism on sampled pairs; products of projected generators reach
     every quotient generator; the section (if given) is a right inverse on
     probe images; the kernel embedding (if given) lands in the kernel and
-    retracts back.
+    retracts back.  The library's own wreath and product extensions are
+    built directly, without this check.
     """
     if not projection(total.identity()).is_identity():
         raise GroupError("projection does not preserve the identity")
-    ps = random_words(total, probes, seed) or [total.identity()]
+    ps = random_words(total, 24, 0) or [total.identity()]
     for a in ps:
         for b in ps[: max(4, len(ps) // 4)]:
             if projection(a * b) != projection(a) * projection(b):
@@ -1053,7 +1030,7 @@ def extension_from_quotient(
             if projection(section(q)) != q:
                 raise GroupError("section is not a right inverse of the projection")
     if kernel_group is not None and kernel_embed is not None:
-        for k in random_words(kernel_group, 8, seed)[:8]:
+        for k in random_words(kernel_group, 8, 0):
             e = kernel_embed(k)
             if not projection(e).is_identity():
                 raise GroupError("kernel embedding leaves the kernel")
@@ -1138,9 +1115,9 @@ def finite_support_power(base: Group, points: PointSet) -> FinSupportPowerGroup:
     return FinSupportPowerGroup(base, points)
 
 
-def wreath_product(base: Group, top: Group, points: Optional[PointSet] = None,
-                   action: Optional[Callable] = None, seed: int = 0) -> WreathProductGroup:
-    return WreathProductGroup(base, top, points, action, probe_seed=seed)
+def wreath_product(base: Group, top: Group) -> WreathProductGroup:
+    """The regular restricted wreath product of ``base`` by ``top``."""
+    return WreathProductGroup(base, top)
 
 
 def commutator_subgroup(g: Group) -> SubgroupHandle:

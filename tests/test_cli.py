@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import residua
-from residua import catalog, cli, oracle
+from residua import catalog, chains, cli, groups, oracle
 from residua.cli import main
 from residua.dsl import parse_expr
 from residua.groups import FinSupportPowerGroup, WreathProductGroup, make_cyclic
@@ -214,11 +214,19 @@ class TestDeterminismAndIO:
         assert json.loads(out)["version"] == "0.1.0"
 
 
+# expressions whose groups cannot be built, with the exit-4 message each gives
+BAD_EXPRESSIONS = {
+    "tower(wreath(C(2),Z),2)": "wreath(C(2);Z) has no element enumeration",
+    "Deligne": "no construction registered under 'Deligne'",
+    "tower(power(prod(Z,C(2)),N),2)": "power(prod(Z;C(2));enum[N]) has no element enumeration",
+    "wreath(Z,wreath(Z,Z))": "wreath(Z;Z) has no element enumeration",
+    "wreath(C(2),power(C(2),N))": "power(C(2);enum[N]) has no element enumeration",
+    "wreath(C(2),prod(Z,Z))": "prod(Z;Z): enumeration needs exactly one infinite factor",
+}
+
+
 class TestOneBuildPerExpression:
-    @pytest.mark.parametrize(
-        "expr",
-        ["tower(wreath(C(2),Z),2)", "Deligne", "tower(power(prod(Z,C(2)),N),2)"],
-    )
+    @pytest.mark.parametrize("expr", BAD_EXPRESSIONS)
     def test_bad_expression_same_message_everywhere(self, capsys, expr):
         results = [
             run(capsys, *argv)
@@ -226,7 +234,25 @@ class TestOneBuildPerExpression:
                          ("oracle", "lattice", expr))
         ]
         assert [code for code, _, _ in results] == [4] * 4
-        assert len({err for _, _, err in results}) == 1
+        assert {err for _, _, err in results} == {f"residua: {BAD_EXPRESSIONS[expr]}\n"}
+
+    @pytest.mark.parametrize("argv, lists", [
+        (("depth", "tower(Dinf,6)"), 0),
+        (("verify", "wreath(C(2),Z)"), 1),
+    ])
+    def test_library_maps_draw_no_probes(self, capsys, monkeypatch, argv, lists):
+        # the library's own wreaths and extensions are built without probe
+        # checks; only verify draws, once
+        drawn = []
+
+        def counting(*args, _draw=groups.random_words, **kwargs):
+            drawn.append(args)
+            return _draw(*args, **kwargs)
+
+        for module in (groups, chains):
+            monkeypatch.setattr(module, "random_words", counting)
+        assert run(capsys, *argv)[0] == 0
+        assert len(drawn) == lists
 
     @pytest.mark.parametrize(
         "argv, wreaths",
@@ -320,6 +346,17 @@ class TestUsageErrors:
         assert result.stdout == ""
         assert result.stderr == (
             f"residua: cannot write '{target}': No such file or directory\n")
+
+    def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESIDUA_SEED", "7x")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "Z"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "residua: error: RESIDUA_SEED is not an integer: '7x'"
+        # an explicit --seed wins and never reads the variable
+        assert run(capsys, "verify", "Z", "--seed", "3")[0] == 0
 
     @pytest.mark.parametrize("value", ["foo", "-3"])
     def test_bad_kappa_names_a_cardinal_bound(self, capsys, value):

@@ -1,9 +1,10 @@
 import hashlib
 import itertools
+from dataclasses import fields
 
 import pytest
 
-from residua import groups
+from residua import catalog, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 from residua.groups import (
@@ -218,15 +219,6 @@ class TestWreath:
         moved = shift * x * shift.inverse()
         assert moved == target(make_cyclic(2).element(1))
 
-    def test_rejects_non_action(self):
-        bad_action = lambda g, p: p + 1  # identity moves points
-        with pytest.raises(GroupError):
-            wreath_product(
-                make_cyclic(2), make_integers(),
-                points=CountablePoints(lambda i: i, "N"),
-                action=bad_action,
-            )
-
     def test_semidirect_law_kernel_multiplies_pointwise(self):
         w = wreath_product(make_cyclic(2), make_cyclic(3))
         a = w.element((((0, 1),), 0))
@@ -258,6 +250,22 @@ class TestExtension:
         )
         assert ext.kernel_contains(d.element((7, 0)))
         assert not ext.kernel_contains(d.element((7, 1)))
+
+    @pytest.mark.parametrize("expr", [
+        "wreath(C(2),C(3))", "wreath(C(2),Z)", "wreath(S(3),Z)", "wreath(C(2),Dinf)",
+        "wreath(wreath(C(2),Z),Z)", "prod(Z,Dinf)", "prod(C(2),C(3),Z)",
+    ])
+    def test_library_extensions_pass_the_validator(self, expr):
+        # the library builds these maps without probing them; the validator
+        # for caller-supplied maps must accept every one
+        g = build_group(parse_expr(expr))
+        if expr.startswith("wreath"):
+            ext = g.extension()
+        else:
+            rest = g.factors[1] if len(g.factors) == 2 else groups.DirectProductGroup(g.factors[1:])
+            ext = catalog._split_first_factor(g, rest)
+        maps = {f.name: getattr(ext, f.name) for f in fields(ext)}
+        assert extension_from_quotient(**maps) == ext
 
     def test_rejects_non_homomorphism(self):
         z = make_integers()
