@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -6,9 +7,10 @@ import pytest
 
 from residua import trees
 from residua.catalog import build_group, chain_for
-from residua.chains import SubgroupDescriptor, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.chains import SubgroupDescriptor, Transversal, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
-from residua.groups import make_cyclic, make_integers, make_symmetric, wreath_product
+from residua.groups import (Element, SubgroupHandle, make_cyclic, make_integers, make_symmetric,
+                            wreath_product)
 from residua.oracle import chain_enumerate
 from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
@@ -341,6 +343,10 @@ class TestFiniteCorrespondence:
             assert list(tr.fibres) == expected
 
 
+# the groups whose depth-3 truncations the act-table digests below pin
+TREE_GROUPS = ["S(4)", "wreath(C(2),C(3))", "prod(S(3),C(4))", "prod(A(4),C(2))"]
+
+
 def count_membership(monkeypatch):
     """A one-item list that counts SubgroupDescriptor.contains calls from now on."""
     calls = [0]
@@ -427,23 +433,53 @@ class TestPlacement:
         assert placements[0] <= 24
         assert calls[0] < 400
 
-    def test_exhaustive_violations_above_trivial(self):
-        # S(4) > V4 > C2: a pair (g, vertex) is a violation exactly when g
+    @pytest.mark.parametrize("name", TREE_GROUPS)
+    def test_exhaustive_violations_above_trivial(self, name):
+        # G > H1 > H2: a pair (g, vertex) is a violation exactly when g
         # fixes the vertex, i.e. r^-1 * g * r lies in the final stage
-        s4 = make_symmetric(4)
-        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
-        chain = finite_chain(s4, sets[1:3])
+        group = build_group(parse_expr(name))
+        sets = next(s for s in chain_enumerate(group, 3) if len(s) == 4)
+        chain = finite_chain(group, sets[1:3])
         tr = truncate(coset_tree(chain), 2)
         final = chain_at(chain, 2)
         reps = [tr.representative(2, idx) for idx in range(tr.size(2))]
         expected = [
             {"element": _probe_id(g), "level": 2, "vertex": idx}
-            for g in s4.elements() if not g.is_identity()
+            for g in group.elements() if not g.is_identity()
             for idx, r in enumerate(reps) if final.contains(r.inverse() * g * r)
         ]
         report = verify_simple(chain, tr)
         assert report.verdict == "violation"
         assert list(report.violations) == expected
+
+    def test_uncovered_coset_is_reported(self):
+        # S(3) > C(3) > 1 with a C(3) transversal inside C(3): the (1 2) coset is missing
+        s3, chain = s3_chain()
+        c3 = chain.tail[0]
+        inside = Transversal((s3.identity(), s3.element((1, 2, 0))))
+        chain = dataclasses.replace(
+            chain, tail=(dataclasses.replace(c3, transversal=inside), *chain.tail[1:]))
+        tr = truncate(coset_tree(chain), 2)
+        with pytest.raises(TreeError, match="does not cover the element"):
+            verify_simple(chain, tr)
+
+    def test_ungenerated_elements_fall_back_to_act(self):
+        # the handle's one generator, a 3-cycle, reaches only C(3)
+        s3 = make_symmetric(3)
+        handle = SubgroupHandle(s3, s3.element_values(), generators=[(1, 2, 0)])
+        chain = finite_chain(handle, [{handle.identity_value()}])
+        tr = truncate(coset_tree(chain), 1)
+        violations = [
+            {"element": _probe_id(e), "level": 1, "vertex": idx}
+            for e in handle.elements() if not e.is_identity()
+            for idx, image in enumerate(act(e, truncate(coset_tree(chain), 1)).tables[1])
+            if image == idx
+        ]
+        report = verify_simple(chain, tr)
+        assert report == trees.SimplicityReport(
+            mode="exhaustive", verdict="simple" if not violations else "violation",
+            violations=tuple(violations))
+        assert report.verdict == "simple"
 
     @pytest.mark.parametrize("name", ["S(4)", "prod(A(4),C(2))"])
     def test_remembered_placements_do_not_change_act(self, name):
