@@ -277,15 +277,21 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     ``max_len``.  It is shorter than ``count`` when the ball of radius
     ``max_len`` is small (``Z`` at 64 probes and seed 0 gives 14).
 
-    Products are taken on values, each (prefix, letter) product once.  After
-    ``count`` misses the ball is counted, up to ``count + 1`` elements; if it
-    is smaller, drawing stops once all its non-identity elements are found,
-    since every later word would be the identity or a repeat.
+    Lengths and letters are drawn as ``Random.randint`` and ``Random.choice``
+    draw them, with the rejection sampling inlined (``k``-bit draws, redrawn
+    while out of range), so the stream is the one those calls would give;
+    the ``PINNED_PROBES`` digests in the tests guard it.  Products are taken
+    on values, each (prefix, letter) product once.  After ``count`` misses
+    the ball is counted, up to ``count + 1`` elements; if it is smaller,
+    drawing stops once all its non-identity elements are found, since every
+    later word would be the identity or a repeat.
     """
     one = group.identity_value()
     letters = [(v, group.inv_value(v)) for v in group._generator_values() if v != one]
     if not letters or count <= 0:
         return []
+    if max_len < 1:
+        raise ValueError(f"word length {max_len} is below 1")
     products = _ProductTable(group.mul_values)
 
     def ball_size(cap: int) -> int:
@@ -305,17 +311,25 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
         return len(ball)
 
     rng = random.Random(seed)
+    bits, uniform = rng.getrandbits, rng.random
+    n_letters = len(letters)
+    length_bits, letter_bits = max_len.bit_length(), n_letters.bit_length()
     seen = {one}
     out = []
     wanted = count
     attempts = 0
     while len(out) < wanted and attempts < 30 * count:
         attempts += 1
-        length = rng.randint(1, max_len)
+        r = bits(length_bits)  # rng.randint(1, max_len), inlined
+        while r >= max_len:
+            r = bits(length_bits)
         e = one
-        for _ in range(length):
-            v, inv = rng.choice(letters)
-            e = products[e, inv if rng.random() < 0.5 else v]
+        for _ in range(r + 1):
+            i = bits(letter_bits)  # rng.choice(letters), inlined
+            while i >= n_letters:
+                i = bits(letter_bits)
+            v, inv = letters[i]
+            e = products[e, inv if uniform() < 0.5 else v]
         if e in seen:
             if attempts - len(out) == count:
                 wanted = ball_size(count + 1) - 1

@@ -129,9 +129,18 @@ class TreeTruncation:
         return reps
 
     @cached_property
-    def _placed(self) -> dict[Element, tuple[int, ...]]:
-        """Deepest digit strings of the elements ``act`` placed (at most MATERIALIZATION_CAP)."""
+    def _placed(self) -> dict[Element, int]:
+        """Deepest vertex indices of the elements placed so far (at most MATERIALIZATION_CAP)."""
         return {}
+
+    def _placement(self, e: Element) -> int:
+        """Index of the deepest vertex on the element's coset thread, sifted once."""
+        idx = self._placed.get(e)
+        if idx is None:
+            idx = self.index_of_digits(self.digits_of_element(e))
+            if len(self._placed) < MATERIALIZATION_CAP:
+                self._placed[e] = idx
+        return idx
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
         """Digit string of the coset thread of a group element."""
@@ -166,7 +175,7 @@ class TreeAutomorphism:
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         return TreeAutomorphism(
             tuple(
-                tuple(mine[theirs[i]] for i in range(len(mine)))
+                tuple(mine[i] for i in theirs)
                 for mine, theirs in zip(self.tables, other.tables)
             )
         )
@@ -258,29 +267,25 @@ def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
 
     Each deepest vertex's image g * rep is placed once (elements placed by
     earlier calls are looked up on the truncation); a shallower vertex's
-    image is the digit prefix its descendants' images share."""
+    image is the ancestor its descendants' images share, their index divided
+    by the number of deepest vertices below one vertex of that level.
+    ``verify_simple`` calls this only for the identity and the generators
+    and composes the other elements' tables."""
     base = tr._stages(0)[0]
     group = tr.chain.group
     if g.group is not group and g.group.tag != group.tag:
         raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
     if tr.block > 0 and not base.contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    deepest, placed, digits = tr.depth, tr._placed, []
-    for rep in tr._deepest_reps:
-        h = g * rep
-        d = placed.get(h)
-        if d is None:
-            d = tr.digits_of_element(h)
-            if len(placed) < MATERIALIZATION_CAP:
-                placed[h] = d
-        digits.append(d)
+    deepest = tr.depth
+    images = [tr._placement(g * rep) for rep in tr._deepest_reps]
     tables = []
     for level in range(deepest + 1):
-        span = len(digits) // tr.size(level)  # a vertex's descendants are consecutive
-        images = [{tr.index_of_digits(d[:level]) for d in digits[v * span:(v + 1) * span]}
-                  for v in range(tr.size(level))]
-        assert all(len(i) == 1 for i in images), "sibling vertices disagree"
-        tables.append(tuple(i.pop() for i in images))
+        span = len(images) // tr.size(level)  # a vertex's descendants are consecutive
+        table = tuple(images[i] // span for i in range(0, len(images), span))
+        assert all(image // span == table[i // span] for i, image in enumerate(images)), \
+            "sibling vertices disagree"
+        tables.append(table)
     auto = TreeAutomorphism(tables=tuple(tables))
     for level in range(1, deepest + 1):
         for idx in range(tr.size(level)):
@@ -322,7 +327,14 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     For finite chains over finite groups this is exhaustive over all elements
     and all deepest vertices, and the verdict is definitive: fixed-point
     freeness there holds exactly when the chain terminates at the trivial
-    subgroup.  Otherwise each probe is walked down the stages (``budget``
+    subgroup.  Only the identity and the generators are translated vertex
+    by vertex (``act``); every other element's tables are composed from
+    theirs along a breadth-first search (Holt, Eick and O'Brien, *Handbook
+    of Computational Group Theory*, 2005, ch. 4), and elements the search
+    does not reach are translated directly.  Each element's image of the
+    first deepest vertex is checked against placing e * rep, so every
+    element is still sifted once and a transversal that misses a coset
+    still raises.  Otherwise each probe is walked down the stages (``budget``
     steps per block) until a stage excludes it, i.e. until it moves the
     identity thread's vertex at that level; probes the budget cannot settle
     stay unresolved and no simplicity verdict is issued.
@@ -335,14 +347,28 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
         and tr.depth == len(chain.tail)
     )
     if exhaustive:
-        violations = []
-        deepest = tr.depth
+        # the action is fixed by the generators' tables: every element
+        # reached from the identity is a product of generators, and its
+        # tables are composed; an unreached one is translated directly
+        identity, deepest = group.identity(), tr.depth
+        autos = {identity: act(identity, tr)}
+        generators = [(s, act(s, tr)) for s in group.generators]
+        reached = [identity]
+        for g in reached:  # breadth-first: the list grows as it is read
+            for s, s_auto in generators:
+                h = s * g
+                if h not in autos:
+                    autos[h] = s_auto.compose(autos[g])
+                    reached.append(h)
+        first, violations = tr._deepest_reps[0], []
         for e in group.elements():
+            table = (autos[e] if e in autos else act(e, tr)).tables[deepest]
+            if table[0] != tr._placement(e * first):
+                raise TreeError(f"composed action of {_probe_id(e)} disagrees with its placement")
             if e.is_identity():
                 continue
-            auto = act(e, tr)
-            for idx in range(tr.size(deepest)):
-                if auto.apply(deepest, idx) == idx:
+            for idx, image in enumerate(table):
+                if image == idx:
                     violations.append(
                         {
                             "element": _probe_id(e),

@@ -397,6 +397,12 @@ class TestProbes:
         b = [e.value for e in random_words(g, 16, seed=9)]
         assert a == b
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_word_length_below_one_rejected(self, max_len):
+        # a rejection-sampled length below 1 would never be drawn
+        with pytest.raises(ValueError):
+            random_words(make_cyclic(6), 4, seed=0, max_len=max_len)
+
     def test_no_identity_and_deduplicated(self):
         g = make_cyclic(6)
         probes = random_words(g, 10, seed=1)

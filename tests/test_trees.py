@@ -452,6 +452,25 @@ class TestPlacement:
         assert report.verdict == "violation"
         assert list(report.violations) == expected
 
+    @pytest.mark.parametrize("name, bound", [("S(4)", 400), ("A(5)", 1500)])
+    def test_exhaustive_check_element_products(self, monkeypatch, name, bound):
+        # the generators' tables are composed; only they are translated vertex by vertex
+        group = build_group(parse_expr(name))
+        sets = next(s for s in chain_enumerate(group, 3) if len(s) == 4)
+        assert [len(s) for s in sets] == [group.order, 4, 2, 1]
+        chain = finite_chain(group, sets[1:])
+        tr = truncate(coset_tree(chain), 3)
+        products = [0]
+        original = Element.__mul__
+
+        def counting(self, other):
+            products[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Element, "__mul__", counting)
+        assert verify_simple(chain, tr).verdict == "simple"
+        assert products[0] <= bound
+
     def test_uncovered_coset_is_reported(self):
         # S(3) > C(3) > 1 with a C(3) transversal inside C(3): the (1 2) coset is missing
         s3, chain = s3_chain()
