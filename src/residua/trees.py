@@ -347,9 +347,6 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
         and tr.depth == len(chain.tail)
     )
     if exhaustive:
-        # the action is fixed by the generators' tables: every element
-        # reached from the identity is a product of generators, and its
-        # tables are composed; an unreached one is translated directly
         identity, deepest = group.identity(), tr.depth
         autos = {identity: act(identity, tr)}
         generators = [(s, act(s, tr)) for s in group.generators]
@@ -364,7 +361,7 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
         for e in group.elements():
             table = (autos[e] if e in autos else act(e, tr)).tables[deepest]
             if table[0] != tr._placement(e * first):
-                raise TreeError(f"composed action of {_probe_id(e)} disagrees with its placement")
+                raise TreeError(f"action of {_probe_id(e)} disagrees with its placement")
             if e.is_identity():
                 continue
             for idx, image in enumerate(table):

@@ -433,24 +433,24 @@ class TestPlacement:
         assert placements[0] <= 24
         assert calls[0] < 400
 
-    @pytest.mark.parametrize("name", TREE_GROUPS)
-    def test_exhaustive_violations_above_trivial(self, name):
+    def test_exhaustive_violations_above_trivial(self):
         # G > H1 > H2: a pair (g, vertex) is a violation exactly when g
         # fixes the vertex, i.e. r^-1 * g * r lies in the final stage
-        group = build_group(parse_expr(name))
-        sets = next(s for s in chain_enumerate(group, 3) if len(s) == 4)
-        chain = finite_chain(group, sets[1:3])
-        tr = truncate(coset_tree(chain), 2)
-        final = chain_at(chain, 2)
-        reps = [tr.representative(2, idx) for idx in range(tr.size(2))]
-        expected = [
-            {"element": _probe_id(g), "level": 2, "vertex": idx}
-            for g in group.elements() if not g.is_identity()
-            for idx, r in enumerate(reps) if final.contains(r.inverse() * g * r)
-        ]
-        report = verify_simple(chain, tr)
-        assert report.verdict == "violation"
-        assert list(report.violations) == expected
+        for name in TREE_GROUPS:
+            group = build_group(parse_expr(name))
+            sets = next(s for s in chain_enumerate(group, 3) if len(s) == 4)
+            chain = finite_chain(group, sets[1:3])
+            tr = truncate(coset_tree(chain), 2)
+            final = chain_at(chain, 2)
+            reps = [tr.representative(2, idx) for idx in range(tr.size(2))]
+            expected = [
+                {"element": _probe_id(g), "level": 2, "vertex": idx}
+                for g in group.elements() if not g.is_identity()
+                for idx, r in enumerate(reps) if final.contains(r.inverse() * g * r)
+            ]
+            report = verify_simple(chain, tr)
+            assert report.verdict == "violation", name
+            assert list(report.violations) == expected, name
 
     @pytest.mark.parametrize("name, bound", [("S(4)", 400), ("A(5)", 1500)])
     def test_exhaustive_check_element_products(self, monkeypatch, name, bound):
