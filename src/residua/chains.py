@@ -37,7 +37,6 @@ from .groups import (
     WreathProductGroup,
     commutator_subgroup,
     finite_support_power,
-    label_sort_key,
     make_infinite_dihedral,
     make_integers,
     random_words,
@@ -299,9 +298,9 @@ def limit_membership(chain: ChainSchema, i, element: Element,
 
 
 def _first_excluding_step(chain: ChainSchema, block: int, element: Element,
-                          budget: int) -> Optional[int]:
-    """The first n <= budget whose stage w*block + n excludes the element."""
-    for n in range(budget + 1):
+                          budget: int, start: int = 0) -> Optional[int]:
+    """The first n in start..budget whose stage w*block + n excludes the element."""
+    for n in range(start, budget + 1):
         if not chain.stage_at(block, n).contains(element):
             return n
     return None
@@ -393,14 +392,25 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
                  name: str = "") -> ChainSchema:
     """A finite chain from explicit element sets (after the full group).
 
-    Transversals are materialized by greedy left-coset decomposition, so all
-    indices are certified.  The last set need not be trivial; verification
-    will fail such a chain, which is exactly what negative tests want.
+    Transversals are materialized by greedy left-coset decomposition, in
+    element order with the identity first, so all indices are certified.
+    The cosets are read off the group's Cayley table when it has one.  The
+    last set need not be trivial; verification will fail such a chain,
+    which is exactly what negative tests want.
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
     sets = [frozenset(group.validate_value(v) for v in s) for s in subgroups]
-    prev = frozenset(group.element_values())
+    table, values = group.cayley_table(), group.element_values()
+
+    def coset(v, s):  # the left coset v * s
+        if table is None:
+            return {group.mul_values(v, h) for h in s}
+        row = table.mul[table.index[v]]
+        return {values[row[table.index[h]]] for h in s}
+
+    ident = group.identity_value()
+    prev = frozenset(values)
     stages = []
     for k, s in enumerate(sets, start=1):
         if not s <= prev:
@@ -409,14 +419,10 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
             raise ChainError(f"stage {k} size does not divide its parent")
         reps = []
         covered = set()
-        ident = group.identity_value()
-        ordered = sorted(prev, key=label_sort_key)
-        if ident in prev:
-            ordered = [ident] + [v for v in ordered if v != ident]
-        for v in ordered:
+        for v in sorted([v for v in values if v in prev], key=lambda v: v != ident):
             if v not in covered:
                 reps.append(v)
-                covered |= {group.mul_values(v, h) for h in s}
+                covered |= coset(v, s)
         stages.append(
             SubgroupDescriptor(
                 owner=group,
@@ -900,15 +906,19 @@ def _check_limit_coherence(chain: ChainSchema, rows: list[_Row], probes: list[El
     """Each declared limit stage against the lazy intersection of the block
     before it.  Returns the stage of that block that excludes each rejected
     probe, keyed (probe, block), and the (probe, limit ordinal) pairs whose
-    rejection no stage within the budget confirms."""
+    rejection no stage within the budget confirms.  Steps of that block
+    that are rows are read from ``mem``; only deeper ones are tested."""
     witness_stage: dict[tuple[int, int], Ordinal] = {}
     unresolved: list[tuple[int, Ordinal]] = []
     for k, (ordinal_i, b, n, _) in enumerate(rows):
         if n != 0 or b < 1:
             continue
+        below = [j for j, row in enumerate(rows) if row[1] == b - 1][:budget + 1]
         for pi, p in enumerate(probes):
             claimed = mem[pi][k]
-            found = _first_excluding_step(chain, b - 1, p, budget)
+            found = next((m for m, j in enumerate(below) if not mem[pi][j]), None)
+            if found is None:
+                found = _first_excluding_step(chain, b - 1, p, budget, start=len(below))
             if found is not None:
                 if claimed:
                     fail("limit stage accepts an element excluded below it",

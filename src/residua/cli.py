@@ -223,7 +223,7 @@ def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
             "group": group.tag,
             "max_index": config.max_index,
             "core_order": len(core),
-            "core": [group.value_to_jsonable(v) for v in _sorted_values(core)],
+            "core": [group.value_to_jsonable(v) for v in _sorted_values(group, core)],
             "is_trivial": core == lattice.trivial,
         }
     elif subcommand == "min-kappa":

@@ -28,6 +28,7 @@ __all__ = [
     "GroupMismatchError",
     "InvalidElementError",
     "Element",
+    "CayleyTable",
     "Group",
     "PointSet",
     "FinitePoints",
@@ -56,6 +57,9 @@ __all__ = [
     "random_words",
     "mulclose",
 ]
+
+
+ORACLE_CAP = 128  # the largest order that gets a Cayley table and an oracle lattice
 
 
 class GroupError(Exception):
@@ -103,10 +107,24 @@ class Element:
             raise GroupMismatchError(
                 f"cannot multiply element of {g.tag} by element of {other.group.tag}"
             )
+        table = g._table
+        if table is not None:
+            try:
+                index = table.index
+                return Element(g, table.values[table.mul[index[self.value]][index[other.value]]])
+            except KeyError:  # a value outside the table: multiply it
+                pass
         return Element(g, g.mul_values(self.value, other.value))
 
     def inverse(self) -> "Element":
-        return Element(self.group, self.group.inv_value(self.value))
+        g = self.group
+        table = g._table
+        if table is not None:
+            try:
+                return Element(g, table.values[table.inv[table.index[self.value]]])
+            except KeyError:
+                pass
+        return Element(g, g.inv_value(self.value))
 
     def __pow__(self, n: int) -> "Element":
         if n < 0:
@@ -153,6 +171,7 @@ class Group:
 
     is_residually_finite_claimed: bool = False
     has_finite_abelianization_claimed: bool = False
+    _table = None  # the CayleyTable, once cayley_table() builds it; read by Element
 
     def __init__(self):
         self._order_cache = -1  # -1: not computed; None: infinite
@@ -222,6 +241,15 @@ class Group:
     def elements(self) -> list[Element]:
         return [Element(self, v) for v in self.element_values()]
 
+    def cayley_table(self) -> Optional["CayleyTable"]:
+        """The group's multiplication table, built on first use; None for an
+        infinite group or one above ``ORACLE_CAP``.  Once it is built,
+        ``Element`` products and inverses in this group are lookups."""
+        n = self.order
+        if self._table is None and n is not None and n <= ORACLE_CAP:
+            self._table = CayleyTable.build(self)
+        return self._table
+
     def _enumerate_values(self) -> list:
         raise NotImplementedError
 
@@ -231,6 +259,50 @@ class Group:
 
     def __repr__(self) -> str:
         return f"<group {self.tag}>"
+
+
+@dataclass(frozen=True)
+class CayleyTable:
+    """A finite group's multiplication table over element indices.
+
+    ``values`` is ``element_values()`` (sorted by ``label_sort_key``, so an
+    index is also a sort key), ``index`` maps each value to its position,
+    ``mul[i][j]`` is the index of values[i] * values[j] and ``inv[i]`` that
+    of the inverse of values[i].
+    """
+
+    values: list
+    index: dict
+    mul: list[list[int]]
+    inv: list[int]
+
+    @classmethod
+    def build(cls, group: "Group") -> "CayleyTable":
+        """Each generator's row by ``mul_values``, every other row composed.
+
+        Left multiplication by s * a is left multiplication by a, then by s,
+        so row(s * a) = [row(s)[x] for x in row(a)]; a breadth-first search
+        from the identity fills the rows the generators reach (Holt, Eick
+        and O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).
+        Rows it does not reach, when the generators do not generate the
+        group, are computed by ``mul_values``."""
+        values = group.element_values()
+        index = {v: i for i, v in enumerate(values)}
+        gens = [[index[group.mul_values(s, b)] for b in values]
+                for s in set(group._generator_values()) if s in index]
+        e = index[group.identity_value()]
+        mul = [None] * len(values)
+        mul[e] = list(range(len(values)))
+        reached = [e]
+        for a in reached:  # breadth-first: the list grows as it is read
+            for row_s in gens:
+                c = row_s[a]
+                if mul[c] is None:
+                    mul[c] = [row_s[x] for x in mul[a]]
+                    reached.append(c)
+        mul = [row or [index[group.mul_values(v, b)] for b in values]
+               for v, row in zip(values, mul)]
+        return cls(values, index, mul, [row.index(e) for row in mul])
 
 
 def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:

@@ -1,10 +1,15 @@
 """Brute-force ground truth for finite groups.
 
-Complete subgroup lattices by cyclic extension over a Cayley table, the intersection
-of bounded-index subgroups, the least workable strict index bound for a
-descending chain, exact depth for finite groups, and exhaustive descending
-chain enumeration.  Everything here is independent of the chain machinery so
-it can validate it.
+Complete subgroup lattices by cyclic extension over the group's Cayley
+table (``Group.cayley_table``, built once per group and shared with finite
+chains and coset trees), the intersection of bounded-index subgroups, the
+least workable strict index bound for a descending chain, exact depth for
+finite groups, and exhaustive descending chain enumeration.  Everything
+here is independent of the chain machinery so it can validate it.  Two
+checks do not trust the table: every subgroup found is re-verified closed
+(``_verify_closed``), and ``all_subgroups_naive`` scans subsets with
+``mul_values`` directly.  Elements are ordered by their table index, which
+is the ``label_sort_key`` order of ``element_values``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import Group, GroupError, label_sort_key
+from .groups import ORACLE_CAP, Group, GroupError
 from .ordinal import ONE, ZERO, Ordinal
 
 __all__ = [
@@ -29,15 +34,13 @@ __all__ = [
     "chain_enumerate",
 ]
 
-ORACLE_CAP = 128
-
 
 class OracleCapError(GroupError):
     """Group too large (or infinite) for exhaustive lattice work."""
 
 
-def _sorted_values(values) -> tuple:
-    return tuple(sorted(values, key=label_sort_key))
+def _sorted_values(group: Group, values) -> tuple:
+    return tuple(sorted(values, key=group.cayley_table().index.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class SubgroupLattice:
                 {
                     "order": len(s),
                     "elements": [
-                        self.group.value_to_jsonable(v) for v in _sorted_values(s)
+                        self.group.value_to_jsonable(v) for v in _sorted_values(self.group, s)
                     ],
                 }
                 for s in self.subgroups
@@ -90,27 +93,25 @@ def _require_small(g: Group, cap: int = ORACLE_CAP) -> int:
 
 
 def _canon_lattice(group: Group, subs: Iterable[frozenset]) -> SubgroupLattice:
-    keys = {v: label_sort_key(v) for v in group.element_values()}
-    uniq = sorted(set(subs), key=lambda s: (len(s), sorted(keys[v] for v in s)))
+    index = group.cayley_table().index
+    uniq = sorted(set(subs), key=lambda s: (len(s), sorted(index[v] for v in s)))
     return SubgroupLattice(group=group, subgroups=tuple(uniq))
 
 
 def all_subgroups(g: Group) -> SubgroupLattice:
     """The complete subgroup lattice of a finite group with |g| <= the cap.
 
-    Cyclic extension over one Cayley table: elements are indexed once,
-    subgroups are int bitmasks with a short generator list, and each
+    Cyclic extension over the group's Cayley table: subgroups are int
+    bitmasks over element indices with a short generator list, and each
     subgroup found in a round is joined with every cyclic subgroup it does
     not contain.  Every subgroup is an iterated join of cyclic ones, so this
     reaches all of them.  Each found mask is then re-verified closed,
     exhaustively, through the tables.
     """
     _require_small(g)
-    values = g.element_values()
-    index = {v: i for i, v in enumerate(values)}
-    mul = [[index[g.mul_values(a, b)] for b in values] for a in values]
-    inv = [index[g.inv_value(a)] for a in values]
-    e = index[g.identity_value()]
+    table = g.cayley_table()
+    values, mul, inv = table.values, table.mul, table.inv
+    e = table.index[g.identity_value()]
     cyclic = {}
     for i in range(len(values)):
         cyclic.setdefault(_join(mul, 1 << e, [e], [i]), i)

@@ -347,6 +347,7 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
         and tr.depth == len(chain.tail)
     )
     if exhaustive:
+        group.cayley_table()  # element products below become lookups
         identity, deepest = group.identity(), tr.depth
         autos = {identity: act(identity, tr)}
         generators = [(s, act(s, tr)) for s in group.generators]
@@ -424,7 +425,9 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
 
     The acting group must be finite; each stage is computed exhaustively.
     The identity thread returns the original stages; any other thread gives
-    the conjugate chain by the deepest representative.
+    the conjugate chain by the deepest representative.  A level whose
+    representative is the identity reads its stage directly, without
+    conjugating.
     """
     stages = tr._stages(tr.depth)
     group = tr.chain.group
@@ -435,15 +438,16 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
     for k in range(1, len(thread)):
         if tr.parent(k, thread[k]) != thread[k - 1]:
             raise TreeError("incoherent thread: parent links broken")
+    group.cayley_table()  # element products below become lookups
+    elements = group.elements()
     subgroups = []
     for k in range(1, tr.depth + 1):
         rep = tr.representative(k, thread[k])
-        rep_inv = rep.inverse()
-        members = {
-            e.value
-            for e in group.elements()
-            if stages[k].contains(rep_inv * e * rep)
-        }
+        if rep.is_identity():
+            members = {e.value for e in elements if stages[k].contains(e)}
+        else:
+            rep_inv = rep.inverse()
+            members = {e.value for e in elements if stages[k].contains(rep_inv * e * rep)}
         subgroups.append(members)
     return finite_chain(
         group,

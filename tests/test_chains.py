@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from residua import chains
 from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
@@ -727,6 +728,34 @@ class TestTransversalCertification:
             assert factorwise == pairwise == (t.size, None)
             compared += 1
         assert compared >= 4
+
+    def test_limit_coherence_reads_the_checked_rows(self, monkeypatch):
+        # the block below a limit was already tested on steps 0..levels; the
+        # coherence check reads those verdicts and tests only deeper steps
+        chain = chain_for(parse_expr("wreath(C(2),Z)"))
+        checked = {id(stage) for *_, stage in _rows(chain, 4)}
+        tested, in_coherence = [], []
+        contains, coherence = SubgroupDescriptor.contains, chains._check_limit_coherence
+
+        def counting(self, e):
+            if in_coherence:
+                tested.append(id(self))
+            return contains(self, e)
+
+        def marked(*args):
+            in_coherence.append(True)
+            try:
+                return coherence(*args)
+            finally:
+                in_coherence.clear()
+
+        monkeypatch.setattr(SubgroupDescriptor, "contains", counting)
+        monkeypatch.setattr(chains, "_check_limit_coherence", marked)
+        assert verify_prefix(chain, 4, 64, 0).verdict == "pass"
+        assert not checked & set(tested)
+        tested.clear()
+        verify_prefix(chain, 4, 64, 0, limit_budget=4)
+        assert tested == []
 
     def test_big_row_needs_few_membership_calls(self, monkeypatch):
         # row w + 8, on the probes verify draws by default; checked

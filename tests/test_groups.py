@@ -8,12 +8,14 @@ from residua import catalog, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 from residua.groups import (
+    ORACLE_CAP,
     CountablePoints,
     Element,
     FinitePoints,
     GroupError,
     GroupMismatchError,
     InvalidElementError,
+    SubgroupHandle,
     commutator_subgroup,
     extension_from_quotient,
     finite_support_power,
@@ -425,3 +427,83 @@ class TestElementAcrossHandles:
         assert a.value == b.value and a != b
         with pytest.raises(GroupMismatchError):
             a * b
+
+
+def count_calls(monkeypatch, cls, name):
+    """A one-item list that counts calls of cls.name from now on."""
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestCayleyTable:
+    @pytest.mark.parametrize("expr", ["S(4)", "A(5)", "wreath(C(2),C(3))", "power(C(2),4)",
+                                      "prod(S(3),C(4))", "prod(A(4),C(2))"])
+    def test_agrees_with_the_group_on_every_pair(self, expr):
+        g = build_group(parse_expr(expr))
+        table = g.cayley_table()
+        values = g.element_values()
+        assert list(table.values) == values
+        assert table.index == {v: i for i, v in enumerate(values)}
+        for i, a in enumerate(values):
+            assert values[table.inv[i]] == g.inv_value(a)
+            assert [values[k] for k in table.mul[i]] == [g.mul_values(a, b) for b in values]
+        assert g.cayley_table() is table  # built once, kept on the group
+
+    def test_generator_rows_are_the_only_products_taken(self, monkeypatch):
+        g = make_alternating(5)
+        g.element_values()
+        calls = count_calls(monkeypatch, type(g), "mul_values")
+        g.cayley_table()
+        assert calls[0] == len(g.generators) * g.order
+
+    def test_rows_the_generators_miss_are_multiplied(self, monkeypatch):
+        s3 = make_symmetric(3)
+        swap = perm_from_cycles(3, [(0, 1)])
+        h = SubgroupHandle(s3, s3.element_values(), generators=[swap])
+        calls = count_calls(monkeypatch, groups.PermGroup, "mul_values")
+        table = h.cayley_table()
+        # the swap reaches one row besides the identity's; the other four are direct
+        assert calls[0] == 6 + 4 * 6
+        values = h.element_values()
+        for i, a in enumerate(values):
+            assert [values[k] for k in table.mul[i]] == [s3.mul_values(a, b) for b in values]
+            assert values[table.inv[i]] == s3.inv_value(a)
+
+    def test_elements_multiply_by_lookup(self, monkeypatch):
+        g = make_symmetric(4)
+        a, b = g.generators
+        expected = g.mul_values(a.value, b.value), g.inv_value(b.value)
+        g.cayley_table()
+        calls = count_calls(monkeypatch, groups.PermGroup, "mul_values")
+        inverses = count_calls(monkeypatch, groups.PermGroup, "inv_value")
+        assert ((a * b).value, b.inverse().value) == expected
+        assert calls[0] == 0 and inverses[0] == 0
+
+    def test_non_canonical_value_is_multiplied(self, monkeypatch):
+        g = make_cyclic(5)
+        g.cayley_table()
+        calls = count_calls(monkeypatch, groups.CyclicGroup, "mul_values")
+        inverses = count_calls(monkeypatch, groups.CyclicGroup, "inv_value")
+        odd, one = Element(g, 7), g.element(1)
+        assert (odd * one).value == 3 and (one * odd).value == 3
+        assert odd.inverse().value == 3
+        assert calls[0] == 2 and inverses[0] == 1
+
+    def test_no_table_above_the_cap(self):
+        g = build_group(parse_expr("power(C(2),8)"))
+        assert g.order == 256 > ORACLE_CAP
+        assert g.cayley_table() is None
+        a, b = g.generators[:2]
+        assert (a * b * a).value == b.value
+
+    def test_no_table_for_infinite_groups(self):
+        z = make_integers()
+        assert z.cayley_table() is None
+        assert (z.element(2) * z.element(3)).value == 5

@@ -1,6 +1,6 @@
 import pytest
 
-from residua import oracle
+from residua import groups, oracle
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 from residua.fixtures import finite_fixtures, make_klein_four
@@ -209,6 +209,20 @@ class TestCayleyTableLattice:
         assert len(all_subgroups(g)) == 156
         assert len(calls) <= 120 ** 2
 
+    def test_products_are_the_generator_rows_and_the_enumeration(self, monkeypatch):
+        # the lattice reads the group's table, whose generator rows are the
+        # only products beyond enumerating the elements (n^2 = 3,600 before)
+        calls = []
+        real = groups.PermGroup.mul_values
+        monkeypatch.setattr(groups.PermGroup, "mul_values",
+                            lambda self, a, b: calls.append(1) or real(self, a, b))
+        make_alternating(5).element_values()
+        enumeration = len(calls)
+        calls.clear()
+        g = make_alternating(5)
+        assert len(all_subgroups(g)) == 59
+        assert len(calls) <= len(g.generators) * g.order + enumeration
+
     def test_broken_join_is_caught_by_reverification(self, monkeypatch):
         real = oracle._join
         dropped = []
@@ -226,17 +240,21 @@ class TestCayleyTableLattice:
         assert dropped
 
     def test_one_sort_key_per_element(self, monkeypatch):
-        # the canonical order keys each element once, not once per subgroup
+        # elements are keyed once, when the group sorts its element list; the
+        # lattice orders them by table index and keys none itself
+        g = _dsl_group("power(C(2),5)")
+        g.element_values()
+        g.cayley_table()  # its generator rows multiply, and power products sort
         calls = []
-        real = oracle.label_sort_key
+        real = groups.label_sort_key
 
         def counting(label):
             calls.append(None)
             return real(label)
 
-        monkeypatch.setattr(oracle, "label_sort_key", counting)
-        assert len(all_subgroups(_dsl_group("power(C(2),5)"))) == 374
-        assert len(calls) <= 32
+        monkeypatch.setattr(groups, "label_sort_key", counting)
+        assert len(all_subgroups(g)) == 374
+        assert calls == []
 
     @pytest.mark.parametrize(
         "expr",

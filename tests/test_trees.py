@@ -9,7 +9,7 @@ from residua import trees
 from residua.catalog import build_group, chain_for
 from residua.chains import SubgroupDescriptor, Transversal, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
-from residua.groups import (Element, SubgroupHandle, make_cyclic, make_integers, make_symmetric,
+from residua.groups import (Element, PermGroup, SubgroupHandle, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
 from residua.ordinal import OMEGA, add, omega_power
@@ -261,6 +261,23 @@ class TestStabilizerChain:
             for e in s3.elements():
                 assert conj.contains(e) == stage.contains(x.inverse() * e * x)
 
+    def test_identity_thread_is_not_conjugated(self, monkeypatch):
+        # the identity thread's representatives are the identity, so its
+        # stabilizers are read without the 2 * |G| products per level
+        s3, chain = s3_chain()
+        tr = truncate(coset_tree(chain), 2)
+        thread = tr.thread_of(s3.identity())
+        products = [0]
+        mul = Element.__mul__
+
+        def counting(a, b):
+            products[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Element, "__mul__", counting)
+        stabilizer_chain(tr, thread)
+        assert products[0] < s3.order
+
     def test_constant_action_gives_constant_chain(self):
         c2 = make_cyclic(2)
         full = frozenset(c2.element_values())
@@ -330,6 +347,26 @@ class TestFiniteCorrespondence:
                         if chain_at(recovered, k).contains(e)
                     }
                     assert got == set(expected)
+
+    def test_warm_round_trip_takes_no_group_products(self, monkeypatch):
+        # once S(4) has its Cayley table, a tree round trip multiplies and
+        # inverts by lookup only
+        s4 = make_symmetric(4)
+        chains = chain_enumerate(s4, 3)  # builds the table
+        calls = []
+        for name in ("mul_values", "inv_value"):
+            original = getattr(PermGroup, name)
+            monkeypatch.setattr(PermGroup, name,
+                                lambda *args, f=original: calls.append(1) or f(*args))
+        for sets in chains[::7]:
+            chain = finite_chain(s4, sets[1:])
+            tr = truncate(coset_tree(chain), len(sets) - 1)
+            parse_truncation(emit(tr, "json"))
+            emit(tr, "dot")
+            stabilizer_chain(tr, tr.thread_of(s4.identity()))
+            stabilizer_chain(tr, tr.thread_of(s4.generators[1]))
+            assert verify_simple(chain, tr).verdict == "simple"
+        assert calls == []
 
     def test_fibres_equal_step_indices(self):
         s4 = make_symmetric(4)
