@@ -36,7 +36,6 @@ from .groups import (  # noqa: F401
     Group,
     GroupError,
     PointSet,
-    commutator_subgroup,
     extension_from_quotient,
     finite_support_power,
     make_alternating,
@@ -47,6 +46,7 @@ from .groups import (  # noqa: F401
     make_symmetric,
     wreath_product,
 )
+from .subgroups import commutator_subgroup  # noqa: F401
 from .chains import (  # noqa: F401
     ChainCertificate,
     ChainSchema,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -30,12 +29,10 @@ from .groups import (
     FinitePoints,
     FinSupportPowerGroup,
     Group,
-    GroupError,
     InfiniteDihedralGroup,
     IntegerGroup,
     PointSet,
     WreathProductGroup,
-    commutator_subgroup,
     finite_support_power,
     make_infinite_dihedral,
     make_integers,
@@ -51,8 +48,15 @@ from .ordinal import (
     Ordinal,
     classify,
     format_ordinal,
-    left_subtract,
     ordinal_to_jsonable,
+)
+from .subgroups import commutator_subgroup
+from .stages import (
+    ChainError,
+    StepIndex,
+    SubgroupDescriptor,
+    Transversal,
+    _certify_transversal,
 )
 
 __all__ = [
@@ -77,111 +81,6 @@ __all__ = [
     "dihedral_chain",
     "single_step_chain",
 ]
-
-
-class ChainError(GroupError):
-    """Invalid chain construction or stage access."""
-
-
-@dataclass(frozen=True)
-class StepIndex:
-    """Index of a stage in its parent: a known integer, infinite, or unverified."""
-
-    kind: str  # "finite" | "infinite" | "unverified"
-    value: Optional[int] = None
-
-    @staticmethod
-    def finite(n: int) -> "StepIndex":
-        return StepIndex("finite", int(n))
-
-    @staticmethod
-    def infinite() -> "StepIndex":
-        return StepIndex("infinite")
-
-    @staticmethod
-    def unverified() -> "StepIndex":
-        return StepIndex("unverified")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def to_jsonable(self):
-        return self.value if self.kind == "finite" else self.kind
-
-
-class Transversal:
-    """Coset representatives of a stage L in its parent stage H, indexed
-    0..size-1.
-
-    An explicit transversal wraps a tuple.  A product transversal holds at
-    least two explicit factor transversals T_1 .. T_m and names the
-    subgroups K_1 .. K_{m-1} between them as ``intermediates``; with K_0 = H
-    and K_m = L, T_j is a transversal of K_j in K_{j-1}.  A factor that is
-    itself a product is spliced in with its own intermediates, and a
-    product of one factor is that factor.  Representative i is the ordered
-    product t_1 * ... * t_m of the factors' representatives at the
-    mixed-radix digits of i, the last factor varying fastest (the order of
-    nested loops over the factors); it is built only when asked.  By the
-    product theorem these are a transversal of L in H (Sims 1970; Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4), so ``verify_prefix``
-    certifies each factor against its own pair (K_{j-1}, K_j) and places an
-    element by sifting it through the factors.  There is no ``__len__``: a
-    product's ``size`` can exceed ``sys.maxsize``.
-    """
-
-    def __init__(self, reps=(), *, factors=(), intermediates=()):
-        factors, intermediates = tuple(factors), tuple(intermediates)
-        if factors and len(intermediates) != len(factors) - 1:
-            raise ChainError("a product of m factors names m - 1 intermediate subgroups")
-        self.factors, self.intermediates = (), ()
-        for j, f in enumerate(factors):
-            self.intermediates += (*intermediates[j - 1:j], *f.intermediates)
-            self.factors += f.factors or (f,)
-        if len(self.factors) == 1:
-            reps, self.factors = self.factors[0]._reps, ()
-        self._reps = tuple(reps)
-        self.size = (math.prod(f.size for f in self.factors) if self.factors
-                     else len(self._reps))
-
-    def rep(self, i: int) -> Element:
-        if not 0 <= i < self.size:
-            raise IndexError(f"representative {i} outside 0..{self.size - 1}")
-        if not self.factors:
-            return self._reps[i]
-        picks = []
-        for f in reversed(self.factors):
-            i, digit = divmod(i, f.size)
-            picks.append(f._reps[digit])
-        return functools.reduce(operator.mul, reversed(picks))
-
-    def __iter__(self):
-        if not self.factors:
-            return iter(self._reps)
-        return (self.rep(i) for i in range(self.size))
-
-    def factor_reps(self) -> list[tuple[Element, ...]]:
-        """Each factor's representatives; an explicit transversal is one factor."""
-        return [f._reps for f in self.factors] or [self._reps]
-
-
-@dataclass(frozen=True)
-class SubgroupDescriptor:
-    """One chain stage: a membership test plus index evidence.
-
-    ``transversal`` holds coset representatives of this stage inside its
-    parent stage; when present the index is certified exactly, otherwise the
-    verifier can only count cosets among probes and reports it unverified.
-    """
-
-    owner: Group
-    membership: Callable[[Element], bool]
-    index_in_parent: Optional[StepIndex] = None
-    transversal: Optional[Transversal] = None
-    label: str = ""
-
-    def contains(self, e: Element) -> bool:
-        return self.membership(e)
 
 
 def _full_stage(group: Group) -> SubgroupDescriptor:
@@ -219,7 +118,7 @@ class ChainSchema:
         if self.num_blocks > 0 and self.final_limit is None:
             raise ChainError("chains with blocks need the stage at their last limit")
 
-    @property
+    @functools.cached_property
     def length(self) -> Ordinal:
         return OMEGA * self.num_blocks + len(self.tail)
 
@@ -325,12 +224,11 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
         modulus = p ** n
         if n == 0:
             return _full_stage(z)
-        reps = Transversal(Element(z, j * p ** (n - 1)) for j in range(p))
         return SubgroupDescriptor(
             owner=z,
             membership=lambda e, m=modulus: e.value % m == 0,
             index_in_parent=StepIndex.finite(p),
-            transversal=reps,
+            transversal=lambda: Transversal(Element(z, j * p ** (n - 1)) for j in range(p)),
             label=f"multiples of {modulus}",
         )
 
@@ -364,16 +262,15 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
                 owner=d,
                 membership=lambda e: e.value[1] == 0,
                 index_in_parent=StepIndex.finite(2),
-                transversal=Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
+                transversal=lambda: Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
                 label="translations",
             )
         modulus = p ** (n - 1)
-        reps = Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p))
         return SubgroupDescriptor(
             owner=d,
             membership=lambda e, m=modulus: e.value[1] == 0 and e.value[0] % m == 0,
             index_in_parent=StepIndex.finite(p),
-            transversal=reps,
+            transversal=lambda: Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p)),
             label=f"translations by multiples of {modulus}",
         )
 
@@ -465,7 +362,7 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
             owner=chain.group,
             membership=last.membership,
             index_in_parent=StepIndex.finite(1),
-            transversal=Transversal((identity,)),
+            transversal=lambda: Transversal((identity,)),
             label=(last.label or "last stage") + " (repeated)",
         )
 
@@ -483,24 +380,27 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 # --- combinators -------------------------------------------------------------
 
 
-def _mapped(t: Transversal, f: Callable[[Element], Element],
-            stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]) -> Transversal:
-    """``t`` carried into another group: each explicit representative through
-    ``f``, now, and each intermediate subgroup through ``stage_map``.  A
+def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element],
+            stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]):
+    """A function building ``stage``'s transversal carried into another
+    group, or None when the stage has none: each explicit representative
+    through ``f`` and each intermediate subgroup through ``stage_map``.  A
     product stays a product of the images of its factors."""
-    return Transversal(factors=[Transversal(map(f, reps)) for reps in t.factor_reps()],
-                       intermediates=map(stage_map, t.intermediates))
+    def build() -> Optional[Transversal]:
+        t = stage.transversal
+        if t is not None:
+            return Transversal(factors=[Transversal(map(f, reps)) for reps in t.factor_reps()],
+                               intermediates=map(stage_map, t.intermediates))
+    return build
 
 
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
-    reps = None
-    if stage.transversal is not None and ext.section is not None:
-        reps = _mapped(stage.transversal, ext.section, lambda k: _pullback_stage(ext, k))
     return SubgroupDescriptor(
         owner=ext.total,
         membership=lambda e: stage.membership(ext.projection(e)),
         index_in_parent=stage.index_in_parent,
-        transversal=reps,
+        transversal=None if ext.section is None
+        else _mapped(stage, ext.section, lambda k: _pullback_stage(ext, k)),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
     )
 
@@ -515,8 +415,7 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
         owner=ext.total,
         membership=member,
         index_in_parent=stage.index_in_parent,
-        transversal=None if stage.transversal is None
-        else _mapped(stage.transversal, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
+        transversal=_mapped(stage, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
 
@@ -537,27 +436,27 @@ def concat_extension(ext: ExtensionHandle, chain_q: ChainSchema,
         raise ChainError("extension lacks a kernel bundle")
     if chain_n.group.tag != ext.kernel_group.tag:
         raise ChainError("kernel chain is over the wrong group")
-    if chain_q.length == ZERO and ext.total.tag == chain_n.group.tag:
+    q1, r1 = chain_q.num_blocks, len(chain_q.tail)
+    if q1 == r1 == 0 and ext.total.tag == chain_n.group.tag:
         return chain_n
-    l1 = chain_q.length
-    total_len = l1 + chain_n.length
-    q_blocks, r = _split_stage_ordinal(total_len)
-
-    def dispatch(i: Ordinal) -> SubgroupDescriptor:
-        if i <= l1:
-            return _pullback_stage(ext, chain_at(chain_q, i))
-        return _embed_kernel_stage(ext, chain_at(chain_n, left_subtract(l1, i)))
+    q2, r2 = chain_n.num_blocks, len(chain_n.tail)
+    # the sum w*q1 + r1 + w*q2 + r2 absorbs r1 when q2 > 0
+    q_blocks, r = (q1 + q2, r2) if q2 else (q1, r1 + r2)
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
-        return dispatch(OMEGA * b + n)
+        if b < q1 or (b == q1 and n <= r1):
+            return _pullback_stage(ext, chain_q.stage_at(b, n))
+        if b == q1:
+            return _embed_kernel_stage(ext, chain_n.stage_at(0, n - r1))
+        return _embed_kernel_stage(ext, chain_n.stage_at(b - q1, n))
 
     return ChainSchema(
         group=ext.total,
         kappa=max(chain_q.kappa, chain_n.kappa),
         num_blocks=q_blocks,
         block_rule=rule if q_blocks else None,
-        final_limit=dispatch(OMEGA * q_blocks) if q_blocks else None,
-        tail=tuple(dispatch(OMEGA * q_blocks + j) for j in range(1, r + 1)),
+        final_limit=rule(q_blocks, 0) if q_blocks else None,
+        tail=tuple(rule(q_blocks, j) for j in range(1, r + 1)),
         name=f"{chain_q.name} then {chain_n.name}",
         flags=chain_q.flags + chain_n.flags,
     )
@@ -602,19 +501,24 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
 def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
                                support: Optional[SubgroupDescriptor]) -> Callable[[Element], bool]:
     """Every supported value in ``support`` (when given), and the value at
-    each point of ``coords`` (point, base stage) in that stage."""
-    base = grp.base
+    each point of ``coords`` (point, base stage) in that stage.  Only the
+    supported points are read: every other point holds the identity, which
+    each stage of ``coords`` is tested for once, on the first call."""
+    base, at = grp.base, dict(coords)
+
+    @functools.cache
+    def identity_inside() -> bool:
+        return all(stage.contains(base.identity()) for stage in at.values())
 
     def member(e: Element) -> bool:
-        value = e.value
-        if support is not None:
-            for _, v in value:
-                if not support.contains(Element(base, v)):
-                    return False
-        for x, stage in coords:
-            if not stage.contains(Element(base, grp.value_at(value, x))):
+        for x, v in e.value:
+            value = Element(base, v)
+            if support is not None and not support.contains(value):
                 return False
-        return True
+            stage = at.get(x)
+            if stage is not None and not stage.contains(value):
+                return False
+        return identity_inside()
 
     return member
 
@@ -630,7 +534,8 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     the stage's constraints at the first j points and the parent's at the
     rest, so each factor moves one coordinate down one base stage; elements
     with disjoint supports commute.  A base intermediate M of factor j
-    becomes K_(j-1) with the j-th point at M."""
+    becomes K_(j-1) with the j-th point at M.  The transversal is built on
+    first read."""
     indices = [stage.index_in_parent for _, stage in coords]
     index: Optional[StepIndex] = None
     reps = None
@@ -644,19 +549,20 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
             label=f"{label}, intermediate",
         )
 
+    def product() -> Optional[Transversal]:
+        factors = [_mapped(stage, grp.embed_at(x), lambda m, j=j, x=x: between(j, [(x, m)]))()
+                   for j, (x, stage) in enumerate(coords)]
+        if None not in factors:
+            return Transversal(factors=factors,
+                               intermediates=[between(j, parent_coords[j:j + 1])
+                                              for j in range(1, len(coords))])
+
     if any(i is not None and i.kind == "infinite" for i in indices):
         index = StepIndex.infinite()
     elif indices and None not in indices:
         if all(i.is_finite for i in indices):
             index = StepIndex.finite(math.prod(i.value for i in indices))
-            if all(stage.transversal is not None for _, stage in coords):
-                reps = Transversal(
-                    factors=[_mapped(stage.transversal, grp.embed_at(x),
-                                     lambda m, j=j, x=x: between(j, [(x, m)]))
-                             for j, (x, stage) in enumerate(coords)],
-                    intermediates=[between(j, parent_coords[j:j + 1])
-                                   for j in range(1, len(coords))],
-                )
+            reps = product
         else:
             index = StepIndex.unverified()
     return SubgroupDescriptor(
@@ -905,10 +811,11 @@ def _check_limit_coherence(chain: ChainSchema, rows: list[_Row], probes: list[El
                            budget: int, fail: _Fail):
     """Each declared limit stage against the lazy intersection of the block
     before it.  Returns the stage of that block that excludes each rejected
-    probe, keyed (probe, block), and the (probe, limit ordinal) pairs whose
-    rejection no stage within the budget confirms.  Steps of that block
-    that are rows are read from ``mem``; only deeper ones are tested."""
-    witness_stage: dict[tuple[int, int], Ordinal] = {}
+    probe, keyed (probe, block), as its (block, step) address, and the
+    (probe, limit ordinal) pairs whose rejection no stage within the budget
+    confirms.  Steps of that block that are rows are read from ``mem``; only
+    deeper ones are tested."""
+    witness_stage: dict[tuple[int, int], tuple[int, int]] = {}
     unresolved: list[tuple[int, Ordinal]] = []
     for k, (ordinal_i, b, n, _) in enumerate(rows):
         if n != 0 or b < 1:
@@ -924,93 +831,10 @@ def _check_limit_coherence(chain: ChainSchema, rows: list[_Row], probes: list[El
                     fail("limit stage accepts an element excluded below it",
                          OMEGA * (b - 1) + found, p)
                 else:
-                    witness_stage[(pi, b)] = OMEGA * (b - 1) + found
+                    witness_stage[(pi, b)] = (b - 1, found)
             elif not claimed:
                 unresolved.append((pi, ordinal_i))
     return witness_stage, unresolved
-
-
-def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
-                 stage: SubgroupDescriptor) -> Optional[tuple[str, Optional[Element]]]:
-    """The first reason, with its witness, why ``reps`` is not a transversal
-    of ``stage`` in ``parent``: no representative in ``stage`` itself, one
-    outside ``parent``, or two in one left coset of ``stage``."""
-    if not any(stage.contains(rep) for rep in reps):
-        return "transversal misses the identity coset", None
-    for rep in reps:
-        if not parent.contains(rep):
-            return "transversal leaves the parent stage", rep
-    for i, rep in enumerate(reps):
-        inverse = rep.inverse()
-        for other in reps[i + 1:]:
-            if stage.contains(inverse * other):
-                return "transversal representatives share a coset", other
-    return None
-
-
-def _placer(t: Transversal, stage: SubgroupDescriptor
-            ) -> Callable[[Element], Optional[tuple[int, Element]]]:
-    """Placement in the row of ``stage`` with transversal ``t``, whose
-    factors T_1 .. T_m lie between the subgroups K_1 > ... > K_m = stage.
-
-    The returned function sifts ``p``: for j = 1..m in turn it takes the
-    digit d with t_j[d]^-1 * p in K_j and continues with that element.  It
-    returns the row index (mixed radix over the factor sizes, the last
-    factor fastest, as ``Transversal.rep`` counts) and the residue
-    rep^-1 * p, or None when some factor has no such digit.  Each factor's
-    inverses are computed once, here."""
-    steps = [([rep.inverse() for rep in reps], k)
-             for reps, k in zip(t.factor_reps(), (*t.intermediates, stage))]
-
-    def place(p: Element) -> Optional[tuple[int, Element]]:
-        index = 0
-        for inverses, k in steps:
-            for d, inverse in enumerate(inverses):
-                shifted = inverse * p
-                if k.contains(shifted):
-                    index = index * len(inverses) + d
-                    p = shifted
-                    break
-            else:
-                return None
-        return index, p
-
-    return place
-
-
-def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
-                         probes: list[Element], in_parent: list[bool], in_stage: list[bool]):
-    """The certified index of ``stage`` in ``parent`` and None, or None and
-    the first failure (reason, witness) of its transversal ``t``.
-
-    Each factor is checked against its own pair (K_(j-1), K_j) of the
-    subgroups parent = K_0, K_1, ..., K_m = stage; the K_j must nest on the
-    probes; and each probe in the parent is sifted through the factors, the
-    representative found being confirmed by ``stage`` itself.  An explicit
-    transversal is one factor, so this is the pairwise check and a scan."""
-    subgroups = (parent, *t.intermediates, stage)
-    for j, reps in enumerate(t.factor_reps()):
-        failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
-        if failure is not None:
-            return None, failure
-    if t.intermediates:
-        for p, in_k0, in_km in zip(probes, in_parent, in_stage):
-            inside = [in_k0, *(k.contains(p) for k in t.intermediates), in_km]
-            if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
-                return None, ("descent violated", p)
-    place = _placer(t, stage)
-    for p, in_k0 in zip(probes, in_parent):
-        if not in_k0:
-            continue
-        uncovered = None, ("transversal does not cover a parent probe", p)
-        placed = place(p)
-        if placed is None:
-            return uncovered
-        if t.factors:
-            found = t.rep(placed[0])
-            if not stage.contains(found.inverse() * p):
-                return uncovered
-    return t.size, None
 
 
 def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
@@ -1074,7 +898,7 @@ def _check_finality(rows: list[_Row], probes: list[Element], mem, fail: _Fail) -
 
 
 def _separations(rows: list[_Row], probes: list[Element], mem,
-                 witness_stage: dict[tuple[int, int], Ordinal]) -> list[dict]:
+                 witness_stage: dict[tuple[int, int], tuple[int, int]]) -> list[dict]:
     """The first stage known to exclude each probe, sorted by probe."""
     separations = []
     for pi, p in enumerate(probes):
@@ -1082,7 +906,10 @@ def _separations(rows: list[_Row], probes: list[Element], mem,
         for k, (ordinal_i, b, n, _) in enumerate(rows):
             if mem[pi][k]:
                 continue
-            first = witness_stage.get((pi, b), ordinal_i) if n == 0 and b >= 1 else ordinal_i
+            first = ordinal_i
+            if n == 0 and (pi, b) in witness_stage:
+                wb, wn = witness_stage[pi, b]
+                first = OMEGA * wb + wn
             break
         separations.append({
             "probe": _probe_id(p),

@@ -41,7 +41,6 @@ __all__ = [
     "DirectProductGroup",
     "FinSupportPowerGroup",
     "WreathProductGroup",
-    "SubgroupHandle",
     "make_cyclic",
     "make_integers",
     "make_perm",
@@ -51,7 +50,6 @@ __all__ = [
     "finite_support_power",
     "wreath_product",
     "extension_from_quotient",
-    "commutator_subgroup",
     "perm_from_cycles",
     "label_sort_key",
     "random_words",
@@ -327,15 +325,15 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
     return list(seen)
 
 
-class _ProductTable(dict):
-    """``table[a, b]`` is ``mul(a, b)``, computed on first use and kept."""
+class _Memo(dict):
+    """``memo[key]`` is ``fn(key)``, computed on first use and kept."""
 
-    def __init__(self, mul: Callable):
+    def __init__(self, fn: Callable):
         super().__init__()
-        self.mul = mul
+        self.fn = fn
 
     def __missing__(self, key):
-        value = self[key] = self.mul(*key)
+        value = self[key] = self.fn(key)
         return value
 
 
@@ -364,7 +362,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
         return []
     if max_len < 1:
         raise ValueError(f"word length {max_len} is below 1")
-    products = _ProductTable(group.mul_values)
+    products = _Memo(lambda ab: group.mul_values(*ab))
 
     def ball_size(cap: int) -> int:
         ball, frontier = {one}, [one]
@@ -773,6 +771,8 @@ class FinSupportPowerGroup(Group):
         self.has_finite_abelianization_claimed = (
             base.has_finite_abelianization_claimed and points.size is not None
         )
+        keys = _Memo(label_sort_key)
+        self._point_key = lambda pv: keys[pv[0]]  # a (point, value) pair's sort key
 
     @property
     def tag(self) -> str:
@@ -783,21 +783,24 @@ class FinSupportPowerGroup(Group):
 
     def _canon(self, mapping: dict):
         ident = self.base.identity_value()
-        items = [(p, v) for p, v in mapping.items() if v != ident]
-        items.sort(key=lambda pv: label_sort_key(pv[0]))
-        return tuple(items)
+        return tuple(sorted([(p, v) for p, v in mapping.items() if v != ident],
+                            key=self._point_key))
 
     def mul_values(self, a, b):
+        if not a or not b:
+            return a or b
         m = dict(a)
+        mul = self.base.mul_values
         for p, v in b:
-            if p in m:
-                m[p] = self.base.mul_values(m[p], v)
-            else:
-                m[p] = v
-        return self._canon(m)
+            m[p] = mul(m[p], v) if p in m else v
+        if len(m) > len(a):  # a's sorted points, then b's new ones: merged by the sort
+            return self._canon(m)
+        ident = self.base.identity_value()
+        return tuple((p, v) for p, v in m.items() if v != ident)  # a's order
 
     def inv_value(self, a):
-        return self._canon({p: self.base.inv_value(v) for p, v in a})
+        inv = self.base.inv_value
+        return tuple((p, inv(v)) for p, v in a)
 
     def validate_value(self, v):
         m = {}
@@ -898,21 +901,23 @@ class WreathProductGroup(Group):
     def identity_value(self):
         return ((), self.top.identity_value())
 
+    def _shifted(self, g, f):
+        """The function f with each point p moved to g * p.  It is sorted
+        again unless g is the identity; a shift that keeps the order costs
+        the sort one pass over the memoized keys."""
+        if not f or g == self.top.identity_value():
+            return f
+        mul = self.top.mul_values
+        return tuple(sorted([(mul(g, p), v) for p, v in f], key=self.kernel._point_key))
+
     def mul_values(self, a, b):
         (f1, g1), (f2, g2) = a, b
-        shifted = {}
-        for p, v in f2:
-            shifted[self.top.mul_values(g1, p)] = v
-        f = self.kernel.mul_values(f1, self.kernel._canon(shifted))
-        return (f, self.top.mul_values(g1, g2))
+        return (self.kernel.mul_values(f1, self._shifted(g1, f2)), self.top.mul_values(g1, g2))
 
     def inv_value(self, a):
         f, g = a
         ginv = self.top.inv_value(g)
-        shifted = {}
-        for p, v in f:
-            shifted[self.top.mul_values(ginv, p)] = self.base.inv_value(v)
-        return (self.kernel._canon(shifted), ginv)
+        return (self._shifted(ginv, self.kernel.inv_value(f)), ginv)
 
     def validate_value(self, v):
         if not isinstance(v, tuple) or len(v) != 2:
@@ -986,57 +991,6 @@ def _is_valid_value(group: Group, v) -> bool:
         return True
     except (InvalidElementError, TypeError, ValueError):
         return False
-
-
-class SubgroupHandle(Group):
-    """A finite subgroup of a parent group, as its own handle."""
-
-    def __init__(self, parent: Group, values: Iterable, generators: Iterable = ()):
-        super().__init__()
-        self.parent = parent
-        vals = sorted({parent.validate_value(v) for v in values}, key=label_sort_key)
-        self._values = tuple(vals)
-        self._value_set = frozenset(vals)
-        if parent.identity_value() not in self._value_set:
-            raise GroupError("subgroup must contain the identity")
-        gens = tuple(parent.validate_value(v) for v in generators)
-        self._gens = gens or tuple(v for v in vals if v != parent.identity_value())
-        self.is_residually_finite_claimed = True
-        self.has_finite_abelianization_claimed = True
-
-    @property
-    def tag(self) -> str:
-        return f"sub({self.parent.tag};{len(self._values)}:{hash(self._values) & 0xFFFFFFFF:x})"
-
-    def identity_value(self):
-        return self.parent.identity_value()
-
-    def mul_values(self, a, b):
-        return self.parent.mul_values(a, b)
-
-    def inv_value(self, a):
-        return self.parent.inv_value(a)
-
-    def validate_value(self, v):
-        v = self.parent.validate_value(v)
-        if v not in self._value_set:
-            raise InvalidElementError(f"{v!r} is not in the subgroup")
-        return v
-
-    def _compute_order(self):
-        return len(self._values)
-
-    def _generator_values(self):
-        return self._gens
-
-    def _enumerate_values(self):
-        return list(self._values)
-
-    def contains_parent_element(self, e: Element) -> bool:
-        return e.value in self._value_set
-
-    def value_to_jsonable(self, v):
-        return self.parent.value_to_jsonable(v)
 
 
 # --- short exact sequences ---------------------------------------------------
@@ -1204,34 +1158,3 @@ def finite_support_power(base: Group, points: PointSet) -> FinSupportPowerGroup:
 def wreath_product(base: Group, top: Group) -> WreathProductGroup:
     """The regular restricted wreath product of ``base`` by ``top``."""
     return WreathProductGroup(base, top)
-
-
-def commutator_subgroup(g: Group) -> SubgroupHandle:
-    """Derived subgroup of a finite group.
-
-    Generated by the commutators of generator pairs, closed under conjugation
-    by generators (i.e. the normal closure), then under multiplication.
-    """
-    if g.order is None:
-        raise GroupError(
-            f"{g.tag} is infinite; derived subgroups are only computed for finite groups"
-        )
-    gens = list(g.generators)
-    seeds = {g.identity_value()}
-    for a in gens:
-        for b in gens:
-            seeds.add(a.commutator_with(b).value)
-    # normal closure under conjugation by generators, then multiplicative closure
-    changed = True
-    current = set(seeds)
-    while changed:
-        closed = set(mulclose(sorted(current, key=label_sort_key), g.mul_values))
-        conjugated = set(closed)
-        for v in closed:
-            for a in gens:
-                conjugated.add(
-                    g.mul_values(g.mul_values(a.value, v), g.inv_value(a.value))
-                )
-        changed = conjugated != closed
-        current = conjugated
-    return SubgroupHandle(g, current)

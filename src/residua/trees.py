@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .chains import (ChainError, ChainSchema, SubgroupDescriptor, Transversal,
-                     _first_excluding_step, _placer, _probe_id, _split_stage_ordinal,
+from .chains import (ChainSchema, _first_excluding_step, _probe_id, _split_stage_ordinal,
                      finite_chain)
 from .groups import Element, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
+from .stages import ChainError, SubgroupDescriptor, Transversal, _placer
 
 __all__ = [
     "TreeError",
@@ -116,7 +116,7 @@ class TreeTruncation:
 
     @cached_property
     def _placers(self) -> list[Callable]:
-        """Each level's placement routine (``chains._placer``), built on first use."""
+        """Each level's placement routine (``stages._placer``), built on first use."""
         stages = self._stages(self.depth)
         return [_placer(stage.transversal, stage) for stage in stages[1:]]
 

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import itertools
 import math
 import random
@@ -5,7 +8,7 @@ import time
 
 import pytest
 
-from residua import chains
+from residua import chains, cli
 from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
@@ -14,6 +17,7 @@ from residua.chains import (
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
+    _first_excluding_step,
     _rows,
     chain_at,
     compress_successor_tail,
@@ -612,6 +616,64 @@ class TestTransversal:
         assert not stage.contains(last)
         with pytest.raises(IndexError):
             t.rep(t.size)
+
+
+def count_transversals(monkeypatch) -> list[int]:
+    """A one-item list counting ``Transversal`` constructions from now on."""
+    built = [0]
+    init = Transversal.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transversal, "__init__", counting)
+    return built
+
+
+class TestLazyTransversals:
+    """A stage builds its transversal on the first read of ``transversal``,
+    so stages used only for membership build none."""
+
+    def test_height_four_tower_builds_few_transversals(self, monkeypatch):
+        # limit coherence walks up to 64 stages into each block; when each
+        # stage built its nested transversal this run made 107,682 of them
+        built = count_transversals(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "tower(Dinf,4)", "--levels", "3"]) == 0
+        assert built[0] < 20_000
+
+    def test_stages_the_limit_walk_reaches_build_none(self, monkeypatch):
+        chain = chain_for(parse_expr("tower(Dinf,3)"))
+        built = count_transversals(monkeypatch)
+        # no stage excludes the identity, so the walk reaches all 65 steps
+        assert _first_excluding_step(chain, 1, chain.group.identity(), 64) is None
+        assert built[0] == 0
+        stage = chain.stage_at(1, 64)
+        assert stage.transversal.size == stage.index_in_parent.value
+        assert built[0] > 0
+
+    @pytest.mark.parametrize("expr, levels", [("wreath(C(2),Z)", 5), ("tower(Dinf,2)", 6),
+                                              ("power(tower(Dinf,2),3)", 4)])
+    def test_given_transversals_give_the_same_certificate(self, expr, levels):
+        lazy = chain_for(parse_expr(expr))
+
+        def replaced(stage):  # the transversal built now and passed as a value
+            return dataclasses.replace(stage, transversal=stage.transversal)
+
+        def constructed(stage):
+            return SubgroupDescriptor(
+                owner=stage.owner, membership=stage.membership,
+                index_in_parent=stage.index_in_parent, transversal=stage.transversal,
+                label=stage.label)
+
+        expected = verify_prefix(chain_for(parse_expr(expr)), levels, 64, 0).to_jsonable()
+        for remake in (replaced, constructed):
+            chain = dataclasses.replace(
+                lazy, block_rule=lambda b, n, remake=remake: remake(lazy.stage_at(b, n)),
+                final_limit=lazy.final_limit and remake(lazy.final_limit),
+                tail=tuple(map(remake, lazy.tail)), _stage_cache={})
+            assert verify_prefix(chain, levels, 64, 0).to_jsonable() == expected
 
 
 def multiples(m):

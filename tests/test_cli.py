@@ -339,6 +339,17 @@ class TestUsageErrors:
         assert result.stderr.splitlines()[-1].startswith(
             f"residua {command}: error: argument {flag}")
 
+    def test_exit_2_is_shared_by_a_usage_error_and_a_fail(self):
+        # 2 stays the status of both: the exit codes are a stable contract,
+        # so a usage error keeps argparse's 2 rather than taking a new code;
+        # stderr tells them apart
+        usage = run_module("verify", "Z", "--word-len", "0")
+        fail = run_module("verify", "C(5)", "--kappa", "5")
+        assert usage.returncode == fail.returncode == 2
+        assert "residua verify: error:" in usage.stderr
+        assert "residua verify: error:" not in fail.stderr
+        assert usage.stdout == "" and fail.stdout.startswith("verdict: fail\n")
+
     def test_unwritable_out_is_one_line(self, tmp_path):
         target = tmp_path / "missing" / "x"
         result = run_module("verify", "Z", "--out", str(target))

@@ -3,6 +3,7 @@ import itertools
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residua import catalog, groups
 from residua.catalog import build_group
@@ -15,8 +16,6 @@ from residua.groups import (
     GroupError,
     GroupMismatchError,
     InvalidElementError,
-    SubgroupHandle,
-    commutator_subgroup,
     extension_from_quotient,
     finite_support_power,
     label_sort_key,
@@ -31,6 +30,7 @@ from residua.groups import (
     random_words,
     wreath_product,
 )
+from residua.subgroups import SubgroupHandle, commutator_subgroup
 
 
 def closure_oracle(gen_values, mul, identity):
@@ -151,6 +151,108 @@ class TestFinSupportPower:
         pts = CountablePoints(lambda i: i % 3, "bad")
         with pytest.raises(GroupError):
             [pts.label(i) for i in range(5)]
+
+
+# --- products against a dict-and-sort reference ---------------------------------
+
+
+def canonical(base, mapping: dict) -> tuple:
+    """The reference canonical form: identity values dropped, points sorted."""
+    ident = base.identity_value()
+    return tuple(sorted(((p, v) for p, v in mapping.items() if v != ident),
+                        key=lambda pv: label_sort_key(pv[0])))
+
+
+def reference_mul(power, a, b):
+    m = dict(a)
+    for p, v in b:
+        m[p] = power.base.mul_values(m[p], v) if p in m else v
+    return canonical(power.base, m)
+
+
+def reference_inv(power, a):
+    return canonical(power.base, {p: power.base.inv_value(v) for p, v in a})
+
+
+def reference_shift(w, g, f, value=lambda v: v):
+    return canonical(w.base, {w.top.mul_values(g, p): value(v) for p, v in f})
+
+
+def assert_canonical(base, f):
+    keys = [label_sort_key(p) for p, _ in f]
+    assert keys == sorted(set(keys))  # sorted, each point once
+    assert all(v != base.identity_value() for _, v in f)
+
+
+POINTS = list(range(-4, 5))
+
+
+@st.composite
+def related_supports(draw):
+    """Two supports over POINTS that are disjoint, nested or overlapping,
+    with values in C(3), so that products cancel at shared points."""
+    a = draw(st.sets(st.sampled_from(POINTS), max_size=6))
+    inside, outside = sorted(a), [p for p in POINTS if p not in a]
+    relation = draw(st.sampled_from(["disjoint", "nested", "overlapping"]))
+    part = (lambda pts: st.sets(st.sampled_from(pts), max_size=6) if pts else st.just(set()))
+    b = set() if relation == "disjoint" else draw(part(inside))
+    if relation != "nested":
+        b |= draw(part(outside))
+    value = st.sampled_from([1, 2])
+    return ({p: draw(value) for p in a}, {p: draw(value) for p in b})
+
+
+# top values drawn from small sets; a wreath's points are its top's values.  A
+# wreath over wreath(C(2),Z) has no point enumeration yet, so the nested-tuple
+# points come from the finite top wreath(C(2),C(3)).
+TOP_VALUES = {
+    "wreath(C(2),Z)": st.integers(-4, 4),
+    "wreath(C(2),Dinf)": st.tuples(st.integers(-3, 3), st.sampled_from([0, 1])),  # flips reorder
+    "wreath(C(2),wreath(C(2),C(3)))": st.sampled_from(
+        wreath_product(make_cyclic(2), make_cyclic(3)).element_values()),
+}
+
+
+def wreath_values(w, tops):
+    function = st.sets(tops, max_size=5).map(lambda pts: canonical(w.base, dict.fromkeys(pts, 1)))
+    return st.tuples(function, tops)
+
+
+class TestProductsAgainstReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(related_supports())
+    def test_finite_support_products(self, supports):
+        power = finite_support_power(make_cyclic(3), FinitePoints(POINTS))
+        a, b = (canonical(power.base, m) for m in supports)
+        for x, y in ((a, b), (b, a), (a, a), (a, reference_inv(power, a))):
+            product = power.mul_values(x, y)
+            assert product == reference_mul(power, x, y)
+            assert_canonical(power.base, product)
+        assert power.inv_value(a) == reference_inv(power, a)
+        assert_canonical(power.base, power.inv_value(a))
+
+    @pytest.mark.parametrize("expr", list(TOP_VALUES))
+    def test_wreath_products(self, expr):
+        w = build_group(parse_expr(expr))
+        values = wreath_values(w, TOP_VALUES[expr])
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(values, values)
+        def check(a, b):
+            (f1, g1), (f2, g2) = a, b
+            product = w.mul_values(a, b)
+            expected = reference_mul(w.kernel, f1, reference_shift(w, g1, f2))
+            assert product == (expected, w.top.mul_values(g1, g2))
+            assert_canonical(w.base, product[0])
+            ginv = w.top.inv_value(g1)
+            inverse = w.inv_value(a)
+            assert inverse == (reference_shift(w, ginv, f1, w.base.inv_value), ginv)
+            assert_canonical(w.base, inverse[0])
+            assert w.mul_values(a, inverse) == w.identity_value()
+            # the kernel over the same points, on the shifted functions
+            assert w.kernel.mul_values(f1, f2) == reference_mul(w.kernel, f1, f2)
+
+        check()
 
 
 class TestWreath:

@@ -9,9 +9,10 @@ from residua import trees
 from residua.catalog import build_group, chain_for
 from residua.chains import SubgroupDescriptor, Transversal, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
-from residua.groups import (Element, PermGroup, SubgroupHandle, make_cyclic, make_integers, make_symmetric,
+from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
+from residua.subgroups import SubgroupHandle
 from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
     NonMaterializableError,
