@@ -108,7 +108,7 @@ class ChainSchema:
     tail: tuple[SubgroupDescriptor, ...] = ()
     name: str = ""
     flags: tuple[str, ...] = ()
-    _stage_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _stage_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_blocks < 0:
@@ -559,12 +559,9 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
 
     if any(i is not None and i.kind == "infinite" for i in indices):
         index = StepIndex.infinite()
-    elif indices and None not in indices:
-        if all(i.is_finite for i in indices):
-            index = StepIndex.finite(math.prod(i.value for i in indices))
-            reps = product
-        else:
-            index = StepIndex.unverified()
+    elif indices and all(i is not None and i.is_finite for i in indices):
+        index = StepIndex.finite(math.prod(i.value for i in indices))
+        reps = product
     return SubgroupDescriptor(
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
         index_in_parent=index, transversal=reps, label=label,
@@ -696,8 +693,7 @@ def _tower_chain(levels: list[Group], g_chain: ChainSchema) -> ChainSchema:
     chain = g_chain
     for wreath in levels[1:]:
         chain = _wreath_chain(wreath, g_chain, chain)
-    return replace(chain, name=f"tower({g.tag}, {len(levels)})", flags=flags,
-                   _stage_cache={})
+    return replace(chain, name=f"tower({g.tag}, {len(levels)})", flags=flags)
 
 
 def tower_chain(g: Group, g_chain: ChainSchema, n: int) -> ChainSchema:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .catalog import UnregisteredConstructionError, build_group, chain_for, depth_interval
 from .chains import ChainError, verify_prefix
-from .dsl import DslParseError, parse_expr, print_expr
+from .dsl import DslParseError, GroupExpr, parse_expr, print_expr
 from .groups import GroupError
 from .oracle import (
     OracleCapError,
@@ -48,6 +48,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_UNREGISTERED = 4
 EXIT_NON_MATERIALIZABLE = 5
 EXIT_CAP = 6
+
+# Python 3.11 and later refuse to write ints of over 4,300 digits unless lifted
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_depth(expr_text: str, config: RunConfig) -> int:
-    expr = parse_expr(expr_text)
+def cmd_depth(expr: GroupExpr, config: RunConfig) -> int:
     interval = depth_interval(expr)
     if config.format == "json":
         payload = {
@@ -136,8 +139,7 @@ def cmd_depth(expr_text: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(expr_text: str, config: RunConfig) -> int:
-    expr = parse_expr(expr_text)
+def cmd_verify(expr: GroupExpr, config: RunConfig) -> int:
     if config.chain != "auto":
         raise UnregisteredConstructionError(
             f"no chain constructor registered under selector {config.chain!r}"
@@ -194,8 +196,7 @@ def cmd_verify(expr_text: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_tree(expr_text: str, config: RunConfig) -> int:
-    expr = parse_expr(expr_text)
+def cmd_tree(expr: GroupExpr, config: RunConfig) -> int:
     chain = chain_for(expr)
     truncation = truncate(coset_tree(chain), config.levels, block=config.block)
     if config.format in ("dot", "json"):
@@ -211,8 +212,7 @@ def cmd_tree(expr_text: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(subcommand: str, expr_text: str, config: RunConfig) -> int:
-    expr = parse_expr(expr_text)
+def cmd_oracle(subcommand: str, expr: GroupExpr, config: RunConfig) -> int:
     group = build_group(expr)
     if subcommand == "lattice":
         payload = all_subgroups(group).to_jsonable()
@@ -302,14 +302,17 @@ def main(argv: list[str] | None = None) -> int:
     if "seed" not in given and (env_seed := _env_seed(parser)) is not None:
         given["seed"] = env_seed
     config = RunConfig(**given)
+    limit = _digit_limit()
     try:
+        expr = parse_expr(args.expr)
+        _set_digit_limit(0)  # a huge certified index is written, not refused
         if args.command == "depth":
-            return cmd_depth(args.expr, config)
+            return cmd_depth(expr, config)
         if args.command == "verify":
-            return cmd_verify(args.expr, config)
+            return cmd_verify(expr, config)
         if args.command == "tree":
-            return cmd_tree(args.expr, config)
-        return cmd_oracle(args.oracle_command, args.expr, config)
+            return cmd_tree(expr, config)
+        return cmd_oracle(args.oracle_command, expr, config)
     except DslParseError as exc:
         print(f"residua: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -333,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"residua: cannot write '{config.out}': {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _set_digit_limit(limit)
 
 
 if __name__ == "__main__":

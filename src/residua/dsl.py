@@ -153,7 +153,10 @@ class _Parser(_Scanner):
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise DslParseError("unexpected character", start, ("integer",))
-        return int(self.text[start:self.pos]), start
+        try:
+            return int(self.text[start:self.pos]), start
+        except ValueError:  # past the interpreter's digit limit, or a digit int() rejects
+            raise DslParseError("unreadable integer literal", start) from None
 
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()

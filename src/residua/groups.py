@@ -91,8 +91,8 @@ class Element:
     __slots__ = ("group", "value")
 
     def __init__(self, group: "Group", value):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "value", value)
+        _set_group(self, group)  # the slot descriptors; __setattr__ refuses
+        _set_value(self, value)
 
     def __setattr__(self, name, v):
         raise AttributeError("Element is immutable")
@@ -157,6 +157,9 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<{self.group.tag}: {self.value!r}>"
+
+
+_set_group, _set_value = Element.group.__set__, Element.value.__set__
 
 
 class Group:

@@ -29,9 +29,10 @@ class ChainError(GroupError):
 
 @dataclass(frozen=True)
 class StepIndex:
-    """Index of a stage in its parent: a known integer, infinite, or unverified."""
+    """Index of a stage in its parent: a known integer or infinite.  A stage
+    whose index is unverified has ``index_in_parent=None``."""
 
-    kind: str  # "finite" | "infinite" | "unverified"
+    kind: str  # "finite" | "infinite"
     value: Optional[int] = None
 
     @staticmethod
@@ -42,16 +43,9 @@ class StepIndex:
     def infinite() -> "StepIndex":
         return StepIndex("infinite")
 
-    @staticmethod
-    def unverified() -> "StepIndex":
-        return StepIndex("unverified")
-
     @property
     def is_finite(self) -> bool:
         return self.kind == "finite"
-
-    def to_jsonable(self):
-        return self.value if self.kind == "finite" else self.kind
 
 
 class Transversal:

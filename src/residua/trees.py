@@ -15,7 +15,9 @@ levels of one block, hanging off the identity thread at the block's base.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -70,27 +72,40 @@ class AlphaTreeSchema:
 class TreeTruncation:
     """Explicit levels 0..d of one block's subtree.
 
-    ``levels[k]`` is (size, parents) with parents[i] the index of vertex i's
-    parent one level up; vertices are mixed-radix digit strings, siblings
-    consecutive.  ``chain``, whose stages carry the transversals, powers the
-    group action; it is absent on truncations parsed back from JSON.
+    Level k has the product of the first k ``fibres`` as vertices, mixed-radix
+    digit strings with siblings consecutive, so vertex i's parent one level
+    up is i // fibres[k - 1].  ``chain``, whose stages carry the
+    transversals, powers the group action; it is absent on truncations
+    parsed back from JSON.
     """
 
     block: int
-    levels: tuple[tuple[int, tuple[int, ...]], ...]
     fibres: tuple[int, ...]
     provenance: str
     chain: Optional[ChainSchema] = None
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.fibres)
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.fibres, operator.mul, initial=1))
 
     def size(self, level: int) -> int:
-        return self.levels[level][0]
+        return self._sizes[level]
 
     def parent(self, level: int, idx: int) -> int:
-        return self.levels[level][1][idx]
+        if not 0 < level <= self.depth or not 0 <= idx < self._sizes[level]:
+            raise TreeError(f"no vertex {idx} with a parent at level {level}")
+        return idx // self.fibres[level - 1]
+
+    @property
+    def levels(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(size, parents) for each level, parents[i] the parent of vertex i;
+        built on each read."""
+        return ((1, ()), *((size, tuple([i // f for i in range(size)]))
+                           for size, f in zip(self._sizes[1:], self.fibres)))
 
     def base_ordinal(self) -> Ordinal:
         return OMEGA * self.block
@@ -165,23 +180,32 @@ class TreeTruncation:
 
 @dataclass(frozen=True)
 class TreeAutomorphism:
-    """Per-level bijection tables commuting with the parent maps."""
+    """A tree automorphism, given by its images of the deepest vertices.
 
-    tables: tuple[tuple[int, ...], ...]
+    ``spans[k]`` is the number of deepest vertices below one level-k vertex;
+    a vertex's descendants are consecutive, so the image of level-k vertex i
+    is the image of its first deepest descendant divided by ``spans[k]``.
+    """
+
+    images: tuple[int, ...]
+    spans: tuple[int, ...]
 
     def apply(self, level: int, idx: int) -> int:
-        return self.tables[level][idx]
+        span = self.spans[level]
+        return self.images[idx * span] // span
+
+    @property
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        """Each level's bijection table, derived on each read."""
+        return tuple(tuple([image // span for image in self.images[::span]])
+                     for span in self.spans)
 
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        return TreeAutomorphism(
-            tuple(
-                tuple(mine[i] for i in theirs)
-                for mine, theirs in zip(self.tables, other.tables)
-            )
-        )
+        mine = self.images
+        return TreeAutomorphism(tuple([mine[i] for i in other.images]), self.spans)
 
     def is_identity(self) -> bool:
-        return all(t == tuple(range(len(t))) for t in self.tables)
+        return self.images == tuple(range(len(self.images)))
 
 
 def coset_tree(chain: ChainSchema) -> AlphaTreeSchema:
@@ -222,13 +246,8 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
         if total > MATERIALIZATION_CAP:
             raise NonMaterializableError("materialization exceeds the vertex cap")
         fibres.append(idx.value)
-    levels, size = [(1, ())], 1
-    for f in fibres:
-        size *= f
-        levels.append((size, tuple(i // f for i in range(size))))
     return TreeTruncation(
         block=block,
-        levels=tuple(levels),
         fibres=tuple(fibres),
         provenance=f"coset_tree({chain.name or chain.group.tag}; block={block})",
         chain=chain,
@@ -268,31 +287,22 @@ def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
     Each deepest vertex's image g * rep is placed once (elements placed by
     earlier calls are looked up on the truncation); a shallower vertex's
     image is the ancestor its descendants' images share, their index divided
-    by the number of deepest vertices below one vertex of that level.
+    by the number of deepest vertices below one vertex of that level, so the
+    tables commute with the parent maps by arithmetic once siblings agree.
     ``verify_simple`` calls this only for the identity and the generators
-    and composes the other elements' tables."""
+    and composes the other elements' deepest images."""
     base = tr._stages(0)[0]
     group = tr.chain.group
     if g.group is not group and g.group.tag != group.tag:
         raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
     if tr.block > 0 and not base.contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    deepest = tr.depth
-    images = [tr._placement(g * rep) for rep in tr._deepest_reps]
-    tables = []
-    for level in range(deepest + 1):
-        span = len(images) // tr.size(level)  # a vertex's descendants are consecutive
-        table = tuple(images[i] // span for i in range(0, len(images), span))
-        assert all(image // span == table[i // span] for i, image in enumerate(images)), \
-            "sibling vertices disagree"
-        tables.append(table)
-    auto = TreeAutomorphism(tables=tuple(tables))
-    for level in range(1, deepest + 1):
-        for idx in range(tr.size(level)):
-            assert tr.parent(level, auto.apply(level, idx)) == auto.apply(
-                level - 1, tr.parent(level, idx)
-            ), "automorphism does not commute with the parent maps"
-    return auto
+    images = tuple([tr._placement(g * rep) for rep in tr._deepest_reps])
+    spans = tuple(len(images) // size for size in tr._sizes)
+    for span in spans[:-1]:  # one (vertex, image) pair per vertex: its descendants agree
+        assert len({(i // span, image // span) for i, image in enumerate(images)}) \
+            == len(images) // span, "sibling vertices disagree"
+    return TreeAutomorphism(images, spans)
 
 
 @dataclass(frozen=True)
@@ -360,20 +370,12 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
                     reached.append(h)
         first, violations = tr._deepest_reps[0], []
         for e in group.elements():
-            table = (autos[e] if e in autos else act(e, tr)).tables[deepest]
-            if table[0] != tr._placement(e * first):
+            images = (autos[e] if e in autos else act(e, tr)).images
+            if images[0] != tr._placement(e * first):
                 raise TreeError(f"action of {_probe_id(e)} disagrees with its placement")
-            if e.is_identity():
-                continue
-            for idx, image in enumerate(table):
-                if image == idx:
-                    violations.append(
-                        {
-                            "element": _probe_id(e),
-                            "level": deepest,
-                            "vertex": idx,
-                        }
-                    )
+            if not e.is_identity():
+                violations += [{"element": _probe_id(e), "level": deepest, "vertex": idx}
+                               for idx, image in enumerate(images) if image == idx]
         return SimplicityReport(
             mode="exhaustive",
             verdict="simple" if not violations else "violation",
@@ -461,12 +463,11 @@ def emit(tr: TreeTruncation, format: str) -> str:
     """Render a truncation: "dot" for graphviz, "json" for the level schema."""
     if format == "dot":
         lines = ["digraph tree {"]
-        for level in range(tr.depth + 1):
-            for idx in range(tr.size(level)):
-                lines.append(f'  "L{level}_{idx}" [label="{level}:{idx}"];')
-        for level in range(1, tr.depth + 1):
-            for idx in range(tr.size(level)):
-                lines.append(f'  "L{level - 1}_{tr.parent(level, idx)}" -> "L{level}_{idx}";')
+        for level, size in enumerate(tr._sizes):
+            lines += [f'  "L{level}_{idx}" [label="{level}:{idx}"];' for idx in range(size)]
+        for level, f in enumerate(tr.fibres, start=1):
+            lines += [f'  "L{level - 1}_{idx // f}" -> "L{level}_{idx}";'
+                      for idx in range(tr._sizes[level])]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
@@ -483,31 +484,27 @@ def emit(tr: TreeTruncation, format: str) -> str:
 
 
 def parse_truncation(text: str) -> TreeTruncation:
-    """Inverse of the JSON emission; the result has no chain backing."""
+    """Inverse of the JSON emission; the result has no chain backing.
+
+    Only fibred trees parse: each level's size is a positive multiple f of
+    the size above and vertex i's parent is i // f, as ``emit`` writes them.
+    """
     data = json.loads(text)
-    levels = []
-    fibres = []
-    prev_size = None
-    for k, lv in enumerate(data["levels"]):
-        size, parents = int(lv["size"]), tuple(int(p) for p in lv["parents"])
-        if k == 0:
-            if size != 1 or parents:
-                raise TreeError("level 0 must be a single root")
-        else:
-            if len(parents) != size:
-                raise TreeError(f"level {k} parent table has the wrong length")
-            if any(not 0 <= p < prev_size for p in parents):
-                raise TreeError(f"level {k} parent out of range")
-            if size % prev_size:
-                raise TreeError(f"level {k} size is not a fibre multiple")
-            fibres.append(size // prev_size)
-        levels.append((size, parents))
+    levels = data["levels"]
+    if not levels or int(levels[0]["size"]) != 1 or levels[0]["parents"]:
+        raise TreeError("level 0 must be a single root")
+    fibres, prev_size = [], 1
+    for k, lv in enumerate(levels[1:], start=1):
+        size, parents = int(lv["size"]), [int(p) for p in lv["parents"]]
+        if len(parents) != size:
+            raise TreeError(f"level {k} parent table has the wrong length")
+        if size < prev_size or size % prev_size:
+            raise TreeError(f"level {k} size is not a fibre multiple")
+        f = size // prev_size
+        if parents != [i // f for i in range(size)]:
+            raise TreeError(f"level {k} parent table is not fibred")
+        fibres.append(f)
         prev_size = size
     if int(data["depth"]) != len(levels) - 1:
         raise TreeError("depth field disagrees with the level list")
-    return TreeTruncation(
-        block=0,
-        levels=tuple(levels),
-        fibres=tuple(fibres),
-        provenance=str(data.get("provenance", "")),
-    )
+    return TreeTruncation(block=0, fibres=tuple(fibres), provenance=str(data.get("provenance", "")))

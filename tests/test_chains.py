@@ -672,8 +672,22 @@ class TestLazyTransversals:
             chain = dataclasses.replace(
                 lazy, block_rule=lambda b, n, remake=remake: remake(lazy.stage_at(b, n)),
                 final_limit=lazy.final_limit and remake(lazy.final_limit),
-                tail=tuple(map(remake, lazy.tail)), _stage_cache={})
+                tail=tuple(map(remake, lazy.tail)))
             assert verify_prefix(chain, levels, 64, 0).to_jsonable() == expected
+
+
+class TestStageCache:
+    def test_replaced_block_rule_serves_its_own_stages(self):
+        old = integers_chain(2)
+        assert old.stage_at(0, 3).contains(old.group.element(8))
+        new = dataclasses.replace(old, block_rule=integers_chain(3).block_rule)
+        assert new.stage_at(0, 3).contains(new.group.element(27))
+        assert not new.stage_at(0, 3).contains(new.group.element(8))
+
+    def test_the_cache_is_not_a_constructor_argument(self):
+        chain = integers_chain(2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(chain, _stage_cache={})
 
 
 def multiples(m):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -298,6 +299,31 @@ class TestOneBuildPerExpression:
         compiled.chain()
         base = compiled.group.top if top else compiled.group
         assert base_chains and all(chain.group is base for chain in base_chains)
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_index_past_the_digit_limit_is_written(self, capsys, monkeypatch, fmt):
+        # Python 3.11 refuses to write ints of over 4,300 digits by default
+        verify_prefix = cli.verify_prefix
+
+        def huge_index(*args, **kwargs):
+            cert = verify_prefix(*args, **kwargs)
+            rows = tuple(dict(row, index=10 ** 5000) if row["index"] else row
+                         for row in cert.levels)
+            return dataclasses.replace(cert, levels=rows)
+
+        monkeypatch.setattr(cli, "verify_prefix", huge_index)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "verify", "Z", "--levels", "2", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "1" + "0" * 5000 in out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_literal_past_the_digit_limit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "depth", "C(" + "9" * 5000 + ")")
+        assert (code, out) == (1, "")
+        assert err.startswith("residua: parse error: unreadable integer literal at offset 2")
 
 
 def count_builds(capsys, monkeypatch, cls, argv):

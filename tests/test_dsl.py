@@ -107,6 +107,13 @@ class TestParse:
             parse_expr("wreath(C(2), Z) extra")
         assert err.value.position == 16
 
+    @pytest.mark.parametrize("literal", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-2"])
+    def test_unreadable_integer_literal_is_a_parse_error(self, literal):
+        # str.isdigit admits both; int() refuses them
+        with pytest.raises(DslParseError, match="unreadable integer literal") as err:
+            parse_expr(f"C({literal})")
+        assert err.value.position == 2
+
     def test_cycle_out_of_range(self):
         with pytest.raises(DslParseError):
             parse_expr("perm(2; (0 5))")

@@ -531,6 +531,15 @@ class TestElementAcrossHandles:
             a * b
 
 
+class TestElementIsImmutable:
+    @pytest.mark.parametrize("name", ["group", "value", "other"])
+    def test_assignment_raises(self, name):
+        e = make_cyclic(4).generators[0]
+        with pytest.raises(AttributeError):
+            setattr(e, name, 1)
+        assert (e.group.tag, e.value) == ("C(4)", 1)
+
+
 def count_calls(monkeypatch, cls, name):
     """A one-item list that counts calls of cls.name from now on."""
     calls = [0]

@@ -325,6 +325,50 @@ class TestEmit:
             emit(tr, "svg")
 
 
+def tree_json(*levels):
+    """A JSON truncation document from (size, parents) pairs, root first."""
+    return json.dumps({"depth": len(levels) - 1, "provenance": "",
+                       "levels": [{"size": size, "parents": list(parents)}
+                                  for size, parents in levels]})
+
+
+class TestFibredTruncation:
+    @pytest.mark.parametrize("text, message", [
+        (tree_json((1, ()), (2, (0, 0)), (4, (1, 1, 0, 0))), "not fibred"),
+        (tree_json((1, ()), (2, (0, 0)), (4, (0, 0, 0, 1))), "not fibred"),
+        (tree_json((1, ()), (2, (0, 0)), (3, (0, 0, 1))), "not a fibre multiple"),
+        (tree_json((1, ()), (2, (0, 0)), (0, ()), (0, ())), "not a fibre multiple"),
+        (tree_json((1, ()), (2, (0, 0)), (4, (0, 0, 1))), "wrong length"),
+    ], ids=["swapped-parents", "uneven-parents", "size-3-over-2", "size-0", "short-table"])
+    def test_only_fibred_trees_parse(self, text, message):
+        with pytest.raises(TreeError, match=message):
+            parse_truncation(text)
+
+    @pytest.mark.parametrize("text", [
+        emit(truncate(coset_tree(chain_for(parse_expr("S(4)"))), 3), "json"),
+        tree_json((1, ()), (3, (0, 0, 0)), (6, (0, 0, 1, 1, 2, 2))),
+        tree_json((1, ()), (2, (0, 0)), (4, (1, 1, 0, 0))),
+        tree_json((1, ()), (2, (0, 0)), (4, (0, 0, 0, 1))),
+    ], ids=["S(4)", "fibres-3-2", "swapped-parents", "uneven-parents"])
+    def test_restriction_maps_agree_with_parents(self, text):
+        try:
+            tr = parse_truncation(text)
+        except TreeError:
+            return  # a tree emit cannot write
+        assert tr.levels == tuple((lv["size"], tuple(lv["parents"]))
+                                  for lv in json.loads(text)["levels"])
+        for k in range(1, tr.depth + 1):
+            up = restriction_map(tr, k - 1, k)
+            assert [up(i) for i in range(tr.size(k))] == [tr.parent(k, i) for i in range(tr.size(k))]
+
+    @pytest.mark.parametrize("level, idx", [(0, 0), (0, 1), (3, 0), (2, 6), (1, -1)])
+    def test_parent_outside_the_levels_raises(self, level, idx):
+        s3, chain = s3_chain()
+        tr = truncate(coset_tree(chain), 2)
+        with pytest.raises(TreeError):
+            tr.parent(level, idx)
+
+
 class TestFaithfulness:
     def test_only_identity_acts_trivially_when_chain_ends_at_one(self):
         s3, chain = s3_chain()
