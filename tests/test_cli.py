@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import residua
 from residua import catalog, chains, cli, groups, oracle
@@ -425,3 +429,79 @@ class TestDeepRows:
         result = run_module("verify", "tower(Dinf,3)", "--levels", "5", timeout=10)
         assert result.returncode == 0
         assert result.stdout.startswith("verdict: pass\n")
+
+
+# Argv drawn for the fuzz test below.  Sizes stay small (nesting <= 2,
+# --probes <= 8, --levels <= 3, --limit-budget <= 4) so that every run is
+# quick; the bounded defaults come first and a drawn flag overrides them.
+_SMALL = ["1", "Z", "Dinf", "C(2)", "C(3)", "Deligne"]
+_LEAVES = _SMALL + ["S(3)", "A(4)", "perm(3; (0 1 2))"]
+_MALFORMED = [
+    "", "C(0)", "S(-1)", "C(2", "C 5", "N", "9", "C(" + "9" * 5000 + ")", "C(\u00b2)",
+    "perm(2; (0 2))", "perm(2; (0 -1))", "wreath(C(2))", "prod()", "power(Z,0)",
+    "tower(Z,0)", "Z extra", "((", "w*2", "C(2)) ",
+]
+
+
+def _wrap(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        pair.map(lambda ab: f"wreath({ab[0]}, {ab[1]})"),
+        pair.map(lambda ab: f"prod({ab[0]}, {ab[1]})"),
+        st.tuples(inner, st.sampled_from(["N", "1", "2", "3", "0", "x"])).map(
+            lambda a: f"power({a[0]}, {a[1]})"),
+        st.tuples(inner, st.sampled_from(["1", "2", "0", "-1"])).map(
+            lambda a: f"tower({a[0]}, {a[1]})"),
+    )
+
+
+_EXPRESSIONS = st.one_of(
+    st.sampled_from(_LEAVES + _MALFORMED),
+    _wrap(st.sampled_from(_LEAVES)),
+    # two levels over the small leaves only: wreaths of two finite wreaths take minutes
+    _wrap(st.one_of(st.sampled_from(_SMALL + _MALFORMED), _wrap(st.sampled_from(_SMALL)))),
+)
+_BIG = "9" * 5000
+_FLAG_VALUES = {
+    "--seed": ["0", "7", "-3", "x", _BIG],
+    "--format": ["text", "json", "dot", "xml"],
+    "--out": ["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"],
+    "--levels": ["0", "1", "3", "-1", "x"],
+    "--probes": ["0", "1", "8", "-1", "x"],
+    "--kappa": ["aleph0", "1", "2", "5", "0", "-3", "foo", _BIG],
+    "--chain": ["auto", "p-adic:2", ""],
+    "--word-len": ["0", "1", "3", "x"],
+    "--limit-budget": ["0", "1", "4", "-1", "x"],
+    "--block": ["0", "1", "-1", "5", "x"],
+    "--max-index": ["0", "1", "2", "x", _BIG],
+}
+_COMMANDS = {
+    "depth": [],
+    "verify": ["--levels", "2", "--probes", "8", "--limit-budget", "4"],
+    "tree": ["--levels", "2"],
+    "oracle lattice": [], "oracle core": [], "oracle min-kappa": [], "oracle depth": [],
+}
+_FLAGS = st.lists(
+    st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+        lambda flag: st.sampled_from(_FLAG_VALUES[flag]).map(lambda value: [flag, value])),
+    max_size=3,
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 9).map(lambda k: k == 9), st.sampled_from(sorted(_COMMANDS)),
+           _EXPRESSIONS, _FLAGS)
+    def test_only_documented_exits(self, version, command, expr, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["--version"] if version else []
+            argv += [*command.split(), expr, *_COMMANDS[command]]
+            argv += [word.replace("{tmp}", tmp) for pair in flags for word in pair]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == (0 if version else 2)
+                else:
+                    assert not version and code in range(7)

@@ -107,6 +107,31 @@ class TestParse:
             parse_expr("wreath(C(2), Z) extra")
         assert err.value.position == 16
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("C(0)", "cyclic order must be >= 1", 2),
+        ("S(-1)", "degree must be >= 0", 2),
+        ("A(-3)", "degree must be >= 0", 2),
+        ("perm(-1; (0))", "degree must be >= 0", 5),
+        ("perm(2; (0 -1))", "cycle points are non-negative", 11),
+        ("perm(2; (0 2))", "cycle point 2 outside degree 2", 5),
+        ("perm(2; (0 2)", "unexpected character", 13),
+        ("tower(Z,0)", "tower height must be >= 1", 8),
+        ("power(Z,0)", "points must be >= 1", 8),
+        ("power(Z,-2)", "points must be >= 1", 8),
+        ("C(-)", "unexpected character", 2),
+        ("C 5", "unexpected character", 2),
+        ("C(2", "unexpected character", 3),
+        ("9", "unexpected integer literal", 0),
+        ("N", "'N' is only valid as a power point set", 0),
+        ("prod()", "unexpected character", 5),
+        ("wreath(C(2), Z) extra", "trailing input", 16),
+    ])
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(DslParseError) as err:
+            parse_expr(text)
+        assert err.value.position == position
+        assert str(err.value).startswith(f"{message} at offset {position}")
+
     @pytest.mark.parametrize("literal", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-2"])
     def test_unreadable_integer_literal_is_a_parse_error(self, literal):
         # str.isdigit admits both; int() refuses them
