@@ -17,10 +17,10 @@ the byte offset of the first offending character and the expected tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .groups import _alternating_cycles, _symmetric_cycles
-from .ordinal import _Scanner
+from .ordinal import OrdinalParseError, _Scanner
 
 __all__ = [
     "DslError",
@@ -48,13 +48,8 @@ class DslError(ValueError):
 class DslParseError(DslError):
     """Syntax or arity error, position-tagged."""
 
-    def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
-        self.position = position
-        self.expected = expected
-        detail = f"{message} at offset {position}"
-        if expected:
-            detail += " (expected " + " or ".join(expected) + ")"
-        super().__init__(detail)
+    _where = "offset"
+    __init__ = OrdinalParseError.__init__
 
 
 @dataclass(frozen=True)
@@ -141,22 +136,15 @@ GroupExpr = Union[
 ]
 
 
+_SUGAR = {
+    "S": lambda n: Perm(n, _symmetric_cycles(n)),
+    "A": lambda n: Perm(n, _alternating_cycles(n)),
+}
+_CONSTRUCTORS = ("C", "S", "A", "perm", "power", "wreath", "tower", "prod")
+
+
 class _Parser(_Scanner):
     error = DslParseError
-
-    def integer(self) -> tuple[int, int]:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise DslParseError("unexpected character", start, ("integer",))
-        try:
-            return int(self.text[start:self.pos]), start
-        except ValueError:  # past the interpreter's digit limit, or a digit int() rejects
-            raise DslParseError("unreadable integer literal", start) from None
 
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
@@ -175,20 +163,10 @@ class _Parser(_Scanner):
             )
         return self.text[start:self.pos], start
 
-    def positive(self, what: str) -> int:
-        value, start = self.integer()
-        if value < 1:
-            raise DslParseError(f"{what} must be >= 1", start)
-        return value
-
     def cycle(self) -> tuple[int, ...]:
         self.expect("(")
         points = []
-        while True:
-            self.skip_ws()
-            if self.peek() == ")":
-                self.pos += 1
-                break
+        while not self.take(")"):
             value, start = self.integer()
             if value < 0:
                 raise DslParseError("cycle points are non-negative", start)
@@ -204,10 +182,8 @@ class _Parser(_Scanner):
         return tuple(cycles)
 
     def expr(self) -> GroupExpr:
-        self.skip_ws()
         if self.peek().isdigit():
-            start = self.pos
-            value, _ = self.integer()
+            value, start = self.integer()
             if value == 1:
                 return Trivial()
             raise DslParseError("unexpected integer literal", start, ("expression",))
@@ -216,82 +192,51 @@ class _Parser(_Scanner):
             return Int()
         if name == "Dinf":
             return Dinf()
+        if name == "N":
+            raise DslParseError("'N' is only valid as a power point set", start)
+        if name not in _CONSTRUCTORS:
+            return ExtensionRef(name)
+        self.expect("(")
+        self.skip_ws()
+        first = self.pos
+        make, args = self.arguments(name)
+        self.expect(")")
+        try:
+            return make(*args)
+        except DslError as exc:  # a perm cycle that repeats a point or leaves the degree
+            raise DslParseError(str(exc), first) from exc
+
+    def arguments(self, name: str) -> tuple[Callable[..., GroupExpr], tuple]:
+        """The constructor named ``name`` and the arguments inside its parentheses."""
         if name == "C":
-            self.expect("(")
-            n_value, n_start = self.integer()
-            if n_value < 1:
-                raise DslParseError("cyclic order must be >= 1", n_start)
-            self.expect(")")
-            return Cyclic(n_value)
-        if name in ("S", "A"):
-            self.expect("(")
-            n_value, n_start = self.integer()
-            if n_value < 0:
-                raise DslParseError("degree must be >= 0", n_start)
-            self.expect(")")
-            gens = _symmetric_cycles(n_value) if name == "S" else _alternating_cycles(n_value)
-            return Perm(n_value, gens)
+            return Cyclic, (self.at_least(1, "cyclic order"),)
+        if name in _SUGAR:
+            return _SUGAR[name], (self.at_least(0, "degree"),)
         if name == "perm":
-            self.expect("(")
-            degree, d_start = self.integer()
-            if degree < 0:
-                raise DslParseError("degree must be >= 0", d_start)
+            degree = self.at_least(0, "degree")
             self.expect(";")
             gens = [self.generator()]
             while self.take(","):
                 gens.append(self.generator())
-            self.expect(")")
-            try:
-                return Perm(degree, tuple(gens))
-            except DslError as exc:
-                raise DslParseError(str(exc), d_start) from exc
-        if name == "power":
-            self.expect("(")
-            base = self.expr()
-            self.expect(",")
-            self.skip_ws()
-            if self.peek() == "N":
-                self.pos += 1
-                points: Union[int, str] = "N"
-            else:
-                points = self.positive("points")
-            self.expect(")")
-            return FinSupportPower(base, points)
-        if name == "wreath":
-            self.expect("(")
-            base = self.expr()
-            self.expect(",")
-            top = self.expr()
-            self.expect(")")
-            return Wreath(base, top)
-        if name == "tower":
-            self.expect("(")
-            base = self.expr()
-            self.expect(",")
-            self.skip_ws()
-            n_value, n_start = self.integer()
-            if n_value < 1:
-                raise DslParseError("tower height must be >= 1", n_start)
-            self.expect(")")
-            return Tower(base, n_value)
+            return Perm, (degree, tuple(gens))
         if name == "prod":
-            self.expect("(")
             items = [self.expr()]
             while self.take(","):
                 items.append(self.expr())
-            self.expect(")")
-            return Product(tuple(items))
-        if name == "N":
-            raise DslParseError("'N' is only valid as a power point set", start)
-        return ExtensionRef(name)
+            return Product, (tuple(items),)
+        base = self.expr()
+        self.expect(",")
+        if name == "wreath":
+            return Wreath, (base, self.expr())
+        if name == "tower":
+            return Tower, (base, self.at_least(1, "tower height"))
+        return FinSupportPower, (base, "N" if self.take("N") else self.at_least(1, "points"))
 
 
 def parse_expr(text: str) -> GroupExpr:
     parser = _Parser(text)
     ast = parser.expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise DslParseError("trailing input", parser.pos, ("end of input",))
+    parser.finish()
     return ast
 
 

@@ -48,13 +48,16 @@ class OrdinalError(ValueError):
 class OrdinalParseError(OrdinalError):
     """Syntax error in the ordinal text notation."""
 
+    _where = "position"
+
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
         self.position = position
         self.expected = expected
-        detail = f"{message} at position {position}"
+        detail = f"{message} at {self._where} {position}"
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
-        super().__init__(detail)
+        # not super(): ``dsl.DslParseError`` shares this constructor without this base
+        ValueError.__init__(self, detail)
 
 
 OrdinalLike = Union["Ordinal", int]
@@ -350,8 +353,11 @@ def format_ordinal(a: OrdinalLike) -> str:
 
 
 class _Scanner:
-    """Whitespace-skipping cursor over a text; the parsers in ``ordinal`` and
-    ``dsl`` share it and differ only in the error class they raise."""
+    """Whitespace-skipping cursor over a text, and the one reader of integer
+    literals, lower bounds and end of input for both grammars: the ordinal
+    notation here and the group expressions of ``dsl``.  Every error it
+    raises is of the grammar's class ``error`` and names the offset of the
+    offending character."""
 
     error = OrdinalParseError
 
@@ -377,14 +383,33 @@ class _Scanner:
         if not self.take(ch):
             raise self.error("unexpected character", self.pos, (repr(ch),))
 
-    def integer(self) -> int:
+    def integer(self) -> tuple[int, int]:
+        """An integer literal with an optional ``-``: its value and its offset."""
         self.skip_ws()
         start = self.pos
+        if self.text.startswith("-", start):
+            self.pos += 1
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start:
+        if self.pos == digits:
             raise self.error("unexpected character", start, ("integer",))
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos]), start
+        except ValueError:  # past the interpreter's digit limit, or a digit int() refuses
+            raise self.error("unreadable integer literal", start) from None
+
+    def at_least(self, low: int, what: str) -> int:
+        """An integer literal no smaller than ``low``; ``what`` names it in the error."""
+        value, start = self.integer()
+        if value < low:
+            raise self.error(f"{what} must be >= {low}", start)
+        return value
+
+    def finish(self, expected: tuple[str, ...] = ()):
+        """Fail unless only whitespace is left; ``expected`` names what could follow."""
+        if self.peek():
+            raise self.error("trailing input", self.pos, (*expected, "end of input"))
 
 
 def _parse_factor(sc: _Scanner) -> Ordinal:
@@ -398,7 +423,7 @@ def _parse_factor(sc: _Scanner) -> Ordinal:
         sc.expect(")")
         return val
     if ch.isdigit():
-        return Ordinal.from_int(sc.integer())
+        return Ordinal.from_int(sc.integer()[0])
     raise OrdinalParseError("unexpected character", sc.pos, ("'w'", "integer", "'('"))
 
 
@@ -409,14 +434,10 @@ def _parse_term(sc: _Scanner) -> Ordinal:
         exp = ONE
         if sc.take("^"):
             exp = _parse_factor(sc)
-        coeff = 1
-        if sc.take("*"):
-            coeff = sc.integer()
-            if coeff < 1:
-                raise OrdinalParseError("coefficient must be >= 1", sc.pos)
+        coeff = sc.at_least(1, "coefficient") if sc.take("*") else 1
         return omega_power(exp) * coeff
     if ch.isdigit():
-        return Ordinal.from_int(sc.integer())
+        return Ordinal.from_int(sc.integer()[0])
     raise OrdinalParseError("unexpected character", sc.pos, ("'w'", "integer"))
 
 
@@ -431,9 +452,7 @@ def parse_ordinal(text: str) -> Ordinal:
     """Parse the text notation; non-canonical sums normalize via ordinal add."""
     sc = _Scanner(text)
     value = _parse_sum(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise OrdinalParseError("trailing input", sc.pos, ("'+'", "end of input"))
+    sc.finish(("'+'",))
     return value
 
 

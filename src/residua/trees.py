@@ -217,8 +217,9 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
     """Materialize the first d finite steps of one block.
 
     Levels are vertices below the identity thread's vertex at the block's
-    base; each step needs a certified finite index with a transversal,
-    otherwise the level is not materializable.
+    base; each step needs a certified finite index equal to the size of its
+    transversal, which is the level's fibre, otherwise the level is not
+    materializable.
     """
     chain = tree.chain
     if d < 0:
@@ -238,14 +239,18 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
             raise NonMaterializableError(
                 f"stage {format_ordinal(OMEGA * block + k)} has no certified finite fibre"
             )
-        if not chain.kappa.admits(idx.value):
-            raise TreeError(
-                f"fibre {idx.value} at level {k} is not below kappa {chain.kappa}"
+        fibre = stage.transversal.size
+        if idx.value != fibre:
+            raise NonMaterializableError(
+                f"stage {format_ordinal(OMEGA * block + k)} declares index {idx.value} "
+                f"but its transversal has {fibre} cosets"
             )
-        total *= idx.value
+        if not chain.kappa.admits(fibre):
+            raise TreeError(f"fibre {fibre} at level {k} is not below kappa {chain.kappa}")
+        total *= fibre
         if total > MATERIALIZATION_CAP:
             raise NonMaterializableError("materialization exceeds the vertex cap")
-        fibres.append(idx.value)
+        fibres.append(fibre)
     return TreeTruncation(
         block=block,
         fibres=tuple(fibres),

@@ -133,6 +133,17 @@ class TestDepth:
         with pytest.raises(OracleCapError):
             depth_exact_finite(make_integers())
 
+    def test_builds_no_lattice(self, monkeypatch):
+        def refuse(group):
+            raise AssertionError(f"all_subgroups({group.tag}) called")
+
+        monkeypatch.setattr(oracle, "all_subgroups", refuse)
+        assert depth_exact_finite(make_cyclic(1)) == ZERO
+        for g in (make_cyclic(2), make_symmetric(4), build_group(parse_expr("power(C(2),4)"))):
+            assert depth_exact_finite(g) == ONE
+        with pytest.raises(OracleCapError, match="exceeds the oracle cap"):
+            depth_exact_finite(build_group(parse_expr("power(C(2),8)")))
+
 
 class TestChainEnumerate:
     def test_s3_contains_both_routes(self):

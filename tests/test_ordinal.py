@@ -269,6 +269,22 @@ class TestText:
             parse_ordinal("w + + 1")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("text, message", [
+        # str.isdigit admits both literals; int() refuses them
+        pytest.param("w*" + "9" * 5000, "unreadable integer literal at position 2",
+                     id="5000-digits"),
+        pytest.param("w*\u00b2", "unreadable integer literal at position 2", id="superscript-2"),
+        ("w*0", "coefficient must be >= 1 at position 2"),
+        ("w*-1", "coefficient must be >= 1 at position 2"),
+        ("w*", "unexpected character at position 2 (expected integer)"),
+        ("w^-1", "unexpected character at position 2 (expected 'w' or integer or '(')"),
+        ("w + 3 x", "trailing input at position 6 (expected '+' or end of input)"),
+    ])
+    def test_error_message(self, text, message):
+        with pytest.raises(OrdinalParseError) as err:
+            parse_ordinal(text)
+        assert str(err.value) == message
+
     @settings(max_examples=300, derandomize=True)
     @given(ordinals_small)
     def test_roundtrip(self, a):

@@ -12,6 +12,7 @@ from residua.dsl import parse_expr
 from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
+from residua.stages import StepIndex
 from residua.subgroups import SubgroupHandle
 from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
@@ -107,6 +108,15 @@ class TestCosetTree:
         s3, chain = s3_chain()
         with pytest.raises(NonMaterializableError):
             truncate(coset_tree(chain), 3)
+
+    def test_fibre_is_the_transversal_size(self):
+        # a declared index of 3 over a transversal of the 4 cosets of 1 in C(4)
+        chain = single_step_chain(make_cyclic(4))
+        step = dataclasses.replace(chain.tail[0], index_in_parent=StepIndex.finite(3))
+        chain = dataclasses.replace(chain, tail=(step,))
+        with pytest.raises(NonMaterializableError,
+                           match="declares index 3 but its transversal has 4 cosets"):
+            truncate(coset_tree(chain), 1)
 
 
 class TestRestrictionMap:
