@@ -51,9 +51,11 @@ def test_output_matches_pinned_digest(args, seed):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == pinned
 
 
-# Shapes whose rows map product transversals through a pullback or a
-# coordinate embedding; pinned here, not in golden.json, which only holds
-# what the benchmark runs.  The same 16 hex digits of the stdout sha256.
+# More argv pinned here, not in golden.json, which only holds what the
+# benchmark runs: shapes whose rows map product transversals through a
+# pullback or a coordinate embedding, and towers tall enough that their
+# power stages' indices run to millions of bits.  The same 16 hex digits of
+# the stdout sha256.
 PULLBACK_CASES = {
     ("verify", "prod(tower(Dinf,2),Z)", "--format", "json", "--levels", "6"): "d9a5a14c80e7ec7e",
     ("verify", "prod(Z,tower(Dinf,2))", "--format", "json", "--levels", "6"): "cbb5614c8d4177eb",
@@ -62,6 +64,8 @@ PULLBACK_CASES = {
     ("verify", "prod(tower(Z,2),C(3))", "--format", "json", "--levels", "5"): "6c223cb2972b14ec",
     ("tree", "prod(tower(Dinf,2),Z)", "--block", "1", "--levels", "4", "--format", "json"):
         "9b6556ff4ef4cb53",
+    ("verify", "tower(Dinf,6)", "--levels", "2"): "c37e4b984000cda7",
+    ("verify", "tower(Dinf,7)", "--levels", "2"): "0f611342bc6646d3",
 }
 
 
