@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -53,7 +52,6 @@ from .ordinal import (
 from .subgroups import commutator_subgroup
 from .stages import (
     ChainError,
-    StepIndex,
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
@@ -61,7 +59,6 @@ from .stages import (
 
 __all__ = [
     "ChainError",
-    "StepIndex",
     "SubgroupDescriptor",
     "ChainSchema",
     "ChainCertificate",
@@ -227,7 +224,6 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
         return SubgroupDescriptor(
             owner=z,
             membership=lambda e, m=modulus: e.value % m == 0,
-            index_in_parent=StepIndex.finite(p),
             transversal=lambda: Transversal(Element(z, j * p ** (n - 1)) for j in range(p)),
             label=f"multiples of {modulus}",
         )
@@ -261,7 +257,6 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
             return SubgroupDescriptor(
                 owner=d,
                 membership=lambda e: e.value[1] == 0,
-                index_in_parent=StepIndex.finite(2),
                 transversal=lambda: Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
                 label="translations",
             )
@@ -269,7 +264,6 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
         return SubgroupDescriptor(
             owner=d,
             membership=lambda e, m=modulus: e.value[1] == 0 and e.value[0] % m == 0,
-            index_in_parent=StepIndex.finite(p),
             transversal=lambda: Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p)),
             label=f"translations by multiples of {modulus}",
         )
@@ -324,7 +318,6 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
             SubgroupDescriptor(
                 owner=group,
                 membership=lambda e, ss=s: e.value in ss,
-                index_in_parent=StepIndex.finite(len(reps)),
                 transversal=Transversal(Element(group, v) for v in reps),
                 label=f"order {len(s)}",
             )
@@ -361,7 +354,6 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
         return SubgroupDescriptor(
             owner=chain.group,
             membership=last.membership,
-            index_in_parent=StepIndex.finite(1),
             transversal=lambda: Transversal((identity,)),
             label=(last.label or "last stage") + " (repeated)",
         )
@@ -398,7 +390,7 @@ def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subgroup
     return SubgroupDescriptor(
         owner=ext.total,
         membership=lambda e: stage.membership(ext.projection(e)),
-        index_in_parent=stage.index_in_parent,
+        infinite_index=stage.infinite_index,
         transversal=None if ext.section is None
         else _mapped(stage, ext.section, lambda k: _pullback_stage(ext, k)),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
@@ -414,7 +406,7 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
     return SubgroupDescriptor(
         owner=ext.total,
         membership=member,
-        index_in_parent=stage.index_in_parent,
+        infinite_index=stage.infinite_index,
         transversal=_mapped(stage, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
@@ -465,30 +457,21 @@ def concat_extension(ext: ExtensionHandle, chain_q: ChainSchema,
 def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
     """Collapse a tail of n >= 2 finite steps into one jump.
 
-    The new final step keeps the old final stage and carries the product of
-    the old tail indices; its transversal is the product of the old tail
-    transversals, with the old tail stages between them, when all of them
-    are present.
+    The new final step keeps the old final stage; its transversal is the
+    product of the old tail transversals, with the old tail stages between
+    them, so its index is the product of the old tail indices.
     """
     r = len(chain.tail)
     if r < 2:
         raise ChainError("nothing to compress: tail has fewer than 2 steps")
-    product = 1
-    for stage in chain.tail:
-        idx = stage.index_in_parent
-        if idx is None or not idx.is_finite:
-            raise ChainError("tail contains a non-finite or unverified index")
-        product *= idx.value
-    reps = None
-    if all(s.transversal is not None for s in chain.tail):
-        reps = Transversal(factors=[s.transversal for s in chain.tail],
-                           intermediates=chain.tail[:-1])
+    if any(s.infinite_index or s.transversal is None for s in chain.tail):
+        raise ChainError("tail contains a non-finite or unverified index")
     last = chain.tail[-1]
     merged = SubgroupDescriptor(
         owner=chain.group,
         membership=last.membership,
-        index_in_parent=StepIndex.finite(product),
-        transversal=reps,
+        transversal=Transversal(factors=[s.transversal for s in chain.tail],
+                                intermediates=chain.tail[:-1]),
         label=(last.label or "final stage") + " (compressed)",
     )
     return ChainSchema(
@@ -526,8 +509,8 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
                           support: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
     """A finite-support power stage with the membership test of ``coords``
-    and ``support``.  Index and transversal are the products of the points'
-    ones; the index is infinite when one point's is.  ``parent_coords``
+    and ``support``.  The transversal is the product of the points' ones,
+    and the index is infinite when one point's is.  ``parent_coords``
     constrains the parent stage the same way (points past its end only by
     ``support``).  Factor j of the transversal is the base transversal at
     the j-th point, embedded at that point, and the intermediate K_j takes
@@ -536,9 +519,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     with disjoint supports commute.  A base intermediate M of factor j
     becomes K_(j-1) with the j-th point at M.  The transversal is built on
     first read."""
-    indices = [stage.index_in_parent for _, stage in coords]
-    index: Optional[StepIndex] = None
-    reps = None
+    infinite = any(stage.infinite_index for _, stage in coords)
 
     def between(j: int, at_j: list) -> SubgroupDescriptor:
         """The first j points as in the stage, then ``at_j``, then the parent's."""
@@ -557,14 +538,10 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
                                intermediates=[between(j, parent_coords[j:j + 1])
                                               for j in range(1, len(coords))])
 
-    if any(i is not None and i.kind == "infinite" for i in indices):
-        index = StepIndex.infinite()
-    elif indices and all(i is not None and i.is_finite for i in indices):
-        index = StepIndex.finite(math.prod(i.value for i in indices))
-        reps = product
     return SubgroupDescriptor(
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
-        index_in_parent=index, transversal=reps, label=label,
+        infinite_index=infinite, transversal=None if infinite or not coords else product,
+        label=label,
     )
 
 
@@ -734,11 +711,11 @@ def core_sandwich(wreath: WreathProductGroup) -> tuple[SubgroupDescriptor, Subgr
         return e.value[1] == wreath.top.identity_value()
 
     lower_desc = SubgroupDescriptor(
-        owner=wreath, membership=lower, index_in_parent=StepIndex.infinite(),
+        owner=wreath, membership=lower, infinite_index=True,
         label="derived-valued functions, trivial top",
     )
     upper_desc = SubgroupDescriptor(
-        owner=wreath, membership=upper, index_in_parent=StepIndex.infinite(),
+        owner=wreath, membership=upper, infinite_index=True,
         label="kernel of the top projection",
     )
     return lower_desc, upper_desc
@@ -838,8 +815,7 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
                 kappa: CardinalBound, fail: _Fail):
     """The index entry of one successor row: certified by the transversal when
     the stage has one, otherwise a probe-counted lower bound or "unverified"."""
-    claimed = stage.index_in_parent
-    if claimed is not None and claimed.kind == "infinite":
+    if stage.infinite_index:
         fail("step index is infinite", ordinal_i, None)
         return "infinite"
     if stage.transversal is not None:
@@ -848,8 +824,6 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
         if failure is not None:
             fail(failure[0], ordinal_i, failure[1])
             return None
-        if claimed is not None and claimed.is_finite and claimed.value != size:
-            fail("declared index disagrees with its transversal", ordinal_i, None)
         if not kappa.admits(size):
             fail(f"index {size} is not below kappa {kappa}", ordinal_i, None)
         return size

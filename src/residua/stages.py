@@ -1,7 +1,8 @@
 """Chain stages: a membership test plus the evidence for its index.
 
-A stage's index in its parent is a known integer, infinite, or unverified;
-a finite index is certified by a transversal of coset representatives.
+A stage's finite index in its parent is the size of its transversal of
+coset representatives, which the verifier certifies; a stage with no
+transversal has an unverified index, unless it is declared infinite.
 Transversals are explicit, or products of explicit factors (Sims 1970;
 Seress, *Permutation Group Algorithms*, 2003, ch. 4), and a stage may give
 its transversal as a function that builds it on first read, so a stage that
@@ -20,32 +21,11 @@ from typing import Callable, Optional
 
 from .groups import Element, Group, GroupError
 
-__all__ = ["ChainError", "StepIndex", "Transversal", "SubgroupDescriptor"]
+__all__ = ["ChainError", "Transversal", "SubgroupDescriptor"]
 
 
 class ChainError(GroupError):
     """Invalid chain construction or stage access."""
-
-
-@dataclass(frozen=True)
-class StepIndex:
-    """Index of a stage in its parent: a known integer or infinite.  A stage
-    whose index is unverified has ``index_in_parent=None``."""
-
-    kind: str  # "finite" | "infinite"
-    value: Optional[int] = None
-
-    @staticmethod
-    def finite(n: int) -> "StepIndex":
-        return StepIndex("finite", int(n))
-
-    @staticmethod
-    def infinite() -> "StepIndex":
-        return StepIndex("infinite")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
 
 
 class Transversal:
@@ -123,15 +103,17 @@ class SubgroupDescriptor:
     """One chain stage: a membership test plus index evidence.
 
     ``transversal`` holds coset representatives of this stage inside its
-    parent stage; when present the index is certified exactly, otherwise the
-    verifier can only count cosets among probes and reports it unverified.
-    It may be given as a function of no arguments returning the transversal
-    or None; it then runs on the first read of ``transversal``.
+    parent stage; its size is the stage's finite index, which the verifier
+    certifies.  Without one the verifier can only count cosets among probes
+    and reports the index unverified.  It may be given as a function of no
+    arguments returning the transversal or None; it then runs on the first
+    read of ``transversal``.  ``infinite_index`` declares the index
+    infinite, which no transversal can show.
     """
 
     owner: Group
     membership: Callable[[Element], bool]
-    index_in_parent: Optional[StepIndex] = None
+    infinite_index: bool = False
     transversal: Optional[Transversal] = _BuiltOnFirstRead()
     label: str = ""
 

@@ -217,8 +217,8 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
     """Materialize the first d finite steps of one block.
 
     Levels are vertices below the identity thread's vertex at the block's
-    base; each step needs a certified finite index equal to the size of its
-    transversal, which is the level's fibre, otherwise the level is not
+    base; each step needs a finite index, certified by its transversal,
+    whose size is the level's fibre, otherwise the level is not
     materializable.
     """
     chain = tree.chain
@@ -234,17 +234,11 @@ def truncate(tree: AlphaTreeSchema, d: int, block: int = 0) -> TreeTruncation:
     total = 1
     for k in range(1, d + 1):
         stage = chain.stage_at(block, k)
-        idx = stage.index_in_parent
-        if idx is None or not idx.is_finite or stage.transversal is None:
+        if stage.infinite_index or stage.transversal is None:
             raise NonMaterializableError(
                 f"stage {format_ordinal(OMEGA * block + k)} has no certified finite fibre"
             )
         fibre = stage.transversal.size
-        if idx.value != fibre:
-            raise NonMaterializableError(
-                f"stage {format_ordinal(OMEGA * block + k)} declares index {idx.value} "
-                f"but its transversal has {fibre} cosets"
-            )
         if not chain.kappa.admits(fibre):
             raise TreeError(f"fibre {fibre} at level {k} is not below kappa {chain.kappa}")
         total *= fibre

@@ -213,7 +213,7 @@ def test_criterion_4_chain_axioms():
     for n in range(1, 9):
         cumulative = 1
         for k in range(1, n + 1):
-            cumulative *= doubling.stage_at(0, k).index_in_parent.value
+            cumulative *= doubling.stage_at(0, k).transversal.size
         seen = {tuple([0] * n)}
         frontier = [tuple([0] * n)]
         gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -242,7 +242,7 @@ def test_criterion_4_chain_axioms():
             quotient_cosets *= modulus // len(coordinate_subgroup)
         cumulative = 1
         for k in range(1, n + 1):
-            cumulative *= int_power.stage_at(0, k).index_in_parent.value
+            cumulative *= int_power.stage_at(0, k).transversal.size
         index_ok = index_ok and cumulative == quotient_cosets == 2 ** (n * (n + 1) // 2)
 
     elapsed = time.monotonic() - t0

@@ -13,7 +13,6 @@ from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
     ChainSchema,
-    StepIndex,
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
@@ -289,7 +288,6 @@ class TestCompress:
         squeezed = compress_successor_tail(chain)
         assert squeezed.length == Ordinal.from_int(1)
         stage = squeezed.tail[0]
-        assert stage.index_in_parent == StepIndex.finite(24)
         assert stage.transversal.size == 24
         assert len({e.value for e in stage.transversal}) == 24
         cert = verify_prefix(squeezed, levels=1, probes=24, seed=0)
@@ -314,10 +312,10 @@ class TestCompress:
         tail3 = finite_chain(c8, [{0, 2, 4, 6}, {0, 4}, {0}])
         combined = concat_extension(ext, omega_chain, tail3)
         assert combined.length == add(OMEGA, 3)
-        assert [s.index_in_parent.value for s in combined.tail] == [2, 2, 2]
+        assert [s.transversal.size for s in combined.tail] == [2, 2, 2]
         squeezed = compress_successor_tail(combined)
         assert squeezed.length == add(OMEGA, 1)
-        assert squeezed.tail[0].index_in_parent == StepIndex.finite(8)
+        assert squeezed.tail[0].transversal.size == 8
         cert = verify_prefix(squeezed, levels=3, probes=24, seed=1)
         assert cert.verdict == "pass"
 
@@ -325,7 +323,7 @@ class TestCompress:
         c8 = make_cyclic(8)
         chain = finite_chain(c8, [{0, 2, 4, 6}, {0, 4}, {0}])
         squeezed = compress_successor_tail(chain)
-        assert squeezed.tail[0].index_in_parent == StepIndex.finite(8)
+        assert squeezed.tail[0].transversal.size == 8
 
     def test_length_omega_plus_one_rejected(self):
         c2 = make_cyclic(2)
@@ -352,9 +350,9 @@ class TestPowerChain:
         # step index at every level is 2; cumulative index of stage n is 2^n
         cumulative = 1
         for n in range(1, 9):
-            idx = chain.stage_at(0, n).index_in_parent
-            assert idx == StepIndex.finite(2)
-            cumulative *= idx.value
+            size = chain.stage_at(0, n).transversal.size
+            assert size == 2
+            cumulative *= size
             assert cumulative == 2 ** n
 
     def test_index_doubling_oracle_coset_enumeration(self):
@@ -378,7 +376,7 @@ class TestPowerChain:
     def test_integer_base_step_indices(self):
         chain = power_chain(integers_chain(2), natural_points())
         for n in range(1, 7):
-            assert chain.stage_at(0, n).index_in_parent == StepIndex.finite(2 ** n)
+            assert chain.stage_at(0, n).transversal.size == 2 ** n
 
     def test_integer_base_cumulative_index_oracle(self):
         # [whole : stage n] as coset counting in the finite quotient (Z/2^n)^n:
@@ -399,7 +397,7 @@ class TestPowerChain:
             assert expected == 2 ** (n * (n + 1) // 2)
             cumulative = 1
             for k in range(1, n + 1):
-                cumulative *= chain.stage_at(0, k).index_in_parent.value
+                cumulative *= chain.stage_at(0, k).transversal.size
             assert cumulative == expected
         # flat double-check for small n
         for n in range(1, 4):
@@ -484,7 +482,7 @@ class TestPowerChain:
                 return SubgroupDescriptor(owner=z, membership=lambda e: True)
             return SubgroupDescriptor(
                 owner=z, membership=lambda e: e.value == 0,
-                index_in_parent=StepIndex.infinite(), label="zero",
+                infinite_index=True, label="zero",
             )
 
         base = ChainSchema(
@@ -493,7 +491,7 @@ class TestPowerChain:
             name="one infinite jump",
         )
         chain = power_chain(base, natural_points())
-        assert chain.stage_at(0, 2).index_in_parent == StepIndex.infinite()
+        assert chain.stage_at(0, 2).infinite_index
         cert = verify_prefix(chain, levels=2, probes=8, seed=0)
         assert cert.verdict == "fail"
         assert cert.failure["reason"] == "step index is infinite"
@@ -503,7 +501,7 @@ class TestDiagonalPowerChain:
     def test_s3_indices(self):
         s3, chain = s3_chain()
         diag = diagonal_power_chain(chain, FinitePoints([0, 1]))
-        assert [s.index_in_parent.value for s in diag.tail] == [4, 9]
+        assert [s.transversal.size for s in diag.tail] == [4, 9]
         cert = verify_prefix(diag, levels=1, probes=32, seed=0)
         assert cert.verdict == "pass"
 
@@ -650,7 +648,8 @@ class TestLazyTransversals:
         assert _first_excluding_step(chain, 1, chain.group.identity(), 64) is None
         assert built[0] == 0
         stage = chain.stage_at(1, 64)
-        assert stage.transversal.size == stage.index_in_parent.value
+        # the power stage over steps 1..64 of a block of index-2 steps
+        assert stage.transversal.size == 2 ** 64
         assert built[0] > 0
 
     @pytest.mark.parametrize("expr, levels", [("wreath(C(2),Z)", 5), ("tower(Dinf,2)", 6),
@@ -664,7 +663,7 @@ class TestLazyTransversals:
         def constructed(stage):
             return SubgroupDescriptor(
                 owner=stage.owner, membership=stage.membership,
-                index_in_parent=stage.index_in_parent, transversal=stage.transversal,
+                infinite_index=stage.infinite_index, transversal=stage.transversal,
                 label=stage.label)
 
         expected = verify_prefix(chain_for(parse_expr(expr)), levels, 64, 0).to_jsonable()
@@ -763,7 +762,7 @@ class TestTransversalCertification:
     def test_product_failure_reaches_the_certificate(self):
         z = make_integers()
         stage = SubgroupDescriptor(
-            owner=z, membership=multiples(4).membership, index_in_parent=StepIndex.finite(12),
+            owner=z, membership=multiples(4).membership,
             transversal=integer_product((0, 1, 2), (0, 3, 6, 9), middle=3), label="4Z",
         )
         chain = ChainSchema(group=z, kappa=ALEPH0, num_blocks=0, tail=(stage,))

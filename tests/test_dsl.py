@@ -215,8 +215,8 @@ class TestChainFor:
     def test_s3_minimax(self):
         chain = chain_for(parse_expr("S(3)"))
         assert chain.length == 2
-        assert chain.tail[0].index_in_parent.value == 2
-        assert chain.tail[1].index_in_parent.value == 3
+        assert chain.tail[0].transversal.size == 2
+        assert chain.tail[1].transversal.size == 3
 
     def test_z(self):
         assert chain_for(parse_expr("Z")).length == OMEGA
@@ -231,7 +231,7 @@ class TestChainFor:
         # top chain of length 1 then the diagonal lift of the base chain
         chain = chain_for(parse_expr("wreath(C(2), C(3))"))
         assert chain.length == add(ONE, ONE)
-        assert chain.tail[1].index_in_parent.value == 8
+        assert chain.tail[1].transversal.size == 8
 
     def test_product_omega_tail(self):
         assert chain_for(parse_expr("prod(Z, C(2))")).length == add(OMEGA, 1)

@@ -66,6 +66,7 @@ PULLBACK_CASES = {
         "9b6556ff4ef4cb53",
     ("verify", "tower(Dinf,6)", "--levels", "2"): "c37e4b984000cda7",
     ("verify", "tower(Dinf,7)", "--levels", "2"): "0f611342bc6646d3",
+    ("verify", "tower(Dinf,8)", "--levels", "2"): "dbd8692c86badcd3",
 }
 
 

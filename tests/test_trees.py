@@ -12,7 +12,6 @@ from residua.dsl import parse_expr
 from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
-from residua.stages import StepIndex
 from residua.subgroups import SubgroupHandle
 from residua.ordinal import OMEGA, add, omega_power
 from residua.trees import (
@@ -110,13 +109,15 @@ class TestCosetTree:
             truncate(coset_tree(chain), 3)
 
     def test_fibre_is_the_transversal_size(self):
-        # a declared index of 3 over a transversal of the 4 cosets of 1 in C(4)
-        chain = single_step_chain(make_cyclic(4))
-        step = dataclasses.replace(chain.tail[0], index_in_parent=StepIndex.finite(3))
-        chain = dataclasses.replace(chain, tail=(step,))
-        with pytest.raises(NonMaterializableError,
-                           match="declares index 3 but its transversal has 4 cosets"):
-            truncate(coset_tree(chain), 1)
+        # the 4 cosets of 1 in C(4), which its generator permutes in one cycle
+        c4 = make_cyclic(4)
+        tr = truncate(coset_tree(single_step_chain(c4)), 1)
+        assert tr.fibres == (4,)
+        auto = act(c4.element(1), tr)
+        orbit = [0]
+        for _ in range(3):
+            orbit.append(auto.apply(1, orbit[-1]))
+        assert sorted(orbit) == [0, 1, 2, 3]
 
 
 class TestRestrictionMap:
