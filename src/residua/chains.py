@@ -486,12 +486,14 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
     """Every supported value in ``support`` (when given), and the value at
     each point of ``coords`` (point, base stage) in that stage.  Only the
     supported points are read: every other point holds the identity, which
-    each stage of ``coords`` is tested for once, on the first call."""
+    each distinct stage of ``coords`` is tested for once, on the first call
+    (a diagonal stage holds one stage object at every point)."""
     base, at = grp.base, dict(coords)
 
     @functools.cache
     def identity_inside() -> bool:
-        return all(stage.contains(base.identity()) for stage in at.values())
+        distinct = {id(stage): stage for stage in at.values()}.values()
+        return all(stage.contains(base.identity()) for stage in distinct)
 
     def member(e: Element) -> bool:
         for x, v in e.value:

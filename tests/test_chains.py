@@ -521,6 +521,17 @@ class TestDiagonalPowerChain:
         diag = diagonal_power_chain(finite_chain(c1, []), FinitePoints([0, 1]))
         assert diag.length == ZERO
 
+    def test_identity_is_tested_once_per_distinct_stage(self):
+        # every point of a diagonal stage holds the same base stage object
+        base = finite_chain(make_cyclic(2), [{0}])
+        step, calls = base.tail[0], []
+        counted = dataclasses.replace(
+            step, membership=lambda e: calls.append(e) or step.membership(e))
+        diag = diagonal_power_chain(dataclasses.replace(base, tail=(counted,)),
+                                    FinitePoints(range(50)))
+        assert diag.tail[0].contains(diag.group.identity())
+        assert len(calls) == 1
+
 
 class TestTowerChain:
     def test_height_one_returns_base_chain(self):
