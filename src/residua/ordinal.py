@@ -537,9 +537,10 @@ class CardinalBound:
         if text in ("aleph0", "inf", "infinite"):
             return ALEPH0
         try:
-            return CardinalBound(int(text))
+            n = int(text)
         except ValueError as exc:
             raise OrdinalError(f"not a cardinal bound: {text!r}") from exc
+        return CardinalBound(n)
 
 
 ALEPH0 = CardinalBound(None)

@@ -399,13 +399,18 @@ class TestUsageErrors:
         # an explicit --seed wins and never reads the variable
         assert run(capsys, "verify", "Z", "--seed", "3")[0] == 0
 
-    @pytest.mark.parametrize("value", ["foo", "-3"])
-    def test_bad_kappa_names_a_cardinal_bound(self, capsys, value):
+    @pytest.mark.parametrize("value, message", [
+        pytest.param("foo", "not a cardinal bound: 'foo'", id="foo"),
+        # an integer below 1 is a cardinal bound out of range, not unreadable text
+        pytest.param("-3", "finite cardinal bound must be >= 1, got -3", id="-3"),
+        pytest.param("0", "finite cardinal bound must be >= 1, got 0", id="0"),
+    ])
+    def test_bad_kappa_names_a_cardinal_bound(self, capsys, value, message):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "Z", "--kappa", value])
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
-        assert last == f"residua verify: error: argument --kappa: not a cardinal bound: '{value}'"
+        assert last == f"residua verify: error: argument --kappa: {message}"
 
     def test_one_parser_serves_every_call(self, capsys):
         with pytest.raises(SystemExit) as exc:
