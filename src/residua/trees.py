@@ -487,14 +487,18 @@ def parse_truncation(text: str) -> TreeTruncation:
 
     Only fibred trees parse: each level's size is a positive multiple f of
     the size above and vertex i's parent is i // f, as ``emit`` writes them.
+    Any other document raises ``TreeError``.
     """
-    data = json.loads(text)
-    levels = data["levels"]
-    if not levels or int(levels[0]["size"]) != 1 or levels[0]["parents"]:
+    try:
+        data = json.loads(text)
+        levels = [(int(lv["size"]), [int(p) for p in lv["parents"]]) for lv in data["levels"]]
+        depth, provenance = int(data["depth"]), str(data.get("provenance", ""))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise TreeError(f"malformed truncation document: {exc}") from exc
+    if not levels or levels[0] != (1, []):
         raise TreeError("level 0 must be a single root")
     fibres, prev_size = [], 1
-    for k, lv in enumerate(levels[1:], start=1):
-        size, parents = int(lv["size"]), [int(p) for p in lv["parents"]]
+    for k, (size, parents) in enumerate(levels[1:], start=1):
         if len(parents) != size:
             raise TreeError(f"level {k} parent table has the wrong length")
         if size < prev_size or size % prev_size:
@@ -504,6 +508,6 @@ def parse_truncation(text: str) -> TreeTruncation:
             raise TreeError(f"level {k} parent table is not fibred")
         fibres.append(f)
         prev_size = size
-    if int(data["depth"]) != len(levels) - 1:
+    if depth != len(levels) - 1:
         raise TreeError("depth field disagrees with the level list")
-    return TreeTruncation(block=0, fibres=tuple(fibres), provenance=str(data.get("provenance", "")))
+    return TreeTruncation(block=0, fibres=tuple(fibres), provenance=provenance)

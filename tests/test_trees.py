@@ -356,6 +356,20 @@ class TestFibredTruncation:
             parse_truncation(text)
 
     @pytest.mark.parametrize("text", [
+        "[]",
+        '"x"',
+        '{"depth": 0}',
+        '{"levels": [{"size": 1, "parents": []}]}',
+        '{"depth": 0, "levels": [{"size": "one", "parents": []}]}',
+        '{"depth": 1, "levels": [{"size": 1, "parents": []}, {"size": 2}]}',
+        "not json",
+    ], ids=["list", "string", "no-levels", "no-depth", "non-integer-size", "no-parents",
+            "not-json"])
+    def test_malformed_documents_raise_tree_errors(self, text):
+        with pytest.raises(TreeError):
+            parse_truncation(text)
+
+    @pytest.mark.parametrize("text", [
         emit(truncate(coset_tree(chain_for(parse_expr("S(4)"))), 3), "json"),
         tree_json((1, ()), (3, (0, 0, 0)), (6, (0, 0, 1, 1, 2, 2))),
         tree_json((1, ()), (2, (0, 0)), (4, (1, 1, 0, 0))),
