@@ -663,6 +663,14 @@ class TestLazyTransversals:
         assert stage.transversal.size == 2 ** 64
         assert built[0] > 0
 
+    def test_stages_the_limit_walk_reaches_multiply_no_indices(self, monkeypatch):
+        # a stage's index is its transversal's size, read only with the row
+        chain = chain_for(parse_expr("tower(Dinf,3)"))
+        calls = []
+        monkeypatch.setattr(math, "prod", lambda *args, f=math.prod: calls.append(1) or f(*args))
+        assert _first_excluding_step(chain, 1, chain.group.identity(), 64) is None
+        assert calls == []
+
     @pytest.mark.parametrize("expr, levels", [("wreath(C(2),Z)", 5), ("tower(Dinf,2)", 6),
                                               ("power(tower(Dinf,2),3)", 4)])
     def test_given_transversals_give_the_same_certificate(self, expr, levels):
