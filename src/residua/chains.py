@@ -521,7 +521,6 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     with disjoint supports commute.  A base intermediate M of factor j
     becomes K_(j-1) with the j-th point at M.  The transversal is built on
     first read."""
-    infinite = any(stage.infinite_index for _, stage in coords)
 
     def between(j: int, at_j: list) -> SubgroupDescriptor:
         """The first j points as in the stage, then ``at_j``, then the parent's."""
@@ -540,6 +539,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
                                intermediates=[between(j, parent_coords[j:j + 1])
                                               for j in range(1, len(coords))])
 
+    infinite = any(stage.infinite_index for _, stage in coords)
     return SubgroupDescriptor(
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
         infinite_index=infinite, transversal=None if infinite or not coords else product,
