@@ -156,8 +156,7 @@ def _compile(expr: dsl.GroupExpr) -> _Compiled:
         return _Compiled(d, partial(dihedral_chain, 2, d))
     if isinstance(expr, dsl.Product):
         if len(expr.items) == 1:
-            only = _compile(expr.items[0])
-            return _Compiled(only.group, only.chain)
+            return _compile(expr.items[0])
         parts = [_compile(item) for item in expr.items]
         factors = [part.group for part in parts]
         product = DirectProductGroup(factors)

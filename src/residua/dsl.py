@@ -12,6 +12,10 @@ Whitespace is insignificant.  S(n) and A(n) are sugar for perm(...) with the
 standard generating sets.  Any other identifier parses as a named extension
 reference, to be resolved against programmatic registrations.  Errors carry
 the byte offset of the first offending character and the expected tokens.
+Towers are at most ``MAX_TOWER_HEIGHT`` high and constructor calls nest at
+most ``MAX_NESTING`` deep: the parser, the group algebra and the chain
+builders recurse once per level, and deeper inputs would exhaust Python's
+stack.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .groups import _alternating_cycles, _symmetric_cycles
 from .ordinal import OrdinalParseError, _Scanner
 
 __all__ = [
+    "MAX_TOWER_HEIGHT",
+    "MAX_NESTING",
     "DslError",
     "DslParseError",
     "GroupExpr",
@@ -39,6 +45,9 @@ __all__ = [
     "parse_expr",
     "print_expr",
 ]
+
+MAX_TOWER_HEIGHT = 64
+MAX_NESTING = 64  # constructor calls open at once, e.g. prod(prod(Z)) nests 2
 
 
 class DslError(ValueError):
@@ -124,6 +133,8 @@ class Tower:
     def __post_init__(self):
         if self.n < 1:
             raise DslError(f"tower height must be >= 1, got {self.n}")
+        if self.n > MAX_TOWER_HEIGHT:
+            raise DslError(f"tower height must be <= {MAX_TOWER_HEIGHT}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,7 @@ _CONSTRUCTORS = ("C", "S", "A", "perm", "power", "wreath", "tower", "prod")
 
 class _Parser(_Scanner):
     error = DslParseError
+    nesting = 0  # constructor calls open at the current position
 
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
@@ -196,11 +208,15 @@ class _Parser(_Scanner):
             raise DslParseError("'N' is only valid as a power point set", start)
         if name not in _CONSTRUCTORS:
             return ExtensionRef(name)
+        if self.nesting == MAX_NESTING:
+            raise DslParseError(f"constructors nest at most {MAX_NESTING} deep", start)
+        self.nesting += 1
         self.expect("(")
         self.skip_ws()
         first = self.pos
         make, args = self.arguments(name)
         self.expect(")")
+        self.nesting -= 1
         try:
             return make(*args)
         except DslError as exc:  # a perm cycle that repeats a point or leaves the degree
@@ -229,7 +245,7 @@ class _Parser(_Scanner):
         if name == "wreath":
             return Wreath, (base, self.expr())
         if name == "tower":
-            return Tower, (base, self.at_least(1, "tower height"))
+            return Tower, (base, self.at_least(1, "tower height", MAX_TOWER_HEIGHT))
         return FinSupportPower, (base, "N" if self.take("N") else self.at_least(1, "points"))
 
 

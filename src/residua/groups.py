@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -124,18 +125,6 @@ class Element:
                 pass
         return Element(g, g.inv_value(self.value))
 
-    def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.group.identity_value()
-        base = self.value
-        while n:
-            if n & 1:
-                out = self.group.mul_values(out, base)
-            base = self.group.mul_values(base, base)
-            n >>= 1
-        return Element(self.group, out)
-
     def commutator_with(self, other: "Element") -> "Element":
         return self * other * self.inverse() * other.inverse()
 
@@ -174,10 +163,6 @@ class Group:
     has_finite_abelianization_claimed: bool = False
     _table = None  # the CayleyTable, once cayley_table() builds it; read by Element
 
-    def __init__(self):
-        self._order_cache = -1  # -1: not computed; None: infinite
-        self._elements_cache: Optional[list] = None
-
     # -- value algebra, implemented by subclasses ---------------------------
 
     @property
@@ -208,12 +193,10 @@ class Group:
 
     # -- uniform surface -----------------------------------------------------
 
-    @property
+    @cached_property
     def order(self) -> Optional[int]:
         """Number of elements, or None for infinite groups."""
-        if self._order_cache == -1:
-            self._order_cache = self._compute_order()
-        return self._order_cache
+        return self._compute_order()
 
     @property
     def generators(self) -> tuple[Element, ...]:
@@ -225,19 +208,20 @@ class Group:
     def element(self, value) -> Element:
         return Element(self, self.validate_value(value))
 
-    def element_values(self) -> list:
-        """All canonical values, for finite groups; deterministic order."""
+    @cached_property
+    def _sorted_values(self) -> list:
+        """The enumerated values, sorted by ``label_sort_key`` and counted
+        against the order."""
         if self.order is None:
             raise GroupError(f"{self.tag} is infinite; no element enumeration")
-        if self._elements_cache is None:
-            vals = self._enumerate_values()
-            vals = sorted(set(vals), key=label_sort_key)
-            if len(vals) != self.order:
-                raise GroupError(
-                    f"{self.tag}: enumerated {len(vals)} values but order is {self.order}"
-                )
-            self._elements_cache = vals
-        return list(self._elements_cache)
+        vals = sorted(set(self._enumerate_values()), key=label_sort_key)
+        if len(vals) != self.order:
+            raise GroupError(f"{self.tag}: enumerated {len(vals)} values but order is {self.order}")
+        return vals
+
+    def element_values(self) -> list:
+        """All canonical values, for finite groups; deterministic order."""
+        return list(self._sorted_values)
 
     def elements(self) -> list[Element]:
         return [Element(self, v) for v in self.element_values()]
@@ -511,7 +495,6 @@ class CyclicGroup(Group):
     has_finite_abelianization_claimed = True
 
     def __init__(self, n: int):
-        super().__init__()
         if n < 1:
             raise GroupError(f"cyclic order must be >= 1, got {n}")
         self.n = n
@@ -583,7 +566,6 @@ class PermGroup(Group):
     has_finite_abelianization_claimed = True
 
     def __init__(self, degree: int, generators: Iterable):
-        super().__init__()
         if degree < 0:
             raise GroupError("degree must be >= 0")
         self.degree = degree
@@ -617,20 +599,16 @@ class PermGroup(Group):
         return v
 
     def _compute_order(self):
-        return len(self.element_values())
+        return len(self._sorted_values)
 
     def _generator_values(self):
         return self._gens
 
-    def _enumerate_values(self):
-        return mulclose([self.identity_value(), *self._gens], self.mul_values)
-
-    # order needs the closure; avoid the order==len check recursion
-    def element_values(self) -> list:
-        if self._elements_cache is None:
-            vals = sorted(set(self._enumerate_values()))
-            self._elements_cache = vals
-        return list(self._elements_cache)
+    @cached_property
+    def _sorted_values(self) -> list:
+        """The closure of the generators in natural tuple order, which is the
+        ``label_sort_key`` order of image tuples of one degree, found faster."""
+        return sorted(mulclose([self.identity_value(), *self._gens], self.mul_values))
 
 
 class InfiniteDihedralGroup(Group):
@@ -684,7 +662,6 @@ class InfiniteDihedralGroup(Group):
 
 class DirectProductGroup(Group):
     def __init__(self, factors: Iterable[Group]):
-        super().__init__()
         self.factors = tuple(factors)
         if not self.factors:
             raise GroupError("product needs at least one factor")
@@ -767,7 +744,6 @@ class FinSupportPowerGroup(Group):
     """
 
     def __init__(self, base: Group, points: PointSet):
-        super().__init__()
         self.base = base
         self.points = points
         self.is_residually_finite_claimed = base.is_residually_finite_claimed
@@ -883,7 +859,6 @@ class WreathProductGroup(Group):
     """
 
     def __init__(self, base: Group, top: Group):
-        super().__init__()
         self.base = base
         self.top = top
         if top.order is not None:

@@ -399,11 +399,14 @@ class _Scanner:
         except ValueError:  # past the interpreter's digit limit, or a digit int() refuses
             raise self.error("unreadable integer literal", start) from None
 
-    def at_least(self, low: int, what: str) -> int:
-        """An integer literal no smaller than ``low``; ``what`` names it in the error."""
+    def at_least(self, low: int, what: str, high: int | None = None) -> int:
+        """An integer literal no smaller than ``low`` and, when ``high`` is
+        given, no larger than it; ``what`` names it in the error."""
         value, start = self.integer()
         if value < low:
             raise self.error(f"{what} must be >= {low}", start)
+        if high is not None and value > high:
+            raise self.error(f"{what} must be <= {high}", start)
         return value
 
     def finish(self, expected: tuple[str, ...] = ()):
@@ -462,12 +465,16 @@ def ordinal_to_jsonable(a: OrdinalLike) -> dict:
 
 
 def ordinal_from_jsonable(data) -> Ordinal:
-    if not isinstance(data, dict) or "terms" not in data:
+    """Inverse of ``ordinal_to_jsonable``; any other value raises ``OrdinalError``."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
         raise OrdinalError("ordinal JSON must be an object with a 'terms' list")
-    terms = []
-    for item in data["terms"]:
-        terms.append((ordinal_from_jsonable(item["exp"]), int(item["coeff"])))
-    return Ordinal(tuple(terms))
+    out = []
+    for item in terms:
+        if not isinstance(item, dict) or "exp" not in item or type(item.get("coeff")) is not int:
+            raise OrdinalError(f"ordinal term must have an 'exp' and an integer 'coeff': {item!r}")
+        out.append((ordinal_from_jsonable(item["exp"]), item["coeff"]))
+    return Ordinal(tuple(out))
 
 
 # --- cardinal bounds -------------------------------------------------------

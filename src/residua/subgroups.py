@@ -18,7 +18,6 @@ class SubgroupHandle(Group):
     """A finite subgroup of a parent group, as its own handle."""
 
     def __init__(self, parent: Group, values: Iterable, generators: Iterable = ()):
-        super().__init__()
         self.parent = parent
         vals = sorted({parent.validate_value(v) for v in values}, key=label_sort_key)
         self._values = tuple(vals)

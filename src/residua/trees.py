@@ -345,8 +345,9 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     element is still sifted once and a transversal that misses a coset
     still raises.  Otherwise each probe is walked down the stages (``budget``
     steps per block) until a stage excludes it, i.e. until it moves the
-    identity thread's vertex at that level; probes the budget cannot settle
-    stay unresolved and no simplicity verdict is issued.
+    identity thread's vertex at that level.  A probe that survives a block's
+    budget but not the limit stage after it is unresolved: some later step
+    of that block moves it.  No simplicity verdict is issued.
     """
     group = chain.group
     exhaustive = (
@@ -387,30 +388,18 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     violations = []
     q, r = chain.num_blocks, len(chain.tail)
     for p in probe_elements:
-        found = None
-        for b in range(q + 1):
-            n = _first_excluding_step(chain, b, p, budget if b < q else r)
+        for b in range(q + 1):  # stage (b, 0) for b >= 1 was read by the block before
+            n = _first_excluding_step(chain, b, p, budget if b < q else r, start=min(b, 1))
             if n is not None:
-                found = OMEGA * b + n
+                level = format_ordinal(OMEGA * b + n)
+                moved.append({"probe": _probe_id(p), "moved_at_level": level})
                 break
-        if found is None:
-            # the probe survives every checked stage; at the final stage this
-            # witnesses a fixed deepest vertex on the identity thread
-            final = chain.stage_at(q, r)
-            if final.contains(p):
-                violations.append(
-                    {
-                        "element": _probe_id(p),
-                        "level": format_ordinal(chain.length),
-                        "vertex": "identity thread",
-                    }
-                )
-            else:
-                unresolved.append(_probe_id(p))
-        else:
-            moved.append(
-                {"probe": _probe_id(p), "moved_at_level": format_ordinal(found)}
-            )
+            if b < q and not chain.stage_at(b + 1, 0).contains(p):
+                unresolved.append(_probe_id(p))  # block b excludes it past the budget
+                break
+        else:  # p is in the final stage: it fixes the identity thread's deepest vertex
+            violations.append({"element": _probe_id(p), "level": format_ordinal(chain.length),
+                               "vertex": "identity thread"})
     moved.sort(key=lambda m: (m["probe"], m["moved_at_level"]))
     return SimplicityReport(
         mode="probe",
@@ -482,6 +471,13 @@ def emit(tr: TreeTruncation, format: str) -> str:
     raise TreeError(f"unknown format {format!r}")
 
 
+def _integer(x) -> int:
+    """x, if it is a JSON integer; a float, a boolean or a string raises TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def parse_truncation(text: str) -> TreeTruncation:
     """Inverse of the JSON emission; the result has no chain backing.
 
@@ -491,8 +487,9 @@ def parse_truncation(text: str) -> TreeTruncation:
     """
     try:
         data = json.loads(text)
-        levels = [(int(lv["size"]), [int(p) for p in lv["parents"]]) for lv in data["levels"]]
-        depth, provenance = int(data["depth"]), str(data.get("provenance", ""))
+        levels = [(_integer(lv["size"]), [_integer(p) for p in lv["parents"]])
+                  for lv in data["levels"]]
+        depth, provenance = _integer(data["depth"]), str(data.get("provenance", ""))
     except (ValueError, TypeError, KeyError) as exc:
         raise TreeError(f"malformed truncation document: {exc}") from exc
     if not levels or levels[0] != (1, []):

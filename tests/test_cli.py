@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import residua
 from residua import catalog, chains, cli, groups, oracle
 from residua.cli import main
-from residua.dsl import parse_expr
+from residua.dsl import MAX_NESTING, MAX_TOWER_HEIGHT, parse_expr
 from residua.groups import FinSupportPowerGroup, WreathProductGroup, make_cyclic
 
 
@@ -59,6 +59,9 @@ class TestDepth:
         assert code == 4
         assert out == ""
         assert "no chain constructor registered" in err
+
+    def test_single_item_product_keeps_the_claim(self, capsys):
+        assert run(capsys, "depth", "prod(tower(Dinf,2))") == run(capsys, "depth", "tower(Dinf,2)")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "depth", "tower(Dinf, 3)", "--format", "json")
@@ -425,6 +428,32 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out == cli._build_parser.__wrapped__().format_help()
         assert cli._build_parser() is cli._build_parser()
+
+
+_COMMANDS = [("depth",), ("tree",),
+             ("verify", "--levels", "1", "--probes", "2", "--limit-budget", "1")]
+_NESTED = "prod(C(2), " * (MAX_NESTING - 1) + "Z" + ")" * (MAX_NESTING - 1)
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("expr", [f"tower(Dinf,{MAX_TOWER_HEIGHT})", _NESTED],
+                             ids=["tallest-tower", "deepest-nesting"])
+    def test_at_the_bound_exits_documented(self, capsys, command, expr):
+        code, _, err = run(capsys, command[0], expr, *command[1:])
+        assert code in range(7)
+        assert len(err.splitlines()) <= 1
+
+    @pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("expr, message", [
+        (f"tower(Dinf,{MAX_TOWER_HEIGHT + 1})", "tower height must be <="),
+        ("prod(" + _NESTED + ")", "constructors nest at most"),
+    ], ids=["tower-too-tall", "nesting-too-deep"])
+    def test_past_the_bound_is_a_parse_error(self, capsys, command, expr, message):
+        code, out, err = run(capsys, command[0], expr, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and message in err
 
 
 class TestDeepRows:

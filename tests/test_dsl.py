@@ -12,8 +12,11 @@ from residua.catalog import (
     register_extension,
 )
 from residua.dsl import (
+    MAX_NESTING,
+    MAX_TOWER_HEIGHT,
     Cyclic,
     Dinf,
+    DslError,
     DslParseError,
     ExtensionRef,
     FinSupportPower,
@@ -131,6 +134,23 @@ class TestParse:
             parse_expr(text)
         assert err.value.position == position
         assert str(err.value).startswith(f"{message} at offset {position}")
+
+    def test_tower_height_bound(self):
+        assert parse_expr(f"tower(Z,{MAX_TOWER_HEIGHT})") == Tower(Int(), MAX_TOWER_HEIGHT)
+        with pytest.raises(DslParseError) as err:
+            parse_expr(f"tower(Z,{MAX_TOWER_HEIGHT + 1})")
+        assert err.value.position == 8
+        assert str(err.value).startswith(f"tower height must be <= {MAX_TOWER_HEIGHT}")
+        with pytest.raises(DslError):
+            Tower(Int(), MAX_TOWER_HEIGHT + 1)
+
+    def test_nesting_bound(self):
+        deepest = "prod(" * MAX_NESTING + "Z" + ")" * MAX_NESTING
+        assert print_expr(parse_expr(deepest)) == deepest
+        with pytest.raises(DslParseError) as err:
+            parse_expr("wreath(" * MAX_NESTING + "C(2), Z" + ")" * MAX_NESTING)
+        assert err.value.position == 7 * MAX_NESTING
+        assert str(err.value).startswith(f"constructors nest at most {MAX_NESTING} deep")
 
     @pytest.mark.parametrize("literal", ["9" * 5000, "\u00b2"], ids=["5000-digits", "superscript-2"])
     def test_unreadable_integer_literal_is_a_parse_error(self, literal):

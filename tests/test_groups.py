@@ -553,6 +553,57 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+class _Klein(groups.Group):
+    """Bit pairs under xor; its __init__ does not call the base class's."""
+
+    def __init__(self, name):
+        self.name = name
+
+    tag = property(lambda self: f"klein[{self.name}]")
+
+    def identity_value(self):
+        return (0, 0)
+
+    def mul_values(self, a, b):
+        return (a[0] ^ b[0], a[1] ^ b[1])
+
+    def inv_value(self, a):
+        return a
+
+    def validate_value(self, v):
+        return tuple(v)
+
+    def _compute_order(self):
+        return 4
+
+    def _generator_values(self):
+        return ((0, 1), (1, 0))
+
+    def _enumerate_values(self):
+        return [(1, 1), (0, 1), (1, 0), (0, 0)]
+
+
+class TestCachedFacts:
+    def test_subclass_needs_no_base_init(self):
+        k = _Klein("v")
+        assert k.order == 4
+        assert k.element_values() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert k.cayley_table().mul[1][3] == 2
+        assert vars(k)["order"] == 4  # later reads are plain attribute lookups
+
+    def test_element_values_is_a_copy(self):
+        g = make_cyclic(3)
+        g.element_values().clear()
+        assert g.element_values() == [0, 1, 2]
+
+    @pytest.mark.parametrize("expr", ["S(4)", "A(5)", "perm(5; (0 1 2 3 4), (0 1))"])
+    def test_perm_elements_are_in_label_order(self, expr):
+        g = build_group(parse_expr(expr))
+        values = g.element_values()
+        assert values == sorted(values, key=label_sort_key)
+        assert g.order == len(values) == len(set(values))
+
+
 class TestCayleyTable:
     @pytest.mark.parametrize("expr", ["S(4)", "A(5)", "wreath(C(2),C(3))", "power(C(2),4)",
                                       "prod(S(3),C(4))", "prod(A(4),C(2))"])

@@ -298,6 +298,22 @@ class TestText:
     def test_json_zero(self):
         assert ordinal_to_jsonable(ZERO) == {"terms": []}
 
+    @pytest.mark.parametrize("data", [
+        {"terms": [{"exp": {"terms": []}, "coeff": 1.9}]},
+        {"terms": [{"exp": {"terms": []}, "coeff": True}]},
+        {"terms": [{"exp": {"terms": []}, "coeff": "7"}]},
+        {"terms": [{"exp": {"terms": []}}]},
+        {"terms": [{"coeff": 1}]},
+        {"terms": [5]},
+        {"terms": 5},
+        {"terms": [{"exp": {"terms": 5}, "coeff": 1}]},
+        [],
+    ], ids=["float-coeff", "bool-coeff", "string-coeff", "no-coeff", "no-exp", "int-term",
+            "int-terms", "bad-exponent", "list"])
+    def test_json_malformed_raises_ordinal_error(self, data):
+        with pytest.raises(OrdinalError):
+            ordinal_from_jsonable(data)
+
 
 class TestCardinalBound:
     def test_finite_below_aleph0(self):

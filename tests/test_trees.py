@@ -242,6 +242,14 @@ class TestVerifySimple:
         assert report.verdict == "violation"
         assert report.violations
 
+    def test_probes_past_the_budget_are_unresolved(self):
+        # 4, -4 and -8 leave the 2-adic chain at stages 3, 3 and 4, past a
+        # budget of 2; the limit stage w excludes them but does not move them
+        report = verify_simple(chain_for(parse_expr("Z")), probes=32, seed=4, budget=2)
+        assert report.unresolved == ("-4", "-8", "4")
+        assert all(m["moved_at_level"] != "w" for m in report.moved)
+        assert report.verdict == "no-violation-found"
+
     def test_lamplighter_probes_all_moved(self):
         _, chain = lamplighter_chain()
         report = verify_simple(chain, probes=32, seed=4, budget=12)
@@ -363,8 +371,14 @@ class TestFibredTruncation:
         '{"depth": 0, "levels": [{"size": "one", "parents": []}]}',
         '{"depth": 1, "levels": [{"size": 1, "parents": []}, {"size": 2}]}',
         "not json",
+        '{"depth": 1.7, "levels": [{"size": 1.9, "parents": []}, '
+        '{"size": 2.5, "parents": [0.2, 0.9]}]}',
+        '{"depth": 1, "levels": [{"size": true, "parents": []}, '
+        '{"size": 2, "parents": [false, false]}]}',
+        '{"depth": 1, "levels": [{"size": 1, "parents": []}, {"size": "2", "parents": [0, 0]}]}',
+        '{"depth": 1.0, "levels": [{"size": 1, "parents": []}, {"size": 2, "parents": [0, 0]}]}',
     ], ids=["list", "string", "no-levels", "no-depth", "non-integer-size", "no-parents",
-            "not-json"])
+            "not-json", "float-sizes", "boolean-sizes", "string-size", "float-depth"])
     def test_malformed_documents_raise_tree_errors(self, text):
         with pytest.raises(TreeError):
             parse_truncation(text)
