@@ -2,7 +2,9 @@
 
 Each argv is one the benchmark runs; ``bench/golden.json`` pins the first
 16 hex digits of the sha256 of its stdout (a list indexed by ``--seed`` for
-seeded ops); ``PULLBACK_CASES`` pins a few more argv the same way.  Its ``tree`` entries pin the same digest of a library round
+seeded ops); ``PULLBACK_CASES`` pins a few more argv the same way, and
+``VERDICT_CASES`` and ``LIBRARY_CASES`` pin failing and inconclusive
+certificates.  Its ``tree`` entries pin the same digest of a library round
 trip over chain number i of ``chain_enumerate(group, 3)``.  The file is only
 read here.
 """
@@ -12,14 +14,24 @@ import hashlib
 import io
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from residua import cli, coset_tree, emit, finite_chain, truncate, verify_simple
 from residua.catalog import build_group
+from residua.chains import (
+    ChainSchema,
+    SubgroupDescriptor,
+    Transversal,
+    integers_chain,
+    verify_prefix,
+)
 from residua.dsl import parse_expr
+from residua.groups import Element, make_cyclic, make_integers
 from residua.oracle import chain_enumerate
+from residua.ordinal import ALEPH0, CardinalBound
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
 
@@ -77,6 +89,91 @@ def test_mapped_product_output_matches_pinned_digest(args):
         code = cli.main(list(args))
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == PULLBACK_CASES[args]
+
+
+# Runs that fail or stay inconclusive, pinned the same way with their exit
+# status, so that a change to the verifier cannot reorder its failures or drop
+# a flag unseen: an index not below kappa, unresolved limits, no probes.
+VERDICT_CASES = {
+    ("verify", "C(5)", "--kappa", "3", "--levels", "3", "--format", "json"):
+        (2, "973cd1f5037d2dab"),
+    ("verify", "tower(Dinf,2)", "--kappa", "3", "--levels", "3", "--format", "json"):
+        (2, "f72805c7d8015621"),
+    ("verify", "Z", "--limit-budget", "2", "--levels", "5", "--format", "json"):
+        (3, "44705bf67f2251a5"),
+    ("verify", "prod(C(2),C(3),Z)", "--limit-budget", "0", "--format", "json"):
+        (3, "abda8f12df28709f"),
+    ("verify", "Z", "--probes", "0", "--format", "json"): (3, "e10dc1a0f8216ab9"),
+    ("verify", "S(3)", "--kappa", "3", "--levels", "3"): (2, "0411d7136ab4cafd"),
+}
+
+
+@pytest.mark.parametrize("args", list(VERDICT_CASES), ids=shlex.join)
+def test_failing_output_matches_pinned_digest(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]) == VERDICT_CASES[args]
+
+
+def _multiples(z, m, reps=None):
+    return SubgroupDescriptor(
+        owner=z, membership=lambda e: e.value % m == 0, label=f"multiples of {m}",
+        transversal=None if reps is None else Transversal(Element(z, v) for v in reps),
+    )
+
+
+def _zero(z):
+    return SubgroupDescriptor(owner=z, membership=lambda e: e.value == 0, label="zero")
+
+
+def _tail_chain(make_stages):
+    z = make_integers()
+    return ChainSchema(group=z, kappa=ALEPH0, num_blocks=0, tail=make_stages(z))
+
+
+def _limit_accepting_everything():
+    chain = integers_chain(2)
+    return replace(chain, final_limit=SubgroupDescriptor(owner=chain.group,
+                                                         membership=lambda e: True))
+
+
+def _stage_0_not_full():
+    z = make_integers()
+    return ChainSchema(group=z, kappa=ALEPH0, num_blocks=1, final_limit=_zero(z),
+                       block_rule=lambda b, n: _multiples(z, 2 ** (n + 1)))
+
+
+# chain -> (its builder, digests at the chain's kappa and at kappa 3) of
+# verify_prefix(chain, 6, 48, 1); one chain for each way a run fails
+LIBRARY_CASES = {
+    "final stage not trivial": (lambda: finite_chain(make_cyclic(4), [{0, 2}]),
+                                "6444e95130d64e95", "4ac71406f7b81dba"),
+    "limit accepts everything": (_limit_accepting_everything,
+                                 "dec7983f10b5e264", "e5e708fe1b35867e"),
+    "descent violated": (lambda: _tail_chain(lambda z: (_multiples(z, 4), _multiples(z, 2),
+                                                        _zero(z))),
+                         "696de8ca147c3120", "912aaff36caf821d"),
+    "identity rejected": (lambda: _tail_chain(lambda z: (
+        SubgroupDescriptor(owner=z, membership=lambda e: e.value % 2 == 1), _zero(z))),
+        "b30dcbfb9c0b1058", "8647c42ea3b56be8"),
+    "stage 0 not full": (_stage_0_not_full, "27de9273f254e100", "694401df987b439a"),
+    "coset missed": (lambda: _tail_chain(lambda z: (_multiples(z, 4, (0, 1)), _zero(z))),
+                     "da42d328917a2707", "9252858b545f960b"),
+    "no transversal": (lambda: _tail_chain(lambda z: (_multiples(z, 4), _zero(z))),
+                       "9033732f9eb91743", "bb0384978841674e"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_CASES))
+def test_failing_certificate_matches_pinned_digest(name):
+    build, *pinned = LIBRARY_CASES[name]
+    digests = []
+    for kappa in (None, CardinalBound(3)):
+        cert = verify_prefix(build(), 6, 48, 1, kappa=kappa)
+        text = json.dumps(cert.to_jsonable(), sort_keys=True)
+        digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert digests == pinned
 
 
 # group -> chain numbers: one of length 2 and two of length 3 each
