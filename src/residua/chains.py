@@ -758,65 +758,59 @@ def _probe_id(e: Element) -> str:
     return json.dumps(e.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
-_Row = tuple[Ordinal, int, int, SubgroupDescriptor]  # (ordinal, block, step, stage)
 _Fail = Callable[[str, Ordinal, Optional[Element]], None]
 
 
-def _rows(chain: ChainSchema, levels: int) -> list[_Row]:
-    """The stages checked: ``levels`` steps into every block, then the
-    final limit and the tail."""
-    q, r = chain.num_blocks, len(chain.tail)
-    rows = [(OMEGA * b + n, b, n, chain.stage_at(b, n))
-            for b in range(q) for n in range(levels + 1)]
-    rows += [(OMEGA * q + n, q, n, chain.stage_at(q, n)) for n in range(r + 1)]
-    return rows
+def _blocks(chain: ChainSchema, levels: int) -> list[list[SubgroupDescriptor]]:
+    """The stages checked, block by block: steps 0..``levels`` of every
+    block, then the final limit and the tail as the last block."""
+    q = chain.num_blocks
+    return [[chain.stage_at(b, n) for n in range(levels + 1 if b < q else len(chain.tail) + 1)]
+            for b in range(q + 1)]
 
 
-def _check_identity_and_fullness(rows: list[_Row], probes: list[Element], mem,
+def _check_identity_and_fullness(blocks, probes: list[Element], mem,
                                  identity: Element, fail: _Fail) -> None:
-    for ordinal_i, _, _, stage in rows:
-        if not stage.contains(identity):
-            fail("stage rejects the identity", ordinal_i, identity)
+    for b, block in enumerate(blocks):
+        for n, stage in enumerate(block):
+            if not stage.contains(identity):
+                fail("stage rejects the identity", OMEGA * b + n, identity)
     for pi, p in enumerate(probes):
-        if not mem[pi][0]:
+        if not mem[pi][0][0]:
             fail("stage 0 is not the full group", ZERO, p)
 
 
-def _check_limit_coherence(chain: ChainSchema, rows: list[_Row], probes: list[Element], mem,
-                           budget: int, fail: _Fail):
-    """Each declared limit stage against the lazy intersection of the block
-    before it.  Returns the stage of that block that excludes each rejected
-    probe, keyed (probe, block), as its (block, step) address, and the
-    (probe, limit ordinal) pairs whose rejection no stage within the budget
-    confirms.  Steps of that block that are rows are read from ``mem``; only
-    deeper ones are tested."""
-    witness_stage: dict[tuple[int, int], tuple[int, int]] = {}
-    unresolved: list[tuple[int, Ordinal]] = []
-    for k, (ordinal_i, b, n, _) in enumerate(rows):
-        if n != 0 or b < 1:
-            continue
-        below = [j for j, row in enumerate(rows) if row[1] == b - 1][:budget + 1]
+def _check_limit_coherence(chain: ChainSchema, probes: list[Element], mem, budget: int,
+                           fail: _Fail):
+    """Each declared limit stage w*b against the lazy intersection of block
+    b - 1.  Returns the step of that block that excludes each rejected
+    probe, keyed (probe, b), and the (probe, b) pairs whose rejection no
+    stage within the budget confirms.  The checked steps of block b - 1 are
+    read from ``mem``; only deeper ones are tested."""
+    witness_step: dict[tuple[int, int], int] = {}
+    unresolved: list[tuple[int, int]] = []
+    for b in range(1, chain.num_blocks + 1):
         for pi, p in enumerate(probes):
-            claimed = mem[pi][k]
-            found = next((m for m, j in enumerate(below) if not mem[pi][j]), None)
-            if found is None:
-                found = _first_excluding_step(chain, b - 1, p, budget, start=len(below))
+            below = mem[pi][b - 1][:budget + 1]
+            found = below.index(False) if False in below else _first_excluding_step(
+                chain, b - 1, p, budget, start=len(below))
             if found is not None:
-                if claimed:
+                if mem[pi][b][0]:
                     fail("limit stage accepts an element excluded below it",
                          OMEGA * (b - 1) + found, p)
                 else:
-                    witness_stage[(pi, b)] = (b - 1, found)
-            elif not claimed:
-                unresolved.append((pi, ordinal_i))
-    return witness_stage, unresolved
+                    witness_step[pi, b] = found
+            elif not mem[pi][b][0]:
+                unresolved.append((pi, b))
+    return witness_step, unresolved
 
 
 def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
                 probes: list[Element], in_parent: list[bool], in_stage: list[bool],
                 kappa: CardinalBound, fail: _Fail):
-    """The index entry of one successor row: certified by the transversal when
-    the stage has one, otherwise a probe-counted lower bound or "unverified"."""
+    """The index entry of one successor stage: certified by the transversal
+    when the stage has one, otherwise a probe-counted lower bound or
+    "unverified"."""
     if stage.infinite_index:
         fail("step index is infinite", ordinal_i, None)
         return "infinite"
@@ -841,48 +835,35 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
     return "unverified"
 
 
-def _check_indices(rows: list[_Row], probes: list[Element], mem, kappa: CardinalBound,
+def _check_indices(blocks, probes: list[Element], mem, kappa: CardinalBound,
                    fail: _Fail) -> list[dict]:
-    """Descent from the previous row and the step index, one report per row."""
+    """Descent from step n - 1 to step n of each block and the step index,
+    one report per stage."""
     reports = []
-    for k, (ordinal_i, b, n, stage) in enumerate(rows):
-        descent_ok = True
-        if k > 0 and rows[k - 1][1] == b and rows[k - 1][2] == n - 1:
-            for pi, p in enumerate(probes):
-                if mem[pi][k] and not mem[pi][k - 1]:
-                    fail("descent violated", ordinal_i, p)
-                    descent_ok = False
-        index_value = None
-        if n >= 1:
-            index_value = _step_index(ordinal_i, stage, rows[k - 1][3], probes,
-                                      [row[k - 1] for row in mem], [row[k] for row in mem],
-                                      kappa, fail)
-        reports.append({"stage": format_ordinal(ordinal_i), "index": index_value,
-                        "descent": descent_ok})
+    for b, block in enumerate(blocks):
+        for n, stage in enumerate(block):
+            ordinal_i, descent_ok, index_value = OMEGA * b + n, True, None
+            if n >= 1:
+                in_parent, in_stage = [m[b][n - 1] for m in mem], [m[b][n] for m in mem]
+                for p, outside, inside in zip(probes, in_parent, in_stage):
+                    if inside and not outside:
+                        fail("descent violated", ordinal_i, p)
+                        descent_ok = False
+                index_value = _step_index(ordinal_i, stage, block[n - 1], probes,
+                                          in_parent, in_stage, kappa, fail)
+            reports.append({"stage": format_ordinal(ordinal_i), "index": index_value,
+                            "descent": descent_ok})
     return reports
 
 
-def _check_finality(rows: list[_Row], probes: list[Element], mem, fail: _Fail) -> None:
-    """The final stage accepts only the identity among probes."""
-    for pi, p in enumerate(probes):
-        if mem[pi][-1]:
-            fail("final stage accepts a non-identity probe", rows[-1][0], p)
-
-
-def _separations(rows: list[_Row], probes: list[Element], mem,
-                 witness_stage: dict[tuple[int, int], tuple[int, int]]) -> list[dict]:
-    """The first stage known to exclude each probe, sorted by probe."""
+def _separations(probes: list[Element], mem, witness_step: dict[tuple[int, int], int]) -> list[dict]:
+    """The first stage known to exclude each probe, sorted by probe: the
+    first checked stage that does, or the step below a rejecting limit."""
     separations = []
     for pi, p in enumerate(probes):
-        first: Optional[Ordinal] = None
-        for k, (ordinal_i, b, n, _) in enumerate(rows):
-            if mem[pi][k]:
-                continue
-            first = ordinal_i
-            if n == 0 and (pi, b) in witness_stage:
-                wb, wn = witness_stage[pi, b]
-                first = OMEGA * wb + wn
-            break
+        first = next((OMEGA * (b - 1) + witness_step[pi, b] if (pi, b) in witness_step
+                      else OMEGA * b + steps.index(False)
+                      for b, steps in enumerate(mem[pi]) if False in steps), None)
         separations.append({
             "probe": _probe_id(p),
             "first_excluding_stage": "unresolved" if first is None else format_ordinal(first),
@@ -897,9 +878,10 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     """Probe-based verification of a chain prefix.
 
     Checks ``levels`` finite steps past each limit stage, in phases: the
-    rows to check; the identity in every stage and stage 0 full; coherence
-    of each declared limit stage against the lazy intersection of the
-    previous block; descent between consecutive stages and step indices
+    stages to check, block by block; the identity in every stage and stage
+    0 full; coherence of each declared limit stage against the lazy
+    intersection of the previous block; descent between consecutive steps
+    of a block and step indices
     strictly below kappa (certified by transversals where present,
     otherwise probe-counted and left unverified); triviality of the final
     stage on probes; and the first excluding stage of every probe.
@@ -920,7 +902,7 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
         raise ChainError("need at least one level")
     kappa = kappa if kappa is not None else chain.kappa
     probe_elements = random_words(chain.group, probes, seed, max_len=word_len)
-    rows = _rows(chain, levels)
+    blocks = _blocks(chain, levels)
     failures: list[dict] = []
 
     def fail(reason: str, stage: Ordinal, witness: Optional[Element]):
@@ -930,18 +912,20 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
             "witness": None if witness is None else _probe_id(witness),
         })
 
-    mem = [[stage.contains(p) for (*_, stage) in rows] for p in probe_elements]
-    _check_identity_and_fullness(rows, probe_elements, mem, chain.group.identity(), fail)
-    witness_stage, unresolved = _check_limit_coherence(chain, rows, probe_elements, mem,
-                                                       limit_budget, fail)
-    level_reports = _check_indices(rows, probe_elements, mem, kappa, fail)
-    _check_finality(rows, probe_elements, mem, fail)
-    separations = _separations(rows, probe_elements, mem, witness_stage)
+    mem = [[[stage.contains(p) for stage in block] for block in blocks] for p in probe_elements]
+    _check_identity_and_fullness(blocks, probe_elements, mem, chain.group.identity(), fail)
+    witness_step, unresolved = _check_limit_coherence(chain, probe_elements, mem,
+                                                      limit_budget, fail)
+    level_reports = _check_indices(blocks, probe_elements, mem, kappa, fail)
+    for pi, p in enumerate(probe_elements):
+        if mem[pi][-1][-1]:
+            fail("final stage accepts a non-identity probe", chain.length, p)
+    separations = _separations(probe_elements, mem, witness_step)
 
     flags = list(chain.flags)
-    for pi, ordinal_i in unresolved:
+    for pi, b in unresolved:
         flags.append(
-            f"limit {format_ordinal(ordinal_i)} rejection of probe "
+            f"limit {format_ordinal(OMEGA * b)} rejection of probe "
             f"{_probe_id(probe_elements[pi])} unresolved within budget {limit_budget}"
         )
     index_unverified = any(report["index"] == "unverified" for report in level_reports)
@@ -952,9 +936,7 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
 
     if failures:
         verdict = "fail"
-    elif not probe_elements or unresolved or index_unverified or any(
-        s["first_excluding_stage"] == "unresolved" for s in separations
-    ):
+    elif not probe_elements or unresolved or index_unverified:
         verdict = "inconclusive"
     else:
         verdict = "pass"

@@ -17,7 +17,7 @@ from residua.chains import (
     Transversal,
     _certify_transversal,
     _first_excluding_step,
-    _rows,
+    _blocks,
     chain_at,
     compress_successor_tail,
     concat_extension,
@@ -804,12 +804,12 @@ class TestTransversalCertification:
     ])
     def test_factorwise_agrees_with_pairwise(self, expr, levels, probes):
         chain = chain_for(parse_expr(expr))
-        rows = _rows(chain, levels)
         sample = random_words(chain.group, probes, 0)
         compared = 0
-        for (*_, parent), (_, _, n, stage) in zip(rows, rows[1:]):
+        for parent, stage in (pair for block in _blocks(chain, levels)
+                              for pair in zip(block, block[1:])):
             t = stage.transversal
-            if n == 0 or t is None or len(t.factors) < 2 or t.size > 64:
+            if t is None or len(t.factors) < 2 or t.size > 64:
                 continue
             # parent elements in many cosets, so that the sift does real work
             inside = [chain.group.identity(), *[p for p in sample if stage.contains(p)][:1]]
@@ -827,7 +827,7 @@ class TestTransversalCertification:
         # the block below a limit was already tested on steps 0..levels; the
         # coherence check reads those verdicts and tests only deeper steps
         chain = chain_for(parse_expr("wreath(C(2),Z)"))
-        checked = {id(stage) for *_, stage in _rows(chain, 4)}
+        checked = {id(stage) for block in _blocks(chain, 4) for stage in block}
         tested, in_coherence = [], []
         contains, coherence = SubgroupDescriptor.contains, chains._check_limit_coherence
 
@@ -880,7 +880,7 @@ class TestTransversalCertification:
         # pullbacks, kernel copies and coordinate embeddings keep a product's
         # factors, and nested products are spliced flat
         products = 0
-        for *_, stage in _rows(chain_for(parse_expr(expr)), 5):
+        for stage in (s for block in _blocks(chain_for(parse_expr(expr)), 5) for s in block):
             t = stage.transversal
             if t is None or not t.factors:
                 continue
