@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_verify, ("text", "json"))
     p_verify.add_argument("--levels", type=_int_at_least(1),
                           help="steps checked past each limit stage")
-    p_verify.add_argument("--probes", type=int)
+    p_verify.add_argument("--probes", type=_int_at_least(0))
     p_verify.add_argument("--kappa", type=_kappa,
                           help="index bound: an integer or 'aleph0'")
     p_verify.add_argument("--chain", help="chain selector (auto)")
@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tree = sub.add_parser("tree", help="materialize and emit a coset tree truncation")
     common(p_tree, ("text", "dot", "json"))
     p_tree.add_argument("--levels", type=_int_at_least(0))
-    p_tree.add_argument("--block", type=int)
+    p_tree.add_argument("--block", type=_int_at_least(0))
 
     p_oracle = sub.add_parser("oracle", help="brute-force finite-group ground truth")
     p_oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)

@@ -114,7 +114,8 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "inconclusive"
 
     def test_no_probes_inconclusive_exit_3(self, capsys):
-        for expr, probes in (("Z", "0"), ("Z", "-3"), ("tower(Dinf,2)", "0")):
+        # a negative count is a usage error (TestUsageErrors)
+        for expr, probes in (("Z", "0"), ("tower(Dinf,2)", "0")):
             code, out, _ = run(capsys, "verify", expr, "--probes", probes)
             assert code == 3
             assert "verdict: inconclusive" in out
@@ -364,6 +365,8 @@ class TestUsageErrors:
         pytest.param("tree", "--levels", "-1", id="tree---levels--1"),
         pytest.param("verify", "--limit-budget", "-1", id="--limit-budget--1"),
         pytest.param("oracle core", "--max-index", "-1", id="--max-index--1"),
+        pytest.param("verify", "--probes", "-1", id="--probes--1"),
+        pytest.param("tree", "--block", "-1", id="--block--1"),
     ])
     def test_bad_value_is_a_usage_error(self, command, flag, value):
         result = run_module(*command.split(), "Z", flag, value)
