@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .groups import _alternating_cycles, _symmetric_cycles
-from .ordinal import OrdinalParseError, _Scanner
+from .ordinal import MAX_NESTING, OrdinalParseError, _Scanner
 
 __all__ = [
     "MAX_TOWER_HEIGHT",
@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 MAX_TOWER_HEIGHT = 64
-MAX_NESTING = 64  # constructor calls open at once, e.g. prod(prod(Z)) nests 2
+# MAX_NESTING, shared with the ordinal notation, bounds the constructor calls
+# open at once: prod(prod(Z)) nests 2
 
 
 class DslError(ValueError):
@@ -156,7 +157,6 @@ _CONSTRUCTORS = ("C", "S", "A", "perm", "power", "wreath", "tower", "prod")
 
 class _Parser(_Scanner):
     error = DslParseError
-    nesting = 0  # constructor calls open at the current position
 
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
@@ -208,15 +208,12 @@ class _Parser(_Scanner):
             raise DslParseError("'N' is only valid as a power point set", start)
         if name not in _CONSTRUCTORS:
             return ExtensionRef(name)
-        if self.nesting == MAX_NESTING:
-            raise DslParseError(f"constructors nest at most {MAX_NESTING} deep", start)
-        self.nesting += 1
+        self.nest("constructors", start)
         self.expect("(")
         self.skip_ws()
         first = self.pos
         make, args = self.arguments(name)
-        self.expect(")")
-        self.nesting -= 1
+        self.unnest()
         try:
             return make(*args)
         except DslError as exc:  # a perm cycle that repeats a point or leaves the degree

@@ -352,14 +352,22 @@ def format_ordinal(a: OrdinalLike) -> str:
     return " + ".join(parts)
 
 
+MAX_NESTING = 64
+"""Brackets open at once in either text grammar: exponent parentheses in
+the ordinal notation, constructor calls in ``dsl``.  Ordinal JSON nests at
+most as many ``exp`` objects.  The parsers, the printers and the arithmetic
+recurse once per level, and deeper inputs would exhaust Python's stack."""
+
+
 class _Scanner:
     """Whitespace-skipping cursor over a text, and the one reader of integer
-    literals, lower bounds and end of input for both grammars: the ordinal
-    notation here and the group expressions of ``dsl``.  Every error it
-    raises is of the grammar's class ``error`` and names the offset of the
-    offending character."""
+    literals, lower bounds, nesting and end of input for both grammars: the
+    ordinal notation here and the group expressions of ``dsl``.  Every error
+    it raises is of the grammar's class ``error`` and names the offset of
+    the offending character."""
 
     error = OrdinalParseError
+    nesting = 0  # brackets open at the current position
 
     def __init__(self, text: str):
         self.text = text
@@ -409,6 +417,18 @@ class _Scanner:
             raise self.error(f"{what} must be <= {high}", start)
         return value
 
+    def nest(self, what: str, start: int):
+        """Open one more bracket, unless ``MAX_NESTING`` are open already;
+        ``what`` names the brackets and ``start`` is the offset blamed."""
+        if self.nesting == MAX_NESTING:
+            raise self.error(f"{what} nest at most {MAX_NESTING} deep", start)
+        self.nesting += 1
+
+    def unnest(self):
+        """Close the innermost bracket with its ``)``."""
+        self.expect(")")
+        self.nesting -= 1
+
     def finish(self, expected: tuple[str, ...] = ()):
         """Fail unless only whitespace is left; ``expected`` names what could follow."""
         if self.peek():
@@ -421,9 +441,10 @@ def _parse_factor(sc: _Scanner) -> Ordinal:
         sc.pos += 1
         return OMEGA
     if ch == "(":
+        sc.nest("exponents", sc.pos)
         sc.pos += 1
         val = _parse_sum(sc)
-        sc.expect(")")
+        sc.unnest()
         return val
     if ch.isdigit():
         return Ordinal.from_int(sc.integer()[0])
@@ -465,7 +486,13 @@ def ordinal_to_jsonable(a: OrdinalLike) -> dict:
 
 
 def ordinal_from_jsonable(data) -> Ordinal:
-    """Inverse of ``ordinal_to_jsonable``; any other value raises ``OrdinalError``."""
+    """Inverse of ``ordinal_to_jsonable``; any other value, and ``exp``
+    objects nested more than ``MAX_NESTING`` deep, raise ``OrdinalError``."""
+    return _from_jsonable(data, MAX_NESTING)
+
+
+def _from_jsonable(data, room: int) -> Ordinal:
+    """``ordinal_from_jsonable`` with room for ``room`` more nested ``exp`` objects."""
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
         raise OrdinalError("ordinal JSON must be an object with a 'terms' list")
@@ -473,7 +500,9 @@ def ordinal_from_jsonable(data) -> Ordinal:
     for item in terms:
         if not isinstance(item, dict) or "exp" not in item or type(item.get("coeff")) is not int:
             raise OrdinalError(f"ordinal term must have an 'exp' and an integer 'coeff': {item!r}")
-        out.append((ordinal_from_jsonable(item["exp"]), item["coeff"]))
+        if room == 0:
+            raise OrdinalError(f"ordinal exponents nest at most {MAX_NESTING} deep")
+        out.append((_from_jsonable(item["exp"], room - 1), item["coeff"]))
     return Ordinal(tuple(out))
 
 

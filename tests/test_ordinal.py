@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from residua.ordinal import (
     ALEPH0,
+    MAX_NESTING,
     OMEGA,
     OMEGA_OMEGA,
     ONE,
@@ -313,6 +314,30 @@ class TestText:
     def test_json_malformed_raises_ordinal_error(self, data):
         with pytest.raises(OrdinalError):
             ordinal_from_jsonable(data)
+
+    def test_text_nesting_bound(self):
+        # w^(w^(...(1)...)), one exponent parenthesis per level
+        deepest = "w^(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+        assert parse_ordinal(deepest) == parse_ordinal(format_ordinal(parse_ordinal(deepest)))
+        for depth in (MAX_NESTING + 1, 400):
+            with pytest.raises(OrdinalParseError) as err:
+                parse_ordinal("w^(" * depth + "1" + ")" * depth)
+            assert err.value.position == 3 * MAX_NESTING + 2
+            assert str(err.value).startswith(f"exponents nest at most {MAX_NESTING} deep")
+
+    def test_json_nesting_bound(self):
+        def nested(depth):
+            data = {"terms": []}
+            for _ in range(depth):
+                data = {"terms": [{"exp": data, "coeff": 1}]}
+            return data
+
+        deepest = ordinal_from_jsonable(nested(MAX_NESTING))
+        assert ordinal_to_jsonable(deepest) == nested(MAX_NESTING)
+        assert parse_ordinal(format_ordinal(deepest)) == deepest
+        for depth in (MAX_NESTING + 1, 2000):
+            with pytest.raises(OrdinalError, match=f"nest at most {MAX_NESTING} deep"):
+                ordinal_from_jsonable(nested(depth))
 
 
 class TestCardinalBound:
