@@ -782,11 +782,10 @@ def _check_identity_and_fullness(blocks, probes: list[Element], mem,
 
 def _check_limit_coherence(chain: ChainSchema, probes: list[Element], mem, budget: int,
                            fail: _Fail):
-    """Each declared limit stage w*b against the lazy intersection of block
-    b - 1.  Returns the step of that block that excludes each rejected
-    probe, keyed (probe, b), and the (probe, b) pairs whose rejection no
-    stage within the budget confirms.  The checked steps of block b - 1 are
-    read from ``mem``; only deeper ones are tested."""
+    """Each declared limit stage w*b against the lazy intersection of block b - 1,
+    whose checked steps are read from ``mem``; only deeper ones are tested.
+    Returns the step of that block that excludes each rejected probe, keyed
+    (probe, b), and the (probe, b) pairs no step within the budget excludes."""
     witness_step: dict[tuple[int, int], int] = {}
     unresolved: list[tuple[int, int]] = []
     for b in range(1, chain.num_blocks + 1):
@@ -808,9 +807,8 @@ def _check_limit_coherence(chain: ChainSchema, probes: list[Element], mem, budge
 def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
                 probes: list[Element], in_parent: list[bool], in_stage: list[bool],
                 kappa: CardinalBound, fail: _Fail):
-    """The index entry of one successor stage: certified by the transversal
-    when the stage has one, otherwise a probe-counted lower bound or
-    "unverified"."""
+    """The index entry of one successor stage: certified by the transversal when
+    the stage has one, otherwise a probe-counted lower bound or "unverified"."""
     if stage.infinite_index:
         fail("step index is infinite", ordinal_i, None)
         return "infinite"
@@ -856,7 +854,8 @@ def _check_indices(blocks, probes: list[Element], mem, kappa: CardinalBound,
     return reports
 
 
-def _separations(probes: list[Element], mem, witness_step: dict[tuple[int, int], int]) -> list[dict]:
+def _separations(probes: list[Element], mem,
+                 witness_step: dict[tuple[int, int], int]) -> list[dict]:
     """The first stage known to exclude each probe, sorted by probe: the
     first checked stage that does, or the step below a rejecting limit."""
     separations = []
@@ -934,12 +933,8 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     if not probe_elements:
         flags.append("no probes were drawn, so no probe-based check ran")
 
-    if failures:
-        verdict = "fail"
-    elif not probe_elements or unresolved or index_unverified:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
+    doubtful = not probe_elements or unresolved or index_unverified
+    verdict = "fail" if failures else "inconclusive" if doubtful else "pass"
 
     return ChainCertificate(
         verdict=verdict,

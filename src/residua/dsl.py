@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 MAX_TOWER_HEIGHT = 64
-# MAX_NESTING, shared with the ordinal notation, bounds the constructor calls
-# open at once: prod(prod(Z)) nests 2
+# MAX_NESTING, shared with ordinals, bounds constructor calls open at once: prod(prod(Z)) nests 2
 
 
 class DslError(ValueError):

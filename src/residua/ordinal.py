@@ -352,11 +352,7 @@ def format_ordinal(a: OrdinalLike) -> str:
     return " + ".join(parts)
 
 
-MAX_NESTING = 64
-"""Brackets open at once in either text grammar: exponent parentheses in
-the ordinal notation, constructor calls in ``dsl``.  Ordinal JSON nests at
-most as many ``exp`` objects.  The parsers, the printers and the arithmetic
-recurse once per level, and deeper inputs would exhaust Python's stack."""
+MAX_NESTING = 64  # brackets open at once in either grammar, and exp objects in JSON
 
 
 class _Scanner:
@@ -418,8 +414,7 @@ class _Scanner:
         return value
 
     def nest(self, what: str, start: int):
-        """Open one more bracket, unless ``MAX_NESTING`` are open already;
-        ``what`` names the brackets and ``start`` is the offset blamed."""
+        """Open a bracket at ``start`` unless ``MAX_NESTING`` are; ``what`` names them."""
         if self.nesting == MAX_NESTING:
             raise self.error(f"{what} nest at most {MAX_NESTING} deep", start)
         self.nesting += 1
