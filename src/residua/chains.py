@@ -858,15 +858,13 @@ def _separations(probes: list[Element], mem,
                  witness_step: dict[tuple[int, int], int]) -> list[dict]:
     """The first stage known to exclude each probe, sorted by probe: the
     first checked stage that does, or the step below a rejecting limit."""
+    stage_text = functools.cache(lambda b, n: format_ordinal(OMEGA * b + n))
     separations = []
     for pi, p in enumerate(probes):
-        first = next((OMEGA * (b - 1) + witness_step[pi, b] if (pi, b) in witness_step
-                      else OMEGA * b + steps.index(False)
-                      for b, steps in enumerate(mem[pi]) if False in steps), None)
-        separations.append({
-            "probe": _probe_id(p),
-            "first_excluding_stage": "unresolved" if first is None else format_ordinal(first),
-        })
+        first = next((stage_text(b - 1, witness_step[pi, b]) if (pi, b) in witness_step
+                      else stage_text(b, steps.index(False))
+                      for b, steps in enumerate(mem[pi]) if False in steps), "unresolved")
+        separations.append({"probe": _probe_id(p), "first_excluding_stage": first})
     separations.sort(key=lambda s: (s["probe"], s["first_excluding_stage"]))
     return separations
 
