@@ -878,10 +878,10 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     stages to check, block by block; the identity in every stage and stage
     0 full; coherence of each declared limit stage against the lazy
     intersection of the previous block; descent between consecutive steps
-    of a block and step indices
-    strictly below kappa (certified by transversals where present,
-    otherwise probe-counted and left unverified); triviality of the final
-    stage on probes; and the first excluding stage of every probe.
+    of a block and step indices strictly below kappa (certified by
+    transversals where present, otherwise probe-counted and left
+    unverified); triviality of the final stage on probes; and the first
+    excluding stage of every probe.
     Failures are verdicts with witnesses, never exceptions.  A run that
     draws no probes is at best inconclusive.
 
