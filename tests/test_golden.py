@@ -116,61 +116,50 @@ def test_failing_output_matches_pinned_digest(args):
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]) == VERDICT_CASES[args]
 
 
-def _multiples(z, m, reps=None):
+_Z = make_integers()
+_ZERO = SubgroupDescriptor(owner=_Z, membership=lambda e: e.value == 0, label="zero")
+
+
+def _multiples(m, reps=None):
     return SubgroupDescriptor(
-        owner=z, membership=lambda e: e.value % m == 0, label=f"multiples of {m}",
-        transversal=None if reps is None else Transversal(Element(z, v) for v in reps),
+        owner=_Z, membership=lambda e: e.value % m == 0, label=f"multiples of {m}",
+        transversal=None if reps is None else Transversal(Element(_Z, v) for v in reps),
     )
 
 
-def _zero(z):
-    return SubgroupDescriptor(owner=z, membership=lambda e: e.value == 0, label="zero")
+def _tail(*stages):
+    return ChainSchema(group=_Z, kappa=ALEPH0, num_blocks=0, tail=stages)
 
 
-def _tail_chain(make_stages):
-    z = make_integers()
-    return ChainSchema(group=z, kappa=ALEPH0, num_blocks=0, tail=make_stages(z))
-
-
-def _limit_accepting_everything():
-    chain = integers_chain(2)
-    return replace(chain, final_limit=SubgroupDescriptor(owner=chain.group,
-                                                         membership=lambda e: True))
-
-
-def _stage_0_not_full():
-    z = make_integers()
-    return ChainSchema(group=z, kappa=ALEPH0, num_blocks=1, final_limit=_zero(z),
-                       block_rule=lambda b, n: _multiples(z, 2 ** (n + 1)))
-
-
-# chain -> (its builder, digests at the chain's kappa and at kappa 3) of
-# verify_prefix(chain, 6, 48, 1); one chain for each way a run fails
+# chain -> digests of verify_prefix(chain, 6, 48, 1) at the chain's kappa
+# and at kappa 3; one chain for each way a run fails
 LIBRARY_CASES = {
-    "final stage not trivial": (lambda: finite_chain(make_cyclic(4), [{0, 2}]),
+    "final stage not trivial": (finite_chain(make_cyclic(4), [{0, 2}]),
                                 "6444e95130d64e95", "4ac71406f7b81dba"),
-    "limit accepts everything": (_limit_accepting_everything,
-                                 "dec7983f10b5e264", "e5e708fe1b35867e"),
-    "descent violated": (lambda: _tail_chain(lambda z: (_multiples(z, 4), _multiples(z, 2),
-                                                        _zero(z))),
+    "limit accepts everything": (
+        replace(integers_chain(2, _Z),
+                final_limit=SubgroupDescriptor(owner=_Z, membership=lambda e: True)),
+        "dec7983f10b5e264", "e5e708fe1b35867e"),
+    "descent violated": (_tail(_multiples(4), _multiples(2), _ZERO),
                          "696de8ca147c3120", "912aaff36caf821d"),
-    "identity rejected": (lambda: _tail_chain(lambda z: (
-        SubgroupDescriptor(owner=z, membership=lambda e: e.value % 2 == 1), _zero(z))),
+    "identity rejected": (
+        _tail(SubgroupDescriptor(owner=_Z, membership=lambda e: e.value % 2 == 1), _ZERO),
         "b30dcbfb9c0b1058", "8647c42ea3b56be8"),
-    "stage 0 not full": (_stage_0_not_full, "27de9273f254e100", "694401df987b439a"),
-    "coset missed": (lambda: _tail_chain(lambda z: (_multiples(z, 4, (0, 1)), _zero(z))),
-                     "da42d328917a2707", "9252858b545f960b"),
-    "no transversal": (lambda: _tail_chain(lambda z: (_multiples(z, 4), _zero(z))),
-                       "9033732f9eb91743", "bb0384978841674e"),
+    "stage 0 not full": (
+        ChainSchema(group=_Z, kappa=ALEPH0, num_blocks=1, final_limit=_ZERO,
+                    block_rule=lambda b, n: _multiples(2 ** (n + 1))),
+        "27de9273f254e100", "694401df987b439a"),
+    "coset missed": (_tail(_multiples(4, (0, 1)), _ZERO), "da42d328917a2707", "9252858b545f960b"),
+    "no transversal": (_tail(_multiples(4), _ZERO), "9033732f9eb91743", "bb0384978841674e"),
 }
 
 
 @pytest.mark.parametrize("name", list(LIBRARY_CASES))
 def test_failing_certificate_matches_pinned_digest(name):
-    build, *pinned = LIBRARY_CASES[name]
+    chain, *pinned = LIBRARY_CASES[name]
     digests = []
     for kappa in (None, CardinalBound(3)):
-        cert = verify_prefix(build(), 6, 48, 1, kappa=kappa)
+        cert = verify_prefix(chain, 6, 48, 1, kappa=kappa)
         text = json.dumps(cert.to_jsonable(), sort_keys=True)
         digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
     assert digests == pinned
