@@ -59,6 +59,7 @@ __all__ = [
 
 
 ORACLE_CAP = 128  # the largest order that gets a Cayley table and an oracle lattice
+ALPHABET_CAP = 64  # letters of a power over countable points, unless one point's worth is more
 
 
 class GroupError(Exception):
@@ -198,8 +199,9 @@ class Group:
         """Number of elements, or None for infinite groups."""
         return self._compute_order()
 
-    @property
+    @cached_property
     def generators(self) -> tuple[Element, ...]:
+        """The probe alphabet: ``_generator_values()``, read once."""
         return tuple(Element(self, v) for v in self._generator_values())
 
     def identity(self) -> Element:
@@ -274,7 +276,7 @@ class CayleyTable:
         values = group.element_values()
         index = {v: i for i, v in enumerate(values)}
         gens = [[index[group.mul_values(s, b)] for b in values]
-                for s in set(group._generator_values()) if s in index]
+                for s in {g.value for g in group.generators} if s in index]
         e = index[group.identity_value()]
         mul = [None] * len(values)
         mul[e] = list(range(len(values)))
@@ -344,7 +346,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     later word would be the identity or a repeat.
     """
     one = group.identity_value()
-    letters = [(v, group.inv_value(v)) for v in group._generator_values() if v != one]
+    letters = [(g.value, group.inv_value(g.value)) for g in group.generators if g.value != one]
     if not letters or count <= 0:
         return []
     if max_len < 1:
@@ -700,14 +702,9 @@ class DirectProductGroup(Group):
         return total
 
     def _generator_values(self):
-        out = []
-        ident = self.identity_value()
-        for i, f in enumerate(self.factors):
-            for g in f._generator_values():
-                v = list(ident)
-                v[i] = g
-                out.append(tuple(v))
-        return tuple(out)
+        one = self.identity_value()
+        return tuple(one[:i] + (g.value,) + one[i + 1:]
+                     for i, f in enumerate(self.factors) for g in f.generators)
 
     def _enumerate_values(self):
         pools = [f.element_values() for f in self.factors]
@@ -794,12 +791,6 @@ class FinSupportPowerGroup(Group):
     def support(self, value) -> tuple:
         return tuple(p for p, _ in value)
 
-    def value_at(self, value, point):
-        for p, v in value:
-            if p == point:
-                return v
-        return self.base.identity_value()
-
     def embed_at(self, point) -> Callable[[Element], Element]:
         """Injection of the base group as the functions supported at one point."""
         if not self.points.contains(point):
@@ -822,19 +813,19 @@ class FinSupportPowerGroup(Group):
         return None
 
     def _generator_values(self):
-        # Infinite point sets are not finitely generated; expose probe
-        # generators at the first few points, enough for seeded word checks.
-        if self.points.size is not None:
-            pts = [self.points.label(i) for i in range(self.points.size)]
-        else:
-            pts = [self.points.label(i) for i in range(4)]
-        out = []
-        for p in pts:
-            for g in self.base._generator_values():
-                out.append(self._canon({p: g}))
-        return tuple(out)
+        # Over finite points the base alphabet sits at every point, so the
+        # alphabet generates the group (finite-group code relies on that).
+        # Countable points give no finite generating set: probe letters sit
+        # at as many of the first 4 points as keep within ALPHABET_CAP
+        # letters, and at one at least, so nested powers stay bounded.
+        base, n = self.base.generators, self.points.size
+        if n is None:
+            n = max(1, min(4, ALPHABET_CAP // max(1, len(base))))
+        return tuple(self._canon({self.points.label(i): g.value}) for i in range(n) for g in base)
 
     def _enumerate_values(self):
+        if self.base.order == 1:
+            return [()]
         if self.points.size is None or self.base.order is None:
             raise GroupError(f"{self.tag} is infinite")
         pts = [self.points.label(i) for i in range(self.points.size)]
@@ -910,13 +901,9 @@ class WreathProductGroup(Group):
         return k * t
 
     def _generator_values(self):
-        base_point = self.base_point()
-        out = []
-        for g in self.base._generator_values():
-            out.append((self.kernel._canon({base_point: g}), self.top.identity_value()))
-        for g in self.top._generator_values():
-            out.append(((), g))
-        return tuple(out)
+        p, one = self.base_point(), self.top.identity_value()
+        return (*((self.kernel._canon({p: g.value}), one) for g in self.base.generators),
+                *(((), g.value) for g in self.top.generators))
 
     def _enumerate_values(self):
         return [

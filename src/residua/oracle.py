@@ -282,5 +282,6 @@ def chain_enumerate(g: Group, max_len: int) -> list[list[frozenset]]:
                 extend(path)
                 path.pop()
 
-    extend([lat.whole])
-    return [c for c in out if len(c) - 1 <= max_len]
+    if max_len >= 0:  # extend stops there, but would still give a trivial g its empty chain
+        extend([lat.whole])
+    return out

@@ -444,7 +444,7 @@ class TestPowerChain:
             e = grp.element(value)
             for n in range(0, 9):
                 literal = all(
-                    chain_at(base, n - i).contains(z.element(grp.value_at(value, i)))
+                    chain_at(base, n - i).contains(z.element(dict(value).get(i, 0)))
                     for i in range(n)
                 )
                 assert chain.stage_at(0, n).contains(e) == literal

@@ -177,6 +177,17 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["count"] == 4
 
+    @pytest.mark.parametrize("argv, first_line", [
+        (("oracle", "lattice", "power(1,N)", "--format", "json"), "{"),
+        (("oracle", "min-kappa", "power(C(1),N)"), "1"),
+        (("verify", "wreath(C(2),power(1,N))"), "verdict: pass"),
+    ])
+    def test_trivial_power_over_n_is_finite(self, capsys, argv, first_line):
+        code, out, err = run(capsys, *argv)
+        assert (code, err, out.splitlines()[0]) == (0, "", first_line)
+        if argv[1] == "lattice":
+            assert json.loads(out)["count"] == 1
+
     def test_cap_exit_6(self, capsys):
         code, _, err = run(capsys, "oracle", "lattice", "S(6)")
         assert code == 6
@@ -464,6 +475,12 @@ class TestDeepRows:
         # row w*2 + 5 has 2^15 representatives; its factors are certified
         # one by one, so the whole run takes well under a second
         result = run_module("verify", "tower(Dinf,3)", "--levels", "5", timeout=10)
+        assert result.returncode == 0
+        assert result.stdout.startswith("verdict: pass\n")
+
+    def test_ten_deep_power_over_n(self):
+        # the probe alphabet stays within groups.ALPHABET_CAP letters at any depth
+        result = run_module("verify", "power(" * 10 + "Dinf" + ",N)" * 10, timeout=10)
         assert result.returncode == 0
         assert result.stdout.startswith("verdict: pass\n")
 

@@ -69,7 +69,7 @@ class TestFactories:
     def test_perm_order_oracle(self):
         g = make_perm(3, [perm_from_cycles(3, [(0, 1)]), perm_from_cycles(3, [(0, 1, 2)])])
         oracle = closure_oracle(
-            [v for v in g._generator_values()], g.mul_values, g.identity_value()
+            [s.value for s in g.generators], g.mul_values, g.identity_value()
         )
         assert len(oracle) == 6
         assert g.order == 6
@@ -583,6 +583,11 @@ class _Klein(groups.Group):
         return [(1, 1), (0, 1), (1, 0), (0, 0)]
 
 
+def nested_power(depth: int) -> str:
+    """``power(`` nested ``depth`` deep around ``Dinf`` (``,N)`` each)."""
+    return "power(" * depth + "Dinf" + ",N)" * depth
+
+
 class TestCachedFacts:
     def test_subclass_needs_no_base_init(self):
         k = _Klein("v")
@@ -595,6 +600,22 @@ class TestCachedFacts:
         g = make_cyclic(3)
         g.element_values().clear()
         assert g.element_values() == [0, 1, 2]
+
+    def test_alphabet_is_built_once_per_group(self, monkeypatch):
+        # each power composes its base's cached alphabet: one call per level
+        calls = count_calls(monkeypatch, groups.FinSupportPowerGroup, "_generator_values")
+        for depth in range(1, 8):
+            calls[0] = 0
+            g = build_group(parse_expr(nested_power(depth)))
+            assert g.generators is g.generators
+            assert calls[0] == depth
+
+    @pytest.mark.parametrize("expr, letters", [
+        (nested_power(1), 8), (nested_power(2), 32), (nested_power(3), 64), (nested_power(4), 64),
+        ("power(C(2),8)", 8), ("power(S(3),5)", 10),  # finite points: the base at every point
+    ])
+    def test_alphabet_size(self, expr, letters):
+        assert len(build_group(parse_expr(expr)).generators) == letters
 
     @pytest.mark.parametrize("expr", ["S(4)", "A(5)", "perm(5; (0 1 2 3 4), (0 1))"])
     def test_perm_elements_are_in_label_order(self, expr):
