@@ -5,9 +5,10 @@ the level-k vertices inside one block are the coherent tuples of cosets of
 the first k stages, encoded as mixed-radix digit strings over the stage
 transversals (digit i picks the coset representative at stage i).  Parent
 maps drop the last digit.  Group elements act by left translation, placed
-by the verifier's factorwise sift; stabilizers of a root-to-leaf thread
-recover a chain, conjugate to the original when the thread is not the
-identity one.
+by the verifier's factorwise sift, and a deepest vertex r*K (K the last
+stage) is fixed exactly by the conjugate r*K*r^-1; stabilizers of a
+root-to-leaf thread recover a chain, conjugate to the original when the
+thread is not the identity one.
 
 Limit levels are never enumerated: a truncation materializes finitely many
 levels of one block, hanging off the identity thread at the block's base.
@@ -92,8 +93,14 @@ class TreeTruncation:
     def _sizes(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(self.fibres, operator.mul, initial=1))
 
+    def _level(self, level: int) -> int:
+        """The level itself, if it is materialized; otherwise raise TreeError."""
+        if not 0 <= level <= self.depth:
+            raise TreeError(f"level {level} not materialized (depth {self.depth})")
+        return level
+
     def size(self, level: int) -> int:
-        return self._sizes[level]
+        return self._sizes[self._level(level)]
 
     def parent(self, level: int, idx: int) -> int:
         if not 0 < level <= self.depth or not 0 <= idx < self._sizes[level]:
@@ -111,9 +118,12 @@ class TreeTruncation:
         return OMEGA * self.block
 
     def index_of_digits(self, digits: tuple[int, ...]) -> int:
+        self._level(len(digits))
         idx = 0
-        for k, d in enumerate(digits):
-            idx = idx * self.fibres[k] + d
+        for k, (d, f) in enumerate(zip(digits, self.fibres), start=1):
+            if not 0 <= d < f:
+                raise TreeError(f"no digit {d} at level {k} (fibre {f})")
+            idx = idx * f + d
         return idx
 
     def _stages(self, depth: int) -> list[SubgroupDescriptor]:
@@ -124,6 +134,8 @@ class TreeTruncation:
 
     def representative(self, level: int, idx: int) -> Element:
         """A group element whose coset thread is this vertex."""
+        if not 0 <= idx < self.size(level):
+            raise TreeError(f"no vertex {idx} at level {level}")
         stages = self._stages(level)
         root = Transversal((self.chain.group.identity(),))
         return Transversal(factors=[root, *(s.transversal for s in stages[1:])],
@@ -143,24 +155,19 @@ class TreeTruncation:
             reps = [r * t for r in reps for t in stage.transversal]
         return reps
 
-    @cached_property
-    def _placed(self) -> dict[Element, int]:
-        """Deepest vertex indices of the elements placed so far (at most MATERIALIZATION_CAP)."""
-        return {}
-
-    def _placement(self, e: Element) -> int:
-        """Index of the deepest vertex on the element's coset thread, sifted once."""
-        idx = self._placed.get(e)
-        if idx is None:
-            idx = self.index_of_digits(self.digits_of_element(e))
-            if len(self._placed) < MATERIALIZATION_CAP:
-                self._placed[e] = idx
-        return idx
+    def _check_element(self, e: Element) -> None:
+        """Raise TreeError unless e belongs to the backing chain's group."""
+        if self.chain is None:
+            raise TreeError("truncation has no chain backing")
+        group = self.chain.group
+        if e.group is not group and e.group.tag != group.tag:
+            raise TreeError(f"element of {e.group.tag} cannot act on a tree over {group.tag}")
 
     def digits_of_element(self, e: Element, depth: Optional[int] = None) -> tuple[int, ...]:
         """Digit string of the coset thread of a group element."""
-        if depth is not None and not 0 <= depth <= self.depth:
-            raise TreeError(f"level {depth} not materialized (depth {self.depth})")
+        self._check_element(e)
+        if depth is not None:
+            self._level(depth)
         digits = []
         for k, place in enumerate(self._placers[:depth], start=1):
             placed = place(e)
@@ -266,9 +273,7 @@ def _local_level(tr: TreeTruncation, i) -> int:
             raise TreeError(str(exc)) from exc
         if blocks != tr.block:
             raise TreeError(f"level {format_ordinal(i)} is not in block {tr.block}")
-    if not 0 <= local <= tr.depth:
-        raise TreeError(f"level {local} not materialized (depth {tr.depth})")
-    return local
+    return tr._level(local)
 
 
 def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
@@ -283,20 +288,16 @@ def restriction_map(tr: TreeTruncation, i, j) -> Callable[[int], int]:
 def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
     """Left translation of a group element on the materialized levels.
 
-    Each deepest vertex's image g * rep is placed once (elements placed by
-    earlier calls are looked up on the truncation); a shallower vertex's
-    image is the ancestor its descendants' images share, their index divided
-    by the number of deepest vertices below one vertex of that level, so the
-    tables commute with the parent maps by arithmetic once siblings agree.
-    ``verify_simple`` calls this only for the identity and the generators
-    and composes the other elements' deepest images."""
-    base = tr._stages(0)[0]
-    group = tr.chain.group
-    if g.group is not group and g.group.tag != group.tag:
-        raise TreeError(f"element of {g.group.tag} cannot act on a tree over {group.tag}")
-    if tr.block > 0 and not base.contains(g):
+    Each deepest vertex's image g * rep is placed by one sift; a shallower
+    vertex's image is the ancestor its descendants' images share, their
+    index divided by the number of deepest vertices below one vertex of
+    that level, so the tables commute with the parent maps by arithmetic
+    once siblings agree."""
+    tr._check_element(g)
+    if tr.block > 0 and not tr._stages(0)[0].contains(g):
         raise TreeError("element does not stabilize this block's base vertex")
-    images = tuple([tr._placement(g * rep) for rep in tr._deepest_reps])
+    images = tuple([tr.index_of_digits(tr.digits_of_element(g * rep))
+                    for rep in tr._deepest_reps])
     spans = tuple(len(images) // size for size in tr._sizes)
     for span in spans[:-1]:  # one (vertex, image) pair per vertex: its descendants agree
         assert len({(i // span, image // span) for i, image in enumerate(images)}) \
@@ -336,18 +337,16 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     For finite chains over finite groups this is exhaustive over all elements
     and all deepest vertices, and the verdict is definitive: fixed-point
     freeness there holds exactly when the chain terminates at the trivial
-    subgroup.  Only the identity and the generators are translated vertex
-    by vertex (``act``); every other element's tables are composed from
-    theirs along a breadth-first search (Holt, Eick and O'Brien, *Handbook
-    of Computational Group Theory*, 2005, ch. 4), and elements the search
-    does not reach are translated directly.  Each element's image of the
-    first deepest vertex is checked against placing e * rep, so every
-    element is still sifted once and a transversal that misses a coset
-    still raises.  Otherwise each probe is walked down the stages (``budget``
-    steps per block) until a stage excludes it, i.e. until it moves the
-    identity thread's vertex at that level.  A probe that survives a block's
-    budget but not the limit stage after it is unresolved: some later step
-    of that block moves it.  No simplicity verdict is issued.
+    subgroup.  Every element is sifted once, so a transversal that misses a
+    coset raises; the fixed points are then read off the last stage K, with
+    no element translated vertex by vertex: deepest vertex r*K is fixed
+    exactly by the conjugates r*k*r^-1, k in K (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4).  Otherwise
+    each probe is walked down the stages (``budget`` steps per block) until
+    a stage excludes it, i.e. until it moves the identity thread's vertex at
+    that level.  A probe that survives a block's budget but not the limit
+    stage after it is unresolved: some later step of that block moves it.
+    No simplicity verdict is issued.
     """
     group = chain.group
     exhaustive = (
@@ -358,24 +357,17 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     )
     if exhaustive:
         group.cayley_table()  # element products below become lookups
-        identity, deepest = group.identity(), tr.depth
-        autos = {identity: act(identity, tr)}
-        generators = [(s, act(s, tr)) for s in group.generators]
-        reached = [identity]
-        for g in reached:  # breadth-first: the list grows as it is read
-            for s, s_auto in generators:
-                h = s * g
-                if h not in autos:
-                    autos[h] = s_auto.compose(autos[g])
-                    reached.append(h)
-        first, violations = tr._deepest_reps[0], []
-        for e in group.elements():
-            images = (autos[e] if e in autos else act(e, tr)).images
-            if images[0] != tr._placement(e * first):
-                raise TreeError(f"action of {_probe_id(e)} disagrees with its placement")
-            if not e.is_identity():
-                violations += [{"element": _probe_id(e), "level": deepest, "vertex": idx}
-                               for idx, image in enumerate(images) if image == idx]
+        elements = group.elements()
+        for e in elements:  # a transversal that misses a coset raises here
+            tr.digits_of_element(e)
+        final = tr._stages(tr.depth)[-1]
+        members = [k for k in elements if not k.is_identity() and final.contains(k)]
+        fixed = {}  # element -> the deepest vertices it fixes, ascending
+        for idx, rep in enumerate(tr._deepest_reps):  # g fixes rep*K iff g is in rep*K*rep^-1
+            for k in members:
+                fixed.setdefault(rep * k * rep.inverse(), []).append(idx)
+        violations = [{"element": _probe_id(e), "level": tr.depth, "vertex": idx}
+                      for e in elements for idx in fixed.get(e, ())]
         return SimplicityReport(
             mode="exhaustive",
             verdict="simple" if not violations else "violation",

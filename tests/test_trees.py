@@ -214,6 +214,17 @@ class TestAct:
         with pytest.raises(TreeError):
             act(make_cyclic(2).element(1), tr)
 
+    @pytest.mark.parametrize("call", [
+        lambda tr, g: act(g, tr),
+        lambda tr, g: tr.digits_of_element(g),
+        lambda tr, g: tr.thread_of(g),
+    ], ids=["act", "digits_of_element", "thread_of"])
+    def test_foreign_element_is_a_tree_error(self, call):
+        s3, chain = s3_chain()
+        tr = truncate(coset_tree(chain), 2)
+        with pytest.raises(TreeError, match="element of C\\(2\\) cannot act on a tree over"):
+            call(tr, make_cyclic(2).element(1))
+
     def test_block1_requires_base_stabilizer(self):
         w, chain = lamplighter_chain()
         tr = truncate(coset_tree(chain), 2, block=1)
@@ -226,6 +237,13 @@ class TestAct:
 
 
 class TestVerifySimple:
+    def test_truncation_over_another_group_rejected(self):
+        s3, chain = s3_chain()
+        c6 = make_cyclic(6)
+        other = truncate(coset_tree(finite_chain(c6, [{0, 2, 4}, {0}])), 2)
+        with pytest.raises(TreeError, match="cannot act on a tree over C\\(6\\)"):
+            verify_simple(chain, other)
+
     def test_s3_full_tree_simple(self):
         s3, chain = s3_chain()
         tr = truncate(coset_tree(chain), 2)
@@ -407,6 +425,23 @@ class TestFibredTruncation:
         with pytest.raises(TreeError):
             tr.parent(level, idx)
 
+    @pytest.mark.parametrize("depth, call, message", [
+        (2, lambda tr: tr.size(-1), "level -1 not materialized"),
+        (2, lambda tr: tr.size(3), "level 3 not materialized"),
+        (2, lambda tr: tr.representative(-1, 0), "level -1 not materialized"),
+        (1, lambda tr: tr.representative(2, 3), "level 2 not materialized"),
+        (2, lambda tr: tr.representative(1, 5), "no vertex 5 at level 1"),
+        (2, lambda tr: tr.representative(1, -1), "no vertex -1 at level 1"),
+        (2, lambda tr: tr.index_of_digits((5,)), "no digit 5 at level 1"),
+        (2, lambda tr: tr.index_of_digits((0, -1)), "no digit -1 at level 2"),
+        (2, lambda tr: tr.index_of_digits((0, 0, 0)), "level 3 not materialized"),
+    ], ids=["size-1", "size3", "rep-level-1", "rep-level2-depth1", "rep-vertex5",
+            "rep-vertex-1", "digit5", "digit-1", "digits-too-long"])
+    def test_outside_the_levels_raises(self, depth, call, message):
+        s3, chain = s3_chain()
+        with pytest.raises(TreeError, match=message):
+            call(truncate(coset_tree(chain), depth))
+
 
 class TestFaithfulness:
     def test_only_identity_acts_trivially_when_chain_ends_at_one(self):
@@ -573,9 +608,10 @@ class TestPlacement:
             assert report.verdict == "violation", name
             assert list(report.violations) == expected, name
 
-    @pytest.mark.parametrize("name, bound", [("S(4)", 400), ("A(5)", 1500)])
+    @pytest.mark.parametrize("name, bound", [("S(4)", 150), ("A(5)", 650)])
     def test_exhaustive_check_element_products(self, monkeypatch, name, bound):
-        # the generators' tables are composed; only they are translated vertex by vertex
+        # one sift per element, the deepest representatives, and one conjugate
+        # per (deepest vertex, final-stage member): no element is translated
         group = build_group(parse_expr(name))
         sets = next(s for s in chain_enumerate(group, 3) if len(s) == 4)
         assert [len(s) for s in sets] == [group.order, 4, 2, 1]
@@ -603,8 +639,21 @@ class TestPlacement:
         with pytest.raises(TreeError, match="does not cover the element"):
             verify_simple(chain, tr)
 
-    def test_ungenerated_elements_fall_back_to_act(self):
-        # the handle's one generator, a 3-cycle, reaches only C(3)
+    def test_exhaustive_check_makes_no_act_call(self, monkeypatch):
+        s4 = make_symmetric(4)
+        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+        chain = finite_chain(s4, sets[1:])
+        tr = truncate(coset_tree(chain), 3)
+
+        def refuse(g, tr):
+            raise AssertionError("act called")
+
+        monkeypatch.setattr(trees, "act", refuse)
+        assert verify_simple(chain, tr).verdict == "simple"
+
+    def test_handle_whose_generators_do_not_generate(self):
+        # the handle's one generator, a 3-cycle, generates only C(3); the
+        # check still covers all of S(3)
         s3 = make_symmetric(3)
         handle = SubgroupHandle(s3, s3.element_values(), generators=[(1, 2, 0)])
         chain = finite_chain(handle, [{handle.identity_value()}])
@@ -632,16 +681,6 @@ class TestPlacement:
         for g in group.elements():
             fresh = truncate(coset_tree(chain), 3)
             assert act(g, used).tables == act(g, fresh).tables
-
-    def test_remembered_placements_are_capped(self, monkeypatch):
-        s4 = make_symmetric(4)
-        sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
-        chain = finite_chain(s4, sets[1:])
-        report = verify_simple(chain, truncate(coset_tree(chain), 3))
-        tr = truncate(coset_tree(chain), 3)
-        monkeypatch.setattr(trees, "MATERIALIZATION_CAP", 5)
-        assert verify_simple(chain, tr) == report
-        assert len(tr._placed) == 5
 
     def test_deepest_placement_membership_calls(self, monkeypatch):
         tr = truncate(coset_tree(chain_for(parse_expr("tower(Z,3)"))), 3, block=2)
