@@ -6,7 +6,8 @@ seeded ops); ``PULLBACK_CASES`` pins a few more argv the same way, and
 ``VERDICT_CASES`` and ``LIBRARY_CASES`` pin failing and inconclusive
 certificates.  Its ``tree`` entries pin the same digest of a library round
 trip over chain number i of ``chain_enumerate(group, 3)``.  The file is only
-read here.
+read here.  ``ORACLE_CASES`` and ``MINIMAX_CASES`` pin oracle lattices,
+cores, least bounds and minimax chains.
 """
 
 import contextlib
@@ -30,7 +31,7 @@ from residua.chains import (
 )
 from residua.dsl import parse_expr
 from residua.groups import Element, make_cyclic, make_integers
-from residua.oracle import chain_enumerate
+from residua.oracle import chain_enumerate, minimax_chain
 from residua.ordinal import ALEPH0, CardinalBound
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
@@ -185,3 +186,47 @@ def test_tree_matches_pinned_digest(name, number):
     report = json.dumps(verify_simple(chain, tr).to_jsonable(), sort_keys=True)
     data = (emit(tr, "json") + emit(tr, "dot") + report).encode()
     assert hashlib.sha256(data).hexdigest()[:16] == GOLDEN["tree"][f"{name}#{number}"]
+
+
+# Oracle output above the benchmark's groups, pinned the same way with its
+# exit status: lattices up to order 120 and 64, which the benchmark leaves
+# out for their run time, and the core and min-kappa that read one of them.
+ORACLE_CASES = {
+    ("oracle", "lattice", "S(5)", "--format", "json"): "be0be598fc63ee79",
+    ("oracle", "lattice", "A(5)", "--format", "json"): "6fc72e82f7763aa2",
+    ("oracle", "lattice", "wreath(C(2),C(4))", "--format", "json"): "3277163d65a26adb",
+    ("oracle", "lattice", "power(C(2),5)", "--format", "json"): "d504dbde57663038",
+    ("oracle", "lattice", "power(C(2),6)", "--format", "json"): "3fdc8cee39666618",
+    ("oracle", "min-kappa", "S(5)"): "06e9d52c1720fca4",
+    ("oracle", "core", "S(5)", "--max-index", "3"): "b283ed155cd54e32",
+}
+
+
+@pytest.mark.parametrize("args", list(ORACLE_CASES), ids=shlex.join)
+def test_oracle_output_matches_pinned_digest(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(args))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == ORACLE_CASES[args]
+
+
+# group -> digest of its minimax chain, each subgroup's elements in table
+# order; the groups are the oracle ops of the benchmark's finite workload
+MINIMAX_CASES = {
+    "S(4)": "0c576b3e1520c09d",
+    "prod(A(4),C(2))": "bfe1316ff4ba4bfe",
+    "prod(S(3),C(4))": "17bcb0554898b173",
+    "wreath(C(2),C(3))": "07a1e509be6598b4",
+    "power(C(2),4)": "a3f2e7eb182d5644",
+    "A(5)": "8584c66409e466b1",
+}
+
+
+@pytest.mark.parametrize("name", list(MINIMAX_CASES))
+def test_minimax_chain_matches_pinned_digest(name):
+    group = build_group(parse_expr(name))
+    index = group.cayley_table().index
+    chain = [[group.value_to_jsonable(v) for v in sorted(s, key=index.__getitem__)]
+             for s in minimax_chain(group)]
+    assert hashlib.sha256(json.dumps(chain).encode()).hexdigest()[:16] == MINIMAX_CASES[name]
