@@ -2,9 +2,12 @@
 
 Complete subgroup lattices by cyclic extension over the group's Cayley
 table (``Group.cayley_table``, built once per group and shared with finite
-chains and coset trees), the intersection of bounded-index subgroups, the
-least workable strict index bound for a descending chain, exact depth for
-finite groups, and exhaustive descending chain enumeration.  Everything
+chains and coset trees), which joins each subgroup H with one cyclic
+generator per double coset H*c*H outside it (Neubüser 1960; Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005); the intersection
+of bounded-index subgroups, the least workable strict index bound for a
+descending chain, exact depth for finite groups, and exhaustive descending
+chain enumeration.  Everything
 here is independent of the chain machinery so it can validate it.  Two
 checks do not trust the table: every subgroup found is re-verified closed
 (``_verify_closed``), and ``all_subgroups_naive`` scans subsets with
@@ -92,10 +95,13 @@ def _require_small(g: Group, cap: int = ORACLE_CAP) -> int:
     return n
 
 
-def _canon_lattice(group: Group, subs: Iterable[frozenset]) -> SubgroupLattice:
-    index = group.cayley_table().index
-    uniq = sorted(set(subs), key=lambda s: (len(s), sorted(index[v] for v in s)))
-    return SubgroupLattice(group=group, subgroups=tuple(uniq))
+def _canon_lattice(group: Group, subs: Iterable[list[int]]) -> SubgroupLattice:
+    """The lattice of subgroups given as ascending table indices, sorted by
+    (order, indices)."""
+    values = group.cayley_table().values
+    ordered = sorted(subs, key=lambda members: (len(members), members))
+    return SubgroupLattice(group=group, subgroups=tuple(
+        frozenset(map(values.__getitem__, members)) for members in ordered))
 
 
 def all_subgroups(g: Group) -> SubgroupLattice:
@@ -103,87 +109,104 @@ def all_subgroups(g: Group) -> SubgroupLattice:
 
     Cyclic extension over the group's Cayley table: subgroups are int
     bitmasks over element indices with a short generator list, and each
-    subgroup found in a round is joined with every cyclic subgroup it does
-    not contain.  Every subgroup is an iterated join of cyclic ones, so this
-    reaches all of them.  Each found mask is then re-verified closed,
-    exhaustively, through the tables.
+    subgroup H found in a round is joined with one cyclic generator c per
+    double coset H*c*H outside H, since <H, c> = <H, h1*c*h2> for h1, h2 in
+    H.  Every subgroup is an iterated join of cyclic ones, so this reaches
+    all of them.  Each found mask is then re-verified closed, exhaustively,
+    through the tables.
     """
     _require_small(g)
     table = g.cayley_table()
-    values, mul, inv = table.values, table.mul, table.inv
+    mul, inv = table.mul, table.inv
     e = table.index[g.identity_value()]
     cyclic = {}
-    for i in range(len(values)):
+    for i in range(len(mul)):
         cyclic.setdefault(_join(mul, 1 << e, [e], [i]), i)
     found = {mask: [c] for mask, c in cyclic.items()}
+    candidates = sum(1 << c for c in cyclic.values())
+    members_of = {}
     layer = list(found.items())
     while layer:
         fresh = []
         for mask, gens in layer:
-            members = _members(mask)
-            for c in cyclic.values():
-                if mask >> c & 1:
-                    continue
+            members = members_of[mask] = _members(mask)
+            marked = mask
+            while todo := candidates & ~marked:
+                c = (todo & -todo).bit_length() - 1  # the least one left
                 ext = gens + [c]
                 join = _join(mul, mask, members, ext)
                 if join not in found:
                     found[join] = ext
                     fresh.append((join, ext))
+                # H*c*H: the left coset c*H and its translates by H
+                marked = _translates(mul, marked | _coset(mul[c], members), members, gens, [c])
         layer = fresh
-    for mask in found:
-        _verify_closed(mul, inv, e, mask)
-    return _canon_lattice(g, (frozenset(values[i] for i in _members(mask)) for mask in found))
+    for mask, members in members_of.items():
+        _verify_closed(mul, inv, e, mask, members)
+    return _canon_lattice(g, members_of.values())
 
 
 def _members(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The indices of the set bits of ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _coset(row: list[int], members: list[int]) -> int:
+    """The mask of {row[h] : h in members}: with ``row`` the table row of y,
+    the left coset y*H of the subgroup H with these members."""
+    mask = 0
+    for h in members:
+        mask |= 1 << row[h]
+    return mask
 
 
 def _join(mul: list, mask: int, members: list[int], gens: list[int]) -> int:
-    """Close a subgroup H (its mask and members) with gens, through the table.
+    """Close a subgroup H (its mask and members) with gens, through the table:
+    the union of the left cosets y*H reached from H by left multiplication
+    with the generators is the subgroup they generate."""
+    return _translates(mul, mask, members, gens, members[:1])
 
-    Breadth-first over left cosets y*H: the union of the cosets reached by
-    left multiplication with the generators is the subgroup they generate.
-    """
-    reps = members[:1]
+
+def _translates(mul: list, mask: int, members: list[int], gens: list[int],
+                reps: list[int]) -> int:
+    """``mask``, a union of left cosets of H (its members) holding the
+    cosets of ``reps``, with every left coset those reach by left
+    multiplication with ``gens``, breadth-first."""
     for y in reps:
         for s in gens:
             z = mul[s][y]
             if not mask >> z & 1:
-                row = mul[z]
-                for h in members:
-                    mask |= 1 << row[h]
+                mask |= _coset(mul[z], members)
                 reps.append(z)
     return mask
 
 
-def _verify_closed(mul: list, inv: list, e: int, mask: int):
+def _verify_closed(mul: list, inv: list, e: int, mask: int, members: list[int]):
+    """Every product and inverse of ``members`` lies in ``mask``, and so does e."""
     if not mask >> e & 1:
         raise GroupError("subgroup candidate misses the identity")
-    members = _members(mask)
     for a in members:
         if not mask >> inv[a] & 1:
             raise GroupError("subgroup candidate not closed under inversion")
-        row = mul[a]
-        for b in members:
-            if not mask >> row[b] & 1:
-                raise GroupError("subgroup candidate not closed under multiplication")
+        if _coset(mul[a], members) & ~mask:
+            raise GroupError("subgroup candidate not closed under multiplication")
 
 
 def all_subgroups_naive(g: Group) -> SubgroupLattice:
     """Independent check: scan every subset for closure.  Only for |g| <= 12."""
     n = _require_small(g, cap=12)
     values = g.element_values()
-    ident = g.identity_value()
-    rest = [v for v in values if v != ident]
+    e = values.index(g.identity_value())
+    rest = [i for i in range(n) if i != e]
     subs = []
     for r in range(len(rest) + 1):
         for combo in itertools.combinations(rest, r):
-            s = frozenset((ident, *combo))
-            if n % len(s) != 0:
+            members = sorted((e, *combo))
+            if n % len(members) != 0:
                 continue
+            s = {values[i] for i in members}
             if all(g.mul_values(a, b) in s for a in s for b in s):
-                subs.append(s)
+                subs.append(members)
     return _canon_lattice(g, subs)
 
 
