@@ -55,6 +55,7 @@ from .stages import (
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
+    _OnlyIdentity,
 )
 
 __all__ = [
@@ -285,9 +286,11 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
 
     Transversals are materialized by greedy left-coset decomposition, in
     element order with the identity first, so all indices are certified.
-    The cosets are read off the group's Cayley table when it has one.  The
-    last set need not be trivial; verification will fail such a chain,
-    which is exactly what negative tests want.
+    The cosets are read off the group's Cayley table when it has one.  A
+    trivial stage tests membership with ``_OnlyIdentity``, under which its
+    transversal is checked in linear time, not pairwise.  The last set need
+    not be trivial; verification will fail such a chain, which is exactly
+    what negative tests want.
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
@@ -317,7 +320,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
         stages.append(
             SubgroupDescriptor(
                 owner=group,
-                membership=lambda e, ss=s: e.value in ss,
+                membership=_OnlyIdentity(ident) if s == {ident} else lambda e, ss=s: e.value in ss,
                 transversal=Transversal(Element(group, v) for v in reps),
                 label=f"order {len(s)}",
             )

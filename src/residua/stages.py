@@ -121,16 +121,41 @@ class SubgroupDescriptor:
         return self.membership(e)
 
 
+class _OnlyIdentity:
+    """The membership test of a trivial stage, which ``_coset_check`` knows:
+    an element is inside when its value is the identity value given."""
+
+    __slots__ = ("identity",)
+
+    def __init__(self, identity):
+        self.identity = identity
+
+    def __call__(self, e: Element) -> bool:
+        return e.value == self.identity
+
+
 def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
                  stage: SubgroupDescriptor) -> Optional[tuple[str, Optional[Element]]]:
     """The first reason, with its witness, why ``reps`` is not a transversal
     of ``stage`` in ``parent``: no representative in ``stage`` itself, one
-    outside ``parent``, or two in one left coset of ``stage``."""
+    outside ``parent``, or two in one left coset of ``stage``, the first i
+    with a later j, then the first such j, in the order of the pairwise scan.
+    A trivial stage's cosets are its single elements, so there the scan is
+    a lookup of equal representatives."""
     if not any(stage.contains(rep) for rep in reps):
         return "transversal misses the identity coset", None
     for rep in reps:
         if not parent.contains(rep):
             return "transversal leaves the parent stage", rep
+    if isinstance(stage.membership, _OnlyIdentity):
+        first, witness = {}, None
+        for j, rep in enumerate(reps):
+            i = first.setdefault(rep, j)
+            if i < j and (witness is None or i < witness[0]):
+                witness = i, rep
+        if witness is None:
+            return None
+        return "transversal representatives share a coset", witness[1]
     for i, rep in enumerate(reps):
         inverse = rep.inverse()
         for other in reps[i + 1:]:

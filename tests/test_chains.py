@@ -873,6 +873,38 @@ class TestTransversalCertification:
                                         in_stage) == (size, None)
             assert len(calls) < bound, expr
 
+    def test_trivial_stage_row_is_checked_in_linear_time(self, monkeypatch):
+        # S(7) is above the oracle cap, so its chain is the single step, whose
+        # trivial stage has a 5,040-element row; checked pairwise that takes
+        # about 1.3 * 10^7 membership calls.  The mutant repeats row[4000]
+        # at 5,039 and row[4500] at 5,030: the pairwise scan reports the
+        # smaller i, 4,000, so the witness is the later copy of row[4000]
+        chain = chain_for(parse_expr("S(7)"))
+        parent, stage = chain.stage_at(0, 0), chain.stage_at(0, 1)
+        row = list(stage.transversal)
+        assert len(row) == 5040
+        bound = [2 * len(row)]
+        calls = []
+        contains = SubgroupDescriptor.contains
+
+        def counting(self, e):
+            calls.append(1)
+            if len(calls) > bound[0]:
+                raise AssertionError("the row is checked pairwise")
+            return contains(self, e)
+
+        monkeypatch.setattr(SubgroupDescriptor, "contains", counting)
+        mutant = row[:5030] + [row[4500]] + row[5031:5039] + [row[4000]]
+        index, failure = _certify_transversal(Transversal(mutant), parent, stage, [], [], [])
+        assert index is None
+        assert failure == ("transversal representatives share a coset", row[4000])
+        assert failure[1] is mutant[5039]
+        calls.clear()
+        bound[0] = 6 * len(row)  # and a scan of the row for each probe
+        probes = random_words(chain.group, 4, 0)
+        assert _certify_transversal(stage.transversal, parent, stage, probes, [True] * 4,
+                                    [p.is_identity() for p in probes]) == (5040, None)
+
     @pytest.mark.parametrize("expr", [
         "tower(Z,3)", "prod(tower(Dinf,2),Z)", "power(tower(Dinf,2),3)",
     ])

@@ -66,9 +66,9 @@ def test_output_matches_pinned_digest(args, seed):
 
 # More argv pinned here, not in golden.json, which only holds what the
 # benchmark runs: shapes whose rows map product transversals through a
-# pullback or a coordinate embedding, and towers tall enough that their
-# power stages' indices run to millions of bits.  The same 16 hex digits of
-# the stdout sha256.
+# pullback or a coordinate embedding, towers tall enough that their power
+# stages' indices run to millions of bits, and the one-step chain of a group
+# above the oracle cap.  The same 16 hex digits of the stdout sha256.
 PULLBACK_CASES = {
     ("verify", "prod(tower(Dinf,2),Z)", "--format", "json", "--levels", "6"): "d9a5a14c80e7ec7e",
     ("verify", "prod(Z,tower(Dinf,2))", "--format", "json", "--levels", "6"): "cbb5614c8d4177eb",
@@ -80,6 +80,7 @@ PULLBACK_CASES = {
     ("verify", "tower(Dinf,6)", "--levels", "2"): "c37e4b984000cda7",
     ("verify", "tower(Dinf,7)", "--levels", "2"): "0f611342bc6646d3",
     ("verify", "tower(Dinf,8)", "--levels", "2"): "dbd8692c86badcd3",
+    ("verify", "S(7)", "--probes", "4"): "e509c0dc36767ba6",
 }
 
 
