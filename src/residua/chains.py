@@ -55,7 +55,6 @@ from .stages import (
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
-    _OnlyIdentity,
 )
 
 __all__ = [
@@ -231,7 +230,7 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
 
     final = SubgroupDescriptor(
         owner=z,
-        membership=lambda e: e.value == 0,
+        membership=Element.is_identity,
         label="zero",
     )
     return ChainSchema(
@@ -271,7 +270,7 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
 
     final = SubgroupDescriptor(
         owner=d,
-        membership=lambda e: e.value == (0, 0),
+        membership=Element.is_identity,
         label="identity",
     )
     return ChainSchema(
@@ -287,10 +286,10 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
     Transversals are materialized by greedy left-coset decomposition, in
     element order with the identity first, so all indices are certified.
     The cosets are read off the group's Cayley table when it has one.  A
-    trivial stage tests membership with ``_OnlyIdentity``, under which its
-    transversal is checked in linear time, not pairwise.  The last set need
-    not be trivial; verification will fail such a chain, which is exactly
-    what negative tests want.
+    trivial stage tests membership with ``Element.is_identity``, by which
+    its transversal is recognised and checked in linear time, not pairwise.
+    The last set need not be trivial; verification will fail such a chain,
+    which is exactly what negative tests want.
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
@@ -320,7 +319,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
         stages.append(
             SubgroupDescriptor(
                 owner=group,
-                membership=_OnlyIdentity(ident) if s == {ident} else lambda e, ss=s: e.value in ss,
+                membership=Element.is_identity if s == {ident} else lambda e, ss=s: e.value in ss,
                 transversal=Transversal(Element(group, v) for v in reps),
                 label=f"order {len(s)}",
             )

@@ -31,9 +31,9 @@ from .dsl import DslParseError, GroupExpr, parse_expr, print_expr
 from .groups import GroupError
 from .oracle import (
     OracleCapError,
-    _core,
     _sorted_values,
     all_subgroups,
+    core_up_to_index,
     depth_exact_finite,
     min_kappa,
 )
@@ -217,14 +217,13 @@ def cmd_oracle(subcommand: str, expr: GroupExpr, config: RunConfig) -> int:
     if subcommand == "lattice":
         payload = all_subgroups(group).to_jsonable()
     elif subcommand == "core":
-        lattice = all_subgroups(group)
-        core = _core(lattice, config.max_index)
+        core = core_up_to_index(group, config.max_index)
         payload = {
             "group": group.tag,
             "max_index": config.max_index,
             "core_order": len(core),
             "core": [group.value_to_jsonable(v) for v in _sorted_values(group, core)],
-            "is_trivial": core == lattice.trivial,
+            "is_trivial": len(core) == 1,  # a core always holds the identity
         }
     elif subcommand == "min-kappa":
         payload = {"group": group.tag, "min_kappa": min_kappa(group)}

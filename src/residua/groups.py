@@ -571,6 +571,7 @@ class PermGroup(Group):
         if degree < 0:
             raise GroupError("degree must be >= 0")
         self.degree = degree
+        self._identity = tuple(range(degree))
         gens = []
         for g in generators:
             gens.append(self.validate_value(tuple(g)))
@@ -582,7 +583,7 @@ class PermGroup(Group):
         return f"perm({self.degree}:{gens})"
 
     def identity_value(self):
-        return tuple(range(self.degree))
+        return self._identity
 
     def mul_values(self, a, b):
         # apply b first, then a
@@ -667,6 +668,7 @@ class DirectProductGroup(Group):
         self.factors = tuple(factors)
         if not self.factors:
             raise GroupError("product needs at least one factor")
+        self._identity = tuple(f.identity_value() for f in self.factors)
         self.is_residually_finite_claimed = all(
             f.is_residually_finite_claimed for f in self.factors
         )
@@ -679,7 +681,7 @@ class DirectProductGroup(Group):
         return "prod(" + ";".join(f.tag for f in self.factors) + ")"
 
     def identity_value(self):
-        return tuple(f.identity_value() for f in self.factors)
+        return self._identity
 
     def mul_values(self, a, b):
         return tuple(f.mul_values(x, y) for f, x, y in zip(self.factors, a, b))
@@ -852,6 +854,7 @@ class WreathProductGroup(Group):
     def __init__(self, base: Group, top: Group):
         self.base = base
         self.top = top
+        self._identity = ((), top.identity_value())
         if top.order is not None:
             self.points = FinitePoints(top.element_values())
         else:
@@ -868,7 +871,7 @@ class WreathProductGroup(Group):
         return f"wreath({self.base.tag};{self.top.tag})"
 
     def identity_value(self):
-        return ((), self.top.identity_value())
+        return self._identity
 
     def _shifted(self, g, f):
         """The function f with each point p moved to g * p.  It is sorted

@@ -212,10 +212,7 @@ def all_subgroups_naive(g: Group) -> SubgroupLattice:
 
 def core_up_to_index(g: Group, k: int) -> frozenset:
     """Intersection of all subgroups of index strictly below k."""
-    return _core(all_subgroups(g), k)
-
-
-def _core(lat: SubgroupLattice, k: int) -> frozenset:
+    lat = all_subgroups(g)
     n = len(lat.whole)
     core = set(lat.whole)
     for s in lat.subgroups:
@@ -229,31 +226,16 @@ def _chain_search(lat: SubgroupLattice):
 
     best(H) minimizes the maximum step index, tie-broken by the
     lexicographically smallest index sequence, then by canonical subgroup
-    order.  Returns {subgroup: (max_index, index_seq, chain_list)}.
+    order.  Subgroups are solved in canonical order, ascending in size, so
+    every proper subgroup of H is solved before H, and ``min`` keeps the
+    first of equal candidates.  Returns
+    {subgroup: (max_index, index_seq, chain_list)}.
     """
-    order = {s: len(s) for s in lat.subgroups}
     best: dict = {}
-
-    def solve(h: frozenset):
-        if h in best:
-            return best[h]
-        if len(h) == 1:
-            best[h] = (0, (), [h])
-            return best[h]
-        candidates = []
-        for k in lat.subgroups:
-            if k < h:
-                step = order[h] // order[k]
-                sub_max, sub_seq, sub_chain = solve(k)
-                candidates.append(
-                    (max(step, sub_max), (step,) + sub_seq, [h] + sub_chain)
-                )
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        best[h] = candidates[0]
-        return best[h]
-
-    for s in lat.subgroups:
-        solve(s)
+    for h in lat.subgroups:
+        best[h] = min(((max(len(h) // len(k), best[k][0]), (len(h) // len(k),) + best[k][1],
+                        [h] + best[k][2]) for k in best if k < h),
+                      key=lambda t: (t[0], t[1]), default=(0, (), [h]))
     return best
 
 

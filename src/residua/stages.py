@@ -8,7 +8,8 @@ Seress, *Permutation Group Algorithms*, 2003, ch. 4), and a stage may give
 its transversal as a function that builds it on first read, so a stage that
 is only tested for membership never builds one.  ``_certify_transversal``
 checks a transversal factor by factor and covers probes by the sift of
-``_placer``, which coset trees share.
+``_placer``, which coset trees share.  A trivial stage tests membership
+with ``Element.is_identity``, by which the check recognises it.
 """
 
 from __future__ import annotations
@@ -121,33 +122,21 @@ class SubgroupDescriptor:
         return self.membership(e)
 
 
-class _OnlyIdentity:
-    """The membership test of a trivial stage, which ``_coset_check`` knows:
-    an element is inside when its value is the identity value given."""
-
-    __slots__ = ("identity",)
-
-    def __init__(self, identity):
-        self.identity = identity
-
-    def __call__(self, e: Element) -> bool:
-        return e.value == self.identity
-
-
 def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
                  stage: SubgroupDescriptor) -> Optional[tuple[str, Optional[Element]]]:
     """The first reason, with its witness, why ``reps`` is not a transversal
     of ``stage`` in ``parent``: no representative in ``stage`` itself, one
     outside ``parent``, or two in one left coset of ``stage``, the first i
     with a later j, then the first such j, in the order of the pairwise scan.
-    A trivial stage's cosets are its single elements, so there the scan is
-    a lookup of equal representatives."""
+    A trivial stage, recognised by its membership test
+    ``Element.is_identity``, has single elements for cosets, so there the
+    scan is a lookup of equal representatives."""
     if not any(stage.contains(rep) for rep in reps):
         return "transversal misses the identity coset", None
     for rep in reps:
         if not parent.contains(rep):
             return "transversal leaves the parent stage", rep
-    if isinstance(stage.membership, _OnlyIdentity):
+    if stage.membership is Element.is_identity:
         first, witness = {}, None
         for j, rep in enumerate(reps):
             i = first.setdefault(rep, j)

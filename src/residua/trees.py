@@ -300,8 +300,8 @@ def act(g: Element, tr: TreeTruncation) -> TreeAutomorphism:
                     for rep in tr._deepest_reps])
     spans = tuple(len(images) // size for size in tr._sizes)
     for span in spans[:-1]:  # one (vertex, image) pair per vertex: its descendants agree
-        assert len({(i // span, image // span) for i, image in enumerate(images)}) \
-            == len(images) // span, "sibling vertices disagree"
+        if len({(i // span, image // span) for i, image in enumerate(images)}) != len(images) // span:
+            raise TreeError("sibling vertices disagree")
     return TreeAutomorphism(images, spans)
 
 

@@ -905,6 +905,15 @@ class TestTransversalCertification:
         assert _certify_transversal(stage.transversal, parent, stage, probes, [True] * 4,
                                     [p.is_identity() for p in probes]) == (5040, None)
 
+    @pytest.mark.parametrize("stage", [
+        lambda: s3_chain()[1].tail[-1],
+        lambda: integers_chain(2).final_limit,
+        lambda: dihedral_chain(2).final_limit,
+    ], ids=["finite_chain", "integers_chain", "dihedral_chain"])
+    def test_trivial_stages_test_membership_with_is_identity(self, stage):
+        # the one identity test, by which _coset_check takes its linear path
+        assert stage().membership is Element.is_identity
+
     @pytest.mark.parametrize("expr", [
         "tower(Z,3)", "prod(tower(Dinf,2),Z)", "power(tower(Dinf,2),3)",
     ])

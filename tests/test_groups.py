@@ -610,6 +610,14 @@ class TestCachedFacts:
             assert g.generators is g.generators
             assert calls[0] == depth
 
+    @pytest.mark.parametrize("expr", ["S(4)", "prod(A(4),C(2))", "wreath(C(2),C(3))",
+                                      "tower(Dinf,3)"])
+    def test_identity_value_is_held_once(self, expr):
+        # Element.is_identity reads it on every call
+        g = build_group(parse_expr(expr))
+        assert g.identity_value() is g.identity_value()
+        assert all(x * g.identity() == x for x in g.generators)
+
     @pytest.mark.parametrize("expr, letters", [
         (nested_power(1), 8), (nested_power(2), 32), (nested_power(3), 64), (nested_power(4), 64),
         ("power(C(2),8)", 8), ("power(S(3),5)", 10),  # finite points: the base at every point

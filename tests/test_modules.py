@@ -1,4 +1,5 @@
-"""Every module of the package stays below 8,192 parser tokens.
+"""Every module of the package stays below 8,192 parser tokens and holds
+no assert statement.
 
 Where bytecode is not cached (``PYTHONDONTWRITEBYTECODE=1``), each run
 compiles the package from source, and compiling a module past 8,192 tokens
@@ -8,9 +9,11 @@ of ``chains.py`` took 3.0 MB at 8,191 tokens and 3.6 MB with 24 more
 lands in the peak RSS of every command.  Tokens are counted as
 ``tokenize`` yields them, without comments and non-logical newlines.  A
 module near the limit sheds code or moves a cohesive piece into a module
-of its own.
+of its own.  ``python -O`` strips assert statements, so a module checks
+by raising an exception of its own.
 """
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -31,3 +34,10 @@ def parser_tokens(path: Path) -> int:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_is_below_the_token_limit(path):
     assert parser_tokens(path) < TOKEN_LIMIT
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements at lines {lines}"

@@ -225,6 +225,21 @@ class TestAct:
         with pytest.raises(TreeError, match="element of C\\(2\\) cannot act on a tree over"):
             call(tr, make_cyclic(2).element(1))
 
+    def test_disagreeing_siblings_are_a_tree_error(self):
+        # The last row is not a transversal of the trivial stage in A(3):
+        # the identity's images at the deepest level would be
+        # (0, 5, 2, 3, 2, 5), which is not a bijection.  The check must hold
+        # under ``python -O`` too, so it is a TreeError and not an assert.
+        s3, chain = s3_chain()
+        first, last = chain.tail
+        row = lambda *values: Transversal(s3.element(v) for v in values)
+        chain = dataclasses.replace(chain, tail=(
+            dataclasses.replace(first, transversal=row((0, 1, 2), (1, 0, 2))),
+            dataclasses.replace(last, transversal=row((0, 1, 2), (0, 2, 1), (1, 2, 0)))))
+        tr = truncate(coset_tree(chain), 2)
+        with pytest.raises(TreeError, match="sibling vertices disagree"):
+            act(s3.identity(), tr)
+
     def test_block1_requires_base_stabilizer(self):
         w, chain = lamplighter_chain()
         tr = truncate(coset_tree(chain), 2, block=1)
