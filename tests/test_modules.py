@@ -1,5 +1,5 @@
 """Every module of the package stays below 8,192 parser tokens and holds
-no assert statement.
+no assert statement, and the package keeps the names it exports.
 
 Where bytecode is not cached (``PYTHONDONTWRITEBYTECODE=1``), each run
 compiles the package from source, and compiling a module past 8,192 tokens
@@ -11,6 +11,10 @@ lands in the peak RSS of every command.  Tokens are counted as
 module near the limit sheds code or moves a cohesive piece into a module
 of its own.  ``python -O`` strips assert statements, so a module checks
 by raising an exception of its own.
+
+``PUBLIC_NAMES`` is the compatibility surface: the names
+``residua/__init__.py`` imports.  A refactor may move a name between
+modules, but each stays an attribute of ``residua``.
 """
 
 import ast
@@ -22,6 +26,25 @@ import pytest
 import residua
 
 TOKEN_LIMIT = 8192
+PUBLIC_NAMES = """
+    ALEPH0 OMEGA OMEGA_OMEGA ONE ZERO CardinalBound Comparison DepthClass
+    Ordinal add classify compare decompose_successor format_ordinal
+    left_subtract multiply omega_absorbs parse_ordinal
+    CountablePoints Element ExtensionHandle FinitePoints Group GroupError
+    PointSet extension_from_quotient finite_support_power make_alternating
+    make_cyclic make_infinite_dihedral make_integers make_perm make_symmetric
+    wreath_product commutator_subgroup
+    ChainCertificate ChainSchema DepthInterval SubgroupDescriptor chain_at
+    compress_successor_tail concat_extension core_sandwich
+    diagonal_power_chain dihedral_chain finite_chain integers_chain
+    limit_membership power_chain promote_to_omega single_step_chain
+    tower_chain verify_prefix
+    AlphaTreeSchema TreeAutomorphism TreeTruncation act coset_tree emit
+    parse_truncation restriction_map stabilizer_chain truncate verify_simple
+    SubgroupLattice all_subgroups chain_enumerate core_up_to_index
+    depth_exact_finite min_kappa parse_expr print_expr
+    build_group chain_for depth_interval register_extension
+""".split()
 MODULES = sorted(Path(residua.__file__).resolve().parent.glob("*.py"))
 
 
@@ -41,3 +64,8 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at lines {lines}"
+
+
+def test_package_exports_its_compatibility_surface():
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 76
+    assert [name for name in PUBLIC_NAMES if not hasattr(residua, name)] == []
