@@ -28,13 +28,11 @@ from .ordinal import (  # noqa: F401
     omega_absorbs,
     parse_ordinal,
 )
+from .elements import Element, Group, GroupError  # noqa: F401
 from .groups import (  # noqa: F401
     CountablePoints,
-    Element,
     ExtensionHandle,
     FinitePoints,
-    Group,
-    GroupError,
     PointSet,
     extension_from_quotient,
     finite_support_power,

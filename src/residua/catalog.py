@@ -37,14 +37,12 @@ from .chains import (
     integers_chain,
     single_step_chain,
 )
+from .elements import ORACLE_CAP, Element, Group, GroupError
 from .groups import (
     CountablePoints,
     DirectProductGroup,
-    Element,
     ExtensionHandle,
     FinitePoints,
-    Group,
-    GroupError,
     finite_support_power,
     make_cyclic,
     make_infinite_dihedral,
@@ -53,7 +51,7 @@ from .groups import (
     perm_from_cycles,
     wreath_product,
 )
-from .oracle import ORACLE_CAP, minimax_chain
+from .oracle import minimax_chain
 from .ordinal import OMEGA, ONE, ZERO, Ordinal, add, decompose_successor, multiply
 
 __all__ = [

@@ -22,12 +22,11 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
+from .elements import Element, Group, random_words
 from .groups import (
-    Element,
     ExtensionHandle,
     FinitePoints,
     FinSupportPowerGroup,
-    Group,
     InfiniteDihedralGroup,
     IntegerGroup,
     PointSet,
@@ -35,7 +34,6 @@ from .groups import (
     finite_support_power,
     make_infinite_dihedral,
     make_integers,
-    random_words,
     wreath_product,
 )
 from .ordinal import (

@@ -28,7 +28,7 @@ from . import __version__
 from .catalog import UnregisteredConstructionError, build_group, chain_for, depth_interval
 from .chains import ChainError, verify_prefix
 from .dsl import DslParseError, GroupExpr, parse_expr, print_expr
-from .groups import GroupError
+from .elements import GroupError
 from .oracle import (
     OracleCapError,
     _sorted_values,

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from .elements import Group
 from .groups import (
     DirectProductGroup,
-    Group,
     make_alternating,
     make_cyclic,
     make_perm,

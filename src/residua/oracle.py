@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import ORACLE_CAP, Group, GroupError
+from .elements import ORACLE_CAP, Group, GroupError
 from .ordinal import ONE, ZERO, Ordinal
 
 __all__ = [

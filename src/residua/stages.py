@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .groups import Element, Group, GroupError
+from .elements import Element, Group, GroupError
 
 __all__ = ["ChainError", "Transversal", "SubgroupDescriptor"]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .groups import Element, Group, GroupError, InvalidElementError, label_sort_key, mulclose
+from .elements import Element, Group, GroupError, InvalidElementError, label_sort_key, mulclose
 
 __all__ = ["SubgroupHandle", "commutator_subgroup"]
 

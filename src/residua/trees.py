@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .chains import (ChainSchema, _first_excluding_step, _probe_id, _split_stage_ordinal,
                      finite_chain)
-from .groups import Element, GroupError, random_words
+from .elements import Element, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal
 from .stages import ChainError, SubgroupDescriptor, Transversal, _placer
 

@@ -8,26 +8,28 @@ from hypothesis import given, settings, strategies as st
 from residua import catalog, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
-from residua.groups import (
+from residua.elements import (
     ORACLE_CAP,
-    CountablePoints,
     Element,
-    FinitePoints,
     GroupError,
     GroupMismatchError,
     InvalidElementError,
+    label_sort_key,
+    mulclose,
+    random_words,
+)
+from residua.groups import (
+    CountablePoints,
+    FinitePoints,
     extension_from_quotient,
     finite_support_power,
-    label_sort_key,
     make_alternating,
     make_cyclic,
     make_infinite_dihedral,
     make_integers,
     make_perm,
     make_symmetric,
-    mulclose,
     perm_from_cycles,
-    random_words,
     wreath_product,
 )
 from residua.subgroups import SubgroupHandle, commutator_subgroup

@@ -66,6 +66,18 @@ def test_module_has_no_assert_statement(path):
     assert lines == [], f"assert statements at lines {lines}"
 
 
+def test_element_algebra_imports_nothing_from_the_package():
+    # the base layer every group family builds on; an import of the package
+    # from it would be a cycle
+    tree = ast.parse((MODULES[0].parent / "elements.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [node.lineno for node in imports
+            if isinstance(node, ast.ImportFrom) and node.level > 0] == []
+    modules = [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "residua"] == []
+
+
 def test_package_exports_its_compatibility_surface():
     assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 76
     assert [name for name in PUBLIC_NAMES if not hasattr(residua, name)] == []

@@ -1,6 +1,6 @@
 import pytest
 
-from residua import groups, oracle
+from residua import elements, groups, oracle
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 from residua.fixtures import finite_fixtures, make_klein_four
@@ -287,13 +287,14 @@ class TestCayleyTableLattice:
         g.element_values()
         g.cayley_table()  # its generator rows multiply, and power products sort
         calls = []
-        real = groups.label_sort_key
+        real = elements.label_sort_key
 
         def counting(label):
             calls.append(None)
             return real(label)
 
-        monkeypatch.setattr(groups, "label_sort_key", counting)
+        for module in (elements, groups):  # Group sorts values, power products sort points
+            monkeypatch.setattr(module, "label_sort_key", counting)
         assert len(all_subgroups(g)) == 374
         assert calls == []
 
