@@ -5,7 +5,7 @@
             | "wreath(" expr "," expr ")" | "tower(" expr "," int ")"
             | "prod(" expr {"," expr} ")"
     points := "N" | int
-    cycles := generator {"," generator};  generator := cycle+
+    cycles := [generator {"," generator}];  generator := cycle+
     cycle  := "(" int {int} ")"
 
 Whitespace is insignificant.  S(n) and A(n) are sugar for perm(...) with the
@@ -82,6 +82,8 @@ class Perm:
 
     def __post_init__(self):
         for gen in self.generators:
+            if not gen:
+                raise DslError("a generator needs at least one cycle")
             for cycle in gen:
                 if len(set(cycle)) != len(cycle):
                     raise DslError(f"cycle repeats a point: {cycle}")
@@ -227,8 +229,8 @@ class _Parser(_Scanner):
         if name == "perm":
             degree = self.at_least(0, "degree")
             self.expect(";")
-            gens = [self.generator()]
-            while self.take(","):
+            gens = [] if self.peek() == ")" else [self.generator()]  # perm(n;) is trivial
+            while gens and self.take(","):
                 gens.append(self.generator())
             return Perm, (degree, tuple(gens))
         if name == "prod":

@@ -121,6 +121,12 @@ class TestVerify:
             assert "verdict: inconclusive" in out
             assert "flag: no probes were drawn" in out
 
+    @pytest.mark.parametrize("expr", ["S(1)", "A(2)"])
+    def test_certificate_expression_parses(self, capsys, expr):
+        code, out, _ = run(capsys, "verify", expr, "--format", "json")
+        assert code == 3  # a trivial group draws no probes
+        assert parse_expr(json.loads(out)["expression"]) == parse_expr(expr)
+
     def test_unknown_selector_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "Z", "--chain", "p5")
         assert code == 4

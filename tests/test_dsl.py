@@ -39,7 +39,8 @@ def random_ast(rng, depth=3):
         lambda: Cyclic(rng.randint(1, 9)),
         lambda: Int(),
         lambda: Dinf(),
-        lambda: parse_expr(f"S({rng.randint(2, 4)})"),
+        lambda: parse_expr(f"S({rng.randint(0, 4)})"),  # S(0), S(1): no generators
+        lambda: parse_expr(f"A({rng.randint(0, 5)})"),  # A(0) to A(2): no generators
         lambda: ExtensionRef(rng.choice(["Deligne", "Higman", "mystery_group"])),
     ]
     if depth <= 0:
@@ -79,6 +80,12 @@ class TestParse:
     def test_perm_juxtaposed_cycles(self):
         got = parse_expr("perm(4; (0 1)(2 3))")
         assert got == Perm(4, (((0, 1), (2, 3)),))
+
+    def test_perm_without_generators(self):
+        # the trivial group of degree n, as print_expr writes S(1) or A(2)
+        assert parse_expr("perm(3;)") == parse_expr("perm(3; )") == Perm(3, ())
+        with pytest.raises(DslError, match="at least one cycle"):
+            Perm(3, ((),))
 
     def test_symmetric_sugar(self):
         assert parse_expr("S(3)") == Perm(3, (((0, 1),), ((0, 1, 2),)))
