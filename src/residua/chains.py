@@ -701,13 +701,13 @@ def core_sandwich(wreath: WreathProductGroup) -> tuple[SubgroupDescriptor, Subgr
         raise ChainError("top group must be infinite and claimed residually finite")
     if wreath.base.order is None:
         raise ChainError("lower bound needs a finite base for its derived subgroup")
-    derived = commutator_subgroup(wreath.base)
+    derived = frozenset(commutator_subgroup(wreath.base).element_values())
 
     def lower(e: Element) -> bool:
         f, g = e.value
         if g != wreath.top.identity_value():
             return False
-        return all(derived.contains_parent_element(Element(wreath.base, v)) for _, v in f)
+        return all(v in derived for _, v in f)
 
     def upper(e: Element) -> bool:
         return e.value[1] == wreath.top.identity_value()

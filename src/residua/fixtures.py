@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .elements import Group
 from .groups import (
-    DirectProductGroup,
     make_alternating,
     make_cyclic,
     make_perm,

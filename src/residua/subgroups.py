@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .elements import Element, Group, GroupError, InvalidElementError, label_sort_key, mulclose
+from .elements import Group, GroupError, InvalidElementError, label_sort_key, mulclose
 
 __all__ = ["SubgroupHandle", "commutator_subgroup"]
 
@@ -56,9 +56,6 @@ class SubgroupHandle(Group):
 
     def _enumerate_values(self):
         return list(self._values)
-
-    def contains_parent_element(self, e: Element) -> bool:
-        return e.value in self._value_set
 
     def value_to_jsonable(self, v):
         return self.parent.value_to_jsonable(v)
