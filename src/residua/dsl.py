@@ -229,6 +229,8 @@ class _Parser(_Scanner):
         if name == "perm":
             degree = self.at_least(0, "degree")
             self.expect(";")
+            if self.peek() not in ("(", ")"):
+                raise DslParseError("unexpected character", self.pos, ("'('", "')'"))
             gens = [] if self.peek() == ")" else [self.generator()]  # perm(n;) is trivial
             while gens and self.take(","):
                 gens.append(self.generator())

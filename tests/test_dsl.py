@@ -84,6 +84,8 @@ class TestParse:
     def test_perm_without_generators(self):
         # the trivial group of degree n, as print_expr writes S(1) or A(2)
         assert parse_expr("perm(3;)") == parse_expr("perm(3; )") == Perm(3, ())
+        with pytest.raises(DslParseError, match=r"offset 8 \(expected '\(' or '\)'\)"):
+            parse_expr("perm(3; x)")
         with pytest.raises(DslError, match="at least one cycle"):
             Perm(3, ((),))
 
