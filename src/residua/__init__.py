@@ -45,11 +45,11 @@ from .groups import (  # noqa: F401
     wreath_product,
 )
 from .subgroups import commutator_subgroup  # noqa: F401
+from .stages import SubgroupDescriptor  # noqa: F401
 from .chains import (  # noqa: F401
     ChainCertificate,
     ChainSchema,
     DepthInterval,
-    SubgroupDescriptor,
     chain_at,
     compress_successor_tail,
     concat_extension,

@@ -56,8 +56,6 @@ from .stages import (
 )
 
 __all__ = [
-    "ChainError",
-    "SubgroupDescriptor",
     "ChainSchema",
     "ChainCertificate",
     "DepthInterval",
@@ -702,15 +700,10 @@ def core_sandwich(wreath: WreathProductGroup) -> tuple[SubgroupDescriptor, Subgr
     if wreath.base.order is None:
         raise ChainError("lower bound needs a finite base for its derived subgroup")
     derived = frozenset(commutator_subgroup(wreath.base).element_values())
+    upper = wreath.extension().kernel_contains
 
     def lower(e: Element) -> bool:
-        f, g = e.value
-        if g != wreath.top.identity_value():
-            return False
-        return all(v in derived for _, v in f)
-
-    def upper(e: Element) -> bool:
-        return e.value[1] == wreath.top.identity_value()
+        return upper(e) and all(v in derived for _, v in e.value[0])
 
     lower_desc = SubgroupDescriptor(
         owner=wreath, membership=lower, infinite_index=True,
@@ -888,8 +881,8 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     A transversal is certified factor by factor (see ``Transversal``):
     each factor must hit the identity coset, lie inside K_(j-1) and be
     pairwise distinct modulo K_j; the K_j must nest on the probes; and each
-    parent probe is sifted through the factors, the representative found
-    being confirmed by the stage's own membership test.  The index is the
+    parent probe is sifted through the factors, and the sift's last digit
+    is the stage's own membership test.  The index is the
     product of the factor sizes, so a row is never built in full.  Rows of
     pullbacks, kernel copies and powers are products whenever the stages
     they map are, so they are certified the same way.  An explicit

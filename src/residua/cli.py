@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .catalog import UnregisteredConstructionError, build_group, chain_for, depth_interval
-from .chains import ChainError, verify_prefix
+from .chains import verify_prefix
 from .dsl import DslParseError, GroupExpr, parse_expr, print_expr
 from .elements import GroupError
 from .oracle import (
@@ -38,6 +38,7 @@ from .oracle import (
     min_kappa,
 )
 from .ordinal import ALEPH0, CardinalBound, OrdinalError, format_ordinal
+from .stages import ChainError
 from .trees import NonMaterializableError, coset_tree, emit, truncate
 
 EXIT_OK = 0

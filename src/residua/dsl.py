@@ -28,7 +28,6 @@ from .ordinal import MAX_NESTING, OrdinalParseError, _Scanner
 
 __all__ = [
     "MAX_TOWER_HEIGHT",
-    "MAX_NESTING",
     "DslError",
     "DslParseError",
     "GroupExpr",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -289,16 +289,27 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
     return list(seen)
 
 
-class _Memo(dict):
-    """``memo[key]`` is ``fn(key)``, computed on first use and kept."""
+def _ball(one, letters, mul: Callable, radius: int, full: Callable) -> set:
+    """The words of length at most ``radius`` from ``one``, as a set.
 
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+    Each word step right-multiplies by a letter or its inverse under ``mul``;
+    ``letters`` holds (letter, inverse) pairs.  The walk is breadth-first and
+    stops as soon as ``full`` holds for the set found so far.
+    """
+    ball, frontier = {one}, [one]
+    for _ in range(radius):
+        new = []
+        for a in frontier:
+            for letter in letters:
+                for b in letter:
+                    c = mul(a, b)
+                    if c not in ball:
+                        ball.add(c)
+                        new.append(c)
+                        if full(ball):
+                            return ball
+        frontier = new
+    return ball
 
 
 def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[Element]:
@@ -315,10 +326,11 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     draw them, with the rejection sampling inlined (``k``-bit draws, redrawn
     while out of range), so the stream is the one those calls would give;
     the ``PINNED_PROBES`` digests in the tests guard it.  Products are taken
-    on values, each (prefix, letter) product once.  After ``count`` misses
-    the ball is counted, up to ``count + 1`` elements; if it is smaller,
-    drawing stops once all its non-identity elements are found, since every
-    later word would be the identity or a repeat.
+    on values through ``functools.cache``, each (prefix, letter) product
+    once.  After ``count`` misses the ball is counted by ``_ball``, up to
+    ``count + 1`` elements; if it is smaller, drawing stops once all its
+    non-identity elements are found, since every later word would be the
+    identity or a repeat.
     """
     one = group.identity_value()
     letters = [(g.value, group.inv_value(g.value)) for g in group.generators if g.value != one]
@@ -326,24 +338,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
         return []
     if max_len < 1:
         raise ValueError(f"word length {max_len} is below 1")
-    products = _Memo(lambda ab: group.mul_values(*ab))
-
-    def ball_size(cap: int) -> int:
-        ball, frontier = {one}, [one]
-        for _ in range(max_len):
-            new = []
-            for a in frontier:
-                for letter in letters:
-                    for b in letter:
-                        c = products[a, b]
-                        if c not in ball:
-                            ball.add(c)
-                            new.append(c)
-                            if len(ball) == cap:
-                                return cap
-            frontier = new
-        return len(ball)
-
+    product = cache(group.mul_values)
     rng = random.Random(seed)
     bits, uniform = rng.getrandbits, rng.random
     n_letters = len(letters)
@@ -363,10 +358,11 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
             while i >= n_letters:
                 i = bits(letter_bits)
             v, inv = letters[i]
-            e = products[e, inv if uniform() < 0.5 else v]
+            e = product(e, inv if uniform() < 0.5 else v)
         if e in seen:
             if attempts - len(out) == count:
-                wanted = ball_size(count + 1) - 1
+                ball = _ball(one, letters, product, max_len, lambda b: len(b) > count)
+                wanted = len(ball) - 1
             continue
         seen.add(e)
         out.append(e)

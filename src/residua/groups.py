@@ -13,8 +13,9 @@ subclasses ``elements.Group`` and implements the value algebra on them.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 from .elements import (
@@ -23,7 +24,7 @@ from .elements import (
     GroupError,
     GroupMismatchError,
     InvalidElementError,
-    _Memo,
+    _ball,
     label_sort_key,
     mulclose,
     random_words,
@@ -408,8 +409,8 @@ class FinSupportPowerGroup(Group):
         self.has_finite_abelianization_claimed = (
             base.has_finite_abelianization_claimed and points.size is not None
         )
-        keys = _Memo(label_sort_key)
-        self._point_key = lambda pv: keys[pv[0]]  # a (point, value) pair's sort key
+        key = cache(label_sort_key)
+        self._point_key = lambda pv: key(pv[0])  # a (point, value) pair's sort key
 
     @property
     def tag(self) -> str:
@@ -673,23 +674,10 @@ def extension_from_quotient(
             if projection(a * b) != projection(a) * projection(b):
                 raise GroupError("projection is not a homomorphism on probes")
     # surjectivity onto quotient generators, via short products of images
-    targets = {g.value for g in quotient.generators if not g.is_identity()}
+    targets = {g for g in quotient.generators if not g.is_identity()}
     if targets:
-        images = [projection(g) for g in total.generators]
-        reached = {quotient.identity_value()}
-        frontier = [quotient.identity()]
-        for _ in range(4):
-            new = []
-            for x in frontier:
-                for img in images:
-                    for y in (x * img, x * img.inverse()):
-                        if y.value not in reached:
-                            reached.add(y.value)
-                            new.append(y)
-            frontier = new
-            if targets <= reached:
-                break
-        if not targets <= reached:
+        images = [(img, img.inverse()) for img in map(projection, total.generators)]
+        if not targets <= _ball(quotient.identity(), images, operator.mul, 4, targets.issubset):
             raise GroupError("projection does not reach the quotient generators")
     if section is not None:
         for a in ps[:8]:

@@ -25,7 +25,6 @@ from .elements import ORACLE_CAP, Group, GroupError
 from .ordinal import ONE, ZERO, Ordinal
 
 __all__ = [
-    "ORACLE_CAP",
     "OracleCapError",
     "SubgroupLattice",
     "all_subgroups",

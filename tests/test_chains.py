@@ -47,6 +47,7 @@ from residua.groups import (
     wreath_product,
 )
 from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
+from residua.stages import _coset_check
 
 
 def lamplighter():
@@ -768,6 +769,22 @@ class TestTransversalCertification:
         t = integer_product((0, 1), (0, 2))
         assert [t.rep(i).value for i in range(t.size)] == [0, 2, 1, 3]
         assert certify(t, multiples(1), multiples(4), range(-6, 7)) == (4, None)
+
+    def test_coverage_tests_each_parent_probe_once_in_the_stage(self):
+        # the sift's last digit is the stage's own test of rep^-1 * p; the
+        # representative found is not rebuilt and tested again
+        calls = []
+        stage = SubgroupDescriptor(owner=make_integers(), label="multiples of 4",
+                                   membership=lambda e: calls.append(e.value) or e.value % 4 == 0)
+        t = integer_product((0, 1), (0, 2))
+        _coset_check(t.factor_reps()[-1], multiples(2), stage)
+        checks = len(calls)
+        calls.clear()
+        probes = [Element(make_integers(), v) for v in (0, 1, 4, 5, -3, 9)]
+        assert _certify_transversal(t, multiples(1), stage, probes, [True] * len(probes),
+                                    [p.value % 4 == 0 for p in probes]) == (4, None)
+        # each residue lies in 4Z, so the last factor stops at its first digit
+        assert calls[checks:] == [0, 0, 4, 4, -4, 8]
 
     @pytest.mark.parametrize("case", BAD_EXPLICIT_ROWS + BAD_PRODUCT_ROWS,
                              ids=lambda c: c[0])

@@ -373,6 +373,20 @@ class TestExtension:
         maps = {f.name: getattr(ext, f.name) for f in fields(ext)}
         assert extension_from_quotient(**maps) == ext
 
+    def test_rejects_a_projection_into_another_group(self):
+        z, c2, c3 = make_integers(), make_cyclic(2), make_cyclic(3)
+        with pytest.raises(GroupMismatchError):
+            extension_from_quotient(
+                total=z,
+                projection=lambda e: Element(c3, e.value % 3),
+                quotient=c2,
+            )
+
+    def test_rejects_a_projection_missing_a_quotient_generator(self):
+        z, c2 = make_integers(), make_cyclic(2)
+        with pytest.raises(GroupError, match="^projection does not reach the quotient generators$"):
+            extension_from_quotient(total=z, projection=lambda e: Element(c2, 0), quotient=c2)
+
     def test_rejects_non_homomorphism(self):
         z = make_integers()
         c2 = make_cyclic(2)

@@ -14,7 +14,9 @@ by raising an exception of its own.
 
 ``PUBLIC_NAMES`` is the compatibility surface: the names
 ``residua/__init__.py`` imports.  A refactor may move a name between
-modules, but each stays an attribute of ``residua``.
+modules, but each stays an attribute of ``residua``.  Each module's
+``__all__`` lists only names it defines, and the package imports each name
+from the module that defines it, so a name has one home.
 """
 
 import ast
@@ -80,3 +82,35 @@ def test_element_algebra_imports_nothing_from_the_package():
 def test_package_exports_its_compatibility_surface():
     assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 76
     assert [name for name in PUBLIC_NAMES if not hasattr(residua, name)] == []
+
+
+def defined_names(path: Path) -> set:
+    """The names a module's top-level statements define (not import)."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_names_are_exported_and_imported_from_their_defining_module():
+    defined = {path.stem: defined_names(path) for path in MODULES}
+    misplaced = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                misplaced += [f"{path.stem}.__all__: {name}"
+                              for name in ast.literal_eval(node.value)
+                              if name not in defined[path.stem]]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                misplaced += [f"{path.stem} imports {a.name} from {source}" for a in node.names
+                              if a.name not in defined[source]
+                              and not (node.module is None and a.name in defined)]  # a module
+    assert misplaced == []
