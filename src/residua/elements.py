@@ -290,7 +290,7 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
 
 
 def _ball(one, letters, mul: Callable, radius: int, full: Callable) -> set:
-    """The words of length at most ``radius`` from ``one``, as a set.
+    """The set of elements that words of length at most ``radius`` reach from ``one``.
 
     Each word step right-multiplies by a letter or its inverse under ``mul``;
     ``letters`` holds (letter, inverse) pairs.  The walk is breadth-first and
@@ -361,8 +361,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
             e = product(e, inv if uniform() < 0.5 else v)
         if e in seen:
             if attempts - len(out) == count:
-                ball = _ball(one, letters, product, max_len, lambda b: len(b) > count)
-                wanted = len(ball) - 1
+                wanted = len(_ball(one, letters, product, max_len, lambda b: len(b) > count)) - 1
             continue
         seen.add(e)
         out.append(e)
