@@ -67,8 +67,10 @@ def test_output_matches_pinned_digest(args, seed):
 # More argv pinned here, not in golden.json, which only holds what the
 # benchmark runs: shapes whose rows map product transversals through a
 # pullback or a coordinate embedding, towers tall enough that their power
-# stages' indices run to millions of bits, and the one-step chain of a group
-# above the oracle cap.  The same 16 hex digits of the stdout sha256.
+# stages' indices run to millions of bits, the one-step chain of a group
+# above the oracle cap, a depth interval with boolean claim fields, and a
+# tree deep enough to hold long parent tables.  The same 16 hex digits of
+# the stdout sha256.
 PULLBACK_CASES = {
     ("verify", "prod(tower(Dinf,2),Z)", "--format", "json", "--levels", "6"): "d9a5a14c80e7ec7e",
     ("verify", "prod(Z,tower(Dinf,2))", "--format", "json", "--levels", "6"): "cbb5614c8d4177eb",
@@ -81,6 +83,8 @@ PULLBACK_CASES = {
     ("verify", "tower(Dinf,7)", "--levels", "2"): "0f611342bc6646d3",
     ("verify", "tower(Dinf,8)", "--levels", "2"): "dbd8692c86badcd3",
     ("verify", "S(7)", "--probes", "4"): "e509c0dc36767ba6",
+    ("depth", "tower(Dinf,3)", "--format", "json"): "1de1292c24a46c70",
+    ("tree", "wreath(C(2),Z)", "--levels", "12", "--format", "json"): "bec3b93a2a676939",
 }
 
 
@@ -191,7 +195,8 @@ def test_tree_matches_pinned_digest(name, number):
 
 # Oracle output above the benchmark's groups, pinned the same way with its
 # exit status: lattices up to order 120 and 64, which the benchmark leaves
-# out for their run time, and the core and min-kappa that read one of them.
+# out for their run time, and the core and min-kappa that read one of them;
+# and the JSON of min-kappa and depth, which no other argv pins.
 ORACLE_CASES = {
     ("oracle", "lattice", "S(5)", "--format", "json"): "be0be598fc63ee79",
     ("oracle", "lattice", "A(5)", "--format", "json"): "6fc72e82f7763aa2",
@@ -200,6 +205,8 @@ ORACLE_CASES = {
     ("oracle", "lattice", "power(C(2),6)", "--format", "json"): "3fdc8cee39666618",
     ("oracle", "min-kappa", "S(5)"): "06e9d52c1720fca4",
     ("oracle", "core", "S(5)", "--max-index", "3"): "b283ed155cd54e32",
+    ("oracle", "min-kappa", "S(4)", "--format", "json"): "e25ac74643f81b54",
+    ("oracle", "depth", "S(4)", "--format", "json"): "8b9f31bcc9050514",
 }
 
 
