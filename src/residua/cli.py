@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -37,7 +36,7 @@ from .oracle import (
     depth_exact_finite,
     min_kappa,
 )
-from .ordinal import ALEPH0, CardinalBound, OrdinalError, format_ordinal
+from .ordinal import ALEPH0, CardinalBound, OrdinalError, format_ordinal, json_text
 from .stages import ChainError
 from .trees import NonMaterializableError, coset_tree, emit, truncate
 
@@ -115,10 +114,6 @@ def _emit(text: str, config: RunConfig):
         sys.stdout.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_depth(expr: GroupExpr, config: RunConfig) -> int:
     interval = depth_interval(expr)
     if config.format == "json":
@@ -128,7 +123,7 @@ def cmd_depth(expr: GroupExpr, config: RunConfig) -> int:
             "config": config.to_jsonable(),
             **interval.to_jsonable(),
         }
-        _emit(_json_text(payload), config)
+        _emit(json_text(payload), config)
         return EXIT_OK
     lines = [f"[{format_ordinal(interval.lower)}, {format_ordinal(interval.upper)}]"]
     if interval.paper_claimed is not None:
@@ -163,7 +158,7 @@ def cmd_verify(expr: GroupExpr, config: RunConfig) -> int:
         **certificate.to_jsonable(),
     }
     if config.format == "json":
-        _emit(_json_text(payload), config)
+        _emit(json_text(payload), config)
     else:
         lines = [
             f"verdict: {certificate.verdict}",
@@ -237,14 +232,14 @@ def cmd_oracle(subcommand: str, expr: GroupExpr, config: RunConfig) -> int:
         raise ValueError(f"unknown oracle subcommand {subcommand!r}")
     payload = {"version": __version__, "expression": print_expr(expr), **payload}
     if config.format == "json":
-        _emit(_json_text(payload), config)
+        _emit(json_text(payload), config)
     else:
         if subcommand == "min-kappa":
             _emit(f"{payload['min_kappa']}\n", config)
         elif subcommand == "depth":
             _emit(f"{payload['depth']}\n", config)
         else:
-            _emit(_json_text(payload), config)
+            _emit(json_text(payload), config)
     return EXIT_OK
 
 

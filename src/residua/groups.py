@@ -659,8 +659,9 @@ def extension_from_quotient(
     """Validate and bundle a short exact sequence whose maps a caller supplies.
 
     Probe checks, on up to 24 words of ``total`` and 8 of the kernel, drawn
-    from seed 0: the projection maps identity to identity and is a
-    homomorphism on sampled pairs; products of projected generators reach
+    from seed 0: the projection maps identity to identity, lands in
+    ``quotient`` (else ``GroupMismatchError``) and is a homomorphism on
+    sampled pairs; products of projected generators reach
     every quotient generator; the section (if given) is a right inverse on
     probe images; the kernel embedding (if given) lands in the kernel and
     retracts back.  The library's own wreath and product extensions are
@@ -669,9 +670,16 @@ def extension_from_quotient(
     if not projection(total.identity()).is_identity():
         raise GroupError("projection does not preserve the identity")
     ps = random_words(total, 24, 0) or [total.identity()]
-    for a in ps:
-        for b in ps[: max(4, len(ps) // 4)]:
-            if projection(a * b) != projection(a) * projection(b):
+    images = [projection(a) for a in ps]
+    for img in images:
+        if img.group is not quotient and img.group.tag != quotient.tag:
+            raise GroupMismatchError(
+                f"projection lands in {img.group.tag}, not in the quotient {quotient.tag}"
+            )
+    pairs = list(zip(ps, images))
+    for a, pa in pairs:
+        for b, pb in pairs[: max(4, len(ps) // 4)]:
+            if projection(a * b) != pa * pb:
                 raise GroupError("projection is not a homomorphism on probes")
     # surjectivity onto quotient generators, via short products of images
     targets = {g for g in quotient.generators if not g.is_identity()}

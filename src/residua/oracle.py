@@ -17,6 +17,7 @@ is the ``label_sort_key`` order of ``element_values``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -69,6 +70,11 @@ class SubgroupLattice:
         return self.subgroups[-1]
 
     def to_jsonable(self):
+        """The lattice as JSON data.  Each distinct element value is encoded
+        once: equal elements share one object, so ``json_text`` writes each
+        once too.  Treat the result as read-only, since a change to one
+        element's object shows in every subgroup that holds the element."""
+        encode = functools.cache(self.group.value_to_jsonable)
         return {
             "group": self.group.tag,
             "order": self.group.order,
@@ -76,9 +82,7 @@ class SubgroupLattice:
             "subgroups": [
                 {
                     "order": len(s),
-                    "elements": [
-                        self.group.value_to_jsonable(v) for v in _sorted_values(self.group, s)
-                    ],
+                    "elements": [encode(v) for v in _sorted_values(self.group, s)],
                 }
                 for s in self.subgroups
             ],

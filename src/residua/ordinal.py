@@ -7,11 +7,15 @@ equality and all algebraic laws are decidable by ``==``.
 
 Coefficients are Python ints, i.e. arbitrary precision; chain index products
 overflow fixed-width integers quickly.
+
+The module also owns JSON notation: ``json_text`` is the one writer of every
+JSON document the package emits.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "parse_ordinal",
     "ordinal_to_jsonable",
     "ordinal_from_jsonable",
+    "json_text",
 ]
 
 
@@ -499,6 +504,85 @@ def _from_jsonable(data, room: int) -> Ordinal:
             raise OrdinalError(f"ordinal exponents nest at most {MAX_NESTING} deep")
         out.append((_from_jsonable(item["exp"], room - 1), item["coeff"]))
     return Ordinal(tuple(out))
+
+
+# --- JSON text ---------------------------------------------------------------
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` writes through its pure-Python encoder;
+    this writes scalars through the C helpers instead.  Each list, tuple or
+    dict is written once at depth 0, and one level deeper that text is
+    reused with every newline indented by two spaces (a JSON string never
+    holds a raw newline).  A container that occurs more than once in
+    ``obj`` is written once: the memo is keyed by ``id``, which stays
+    unique while ``obj`` holds the objects.  Values ``json`` cannot encode
+    raise ``TypeError``, and a cycle ``ValueError``, as they do there.
+    """
+    memo: dict[int, str] = {}  # id -> the text one level deep; "" while being written
+
+    def nested(o) -> str:
+        if isinstance(o, (list, tuple, dict)):
+            text = memo.get(id(o))
+            if not text:
+                text = memo[id(o)] = block(o).replace("\n", "\n  ")
+            return text
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        return text
+
+    def block(o) -> str:
+        if id(o) in memo:
+            raise ValueError("Circular reference detected")
+        memo[id(o)] = ""
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        if isinstance(o, dict):  # json sorts the (key, value) pairs
+            return "{\n  " + ",\n  ".join([f"{_key_text(k)}: {nested(v)}"
+                                            for k, v in sorted(o.items())]) + "\n}"
+        parts = (map(int.__repr__, o) if set(map(type, o)) == {int}
+                 else [nested(v) for v in o])
+        return "[\n  " + ",\n  ".join(parts) + "\n]"
+
+    return (block(obj) if isinstance(obj, (list, tuple, dict)) else nested(obj)) + "\n"
+
+
+def _scalar_text(o) -> str | None:
+    """The JSON of a str, None, bool, int or float as ``json`` writes it;
+    None for any other value."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+_INF = float("inf")
+
+
+def _key_text(k) -> str:
+    """An object key as ``json`` writes it: a str, or the text of a scalar quoted."""
+    text = k if isinstance(k, str) else _scalar_text(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return encode_basestring_ascii(text)
 
 
 # --- cardinal bounds -------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from .chains import (ChainSchema, _first_excluding_step, _probe_id, _split_stage_ordinal,
                      finite_chain)
 from .elements import Element, GroupError, random_words
-from .ordinal import OMEGA, Ordinal, format_ordinal
+from .ordinal import OMEGA, Ordinal, format_ordinal, json_text
 from .stages import ChainError, SubgroupDescriptor, Transversal, _placer
 
 __all__ = [
@@ -459,7 +459,7 @@ def emit(tr: TreeTruncation, format: str) -> str:
             ],
             "provenance": tr.provenance,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
     raise TreeError(f"unknown format {format!r}")
 
 

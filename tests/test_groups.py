@@ -382,6 +382,17 @@ class TestExtension:
                 quotient=c2,
             )
 
+    def test_rejects_a_projection_past_a_trivial_quotient(self):
+        # a quotient with no non-identity generator skips the surjectivity
+        # walk, so only the probes' images show the projection leaves it
+        z = make_integers()
+        with pytest.raises(GroupMismatchError, match=r"lands in C\(3\), not in the quotient C\(1\)"):
+            extension_from_quotient(
+                total=z,
+                projection=lambda e: Element(make_cyclic(3), e.value % 3),
+                quotient=make_cyclic(1),
+            )
+
     def test_rejects_a_projection_missing_a_quotient_generator(self):
         z, c2 = make_integers(), make_cyclic(2)
         with pytest.raises(GroupError, match="^projection does not reach the quotient generators$"):

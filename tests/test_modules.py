@@ -10,7 +10,10 @@ lands in the peak RSS of every command.  Tokens are counted as
 ``tokenize`` yields them, without comments and non-logical newlines.  A
 module near the limit sheds code or moves a cohesive piece into a module
 of its own.  ``python -O`` strips assert statements, so a module checks
-by raising an exception of its own.
+by raising an exception of its own.  No module calls ``json.dumps`` (or
+``json.dump``) with ``indent``: Python 3.11 then writes through the
+pure-Python encoder, and ``ordinal.json_text`` writes the same text
+without it.
 
 ``PUBLIC_NAMES`` is the compatibility surface: the names
 ``residua/__init__.py`` imports.  A refactor may move a name between
@@ -67,6 +70,16 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_writes_no_indented_json_dumps(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert lines == [], f"json.dumps with indent at lines {lines}; use ordinal.json_text"
 
 
 def test_element_algebra_imports_nothing_from_the_package():

@@ -1,7 +1,9 @@
+import enum
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from residua.ordinal import (
     ALEPH0,
@@ -21,6 +23,7 @@ from residua.ordinal import (
     compare,
     decompose_successor,
     format_ordinal,
+    json_text,
     left_subtract,
     multiply,
     omega_absorbs,
@@ -360,3 +363,86 @@ class TestCardinalBound:
     def test_parse(self):
         assert CardinalBound.parse("aleph0") == ALEPH0
         assert CardinalBound.parse("12") == CardinalBound.finite(12)
+
+
+# JSON scalars, with the edge cases json writes specially: bools (ints to
+# isinstance), -0.0, nan and the infinities, ints past 64 bits, and strings
+# that need escapes or are not ASCII
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10 ** 40), 10 ** 40),
+    st.floats(), st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x07\n\t\x1f", "é 日本 🎲", "[w, w*2]"]),
+)
+_json_keys = st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.booleans(), st.none())
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=6),
+        # one key type per object: json cannot sort keys of mixed types
+        _json_keys.flatmap(lambda key: st.dictionaries(st.just(key) | st.from_type(type(key)),
+                                                       kids, max_size=4)),
+    ),
+    max_leaves=30,
+)
+
+
+@st.composite
+def _shared_payloads(draw):
+    """A payload that holds one sub-object at depths 1, 3 and 4."""
+    sub = draw(_json_payloads)
+    return [sub, {"deeper": [sub, (sub,)]}, draw(_json_payloads)]
+
+
+_SHARED = {"x": [1, 2], "y": {}}
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class TestJsonText:
+    @staticmethod
+    def reference(obj) -> str:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_json_payloads | _shared_payloads())
+    @example([])
+    @example({})
+    @example(())
+    @example([[], {}, ()])
+    @example([True, 1, False, 0, 1.0])
+    @example({"b": True, "a": 1, "c": [False, 0]})
+    @example([-0.0, float("nan"), float("inf"), float("-inf")])
+    @example({float("nan"): 1, float("inf"): 2, -0.0: 3})
+    @example(10 ** 100)
+    @example(["[w, w*2]", '"', "\n\x00", "é 日本"])
+    @example({True: None, False: None})
+    @example({"a": _SHARED, "b": [_SHARED, [_SHARED]], "c": (_SHARED,)})
+    def test_matches_indented_json_dumps(self, obj):
+        assert json_text(obj) == self.reference(obj)
+
+    def test_int_enum_writes_as_json_does(self):
+        obj = {"level": _Level.HIGH, "levels": [_Level.LOW, 2, True],
+               "names": {_Level.HIGH: "high", 1: "one"}}
+        assert json_text(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize("obj", [{1, 2}, [1, {"a": frozenset()}], {"k": object()},
+                                     {(1, 2): "tuple key"}, {1: "a", "b": 2}])
+    def test_unencodable_value_raises_as_json_does(self, obj):
+        with pytest.raises(TypeError) as expected:
+            self.reference(obj)
+        with pytest.raises(TypeError) as got:
+            json_text(obj)
+        assert str(got.value) == str(expected.value)
+
+    def test_cycle_raises_as_json_does(self):
+        cycle = [1]
+        cycle.append({"again": cycle})
+        for write in (self.reference, json_text):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                write(cycle)
