@@ -19,6 +19,7 @@ Named extension references resolve against programmatic registrations only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -37,7 +38,7 @@ from .chains import (
     integers_chain,
     single_step_chain,
 )
-from .elements import ORACLE_CAP, Element, Group, GroupError
+from .elements import ORACLE_CAP, Element, Group, GroupError, ValueMap
 from .groups import (
     CountablePoints,
     DirectProductGroup,
@@ -113,14 +114,14 @@ def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> Extensi
     head, rest = total.factors[0], total.factors[1:]
     if len(rest) == 1:
         embed = lambda k: Element(total, (head.identity_value(), k.value))
-        retract = lambda e: Element(rest_group, e.value[1])
+        retract = ValueMap(operator.itemgetter(1), total, rest_group)
     else:
         embed = lambda k: Element(total, (head.identity_value(),) + k.value)
-        retract = lambda e: Element(rest_group, e.value[1:])
+        retract = ValueMap(operator.itemgetter(slice(1, None)), total, rest_group)
     identities = tuple(f.identity_value() for f in rest)
     return ExtensionHandle(
         total=total,
-        projection=lambda e: Element(head, e.value[0]),
+        projection=ValueMap(operator.itemgetter(0), total, head),
         quotient=head,
         section=lambda q: Element(total, (q.value,) + identities),
         kernel_group=rest_group,

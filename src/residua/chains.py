@@ -52,7 +52,10 @@ from .stages import (
     ChainError,
     SubgroupDescriptor,
     Transversal,
+    ValueTest,
     _certify_transversal,
+    _value_map,
+    _value_test,
 )
 
 __all__ = [
@@ -79,7 +82,7 @@ __all__ = [
 def _full_stage(group: Group) -> SubgroupDescriptor:
     return SubgroupDescriptor(
         owner=group,
-        membership=lambda e: True,
+        membership=ValueTest(lambda v: True),
         label="full group",
     )
 
@@ -219,7 +222,7 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
             return _full_stage(z)
         return SubgroupDescriptor(
             owner=z,
-            membership=lambda e, m=modulus: e.value % m == 0,
+            membership=ValueTest(lambda v, m=modulus: v % m == 0),
             transversal=lambda: Transversal(Element(z, j * p ** (n - 1)) for j in range(p)),
             label=f"multiples of {modulus}",
         )
@@ -252,14 +255,14 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
         if n == 1:
             return SubgroupDescriptor(
                 owner=d,
-                membership=lambda e: e.value[1] == 0,
+                membership=ValueTest(lambda v: v[1] == 0),
                 transversal=lambda: Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
                 label="translations",
             )
         modulus = p ** (n - 1)
         return SubgroupDescriptor(
             owner=d,
-            membership=lambda e, m=modulus: e.value[1] == 0 and e.value[0] % m == 0,
+            membership=ValueTest(lambda v, m=modulus: v[1] == 0 and v[0] % m == 0),
             transversal=lambda: Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p)),
             label=f"translations by multiples of {modulus}",
         )
@@ -315,7 +318,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
         stages.append(
             SubgroupDescriptor(
                 owner=group,
-                membership=Element.is_identity if s == {ident} else lambda e, ss=s: e.value in ss,
+                membership=Element.is_identity if s == {ident} else ValueTest(s.__contains__),
                 transversal=Transversal(Element(group, v) for v in reps),
                 label=f"order {len(s)}",
             )
@@ -385,9 +388,11 @@ def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element],
 
 
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
+    """The preimage of ``stage``: its value test of the projected value."""
+    project, inside = _value_map(ext.projection, ext.total), _value_test(stage)
     return SubgroupDescriptor(
         owner=ext.total,
-        membership=lambda e: stage.membership(ext.projection(e)),
+        membership=ValueTest(lambda v: inside(project(v))),
         infinite_index=stage.infinite_index,
         transversal=None if ext.section is None
         else _mapped(stage, ext.section, lambda k: _pullback_stage(ext, k)),
@@ -396,14 +401,13 @@ def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subgroup
 
 
 def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
-    def member(e: Element) -> bool:
-        if not ext.kernel_contains(e):
-            return False
-        return stage.membership(ext.kernel_retract(e))
-
+    """The copy of ``stage`` in the kernel: the projected value is the
+    quotient's identity, and the retracted value passes ``stage``'s test."""
+    project, one = _value_map(ext.projection, ext.total), ext.quotient.identity_value()
+    retract, inside = _value_map(ext.kernel_retract, ext.total), _value_test(stage)
     return SubgroupDescriptor(
         owner=ext.total,
-        membership=member,
+        membership=ValueTest(lambda v: project(v) == one and inside(retract(v))),
         infinite_index=stage.infinite_index,
         transversal=_mapped(stage, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
@@ -480,30 +484,32 @@ def compress_successor_tail(chain: ChainSchema) -> ChainSchema:
 
 
 def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
-                               support: Optional[SubgroupDescriptor]) -> Callable[[Element], bool]:
+                               support: Optional[SubgroupDescriptor]) -> ValueTest:
     """Every supported value in ``support`` (when given), and the value at
-    each point of ``coords`` (point, base stage) in that stage.  Only the
-    supported points are read: every other point holds the identity, which
-    each distinct stage of ``coords`` is tested for once, on the first call
-    (a diagonal stage holds one stage object at every point)."""
-    base, at = grp.base, dict(coords)
+    each point of ``coords`` (point, base stage) in that stage, tested on
+    the (point, value) pairs of the support.  Only the supported points are
+    read: every other point holds the identity, which each distinct stage of
+    ``coords`` is tested for once, on the first call (a diagonal stage holds
+    one stage object at every point, so its points share one value test)."""
+    tests = {id(stage): _value_test(stage) for _, stage in coords}
+    at = {x: tests[id(stage)] for x, stage in coords}
+    in_support = (lambda v: True) if support is None else _value_test(support)
+    identity_inside = None
 
-    @functools.cache
-    def identity_inside() -> bool:
-        distinct = {id(stage): stage for stage in at.values()}.values()
-        return all(stage.contains(base.identity()) for stage in distinct)
-
-    def member(e: Element) -> bool:
-        for x, v in e.value:
-            value = Element(base, v)
-            if support is not None and not support.contains(value):
+    def member(value) -> bool:
+        nonlocal identity_inside
+        for x, v in value:
+            if not in_support(v):
                 return False
-            stage = at.get(x)
-            if stage is not None and not stage.contains(value):
+            inside = at.get(x)
+            if inside is not None and not inside(v):
                 return False
-        return identity_inside()
+        if identity_inside is None:
+            one = grp.base.identity_value()
+            identity_inside = all(test(one) for test in {id(t): t for t in at.values()}.values())
+        return identity_inside
 
-    return member
+    return ValueTest(member)
 
 
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
@@ -700,10 +706,9 @@ def core_sandwich(wreath: WreathProductGroup) -> tuple[SubgroupDescriptor, Subgr
     if wreath.base.order is None:
         raise ChainError("lower bound needs a finite base for its derived subgroup")
     derived = frozenset(commutator_subgroup(wreath.base).element_values())
-    upper = wreath.extension().kernel_contains
-
-    def lower(e: Element) -> bool:
-        return upper(e) and all(v in derived for _, v in e.value[0])
+    one = wreath.top.identity_value()
+    upper = ValueTest(lambda v: v[1] == one)
+    lower = ValueTest(lambda v: v[1] == one and all(b in derived for _, b in v[0]))
 
     lower_desc = SubgroupDescriptor(
         owner=wreath, membership=lower, infinite_index=True,

@@ -6,7 +6,10 @@ several levels deep and silent coercion would mask bugs.  ``Group`` is the
 base class every family in ``groups`` subclasses: identity, multiplication
 and inversion on canonical values, plus the uniform surface built on them.
 A finite group of order at most ``ORACLE_CAP`` gets a ``CayleyTable``, after
-which element products and inverses are lookups.
+which element products and inverses are lookups; ``Group.multiply`` is that
+product on values, which ``Element.__mul__`` and the chains' sift share.  A
+``ValueMap`` is a map of elements that is a map of values, and exposes the
+value map, so that stage tests compose it with no ``Element`` in between.
 
 Infinite groups expose no enumeration of all elements; probabilistic checks
 draw probe elements as bounded-length random words in the generators
@@ -29,6 +32,7 @@ __all__ = [
     "Element",
     "Group",
     "CayleyTable",
+    "ValueMap",
     "mulclose",
     "random_words",
 ]
@@ -82,14 +86,7 @@ class Element:
             raise GroupMismatchError(
                 f"cannot multiply element of {g.tag} by element of {other.group.tag}"
             )
-        table = g._table
-        if table is not None:
-            try:
-                index = table.index
-                return Element(g, table.values[table.mul[index[self.value]][index[other.value]]])
-            except KeyError:  # a value outside the table: multiply it
-                pass
-        return Element(g, g.mul_values(self.value, other.value))
+        return Element(g, g.multiply(self.value, other.value))
 
     def inverse(self) -> "Element":
         g = self.group
@@ -179,6 +176,18 @@ class Group:
         """The probe alphabet: ``_generator_values()``, read once."""
         return tuple(Element(self, v) for v in self._generator_values())
 
+    def multiply(self, a, b):
+        """The product a * b of two values: a lookup once the Cayley table
+        is built, ``mul_values`` otherwise."""
+        table = self._table
+        if table is not None:
+            try:
+                index = table.index
+                return table.values[table.mul[index[a]][index[b]]]
+            except KeyError:  # a value outside the table: multiply it
+                pass
+        return self.mul_values(a, b)
+
     def identity(self) -> Element:
         return Element(self, self.identity_value())
 
@@ -265,6 +274,24 @@ class CayleyTable:
         mul = [row or [index[group.mul_values(v, b)] for b in values]
                for v, row in zip(values, mul)]
         return cls(values, index, mul, [row.index(e) for row in mul])
+
+
+class ValueMap:
+    """A map from the elements of ``source`` to those of ``target`` that is
+    the map ``values`` on their values.  Called on an element it checks the
+    element's group and returns an ``Element``; a caller that holds a value
+    applies ``values`` to it directly."""
+
+    __slots__ = ("values", "source", "target")
+
+    def __init__(self, values: Callable, source: Group, target: Group):
+        self.values, self.source, self.target = values, source, target
+
+    def __call__(self, e: Element) -> Element:
+        source = self.source
+        if e.group is not source and e.group.tag != source.tag:
+            raise GroupMismatchError(f"expected element of {source.tag}, got {e.group.tag}")
+        return Element(self.target, self.values(e.value))
 
 
 def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:

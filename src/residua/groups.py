@@ -24,6 +24,7 @@ from .elements import (
     GroupError,
     GroupMismatchError,
     InvalidElementError,
+    ValueMap,
     _ball,
     label_sort_key,
     mulclose,
@@ -232,10 +233,7 @@ class PermGroup(Group):
             raise GroupError("degree must be >= 0")
         self.degree = degree
         self._identity = tuple(range(degree))
-        gens = []
-        for g in generators:
-            gens.append(self.validate_value(tuple(g)))
-        self._gens = tuple(dict.fromkeys(gens))
+        self._gens = tuple(dict.fromkeys(self._permutation(g) for g in generators))
 
     @property
     def tag(self) -> str:
@@ -255,11 +253,23 @@ class PermGroup(Group):
             out[j] = i
         return tuple(out)
 
-    def validate_value(self, v):
+    def _permutation(self, v) -> tuple:
         v = tuple(v)
         if sorted(v) != list(range(self.degree)):
             raise InvalidElementError(f"not a permutation of 0..{self.degree - 1}: {v!r}")
         return v
+
+    def validate_value(self, v):
+        """A permutation in the group: one outside the generators' closure,
+        which is enumerated on the first call, is not a value of it."""
+        v = self._permutation(v)
+        if v not in self._members:
+            raise InvalidElementError(f"{v!r} is not in {self.tag}")
+        return v
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self._sorted_values)
 
     def _compute_order(self):
         return len(self._sorted_values)
@@ -525,6 +535,7 @@ class WreathProductGroup(Group):
             )
             self.points.label(0)  # a top with no enumeration fails here, not mid-chain
         self.kernel = FinSupportPowerGroup(base, self.points)
+        self.projection = ValueMap(operator.itemgetter(1), self, top)  # onto the top
 
     @property
     def tag(self) -> str:
@@ -588,11 +599,6 @@ class WreathProductGroup(Group):
 
         return embed
 
-    def projection(self, e: Element) -> Element:
-        if e.group is not self and e.group.tag != self.tag:
-            raise GroupMismatchError(f"expected element of {self.tag}")
-        return Element(self.top, e.value[1])
-
     def extension(self) -> "ExtensionHandle":
         """The short exact sequence: finite-support power, wreath, top."""
         return ExtensionHandle(
@@ -602,7 +608,7 @@ class WreathProductGroup(Group):
             section=lambda q: Element(self, ((), q.value)),
             kernel_group=self.kernel,
             kernel_embed=lambda k: Element(self, (k.value, self.top.identity_value())),
-            kernel_retract=lambda e: Element(self.kernel, e.value[0]),
+            kernel_retract=ValueMap(operator.itemgetter(0), self, self.kernel),
         )
 
     def value_to_jsonable(self, v):
@@ -631,7 +637,10 @@ class ExtensionHandle:
     ``projection`` maps total onto quotient; the kernel membership test is
     projection(e) == identity.  ``section`` (a set-theoretic right inverse of
     the projection) and the kernel embed/retract pair are optional but are
-    required by chain pullbacks that materialize transversals.
+    required by chain pullbacks that materialize transversals.  The
+    library's projections and kernel retracts are ``ValueMap`` objects, whose
+    value maps the chains' stage tests compose directly; a caller's map is
+    applied to an ``Element`` built on each value.
     """
 
     total: Group

@@ -11,6 +11,18 @@ checks a transversal factor by factor and covers probes by the sift of
 ``_placer``, which coset trees share; the sift's last digit is the stage's
 own membership test.  A trivial stage tests membership with
 ``Element.is_identity``, by which the check recognises it.
+
+Membership is tested on values.  Every stage the library builds carries a
+``ValueTest``, a membership test that reads only the element's value and
+exposes that test, or is a trivial stage; a pullback, a kernel copy and a
+power stage compose the value tests of the stages they map with the
+extension's value maps (``elements.ValueMap``), so a test deep in a tower
+builds no ``Element`` on its way down.  A test or an extension map that a
+caller supplies works on elements; it goes through one adapter, which
+builds an ``Element`` on the value (``_value_test``, ``_value_map``).  The
+sift multiplies values (``Group.multiply``, by table lookup where the group
+has its Cayley table) and builds one ``Element`` per placement, the
+residue it returns.
 """
 
 from __future__ import annotations
@@ -21,9 +33,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .elements import Element, Group, GroupError
+from .elements import Element, Group, GroupError, ValueMap
 
-__all__ = ["ChainError", "Transversal", "SubgroupDescriptor"]
+__all__ = ["ChainError", "Transversal", "SubgroupDescriptor", "ValueTest"]
 
 
 class ChainError(GroupError):
@@ -111,7 +123,9 @@ class SubgroupDescriptor:
     and reports the index unverified.  It may be given as a function of no
     arguments returning the transversal or None; it then runs on the first
     read of ``transversal``.  ``infinite_index`` declares the index
-    infinite, which no transversal can show.
+    infinite, which no transversal can show.  ``membership`` tests an
+    element; a ``ValueTest`` tests its value, which the stages built on this
+    one then read without an ``Element``.
     """
 
     owner: Group
@@ -122,6 +136,41 @@ class SubgroupDescriptor:
 
     def contains(self, e: Element) -> bool:
         return self.membership(e)
+
+
+class ValueTest:
+    """A membership test that reads only the element's value: called on an
+    element ``e`` it returns ``test(e.value)``, and stages composed from it
+    call ``test`` directly."""
+
+    __slots__ = ("test",)
+
+    def __init__(self, test: Callable[[object], bool]):
+        self.test = test
+
+    def __call__(self, e: Element) -> bool:
+        return self.test(e.value)
+
+
+def _value_test(stage: SubgroupDescriptor) -> Callable[[object], bool]:
+    """The membership test of ``stage`` on values: a ``ValueTest``'s own, a
+    comparison with the identity for a trivial stage, and otherwise the
+    caller's test of an ``Element`` built on the value."""
+    m, owner = stage.membership, stage.owner
+    if isinstance(m, ValueTest):
+        return m.test
+    if m is Element.is_identity:
+        one = owner.identity_value()
+        return lambda v: v == one
+    return lambda v: m(Element(owner, v))
+
+
+def _value_map(f: Callable[[Element], Element], source: Group) -> Callable:
+    """The map ``f`` from ``source`` on values: a ``ValueMap``'s own, and
+    otherwise the value of ``f`` at an ``Element`` built on the value."""
+    if isinstance(f, ValueMap):
+        return f.values
+    return lambda v: f(Element(source, v)).value
 
 
 def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
@@ -147,10 +196,11 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
         if witness is None:
             return None
         return "transversal representatives share a coset", witness[1]
+    inside, multiply = _value_test(stage), stage.owner.multiply
     for i, rep in enumerate(reps):
-        inverse = rep.inverse()
+        inverse = rep.inverse().value
         for other in reps[i + 1:]:
-            if stage.contains(inverse * other):
+            if inside(multiply(inverse, other.value)):
                 return "transversal representatives share a coset", other
     return None
 
@@ -166,22 +216,26 @@ def _placer(t: Transversal, stage: SubgroupDescriptor
     factor fastest, as ``Transversal.rep`` counts) and the residue
     rep^-1 * p, or None when some factor has no such digit.  Each factor's
     inverses are computed once, here; an identity representative has none,
-    and its digit tests ``p`` itself."""
-    steps = [([None if rep.is_identity() else rep.inverse() for rep in reps], k)
+    and its digit tests ``p`` itself.  The sift runs on values, each digit
+    one ``Group.multiply`` and one value test of K_j; the residue is the one
+    ``Element`` it builds."""
+    steps = [([None if rep.is_identity() else rep.inverse().value for rep in reps],
+              _value_test(k))
              for reps, k in zip(t.factor_reps(), (*t.intermediates, stage))]
+    multiply = stage.owner.multiply
 
     def place(p: Element) -> Optional[tuple[int, Element]]:
-        index = 0
-        for inverses, k in steps:
+        v, index = p.value, 0
+        for inverses, inside in steps:
             for d, inverse in enumerate(inverses):
-                shifted = p if inverse is None else inverse * p
-                if k.contains(shifted):
+                shifted = v if inverse is None else multiply(inverse, v)
+                if inside(shifted):
                     index = index * len(inverses) + d
-                    p = shifted
+                    v = shifted
                     break
             else:
                 return None
-        return index, p
+        return index, Element(p.group, v)
 
     return place
 

@@ -47,7 +47,7 @@ from residua.groups import (
     wreath_product,
 )
 from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
-from residua.stages import _coset_check
+from residua.stages import ValueTest, _coset_check
 
 
 def lamplighter():
@@ -948,6 +948,58 @@ class TestTransversalCertification:
             assert all(not f.factors and not f.intermediates for f in t.factors)
             assert t.size == math.prod(f.size for f in t.factors)
         assert products >= 4
+
+def counted(chain: ChainSchema, calls: list) -> ChainSchema:
+    """``chain`` with every stage's membership replaced by a caller's test of
+    elements, which records each element it is called on."""
+    def wrap(stage):
+        return dataclasses.replace(
+            stage, membership=lambda e, m=stage.membership: calls.append(e) or m(e))
+
+    return dataclasses.replace(
+        chain, block_rule=chain.block_rule and (lambda b, n: wrap(chain.stage_at(b, n))),
+        final_limit=chain.final_limit and wrap(chain.final_limit), tail=tuple(map(wrap, chain.tail)))
+
+
+class TestValueMembership:
+    """Library stages test values; a caller's test of elements is still the
+    one consulted, through one adapter, under every combinator."""
+
+    @pytest.mark.parametrize("build", [
+        lambda q, n: concat_extension(lamplighter().extension(), q(integers_chain(2)),
+                                      n(power_chain(promote_to_omega(single_step_chain(
+                                          make_cyclic(2))), lamplighter().points))),
+        lambda q, n: power_chain(q(integers_chain(2)), natural_points()),
+        lambda q, n: diagonal_power_chain(q(s3_chain()[1]), FinitePoints([0, 1])),
+    ], ids=["concat_extension", "power_chain", "diagonal_power_chain"])
+    def test_caller_stages_are_consulted(self, build):
+        quotient_calls, kernel_calls = [], []
+        expected = verify_prefix(build(lambda c: c, lambda c: c), 3, 32, 0).to_jsonable()
+        chain = build(lambda c: counted(c, quotient_calls), lambda c: counted(c, kernel_calls))
+        assert verify_prefix(chain, 3, 32, 0).to_jsonable() == expected
+        assert quotient_calls and all(isinstance(e, Element) for e in quotient_calls)
+        if chain.group.tag == lamplighter().tag:
+            assert kernel_calls and all(e.group.tag == chain.group.kernel.tag
+                                        for e in kernel_calls)
+
+    def test_replaced_row_membership_is_the_one_verify_tests(self):
+        # dataclasses.replace drops the value test with the membership it
+        # came with, so the verifier and the sift call the replacement
+        chain = chain_for(parse_expr("tower(Dinf,2)"))
+        row, calls = chain.stage_at(1, 3), []
+        replaced_row = dataclasses.replace(
+            row, membership=lambda e: calls.append(e) or row.membership(e))
+        replaced = dataclasses.replace(
+            chain, block_rule=lambda b, n: replaced_row if (b, n) == (1, 3) else chain.stage_at(b, n))
+        expected = verify_prefix(chain, 4, 64, 0)
+        assert verify_prefix(replaced, 4, 64, 0).to_jsonable() == expected.to_jsonable()
+        # one call per probe for the membership table, then the row's checks and sift
+        assert len(calls) > expected.probes_used
+
+    def test_core_sandwich_stages_test_values(self):
+        w = wreath_product(make_symmetric(3), make_integers())
+        assert all(isinstance(stage.membership, ValueTest) for stage in core_sandwich(w))
+
 
 class TestIndexProductLaw:
     def test_finite_chain_indices_multiply_to_total(self):

@@ -351,6 +351,14 @@ class TestHugeIntegers:
         assert err.startswith("residua: parse error: unreadable integer literal at offset 2")
 
 
+def test_deep_tower_builds_few_elements(capsys, monkeypatch):
+    # stage tests compose on values and the sift builds one Element per
+    # placement; when each nested stage test projected into a new Element
+    # this run made 159,488 of them
+    argv = ["verify", "tower(Dinf,4)", "--levels", "8"]
+    assert count_builds(capsys, monkeypatch, groups.Element, argv) <= 53_000
+
+
 def count_builds(capsys, monkeypatch, cls, argv):
     """How many ``cls`` objects one successful ``main(argv)`` builds."""
     built = []

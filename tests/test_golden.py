@@ -21,11 +21,12 @@ from pathlib import Path
 import pytest
 
 from residua import cli, coset_tree, emit, finite_chain, truncate, verify_simple
-from residua.catalog import build_group
+from residua.catalog import build_group, chain_for
 from residua.chains import (
     ChainSchema,
     SubgroupDescriptor,
     Transversal,
+    _blocks,
     integers_chain,
     verify_prefix,
 )
@@ -33,6 +34,7 @@ from residua.dsl import parse_expr
 from residua.groups import Element, make_cyclic, make_integers
 from residua.oracle import chain_enumerate, minimax_chain
 from residua.ordinal import ALEPH0, CardinalBound
+from residua.stages import ValueTest
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
 
@@ -120,6 +122,27 @@ def test_failing_output_matches_pinned_digest(args):
     with contextlib.redirect_stdout(out):
         code = cli.main(list(args))
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]) == VERDICT_CASES[args]
+
+
+def _verify_argvs() -> list:
+    """(expression, levels) of every verify argv pinned above."""
+    argvs = [args for args, _ in CASES] + list(PULLBACK_CASES) + list(VERDICT_CASES)
+    return list(dict.fromkeys(
+        (args[1], int(args[args.index("--levels") + 1]) if "--levels" in args else 4)
+        for args in argvs if args[0] == "verify"))
+
+
+@pytest.mark.parametrize("expr, levels", _verify_argvs(), ids=str)
+def test_every_checked_stage_tests_values(expr, levels):
+    # each stage these runs check, and each subgroup between the factors of
+    # its transversal, carries a value test or is a trivial stage, so no
+    # library stage kind falls back to building an Element per test
+    chain = chain_for(parse_expr(expr))
+    stages = [stage for block in _blocks(chain, levels) for stage in block]
+    stages += [k for stage in stages if stage.transversal for k in stage.transversal.intermediates]
+    assert [stage.label for stage in stages
+            if not isinstance(stage.membership, ValueTest)
+            and stage.membership is not Element.is_identity] == []
 
 
 _Z = make_integers()

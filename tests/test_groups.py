@@ -81,6 +81,22 @@ class TestFactories:
         with pytest.raises(InvalidElementError):
             make_perm(3, [(0, 0, 2)])
 
+    def test_perm_rejects_a_permutation_outside_the_group(self):
+        # (0 1) is odd, so it is a permutation of 0..3 but not an element of A(4)
+        a4 = make_alternating(4)
+        with pytest.raises(InvalidElementError, match="is not in perm"):
+            a4.element((1, 0, 2, 3))
+        with pytest.raises(InvalidElementError):
+            SubgroupHandle(a4, [a4.identity_value(), (1, 0, 2, 3)])
+        assert a4.element((1, 2, 0, 3)).value == (1, 2, 0, 3)
+
+    def test_perm_group_is_built_without_its_closure(self):
+        # only the generators are checked; the closure is enumerated on the
+        # first membership test of a value
+        s12 = make_symmetric(12)
+        assert "_sorted_values" not in vars(s12)
+        assert make_alternating(4).generators
+
     def test_dihedral_flip_involution(self):
         d = make_infinite_dihedral()
         r = d.element((1, 1))
