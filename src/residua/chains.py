@@ -907,7 +907,8 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
             "witness": None if witness is None else _probe_id(witness),
         })
 
-    mem = [[[stage.contains(p) for stage in block] for block in blocks] for p in probe_elements]
+    tests = [[_value_test(stage) for stage in block] for block in blocks]
+    mem = [[[inside(p.value) for inside in block] for block in tests] for p in probe_elements]
     _check_identity_and_fullness(blocks, probe_elements, mem, chain.group.identity(), fail)
     witness_step, unresolved = _check_limit_coherence(chain, probe_elements, mem,
                                                       limit_budget, fail)

@@ -182,10 +182,11 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
     A trivial stage, recognised by its membership test
     ``Element.is_identity``, has single elements for cosets, so there the
     scan is a lookup of equal representatives."""
-    if not any(stage.contains(rep) for rep in reps):
+    inside, in_parent = _value_test(stage), _value_test(parent)
+    if not any(inside(rep.value) for rep in reps):
         return "transversal misses the identity coset", None
     for rep in reps:
-        if not parent.contains(rep):
+        if not in_parent(rep.value):
             return "transversal leaves the parent stage", rep
     if stage.membership is Element.is_identity:
         first, witness = {}, None
@@ -196,7 +197,7 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
         if witness is None:
             return None
         return "transversal representatives share a coset", witness[1]
-    inside, multiply = _value_test(stage), stage.owner.multiply
+    multiply = stage.owner.multiply
     for i, rep in enumerate(reps):
         inverse = rep.inverse().value
         for other in reps[i + 1:]:
@@ -257,8 +258,9 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
         if failure is not None:
             return None, failure
     if t.intermediates:
+        tests = [_value_test(k) for k in t.intermediates]
         for p, in_k0, in_km in zip(probes, in_parent, in_stage):
-            inside = [in_k0, *(k.contains(p) for k in t.intermediates), in_km]
+            inside = [in_k0, *(test(p.value) for test in tests), in_km]
             if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
                 return None, ("descent violated", p)
     place = _placer(t, stage)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from residua import chains, cli
+from residua import chains, cli, stages
 from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
@@ -628,6 +628,28 @@ class TestTransversal:
             t.rep(t.size)
 
 
+def count_membership_tests(monkeypatch, bound=None) -> list:
+    """A list that grows by one for each membership test from now on: each
+    ``SubgroupDescriptor.contains``, and each call of a value test that the
+    coset checks and the sift take from ``stages._value_test``.  A test past
+    ``bound`` raises AssertionError."""
+    calls = []
+    contains, value_test = SubgroupDescriptor.contains, stages._value_test
+
+    def count():
+        calls.append(1)
+        if bound is not None and len(calls) > bound[0]:
+            raise AssertionError("the row is checked pairwise")
+
+    def counted_value_test(stage):
+        inside = value_test(stage)
+        return lambda v: count() or inside(v)
+
+    monkeypatch.setattr(SubgroupDescriptor, "contains", lambda self, e: count() or contains(self, e))
+    monkeypatch.setattr(stages, "_value_test", counted_value_test)
+    return calls
+
+
 def count_transversals(monkeypatch) -> list[int]:
     """A one-item list counting ``Transversal`` constructions from now on."""
     built = [0]
@@ -872,10 +894,7 @@ class TestTransversalCertification:
         # row w + 8, on the probes verify draws by default; checked
         # pairwise, the 2^8 rows take about 10^5 calls and the 2^24 row more
         # than 10^6, so each bound holds only if every factor stays separate
-        calls = []
-        contains = SubgroupDescriptor.contains
-        monkeypatch.setattr(SubgroupDescriptor, "contains",
-                            lambda self, e: calls.append(1) or contains(self, e))
+        calls = count_membership_tests(monkeypatch)
         for expr, size, bound in [("tower(Dinf,2)", 2 ** 8, 1000),
                                   ("prod(tower(Dinf,2),Z)", 2 ** 8, 2000),
                                   ("power(tower(Dinf,2),3)", 2 ** 24, 16000)]:
@@ -901,16 +920,7 @@ class TestTransversalCertification:
         row = list(stage.transversal)
         assert len(row) == 5040
         bound = [2 * len(row)]
-        calls = []
-        contains = SubgroupDescriptor.contains
-
-        def counting(self, e):
-            calls.append(1)
-            if len(calls) > bound[0]:
-                raise AssertionError("the row is checked pairwise")
-            return contains(self, e)
-
-        monkeypatch.setattr(SubgroupDescriptor, "contains", counting)
+        calls = count_membership_tests(monkeypatch, bound)
         mutant = row[:5030] + [row[4500]] + row[5031:5039] + [row[4000]]
         index, failure = _certify_transversal(Transversal(mutant), parent, stage, [], [], [])
         assert index is None

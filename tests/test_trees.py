@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from residua import trees
+from residua import stages, trees
 from residua.catalog import build_group, chain_for
 from residua.chains import SubgroupDescriptor, Transversal, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
@@ -519,15 +519,27 @@ TREE_GROUPS = ["S(4)", "wreath(C(2),C(3))", "prod(S(3),C(4))", "prod(A(4),C(2))"
 
 
 def count_membership(monkeypatch):
-    """A one-item list that counts SubgroupDescriptor.contains calls from now on."""
+    """A one-item list that counts membership tests from now on: calls of
+    SubgroupDescriptor.contains, and of the value tests that the sift takes
+    from ``stages._value_test``."""
     calls = [0]
-    original = SubgroupDescriptor.contains
+    original, value_test = SubgroupDescriptor.contains, stages._value_test
 
     def counting(self, e):
         calls[0] += 1
         return original(self, e)
 
+    def counted_value_test(stage):
+        inside = value_test(stage)
+
+        def counted(v):
+            calls[0] += 1
+            return inside(v)
+
+        return counted
+
     monkeypatch.setattr(SubgroupDescriptor, "contains", counting)
+    monkeypatch.setattr(stages, "_value_test", counted_value_test)
     return calls
 
 
