@@ -66,6 +66,14 @@ def test_output_matches_pinned_digest(args, seed):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == pinned
 
 
+def _nested_wreath(n: int) -> str:
+    """``wreath(`` nested n deep around ``tower(Dinf,n)``, with ``,C(2))`` at
+    each level: rows that map product kernels through every level."""
+    return "wreath(" * n + f"tower(Dinf,{n})" + ",C(2))" * n
+
+
+_SHALLOW = ("--levels", "1", "--probes", "2", "--limit-budget", "1")
+
 # More argv pinned here, not in golden.json, which only holds what the
 # benchmark runs: shapes whose rows map product transversals through a
 # pullback or a coordinate embedding, towers tall enough that their power
@@ -87,6 +95,7 @@ PULLBACK_CASES = {
     ("verify", "S(7)", "--probes", "4"): "e509c0dc36767ba6",
     ("depth", "tower(Dinf,3)", "--format", "json"): "1de1292c24a46c70",
     ("tree", "wreath(C(2),Z)", "--levels", "12", "--format", "json"): "bec3b93a2a676939",
+    ("verify", _nested_wreath(4)): "537dd75f5079e518",
 }
 
 
@@ -101,7 +110,8 @@ def test_mapped_product_output_matches_pinned_digest(args):
 
 # Runs that fail or stay inconclusive, pinned the same way with their exit
 # status, so that a change to the verifier cannot reorder its failures or drop
-# a flag unseen: an index not below kappa, unresolved limits, no probes.
+# a flag unseen: an index not below kappa, unresolved limits, no probes, and
+# nested wreaths whose shallow prefix leaves a limit unresolved.
 VERDICT_CASES = {
     ("verify", "C(5)", "--kappa", "3", "--levels", "3", "--format", "json"):
         (2, "973cd1f5037d2dab"),
@@ -113,6 +123,8 @@ VERDICT_CASES = {
         (3, "abda8f12df28709f"),
     ("verify", "Z", "--probes", "0", "--format", "json"): (3, "e10dc1a0f8216ab9"),
     ("verify", "S(3)", "--kappa", "3", "--levels", "3"): (2, "0411d7136ab4cafd"),
+    ("verify", _nested_wreath(4), *_SHALLOW): (3, "f4843039628c69aa"),
+    ("verify", _nested_wreath(8), *_SHALLOW): (3, "c05f394969278666"),
 }
 
 
