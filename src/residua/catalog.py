@@ -38,7 +38,7 @@ from .chains import (
     integers_chain,
     single_step_chain,
 )
-from .elements import ORACLE_CAP, Element, Group, GroupError, ValueMap
+from .elements import ORACLE_CAP, Group, GroupError, ValueMap
 from .groups import (
     CountablePoints,
     DirectProductGroup,
@@ -112,21 +112,19 @@ def _finite_group_chain(group: Group) -> ChainSchema:
 def _split_first_factor(total: DirectProductGroup, rest_group: Group) -> ExtensionHandle:
     """The product as an extension of its later factors by its first one."""
     head, rest = total.factors[0], total.factors[1:]
+    one, identities = head.identity_value(), tuple(f.identity_value() for f in rest)
     if len(rest) == 1:
-        embed = lambda k: Element(total, (head.identity_value(), k.value))
-        retract = ValueMap(operator.itemgetter(1), total, rest_group)
+        embed, retract = (lambda k: (one, k)), operator.itemgetter(1)
     else:
-        embed = lambda k: Element(total, (head.identity_value(),) + k.value)
-        retract = ValueMap(operator.itemgetter(slice(1, None)), total, rest_group)
-    identities = tuple(f.identity_value() for f in rest)
+        embed, retract = (lambda k: (one, *k)), operator.itemgetter(slice(1, None))
     return ExtensionHandle(
         total=total,
         projection=ValueMap(operator.itemgetter(0), total, head),
         quotient=head,
-        section=lambda q: Element(total, (q.value,) + identities),
+        section=ValueMap(lambda q: (q, *identities), head, total),
         kernel_group=rest_group,
-        kernel_embed=embed,
-        kernel_retract=retract,
+        kernel_embed=ValueMap(embed, rest_group, total),
+        kernel_retract=ValueMap(retract, total, rest_group),
     )
 
 

@@ -223,7 +223,7 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
         return SubgroupDescriptor(
             owner=z,
             membership=ValueTest(lambda v, m=modulus: v % m == 0),
-            transversal=lambda: Transversal(Element(z, j * p ** (n - 1)) for j in range(p)),
+            transversal=lambda: Transversal(z, [j * p ** (n - 1) for j in range(p)]),
             label=f"multiples of {modulus}",
         )
 
@@ -256,14 +256,14 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
             return SubgroupDescriptor(
                 owner=d,
                 membership=ValueTest(lambda v: v[1] == 0),
-                transversal=lambda: Transversal((Element(d, (0, 0)), Element(d, (0, 1)))),
+                transversal=lambda: Transversal(d, ((0, 0), (0, 1))),
                 label="translations",
             )
         modulus = p ** (n - 1)
         return SubgroupDescriptor(
             owner=d,
             membership=ValueTest(lambda v, m=modulus: v[1] == 0 and v[0] % m == 0),
-            transversal=lambda: Transversal(Element(d, (j * p ** (n - 2), 0)) for j in range(p)),
+            transversal=lambda: Transversal(d, [(j * p ** (n - 2), 0) for j in range(p)]),
             label=f"translations by multiples of {modulus}",
         )
 
@@ -319,7 +319,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
             SubgroupDescriptor(
                 owner=group,
                 membership=Element.is_identity if s == {ident} else ValueTest(s.__contains__),
-                transversal=Transversal(Element(group, v) for v in reps),
+                transversal=Transversal(group, reps),
                 label=f"order {len(s)}",
             )
         )
@@ -347,7 +347,7 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
         raise ChainError("only finite chains are promoted")
     r = len(chain.tail)
     last = chain.stage_at(0, r)
-    identity = chain.group.identity()
+    identity = (chain.group.identity_value(),)
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
         if n <= r:
@@ -355,7 +355,7 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
         return SubgroupDescriptor(
             owner=chain.group,
             membership=last.membership,
-            transversal=lambda: Transversal((identity,)),
+            transversal=lambda: Transversal(chain.group, identity),
             label=(last.label or "last stage") + " (repeated)",
         )
 
@@ -373,16 +373,18 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 # --- combinators -------------------------------------------------------------
 
 
-def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element],
+def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element], target: Group,
             stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]):
-    """A function building ``stage``'s transversal carried into another
-    group, or None when the stage has none: each explicit representative
-    through ``f`` and each intermediate subgroup through ``stage_map``.  A
-    product stays a product of the images of its factors."""
+    """A function building ``stage``'s transversal carried into ``target``,
+    or None when the stage has none: each representative value through the
+    value map of ``f`` (``_value_map``) and each intermediate subgroup
+    through ``stage_map``.  A product stays a product of the images of its
+    factors."""
     def build() -> Optional[Transversal]:
-        t = stage.transversal
+        t, values = stage.transversal, _value_map(f, stage.owner)
         if t is not None:
-            return Transversal(factors=[Transversal(map(f, reps)) for reps in t.factor_reps()],
+            return Transversal(factors=[Transversal(target, map(values, reps))
+                                        for reps in t.factor_reps()],
                                intermediates=map(stage_map, t.intermediates))
     return build
 
@@ -395,7 +397,7 @@ def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subgroup
         membership=ValueTest(lambda v: inside(project(v))),
         infinite_index=stage.infinite_index,
         transversal=None if ext.section is None
-        else _mapped(stage, ext.section, lambda k: _pullback_stage(ext, k)),
+        else _mapped(stage, ext.section, ext.total, lambda k: _pullback_stage(ext, k)),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
     )
 
@@ -409,7 +411,8 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
         owner=ext.total,
         membership=ValueTest(lambda v: project(v) == one and inside(retract(v))),
         infinite_index=stage.infinite_index,
-        transversal=_mapped(stage, ext.kernel_embed, lambda k: _embed_kernel_stage(ext, k)),
+        transversal=_mapped(stage, ext.kernel_embed, ext.total,
+                            lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
     )
 
@@ -536,7 +539,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
         )
 
     def product() -> Optional[Transversal]:
-        factors = [_mapped(stage, grp.embed_at(x), lambda m, j=j, x=x: between(j, [(x, m)]))()
+        factors = [_mapped(stage, grp.embed_at(x), grp, lambda m, j=j, x=x: between(j, [(x, m)]))()
                    for j, (x, stage) in enumerate(coords)]
         if None not in factors:
             return Transversal(factors=factors,

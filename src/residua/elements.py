@@ -6,10 +6,11 @@ several levels deep and silent coercion would mask bugs.  ``Group`` is the
 base class every family in ``groups`` subclasses: identity, multiplication
 and inversion on canonical values, plus the uniform surface built on them.
 A finite group of order at most ``ORACLE_CAP`` gets a ``CayleyTable``, after
-which element products and inverses are lookups; ``Group.multiply`` is that
-product on values, which ``Element.__mul__`` and the chains' sift share.  A
-``ValueMap`` is a map of elements that is a map of values, and exposes the
-value map, so that stage tests compose it with no ``Element`` in between.
+which element products and inverses are lookups; ``Group.multiply`` and
+``Group.invert`` are that product and inverse on values, which ``Element``
+and the chains' coset checks and sift share.  A ``ValueMap`` is a map of
+elements that is a map of values, and exposes the value map, so that stage
+tests and coset representatives compose it with no ``Element`` in between.
 
 Infinite groups expose no enumeration of all elements; probabilistic checks
 draw probe elements as bounded-length random words in the generators
@@ -89,14 +90,7 @@ class Element:
         return Element(g, g.multiply(self.value, other.value))
 
     def inverse(self) -> "Element":
-        g = self.group
-        table = g._table
-        if table is not None:
-            try:
-                return Element(g, table.values[table.inv[table.index[self.value]]])
-            except KeyError:
-                pass
-        return Element(g, g.inv_value(self.value))
+        return Element(self.group, self.group.invert(self.value))
 
     def commutator_with(self, other: "Element") -> "Element":
         return self * other * self.inverse() * other.inverse()
@@ -134,7 +128,7 @@ class Group:
 
     is_residually_finite_claimed: bool = False
     has_finite_abelianization_claimed: bool = False
-    _table = None  # the CayleyTable, once cayley_table() builds it; read by Element
+    _table = None  # the CayleyTable, once cayley_table() builds it
 
     # -- value algebra, implemented by subclasses ---------------------------
 
@@ -187,6 +181,17 @@ class Group:
             except KeyError:  # a value outside the table: multiply it
                 pass
         return self.mul_values(a, b)
+
+    def invert(self, a):
+        """The inverse of a value: a lookup once the Cayley table is built,
+        ``inv_value`` otherwise."""
+        table = self._table
+        if table is not None:
+            try:
+                return table.values[table.inv[table.index[a]]]
+            except KeyError:  # a value outside the table: invert it
+                pass
+        return self.inv_value(a)
 
     def identity(self) -> Element:
         return Element(self, self.identity_value())

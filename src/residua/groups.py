@@ -463,19 +463,11 @@ class FinSupportPowerGroup(Group):
     def support(self, value) -> tuple:
         return tuple(p for p, _ in value)
 
-    def embed_at(self, point) -> Callable[[Element], Element]:
+    def embed_at(self, point) -> ValueMap:
         """Injection of the base group as the functions supported at one point."""
         if not self.points.contains(point):
             raise InvalidElementError(f"{point!r} is not a point of {self.points.tag}")
-
-        def inject(e: Element) -> Element:
-            if e.group is not self.base and e.group.tag != self.base.tag:
-                raise GroupMismatchError(
-                    f"expected element of base {self.base.tag}, got {e.group.tag}"
-                )
-            return Element(self, self._canon({point: e.value}))
-
-        return inject
+        return ValueMap(lambda v: self._canon({point: v}), self.base, self)
 
     def _compute_order(self):
         if self.base.order == 1:
@@ -590,14 +582,10 @@ class WreathProductGroup(Group):
         """The point carrying embedded base generators: the top's identity."""
         return self.top.identity_value()
 
-    def embed_base_at(self, point) -> Callable[[Element], Element]:
+    def embed_base_at(self, point) -> ValueMap:
         """Embed the base group at one point, with trivial top part."""
-        inject = self.kernel.embed_at(point)
-
-        def embed(e: Element) -> Element:
-            return Element(self, (inject(e).value, self.top.identity_value()))
-
-        return embed
+        inject, one = self.kernel.embed_at(point).values, self.top.identity_value()
+        return ValueMap(lambda v: (inject(v), one), self.base, self)
 
     def extension(self) -> "ExtensionHandle":
         """The short exact sequence: finite-support power, wreath, top."""
@@ -605,9 +593,9 @@ class WreathProductGroup(Group):
             total=self,
             projection=self.projection,
             quotient=self.top,
-            section=lambda q: Element(self, ((), q.value)),
+            section=ValueMap(lambda q: ((), q), self.top, self),
             kernel_group=self.kernel,
-            kernel_embed=lambda k: Element(self, (k.value, self.top.identity_value())),
+            kernel_embed=ValueMap(lambda k: (k, self.top.identity_value()), self.kernel, self),
             kernel_retract=ValueMap(operator.itemgetter(0), self, self.kernel),
         )
 
@@ -637,10 +625,10 @@ class ExtensionHandle:
     ``projection`` maps total onto quotient; the kernel membership test is
     projection(e) == identity.  ``section`` (a set-theoretic right inverse of
     the projection) and the kernel embed/retract pair are optional but are
-    required by chain pullbacks that materialize transversals.  The
-    library's projections and kernel retracts are ``ValueMap`` objects, whose
-    value maps the chains' stage tests compose directly; a caller's map is
-    applied to an ``Element`` built on each value.
+    required by chain pullbacks that materialize transversals.  Every map
+    the library builds is a ``ValueMap``, whose value map the chains' stage
+    tests and transversals compose directly; a caller's map is applied to
+    an ``Element`` built on each value.
     """
 
     total: Group

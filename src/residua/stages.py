@@ -12,24 +12,25 @@ checks a transversal factor by factor and covers probes by the sift of
 own membership test.  A trivial stage tests membership with
 ``Element.is_identity``, by which the check recognises it.
 
-Membership is tested on values.  Every stage the library builds carries a
-``ValueTest``, a membership test that reads only the element's value and
-exposes that test, or is a trivial stage; a pullback, a kernel copy and a
-power stage compose the value tests of the stages they map with the
-extension's value maps (``elements.ValueMap``), so a test deep in a tower
-builds no ``Element`` on its way down.  A test or an extension map that a
-caller supplies works on elements; it goes through one adapter, which
-builds an ``Element`` on the value (``_value_test``, ``_value_map``).  The
-sift multiplies values (``Group.multiply``, by table lookup where the group
-has its Cayley table) and builds one ``Element`` per placement, the
-residue it returns.
+Membership is tested on values, and a transversal holds values.  Every
+stage the library builds carries a ``ValueTest``, a membership test that
+reads only the element's value and exposes that test, or is a trivial
+stage; a pullback, a kernel copy and a power stage compose the value tests
+of the stages they map with the extension's value maps
+(``elements.ValueMap``), and carry the stage's representatives through the
+same maps, so a test or a row deep in a tower builds no ``Element`` on its
+way down.  A test or an extension map that a caller supplies works on
+elements; it goes through one adapter, which builds an ``Element`` on the
+value (``_value_test``, ``_value_map``).  The coset checks and the sift
+multiply and invert values (``Group.multiply``, ``Group.invert``, by table
+lookup where the group has its Cayley table); an ``Element`` is built only
+at the public edge: ``Transversal.rep``, iteration, and a failure's witness.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,57 +45,56 @@ class ChainError(GroupError):
 
 class Transversal:
     """Coset representatives of a stage L in its parent stage H, indexed
-    0..size-1.
+    0..size-1, held as values of ``group``.
 
-    An explicit transversal wraps a tuple.  A product transversal holds at
-    least two explicit factor transversals T_1 .. T_m and names the
-    subgroups K_1 .. K_{m-1} between them as ``intermediates``; with K_0 = H
-    and K_m = L, T_j is a transversal of K_j in K_{j-1}.  A factor that is
-    itself a product is spliced in with its own intermediates, and a
-    product of one factor is that factor.  Representative i is the ordered
-    product t_1 * ... * t_m of the factors' representatives at the
+    ``Transversal(group, values)`` is an explicit transversal.
+    ``Transversal(factors=..., intermediates=...)`` is the product of at
+    least two transversals T_1 .. T_m, naming the subgroups K_1 .. K_{m-1}
+    between them; with K_0 = H and K_m = L, T_j is a transversal of K_j in
+    K_{j-1}.  A factor that is itself a product is spliced in with its own
+    intermediates.  Either way the representatives are a tuple of factor
+    value-tuples, an explicit transversal being one factor.  Representative
+    i is the ordered product t_1 * ... * t_m of the factors' values at the
     mixed-radix digits of i, the last factor varying fastest (the order of
-    nested loops over the factors); it is built only when asked.  By the
-    product theorem these are a transversal of L in H, so ``verify_prefix``
-    certifies each factor against its own pair (K_{j-1}, K_j) and places an
-    element by sifting it through the factors.  There is no ``__len__``: a
-    product's ``size`` can exceed ``sys.maxsize``.
+    nested loops over the factors); ``rep(i)`` builds it when asked, and
+    iteration lists the products factor by factor.  Both return elements.
+    By the product theorem these are a transversal of L in H, so
+    ``verify_prefix`` certifies each factor against its own pair (K_{j-1},
+    K_j) and places an element by sifting it through the factors.  There is
+    no ``__len__``: a product's ``size`` can exceed ``sys.maxsize``.
     """
 
-    def __init__(self, reps=(), *, factors=(), intermediates=()):
-        factors, intermediates = tuple(factors), tuple(intermediates)
-        if factors and len(intermediates) != len(factors) - 1:
-            raise ChainError("a product of m factors names m - 1 intermediate subgroups")
-        spliced, between = [], []
-        for j, f in enumerate(factors):
-            between += (*intermediates[j - 1:j], *f.intermediates)
-            spliced += f.factors or (f,)
-        self.factors, self.intermediates = tuple(spliced), tuple(between)
-        if len(self.factors) == 1:
-            reps, self.factors = self.factors[0]._reps, ()
-        self._reps = tuple(reps)
-        self.size = (math.prod(f.size for f in self.factors) if self.factors
-                     else len(self._reps))
+    def __init__(self, group: Optional[Group] = None, values=(), *, factors=(),
+                 intermediates=()):
+        self.group, self._reps, self.intermediates = group, (tuple(values),), ()
+        if factors:
+            factors, intermediates = tuple(factors), tuple(intermediates)
+            if len(intermediates) != len(factors) - 1:
+                raise ChainError("a product of m factors names m - 1 intermediate subgroups")
+            self.group = factors[0].group
+            self._reps = tuple(reps for f in factors for reps in f._reps)
+            self.intermediates = tuple(k for j, f in enumerate(factors)
+                                       for k in (*intermediates[j - 1:j], *f.intermediates))
+        self.size = math.prod(map(len, self._reps))
 
     def rep(self, i: int) -> Element:
         if not 0 <= i < self.size:
             raise IndexError(f"representative {i} outside 0..{self.size - 1}")
-        if not self.factors:
-            return self._reps[i]
         picks = []
-        for f in reversed(self.factors):
-            i, digit = divmod(i, f.size)
-            picks.append(f._reps[digit])
-        return functools.reduce(operator.mul, reversed(picks))
+        for reps in reversed(self._reps):
+            i, digit = divmod(i, len(reps))
+            picks.append(reps[digit])
+        return Element(self.group, functools.reduce(self.group.multiply, reversed(picks)))
 
     def __iter__(self):
-        if not self.factors:
-            return iter(self._reps)
-        return (self.rep(i) for i in range(self.size))
+        values, multiply = self._reps[0], self.group.multiply
+        for reps in self._reps[1:]:
+            values = [multiply(v, t) for v in values for t in reps]
+        return (Element(self.group, v) for v in values)
 
-    def factor_reps(self) -> list[tuple[Element, ...]]:
-        """Each factor's representatives; an explicit transversal is one factor."""
-        return [f._reps for f in self.factors] or [self._reps]
+    def factor_reps(self) -> tuple[tuple, ...]:
+        """Each factor's representative values; an explicit transversal is one factor."""
+        return self._reps
 
 
 class _BuiltOnFirstRead:
@@ -173,21 +173,22 @@ def _value_map(f: Callable[[Element], Element], source: Group) -> Callable:
     return lambda v: f(Element(source, v)).value
 
 
-def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
-                 stage: SubgroupDescriptor) -> Optional[tuple[str, Optional[Element]]]:
-    """The first reason, with its witness, why ``reps`` is not a transversal
-    of ``stage`` in ``parent``: no representative in ``stage`` itself, one
-    outside ``parent``, or two in one left coset of ``stage``, the first i
-    with a later j, then the first such j, in the order of the pairwise scan.
-    A trivial stage, recognised by its membership test
+def _coset_check(reps: tuple, parent: SubgroupDescriptor, stage: SubgroupDescriptor
+                 ) -> Optional[tuple[str, Optional[Element]]]:
+    """The first reason, with its witness, why the values ``reps`` are not a
+    transversal of ``stage`` in ``parent``: no representative in ``stage``
+    itself, one outside ``parent``, or two in one left coset of ``stage``,
+    the first i with a later j, then the first such j, in the order of the
+    pairwise scan.  A trivial stage, recognised by its membership test
     ``Element.is_identity``, has single elements for cosets, so there the
-    scan is a lookup of equal representatives."""
-    inside, in_parent = _value_test(stage), _value_test(parent)
-    if not any(inside(rep.value) for rep in reps):
+    scan is a lookup of equal representatives.  Only a witness is built as
+    an ``Element``."""
+    inside, in_parent, owner = _value_test(stage), _value_test(parent), stage.owner
+    if not any(map(inside, reps)):
         return "transversal misses the identity coset", None
     for rep in reps:
-        if not in_parent(rep.value):
-            return "transversal leaves the parent stage", rep
+        if not in_parent(rep):
+            return "transversal leaves the parent stage", Element(owner, rep)
     if stage.membership is Element.is_identity:
         first, witness = {}, None
         for j, rep in enumerate(reps):
@@ -196,37 +197,35 @@ def _coset_check(reps: tuple[Element, ...], parent: SubgroupDescriptor,
                 witness = i, rep
         if witness is None:
             return None
-        return "transversal representatives share a coset", witness[1]
-    multiply = stage.owner.multiply
+        return "transversal representatives share a coset", Element(owner, witness[1])
+    multiply, invert = owner.multiply, owner.invert
     for i, rep in enumerate(reps):
-        inverse = rep.inverse().value
+        inverse = invert(rep)
         for other in reps[i + 1:]:
-            if inside(multiply(inverse, other.value)):
-                return "transversal representatives share a coset", other
+            if inside(multiply(inverse, other)):
+                return "transversal representatives share a coset", Element(owner, other)
     return None
 
 
-def _placer(t: Transversal, stage: SubgroupDescriptor
-            ) -> Callable[[Element], Optional[tuple[int, Element]]]:
+def _placer(t: Transversal, stage: SubgroupDescriptor) -> Callable:
     """Placement in the row of ``stage`` with transversal ``t``, whose
     factors T_1 .. T_m lie between the subgroups K_1 > ... > K_m = stage.
 
-    The returned function sifts ``p``: for j = 1..m in turn it takes the
-    digit d with t_j[d]^-1 * p in K_j and continues with that element.  It
+    The returned function sifts a value ``v``: for j = 1..m in turn it takes
+    the digit d with t_j[d]^-1 * v in K_j and continues with that value.  It
     returns the row index (mixed radix over the factor sizes, the last
     factor fastest, as ``Transversal.rep`` counts) and the residue
-    rep^-1 * p, or None when some factor has no such digit.  Each factor's
-    inverses are computed once, here; an identity representative has none,
-    and its digit tests ``p`` itself.  The sift runs on values, each digit
-    one ``Group.multiply`` and one value test of K_j; the residue is the one
-    ``Element`` it builds."""
-    steps = [([None if rep.is_identity() else rep.inverse().value for rep in reps],
-              _value_test(k))
+    rep^-1 * v, or None when some factor has no such digit.  Each factor's
+    inverses are computed once, here, by ``Group.invert``; an identity
+    representative has none, and its digit tests ``v`` itself.  Each digit
+    is one ``Group.multiply`` and one value test of K_j."""
+    one, invert = stage.owner.identity_value(), stage.owner.invert
+    steps = [([None if rep == one else invert(rep) for rep in reps], _value_test(k))
              for reps, k in zip(t.factor_reps(), (*t.intermediates, stage))]
     multiply = stage.owner.multiply
 
-    def place(p: Element) -> Optional[tuple[int, Element]]:
-        v, index = p.value, 0
+    def place(v) -> Optional[tuple[int, object]]:
+        index = 0
         for inverses, inside in steps:
             for d, inverse in enumerate(inverses):
                 shifted = v if inverse is None else multiply(inverse, v)
@@ -236,7 +235,7 @@ def _placer(t: Transversal, stage: SubgroupDescriptor
                     break
             else:
                 return None
-        return index, Element(p.group, v)
+        return index, v
 
     return place
 
@@ -265,6 +264,6 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
                 return None, ("descent violated", p)
     place = _placer(t, stage)
     for p, in_k0 in zip(probes, in_parent):
-        if in_k0 and place(p) is None:
+        if in_k0 and place(p.value) is None:
             return None, ("transversal does not cover a parent probe", p)
     return t.size, None

@@ -132,14 +132,19 @@ class TreeTruncation:
             raise TreeError("truncation has no chain backing")
         return [self.chain.stage_at(self.block, k) for k in range(depth + 1)]
 
+    def _row(self, level: int) -> Transversal:
+        """The product of the block's transversals at local levels 1..level,
+        after the identity: vertex i's representative is its i-th one."""
+        stages, group = self._stages(level), self.chain.group
+        return Transversal(factors=[Transversal(group, (group.identity_value(),)),
+                                    *(s.transversal for s in stages[1:])],
+                           intermediates=stages[:-1])
+
     def representative(self, level: int, idx: int) -> Element:
         """A group element whose coset thread is this vertex."""
         if not 0 <= idx < self.size(level):
             raise TreeError(f"no vertex {idx} at level {level}")
-        stages = self._stages(level)
-        root = Transversal((self.chain.group.identity(),))
-        return Transversal(factors=[root, *(s.transversal for s in stages[1:])],
-                           intermediates=stages[:-1]).rep(idx)
+        return self._row(level).rep(idx)
 
     @cached_property
     def _placers(self) -> list[Callable]:
@@ -150,10 +155,7 @@ class TreeTruncation:
     @cached_property
     def _deepest_reps(self) -> list[Element]:
         """Representatives of the deepest vertices, in index order, built on first use."""
-        stages, reps = self._stages(self.depth), [self.chain.group.identity()]
-        for stage in stages[1:]:  # the last factor varies fastest, as in representative
-            reps = [r * t for r in reps for t in stage.transversal]
-        return reps
+        return list(self._row(self.depth))
 
     def _check_element(self, e: Element) -> None:
         """Raise TreeError unless e belongs to the backing chain's group."""
@@ -168,12 +170,12 @@ class TreeTruncation:
         self._check_element(e)
         if depth is not None:
             self._level(depth)
-        digits = []
+        digits, v = [], e.value
         for k, place in enumerate(self._placers[:depth], start=1):
-            placed = place(e)
+            placed = place(v)
             if placed is None:
                 raise TreeError(f"transversal at level {k} does not cover the element")
-            d, e = placed
+            d, v = placed
             digits.append(d)
         return tuple(digits)
 

@@ -737,8 +737,7 @@ def multiples(m):
 
 
 def integer_reps(*values):
-    z = make_integers()
-    return Transversal(Element(z, v) for v in values)
+    return Transversal(make_integers(), values)
 
 
 def certify(t, parent, stage, probes):
@@ -833,7 +832,7 @@ class TestTransversalCertification:
     @pytest.mark.parametrize("case", BAD_PRODUCT_ROWS, ids=lambda c: c[0])
     def test_bad_product_rows_fail_when_materialized(self, case):
         _, t, parent, stage, probes, *_ = case
-        explicit = Transversal(tuple(t))
+        explicit = Transversal(t.group, [e.value for e in t])
         assert certify(explicit, multiples(parent), multiples(stage), probes)[0] is None
 
     @pytest.mark.parametrize("expr, levels, probes", [
@@ -848,7 +847,7 @@ class TestTransversalCertification:
         for parent, stage in (pair for block in _blocks(chain, levels)
                               for pair in zip(block, block[1:])):
             t = stage.transversal
-            if t is None or len(t.factors) < 2 or t.size > 64:
+            if t is None or len(t.factor_reps()) < 2 or t.size > 64:
                 continue
             # parent elements in many cosets, so that the sift does real work
             inside = [chain.group.identity(), *[p for p in sample if stage.contains(p)][:1]]
@@ -856,7 +855,8 @@ class TestTransversalCertification:
             in_parent = [parent.contains(p) for p in row_sample]
             in_stage = [stage.contains(p) for p in row_sample]
             factorwise = _certify_transversal(t, parent, stage, row_sample, in_parent, in_stage)
-            pairwise = _certify_transversal(Transversal(tuple(t)), parent, stage, row_sample,
+            explicit = Transversal(t.group, [e.value for e in t])
+            pairwise = _certify_transversal(explicit, parent, stage, row_sample,
                                             in_parent, in_stage)
             assert factorwise == pairwise == (t.size, None)
             compared += 1
@@ -922,10 +922,12 @@ class TestTransversalCertification:
         bound = [2 * len(row)]
         calls = count_membership_tests(monkeypatch, bound)
         mutant = row[:5030] + [row[4500]] + row[5031:5039] + [row[4000]]
-        index, failure = _certify_transversal(Transversal(mutant), parent, stage, [], [], [])
+        index, failure = _certify_transversal(Transversal(chain.group, [e.value for e in mutant]),
+                                              parent, stage, [], [], [])
         assert index is None
         assert failure == ("transversal representatives share a coset", row[4000])
-        assert failure[1] is mutant[5039]
+        # a row holds values, whose copies are told apart by nothing but position
+        assert failure[1] == mutant[5039]
         calls.clear()
         bound[0] = 6 * len(row)  # and a scan of the row for each probe
         probes = random_words(chain.group, 4, 0)
@@ -950,13 +952,11 @@ class TestTransversalCertification:
         products = 0
         for stage in (s for block in _blocks(chain_for(parse_expr(expr)), 5) for s in block):
             t = stage.transversal
-            if t is None or not t.factors:
+            if t is None or len(t.factor_reps()) < 2:
                 continue
             products += 1
-            assert len(t.factors) >= 2
-            assert len(t.intermediates) == len(t.factors) - 1
-            assert all(not f.factors and not f.intermediates for f in t.factors)
-            assert t.size == math.prod(f.size for f in t.factors)
+            assert len(t.intermediates) == len(t.factor_reps()) - 1
+            assert t.size == math.prod(map(len, t.factor_reps()))
         assert products >= 4
 
 def counted(chain: ChainSchema, calls: list) -> ChainSchema:

@@ -164,7 +164,7 @@ _ZERO = SubgroupDescriptor(owner=_Z, membership=lambda e: e.value == 0, label="z
 def _multiples(m, reps=None):
     return SubgroupDescriptor(
         owner=_Z, membership=lambda e: e.value % m == 0, label=f"multiples of {m}",
-        transversal=None if reps is None else Transversal(Element(_Z, v) for v in reps),
+        transversal=None if reps is None else Transversal(_Z, reps),
     )
 
 

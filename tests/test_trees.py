@@ -232,7 +232,7 @@ class TestAct:
         # under ``python -O`` too, so it is a TreeError and not an assert.
         s3, chain = s3_chain()
         first, last = chain.tail
-        row = lambda *values: Transversal(s3.element(v) for v in values)
+        row = lambda *values: Transversal(s3, values)
         chain = dataclasses.replace(chain, tail=(
             dataclasses.replace(first, transversal=row((0, 1, 2), (1, 0, 2))),
             dataclasses.replace(last, transversal=row((0, 1, 2), (0, 2, 1), (1, 2, 0)))))
@@ -659,7 +659,7 @@ class TestPlacement:
         # S(3) > C(3) > 1 with a C(3) transversal inside C(3): the (1 2) coset is missing
         s3, chain = s3_chain()
         c3 = chain.tail[0]
-        inside = Transversal((s3.identity(), s3.element((1, 2, 0))))
+        inside = Transversal(s3, ((0, 1, 2), (1, 2, 0)))
         chain = dataclasses.replace(
             chain, tail=(dataclasses.replace(c3, transversal=inside), *chain.tail[1:]))
         tr = truncate(coset_tree(chain), 2)
