@@ -614,6 +614,14 @@ class TestTransversal:
         assert t.size == 8
         assert [e.value for e in t] == self.coordinatewise_reference(diag.group, coords)
 
+    @pytest.mark.parametrize("expr, n", [("tower(Dinf,2)", 6), ("prod(tower(Z,2),C(3))", 5),
+                                         ("power(tower(Dinf,2),3)", 3)])
+    def test_product_iteration_is_in_rep_order(self, expr, n):
+        # iteration multiplies factor by factor; rep(i) multiplies i's digits
+        t = chain_for(parse_expr(expr)).stage_at(1, n).transversal
+        assert len(t.factor_reps()) >= 2
+        assert list(t) == [t.rep(i) for i in range(t.size)]
+
     def test_deep_stage_built_on_demand(self):
         chain = tower_chain(make_integers(), integers_chain(2), 2)
         start = time.perf_counter()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from residua import catalog, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
+from residua.fixtures import finite_fixtures
 from residua.elements import (
     ORACLE_CAP,
     Element,
@@ -729,6 +730,31 @@ class TestCayleyTable:
         assert (odd * one).value == 3 and (one * odd).value == 3
         assert odd.inverse().value == 3
         assert calls[0] == 2 and inverses[0] == 1
+
+    def test_invert_is_inv_value_with_and_without_the_table(self):
+        for name, g in finite_fixtures():
+            values = g.element_values()
+            expected = [g.inv_value(v) for v in values]
+            assert g._table is None, name
+            assert [g.invert(v) for v in values] == expected, name
+            g.cayley_table()
+            assert [g.invert(v) for v in values] == expected, name
+
+    def test_invert_takes_the_table_lookup(self, monkeypatch):
+        g = make_symmetric(4)
+        table = g.cayley_table()
+        inverses = count_calls(monkeypatch, groups.PermGroup, "inv_value")
+        assert [g.invert(v) for v in table.values] == [table.values[i] for i in table.inv]
+        assert inverses[0] == 0
+
+    @pytest.mark.parametrize("expr", ["Z", "Dinf", "wreath(C(2),Z)", "tower(Dinf,2)"])
+    def test_invert_without_a_table(self, expr):
+        g = build_group(parse_expr(expr))
+        assert g.cayley_table() is None
+        for p in random_words(g, 16, 0):
+            inverse = g.invert(p.value)
+            assert inverse == g.inv_value(p.value)
+            assert g.multiply(p.value, inverse) == g.identity_value()
 
     def test_no_table_above_the_cap(self):
         g = build_group(parse_expr("power(C(2),8)"))
