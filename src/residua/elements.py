@@ -40,6 +40,7 @@ __all__ = [
 
 
 ORACLE_CAP = 128  # the largest order that gets a Cayley table and an oracle lattice
+ENUMERATION_CAP = 5_000_000  # the largest order whose elements are listed
 
 
 class GroupError(Exception):
@@ -202,9 +203,12 @@ class Group:
     @cached_property
     def _sorted_values(self) -> list:
         """The enumerated values, sorted by ``label_sort_key`` and counted
-        against the order."""
+        against the order; a group above ``ENUMERATION_CAP`` is not listed."""
         if self.order is None:
             raise GroupError(f"{self.tag} is infinite; no element enumeration")
+        if self.order > ENUMERATION_CAP:
+            raise GroupError(f"{self.tag} has {self.order} elements, more than the "
+                             f"{ENUMERATION_CAP} a group may list")
         vals = sorted(set(self._enumerate_values()), key=label_sort_key)
         if len(vals) != self.order:
             raise GroupError(f"{self.tag}: enumerated {len(vals)} values but order is {self.order}")

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -380,11 +381,12 @@ def count_builds(capsys, monkeypatch, cls, argv):
     return len(built)
 
 
-def run_module(*argv, timeout=None):
+def run_module(*argv, timeout=None, preexec_fn=None):
     src = str(Path(residua.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "residua.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -503,6 +505,29 @@ class TestDeepRows:
         result = run_module("verify", "power(" * 10 + "Dinf" + ",N)" * 10, timeout=10)
         assert result.returncode == 0
         assert result.stdout.startswith("verdict: pass\n")
+
+
+def _limit_address_space():
+    """Cap the address space at 1.5 GB, in the child process only."""
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+class TestGroupsTooBigToList:
+    @pytest.mark.parametrize("argv", [
+        ("depth", "C(1000000000000)"),
+        ("verify", "C(1000000000000)"),
+        ("tree", "C(1000000000000)"),
+        ("depth", "prod(C(1000000007),C(1000000009))"),
+        ("depth", "wreath(C(1000000000000),Z)"),
+    ], ids=" ".join)
+    def test_exits_4_with_one_line(self, argv):
+        # listing these groups' elements died with a MemoryError traceback
+        # and exit 1, the parse error's code; the order is now checked
+        # against elements.ENUMERATION_CAP before any element is listed
+        result = run_module(*argv, timeout=5, preexec_fn=_limit_address_space)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert len(result.stderr.splitlines()) == 1
+        assert "elements, more than the 5000000 a group may list" in result.stderr
 
 
 # Argv drawn for the fuzz test below.  Sizes stay small (nesting <= 2,

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from residua import catalog, groups
+from residua import catalog, elements, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
 from residua.fixtures import finite_fixtures
@@ -755,6 +755,14 @@ class TestCayleyTable:
             inverse = g.invert(p.value)
             assert inverse == g.inv_value(p.value)
             assert g.multiply(p.value, inverse) == g.identity_value()
+
+    def test_listing_stops_at_the_enumeration_cap(self, monkeypatch):
+        # C(5000000) keeps its one-step certificate; larger groups are not listed
+        assert elements.ENUMERATION_CAP >= 5_000_000
+        monkeypatch.setattr(elements, "ENUMERATION_CAP", 6)
+        assert make_cyclic(6).element_values() == list(range(6))
+        with pytest.raises(GroupError, match="C\\(7\\) has 7 elements, more than the 6"):
+            make_cyclic(7).element_values()
 
     def test_no_table_above_the_cap(self):
         g = build_group(parse_expr("power(C(2),8)"))
