@@ -52,7 +52,7 @@ class Transversal:
     least two transversals T_1 .. T_m, naming the subgroups K_1 .. K_{m-1}
     between them; with K_0 = H and K_m = L, T_j is a transversal of K_j in
     K_{j-1}.  A factor that is itself a product is spliced in with its own
-    intermediates.  Either way the representatives are a tuple of factor
+    intermediates, and a product of one factor is that factor.  Either way the representatives are a tuple of factor
     value-tuples, an explicit transversal being one factor.  Representative
     i is the ordered product t_1 * ... * t_m of the factors' values at the
     mixed-radix digits of i, the last factor varying fastest (the order of
@@ -66,9 +66,10 @@ class Transversal:
 
     def __init__(self, group: Optional[Group] = None, values=(), *, factors=(),
                  intermediates=()):
+        factors = tuple(factors)
         self.group, self._reps, self.intermediates = group, (tuple(values),), ()
         if factors:
-            factors, intermediates = tuple(factors), tuple(intermediates)
+            intermediates = tuple(intermediates)
             if len(intermediates) != len(factors) - 1:
                 raise ChainError("a product of m factors names m - 1 intermediate subgroups")
             self.group = factors[0].group
