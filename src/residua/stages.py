@@ -52,16 +52,17 @@ class Transversal:
     least two transversals T_1 .. T_m, naming the subgroups K_1 .. K_{m-1}
     between them; with K_0 = H and K_m = L, T_j is a transversal of K_j in
     K_{j-1}.  A factor that is itself a product is spliced in with its own
-    intermediates, and a product of one factor is that factor.  Either way the representatives are a tuple of factor
-    value-tuples, an explicit transversal being one factor.  Representative
-    i is the ordered product t_1 * ... * t_m of the factors' values at the
-    mixed-radix digits of i, the last factor varying fastest (the order of
-    nested loops over the factors); ``rep(i)`` builds it when asked, and
-    iteration lists the products factor by factor.  Both return elements.
-    By the product theorem these are a transversal of L in H, so
-    ``verify_prefix`` certifies each factor against its own pair (K_{j-1},
-    K_j) and places an element by sifting it through the factors.  There is
-    no ``__len__``: a product's ``size`` can exceed ``sys.maxsize``.
+    intermediates, and a product of one factor is that factor.  Either way
+    the representatives are a tuple of factor value-tuples, an explicit
+    transversal being one factor.  Representative i is the ordered product
+    t_1 * ... * t_m of the factors' values at the mixed-radix digits of i,
+    the last factor varying fastest (the order of nested loops over the
+    factors); ``rep(i)`` builds it when asked, and iteration lists the
+    products factor by factor.  Both return elements.  By the product
+    theorem these are a transversal of L in H, so ``verify_prefix``
+    certifies each factor against its own pair (K_{j-1}, K_j) and places an
+    element by sifting it through the factors.  There is no ``__len__``: a
+    product's ``size`` can exceed ``sys.maxsize``.
     """
 
     def __init__(self, group: Optional[Group] = None, values=(), *, factors=(),
