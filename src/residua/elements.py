@@ -325,22 +325,23 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
     return list(seen)
 
 
-def _ball(one, letters, mul: Callable, radius: int, full: Callable) -> set:
-    """The set of elements that words of length at most ``radius`` reach from ``one``.
+def _ball(one, letters, mul: Callable, radius: int, full: Callable) -> dict:
+    """The elements that words of length at most ``radius`` reach from
+    ``one``, each mapped to the length of its shortest word.
 
     Each word step right-multiplies by a letter or its inverse under ``mul``;
     ``letters`` holds (letter, inverse) pairs.  The walk is breadth-first and
-    stops as soon as ``full`` holds for the set found so far.
+    stops as soon as ``full`` holds for the elements found so far.
     """
-    ball, frontier = {one}, [one]
-    for _ in range(radius):
+    ball, frontier = {one: 0}, [one]
+    for depth in range(1, radius + 1):
         new = []
         for a in frontier:
             for letter in letters:
                 for b in letter:
                     c = mul(a, b)
                     if c not in ball:
-                        ball.add(c)
+                        ball[c] = depth
                         new.append(c)
                         if full(ball):
                             return ball
@@ -366,7 +367,9 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     once.  After ``count`` misses the ball is counted by ``_ball``, up to
     ``count + 1`` elements; if it is smaller, drawing stops once all its
     non-identity elements are found, since every later word would be the
-    identity or a repeat.
+    identity or a repeat.  From then on a word shorter than the nearest
+    element not yet drawn (by breadth-first depth) can only give an element
+    already drawn, so its letters are drawn but not multiplied.
     """
     one = group.identity_value()
     letters = [(g.value, group.inv_value(g.value)) for g in group.generators if g.value != one]
@@ -383,22 +386,30 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     out = []
     wanted = count
     attempts = 0
+    depth, nearest = {}, 0  # the ball, once counted, and the depth of its nearest new element
     while len(out) < wanted and attempts < 30 * count:
         attempts += 1
         r = bits(length_bits)  # rng.randint(1, max_len), inlined
         while r >= max_len:
             r = bits(length_bits)
-        e = one
+        e, drawn_only = one, r + 1 < nearest  # such a word reaches only drawn elements
         for _ in range(r + 1):
             i = bits(letter_bits)  # rng.choice(letters), inlined
             while i >= n_letters:
                 i = bits(letter_bits)
             v, inv = letters[i]
-            e = product(e, inv if uniform() < 0.5 else v)
+            if drawn_only:
+                uniform()
+            else:
+                e = product(e, inv if uniform() < 0.5 else v)
         if e in seen:
             if attempts - len(out) == count:
-                wanted = len(_ball(one, letters, product, max_len, lambda b: len(b) > count)) - 1
+                depth = _ball(one, letters, product, max_len, lambda b: len(b) > count)
+                wanted = len(depth) - 1
+                nearest = min((d for x, d in depth.items() if x not in seen), default=0)
             continue
         seen.add(e)
         out.append(e)
+        if depth:
+            nearest = min((d for x, d in depth.items() if x not in seen), default=0)
     return [Element(group, v) for v in out]

@@ -682,7 +682,8 @@ def extension_from_quotient(
     targets = {g for g in quotient.generators if not g.is_identity()}
     if targets:
         images = [(img, img.inverse()) for img in map(projection, total.generators)]
-        if not targets <= _ball(quotient.identity(), images, operator.mul, 4, targets.issubset):
+        reached = _ball(quotient.identity(), images, operator.mul, 4, targets.issubset)
+        if not targets <= reached.keys():
             raise GroupError("projection does not reach the quotient generators")
     if section is not None:
         for a in ps[:8]:

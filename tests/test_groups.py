@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from dataclasses import fields
 
 import pytest
@@ -538,6 +539,49 @@ class TestProbes:
             ((1, 1), (2, 1), (3, 1)), ((0, 1), (1, 1), (3, 1)), ((0, 1), (2, 1), (3, 1)),
         ]
         assert calls[0] <= 200
+
+    def test_exhausted_ball_skips_short_words(self, monkeypatch):
+        # Z's radius-8 ball holds 16 non-identity values and seed 0 finds 14,
+        # so all 1,920 attempts run; once the ball is counted, a word shorter
+        # than the nearest value not yet drawn is drawn but not multiplied.
+        # Each product is cached, so mul_values runs 30 times either way; the
+        # products taken through the cache fell from 8,620 to 2,877.
+        taken, cached = [0], elements.cache
+
+        def counting_cache(f):
+            product = cached(f)
+            return lambda a, b: taken.__setitem__(0, taken[0] + 1) or product(a, b)
+
+        monkeypatch.setattr(elements, "cache", counting_cache)
+        calls = self.count_products(monkeypatch)
+        assert len(random_words(build_group(parse_expr("Z")), 64, seed=0)) == 14
+        assert calls[0] <= 30
+        assert taken[0] <= 3000
+
+    @staticmethod
+    def reference_words(g, count, seed, max_len) -> list:
+        """``random_words`` as ``Random.randint`` and ``Random.choice`` draw
+        it, every word multiplied and every attempt made."""
+        rng, one = random.Random(seed), g.identity_value()
+        letters = [(e.value, g.inv_value(e.value)) for e in g.generators if e.value != one]
+        seen, out = {one}, []
+        for _ in range(30 * count):
+            e = one
+            for _ in range(rng.randint(1, max_len)):
+                v, inv = rng.choice(letters)
+                e = g.mul_values(e, inv if rng.random() < 0.5 else v)
+            if e not in seen and len(out) < count:
+                seen.add(e)
+                out.append(e)
+        return out
+
+    @pytest.mark.parametrize("expr", ["Z", "Dinf", "power(C(2),N)"])
+    def test_small_ball_draw_matches_the_reference(self, expr):
+        g = build_group(parse_expr(expr))
+        for max_len in (1, 2, 3, 5, 8, 13):
+            for seed in range(4):
+                drawn = [e.value for e in random_words(g, 64, seed, max_len=max_len)]
+                assert drawn == self.reference_words(g, 64, seed, max_len), (max_len, seed)
 
     def test_deterministic(self):
         g = make_symmetric(4)
