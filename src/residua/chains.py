@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -54,6 +55,11 @@ from .stages import (
     Transversal,
     ValueTest,
     _certify_transversal,
+    _Image,
+    _Power,
+    _RowChecks,
+    _ShapedRow,
+    _sourced,
     _value_map,
     _value_test,
 )
@@ -375,31 +381,32 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 
 def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element], target: Group,
             stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]):
-    """A function building ``stage``'s transversal carried into ``target``,
-    or None when the stage has none: each representative value through the
-    value map of ``f`` (``_value_map``) and each intermediate subgroup
-    through ``stage_map``.  A product stays a product of the images of its
-    factors."""
+    """A function building ``stage``'s row carried into ``target``, or None
+    when the stage has none.  The row keeps its shape (``_ShapedRow``): its
+    factors, built on first read, are the images of the stage's factors,
+    each representative value through the value map of ``f``
+    (``_value_map``), and its intermediates those of the stage through
+    ``stage_map``."""
     def build() -> Optional[Transversal]:
         t, values = stage.transversal, _value_map(f, stage.owner)
         if t is not None:
-            return Transversal(factors=[Transversal(target, map(values, reps))
-                                        for reps in t.factor_reps()],
-                               intermediates=map(stage_map, t.intermediates))
+            return _ShapedRow(target, t.size, lambda: Transversal(
+                factors=[Transversal(target, map(values, reps)) for reps in t.factor_reps()],
+                intermediates=map(stage_map, t.intermediates)))
     return build
 
 
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
     """The preimage of ``stage``: its value test of the projected value."""
     project, inside = _value_map(ext.projection, ext.total), _value_test(stage)
-    return SubgroupDescriptor(
+    return _sourced(SubgroupDescriptor(
         owner=ext.total,
         membership=ValueTest(lambda v: inside(project(v))),
         infinite_index=stage.infinite_index,
         transversal=None if ext.section is None
         else _mapped(stage, ext.section, ext.total, lambda k: _pullback_stage(ext, k)),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
-    )
+    ), _Image(ext.section, stage, project))
 
 
 def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
@@ -407,14 +414,14 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
     quotient's identity, and the retracted value passes ``stage``'s test."""
     project, one = _value_map(ext.projection, ext.total), ext.quotient.identity_value()
     retract, inside = _value_map(ext.kernel_retract, ext.total), _value_test(stage)
-    return SubgroupDescriptor(
+    return _sourced(SubgroupDescriptor(
         owner=ext.total,
         membership=ValueTest(lambda v: project(v) == one and inside(retract(v))),
         infinite_index=stage.infinite_index,
         transversal=_mapped(stage, ext.kernel_embed, ext.total,
                             lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
-    )
+    ), _Image(ext.kernel_embed, stage, lambda v: retract(v) if project(v) == one else None))
 
 
 def concat_extension(ext: ExtensionHandle, chain_q: ChainSchema,
@@ -516,18 +523,20 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
 
 
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
-                          support: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
+                          support: Optional[SubgroupDescriptor], label: str,
+                          top: Optional[SubgroupDescriptor] = None) -> SubgroupDescriptor:
     """A finite-support power stage with the membership test of ``coords``
     and ``support``.  The transversal is the product of the points' ones,
     and the index is infinite when one point's is.  ``parent_coords``
     constrains the parent stage the same way (points past its end only by
-    ``support``).  Factor j of the transversal is the base transversal at
-    the j-th point, embedded at that point, and the intermediate K_j takes
-    the stage's constraints at the first j points and the parent's at the
-    rest, so each factor moves one coordinate down one base stage; elements
-    with disjoint supports commute.  A base intermediate M of factor j
-    becomes K_(j-1) with the j-th point at M.  The transversal is built on
-    first read."""
+    ``support``, which leaves them in the base stage ``top``).  The row
+    keeps its shape (``_ShapedRow``, ``_Power``), and its factors are built
+    on their first read: factor j is the base transversal at the j-th point,
+    embedded at that point, and the intermediate K_j takes the stage's
+    constraints at the first j points and the parent's at the rest, so each
+    factor moves one coordinate down one base stage; elements with disjoint
+    supports commute.  A base intermediate M of factor j becomes K_(j-1)
+    with the j-th point at M."""
 
     def between(j: int, at_j: list) -> SubgroupDescriptor:
         """The first j points as in the stage, then ``at_j``, then the parent's."""
@@ -538,20 +547,23 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
             label=f"{label}, intermediate",
         )
 
-    def product() -> Optional[Transversal]:
+    def flat() -> Transversal:
         factors = [_mapped(stage, grp.embed_at(x), grp, lambda m, j=j, x=x: between(j, [(x, m)]))()
                    for j, (x, stage) in enumerate(coords)]
-        if None not in factors:
-            return Transversal(factors=factors,
-                               intermediates=[between(j, parent_coords[j:j + 1])
-                                              for j in range(1, len(coords))])
+        return Transversal(factors=factors, intermediates=[between(j, parent_coords[j:j + 1])
+                                                           for j in range(1, len(coords))])
+
+    def product() -> Optional[Transversal]:
+        rows = [stage.transversal for _, stage in coords]
+        if None not in rows:
+            return _ShapedRow(grp, math.prod(row.size for row in rows), flat)
 
     infinite = any(stage.infinite_index for _, stage in coords)
-    return SubgroupDescriptor(
+    return _sourced(SubgroupDescriptor(
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
         infinite_index=infinite, transversal=None if infinite or not coords else product,
         label=label,
-    )
+    ), _Power(grp, dict(coords), support, top))
 
 
 def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
@@ -582,10 +594,10 @@ def _power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSch
         return [(grp.points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)]
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
+        top = base_chain.stage_at(b, 0)
         return _coordinatewise_stage(
-            grp, coords(b, n), coords(b, n - 1),
-            base_chain.stage_at(b, 0) if b > 0 else None,
-            f"coordinatewise block {b} step {n}",
+            grp, coords(b, n), coords(b, n - 1), top if b > 0 else None,
+            f"coordinatewise block {b} step {n}", top,
         )
 
     final = _coordinatewise_stage(grp, [], [], base_chain.stage_at(q, 0),
@@ -807,7 +819,7 @@ def _check_limit_coherence(chain: ChainSchema, probes: list[Element], mem, budge
 
 def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupDescriptor,
                 probes: list[Element], in_parent: list[bool], in_stage: list[bool],
-                kappa: CardinalBound, fail: _Fail):
+                kappa: CardinalBound, fail: _Fail, rows: _RowChecks):
     """The index entry of one successor stage: certified by the transversal when
     the stage has one, otherwise a probe-counted lower bound or "unverified"."""
     if stage.infinite_index:
@@ -815,7 +827,7 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
         return "infinite"
     if stage.transversal is not None:
         size, failure = _certify_transversal(stage.transversal, parent, stage, probes,
-                                             in_parent, in_stage)
+                                             in_parent, in_stage, rows)
         if failure is not None:
             fail(failure[0], ordinal_i, failure[1])
             return None
@@ -837,8 +849,9 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
 def _check_indices(blocks, probes: list[Element], mem, kappa: CardinalBound,
                    fail: _Fail) -> list[dict]:
     """Descent from step n - 1 to step n of each block and the step index,
-    one report per stage."""
-    reports = []
+    one report per stage.  The rows share one ``_RowChecks``, so each
+    distinct base row is checked once."""
+    reports, rows = [], _RowChecks()
     for b, block in enumerate(blocks):
         for n, stage in enumerate(block):
             ordinal_i, descent_ok, index_value = OMEGA * b + n, True, None
@@ -849,7 +862,7 @@ def _check_indices(blocks, probes: list[Element], mem, kappa: CardinalBound,
                         fail("descent violated", ordinal_i, p)
                         descent_ok = False
                 index_value = _step_index(ordinal_i, stage, block[n - 1], probes,
-                                          in_parent, in_stage, kappa, fail)
+                                          in_parent, in_stage, kappa, fail, rows)
             reports.append({"stage": format_ordinal(ordinal_i), "index": index_value,
                             "descent": descent_ok})
     return reports

@@ -99,6 +99,28 @@ class Transversal:
         return self._reps
 
 
+class _ShapedRow(Transversal):
+    """The row of a stage the library built from other stages' rows (see
+    ``_Image`` and ``_Power``): ``size`` representatives, whose factors and
+    intermediates ``flat`` builds as a ``Transversal`` on their first read.
+    The certifier reads the row's shape from its stages instead."""
+
+    def __init__(self, group: Group, size: int, flat: Callable[[], Transversal]):
+        self.group, self.size, self._flat = group, size, flat
+
+    @functools.cached_property
+    def _built(self) -> Transversal:
+        return self._flat()
+
+    @property
+    def _reps(self):
+        return self._built._reps
+
+    @property
+    def intermediates(self):
+        return self._built.intermediates
+
+
 class _BuiltOnFirstRead:
     """The ``transversal`` field: a value given as a function of no
     arguments is called on the first read, and its result is kept."""
@@ -138,6 +160,38 @@ class SubgroupDescriptor:
 
     def contains(self, e: Element) -> bool:
         return self.membership(e)
+
+
+@dataclass(frozen=True, eq=False)
+class _Image:
+    """How the library built a stage as the image of the stage ``source``
+    under the extension map ``via`` (a kernel copy or a pullback): ``back``
+    takes a value to its source value, or to None off the image."""
+
+    via: object
+    source: SubgroupDescriptor
+    back: Callable
+
+
+@dataclass(frozen=True, eq=False)
+class _Power:
+    """How the library built a stage of the finite-support power ``group``:
+    ``coords`` maps points to the base stages that hold their values,
+    ``support`` (or None) holds every supported value, and ``top`` (or None)
+    is the base stage that a parent leaving a point free holds it in."""
+
+    group: Group
+    coords: dict
+    support: Optional[SubgroupDescriptor]
+    top: Optional[SubgroupDescriptor]
+
+
+def _sourced(stage: SubgroupDescriptor, source) -> SubgroupDescriptor:
+    """``stage``, marked as built from ``source`` (an ``_Image`` or a
+    ``_Power``).  ``dataclasses.replace`` drops the mark, so a replaced
+    stage is certified as a caller's."""
+    object.__setattr__(stage, "_source", source)
+    return stage
 
 
 class ValueTest:
@@ -242,17 +296,126 @@ def _placer(t: Transversal, stage: SubgroupDescriptor) -> Callable:
     return place
 
 
+class _RowChecks:
+    """The checks of library-built rows that one verify run shares.
+
+    The row of ``stage`` in ``parent`` splits when the library built both
+    as images under one extension map, or as stages of one finite-support
+    power (``_Image``, ``_Power``): into the row of the source stage in the
+    source parent, or into one base row per point that ``stage`` constrains,
+    of its base stage in the parent's base stage there (or in ``top``).  A
+    row that does not split is a leaf, checked as ``_certify_transversal``
+    checks a caller's row.  ``passes`` makes the checks that read no probe,
+    once per distinct (parent, stage) pair: coset checks of each leaf's
+    factors, and the sift of the identity through each leaf, which is every
+    digit a probe takes at a point it does not support.  ``covers`` reads one
+    probe value: at each supported point the base value must lie in the
+    parent's base stage when it lies in the stage's, and, for a parent probe,
+    it is sifted through that point's base row.
+
+    The split rests on the extension maps being homomorphisms that the
+    retraction or the projection undoes, and on elements with disjoint
+    supports commuting; coset checks and sifts then ask the same questions
+    of the source or base values as of the row's own (the product theorem,
+    Seress 2003, ch. 4)."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def _cached(self, kind: str, build: Callable, *stages):
+        """``build()``, once per ``kind`` and stage objects; the memo holds
+        the stages, so their ids stay theirs."""
+        key = (kind, *map(id, stages))
+        if key not in self._memo:
+            self._memo[key] = build(), stages
+        return self._memo[key][0]
+
+    def test(self, stage: SubgroupDescriptor) -> Callable[[object], bool]:
+        return self._cached("test", lambda: _value_test(stage), stage)
+
+    def split(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+        """(parts, values, nested) for a row that splits, else None:
+        ``parts`` maps a key to a (parent, stage) pair, ``values(v)`` lists
+        the (key, value) pairs of ``v`` that a part reads, and ``nested``
+        says whether each part's stage must lie in its parent on them."""
+        return self._cached("split", lambda: self._split(parent, stage), parent, stage)
+
+    @staticmethod
+    def _split(parent, stage):
+        ps, ss = getattr(parent, "_source", None), getattr(stage, "_source", None)
+        if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
+            back = ss.back
+            return ({None: (ps.source, ss.source)},
+                    lambda v: () if (w := back(v)) is None else ((None, w),), False)
+        if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
+                and ps.support is ss.support and ps.coords.keys() <= ss.coords.keys()
+                and (ss.top is not None or ss.coords.keys() <= ps.coords.keys())):
+            parts = {x: (ps.coords.get(x, ss.top), base) for x, base in ss.coords.items()}
+            return parts, lambda v: [(x, w) for x, w in v if x in parts], True
+        return None
+
+    def _leaf(self, stage):
+        """A leaf's place function and the value tests of its intermediates."""
+        t = stage.transversal
+        return self._cached("leaf", lambda: (_placer(t, stage), list(map(self.test, t.intermediates))),
+                            stage)
+
+    def passes(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor) -> bool:
+        return self._cached("passes", lambda: self._passes(parent, stage), parent, stage)
+
+    def _passes(self, parent, stage) -> bool:
+        split = self.split(parent, stage)
+        if split is not None:
+            return all(self.passes(*pair) for pair in split[0].values())
+        t = stage.transversal
+        subgroups = (parent, *t.intermediates, stage)
+        if any(_coset_check(reps, subgroups[j], subgroups[j + 1]) is not None
+               for j, reps in enumerate(t.factor_reps())):
+            return False
+        return self._leaf(stage)[0](stage.owner.identity_value()) is not None
+
+    def covers(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor, v,
+               sift: bool) -> bool:
+        split = self.split(parent, stage)
+        if split is None:
+            place, tests = self._leaf(stage)
+            if tests:
+                inside = [self.test(parent)(v), *(test(v) for test in tests), self.test(stage)(v)]
+                if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
+                    return False
+            return not sift or place(v) is not None
+        parts, values, nested = split
+        for key, w in values(v):
+            base_parent, base = parts[key]
+            if nested and self.test(base)(w) and not self.test(base_parent)(w):
+                return False
+            if not self.covers(base_parent, base, w, sift):
+                return False
+        return True
+
+
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
-                         probes: list[Element], in_parent: list[bool], in_stage: list[bool]):
+                         probes: list[Element], in_parent: list[bool], in_stage: list[bool],
+                         rows: Optional[_RowChecks] = None):
     """The certified index of ``stage`` in ``parent`` and None, or None and
     the first failure (reason, witness) of its transversal ``t``.
 
-    Each factor is checked against its own pair (K_(j-1), K_j) of the
+    When ``t`` is ``stage``'s own row and the row splits (``_RowChecks``),
+    its base rows are checked, each distinct one once per ``rows``, and the
+    probes are read at their supported points; if that passes, so does the
+    row.  Otherwise, and to name the first failure of a row that splits:
+    each factor is checked against its own pair (K_(j-1), K_j) of the
     subgroups parent = K_0, K_1, ..., K_m = stage; the K_j must nest on the
     probes; and each probe in the parent is sifted through the factors,
     whose last digit is ``stage``'s own membership test of rep^-1 * p.  An
     explicit transversal is one factor, so this is the pairwise check and a
     scan."""
+    rows = _RowChecks() if rows is None else rows
+    if (t is stage.transversal and rows.split(parent, stage) is not None
+            and rows.passes(parent, stage)
+            and all(rows.covers(parent, stage, p.value, in_k0)
+                    for p, in_k0 in zip(probes, in_parent))):
+        return t.size, None
     subgroups = (parent, *t.intermediates, stage)
     for j, reps in enumerate(t.factor_reps()):
         failure = _coset_check(reps, subgroups[j], subgroups[j + 1])

@@ -47,7 +47,7 @@ from residua.groups import (
     wreath_product,
 )
 from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
-from residua.stages import ValueTest, _coset_check
+from residua.stages import ValueTest, _coset_check, _RowChecks
 
 
 def lamplighter():
@@ -941,6 +941,48 @@ class TestTransversalCertification:
         probes = random_words(chain.group, 4, 0)
         assert _certify_transversal(stage.transversal, parent, stage, probes, [True] * 4,
                                     [p.is_identity() for p in probes]) == (5040, None)
+
+    @staticmethod
+    def count_coset_checks(monkeypatch) -> list:
+        calls = []
+        monkeypatch.setattr(stages, "_coset_check",
+                            lambda *args, check=stages._coset_check: calls.append(1) or check(*args))
+        return calls
+
+    def test_each_base_row_is_checked_once_per_run(self, monkeypatch):
+        # rows w + 2 .. w + 6 are kernel copies of power rows over the
+        # dihedral rows 1 .. 6, so one run checks each dihedral row once,
+        # after row w + 1, whose parent is a pullback (the limit w), checked
+        # as one factor; a replaced stage is a caller's, and its row is
+        # checked factor by factor, as before (1 + 2 + ... + 6 checks)
+        chain = chain_for(parse_expr("tower(Dinf,2)"))
+        sample = random_words(chain.group, 64, 0)
+        calls = self.count_coset_checks(monkeypatch)
+        for remake in (lambda stage: stage, dataclasses.replace):
+            rows = _RowChecks()
+            calls.clear()
+            for n in range(1, 7):
+                parent, stage = chain.stage_at(1, n - 1), remake(chain.stage_at(1, n))
+                in_parent = [parent.contains(p) for p in sample]
+                in_stage = [stage.contains(p) for p in sample]
+                assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
+                                            in_stage, rows) == (2 ** n, None)
+            assert len(calls) == (1 + 6 if remake is not dataclasses.replace else 21)
+
+    def test_nested_wreath_checks_grow_linearly(self, monkeypatch):
+        # step 1 of each block after the first is a product of 2^n factors
+        # of size 2; checked factor by factor, n = 4 made 49 coset checks and
+        # n = 8 made 1,793
+        calls = self.count_coset_checks(monkeypatch)
+        counts = []
+        for n in (4, 8):
+            calls.clear()
+            expr = "wreath(" * n + f"tower(Dinf,{n})" + ",C(2))" * n
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", expr, "--levels", "1", "--probes", "2",
+                                 "--limit-budget", "1"]) == 3
+            counts.append(len(calls))
+        assert counts[1] <= 4 * counts[0]
 
     @pytest.mark.parametrize("stage", [
         lambda: s3_chain()[1].tail[-1],
