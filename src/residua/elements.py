@@ -386,7 +386,7 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
     out = []
     wanted = count
     attempts = 0
-    depth, nearest = {}, 0  # the ball, once counted, and the depth of its nearest new element
+    depth, nearest = {}, 0  # a ball found small, and the depth of its nearest new element
     while len(out) < wanted and attempts < 30 * count:
         attempts += 1
         r = bits(length_bits)  # rng.randint(1, max_len), inlined
@@ -404,12 +404,14 @@ def random_words(group: Group, count: int, seed: int, max_len: int = 8) -> list[
                 e = product(e, inv if uniform() < 0.5 else v)
         if e in seen:
             if attempts - len(out) == count:
-                depth = _ball(one, letters, product, max_len, lambda b: len(b) > count)
-                wanted = len(depth) - 1
-                nearest = min((d for x, d in depth.items() if x not in seen), default=0)
+                ball = _ball(one, letters, product, max_len, lambda b: len(b) > count)
+                wanted = len(ball) - 1
+                if wanted < count:  # the whole ball
+                    depth = ball
+                    nearest = min((d for x, d in depth.items() if x not in seen), default=0)
             continue
         seen.add(e)
         out.append(e)
-        if depth:
-            nearest = min((d for x, d in depth.items() if x not in seen), default=0)
+        if depth.get(e) == nearest and len(out) < wanted:
+            nearest = min(d for x, d in depth.items() if x not in seen)
     return [Element(group, v) for v in out]

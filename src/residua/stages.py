@@ -162,28 +162,28 @@ class SubgroupDescriptor:
         return self.membership(e)
 
 
-@dataclass(frozen=True, eq=False)
 class _Image:
     """How the library built a stage as the image of the stage ``source``
     under the extension map ``via`` (a kernel copy or a pullback): ``back``
     takes a value to its source value, or to None off the image."""
 
-    via: object
-    source: SubgroupDescriptor
-    back: Callable
+    __slots__ = ("via", "source", "back")
+
+    def __init__(self, via, source: SubgroupDescriptor, back: Callable):
+        self.via, self.source, self.back = via, source, back
 
 
-@dataclass(frozen=True, eq=False)
 class _Power:
     """How the library built a stage of the finite-support power ``group``:
     ``coords`` maps points to the base stages that hold their values,
     ``support`` (or None) holds every supported value, and ``top`` (or None)
     is the base stage that a parent leaving a point free holds it in."""
 
-    group: Group
-    coords: dict
-    support: Optional[SubgroupDescriptor]
-    top: Optional[SubgroupDescriptor]
+    __slots__ = ("group", "coords", "support", "top")
+
+    def __init__(self, group: Group, coords: dict, support: Optional[SubgroupDescriptor],
+                 top: Optional[SubgroupDescriptor]):
+        self.group, self.coords, self.support, self.top = group, coords, support, top
 
 
 def _sourced(stage: SubgroupDescriptor, source) -> SubgroupDescriptor:
@@ -308,10 +308,11 @@ class _RowChecks:
     checks a caller's row.  ``passes`` makes the checks that read no probe,
     once per distinct (parent, stage) pair: coset checks of each leaf's
     factors, and the sift of the identity through each leaf, which is every
-    digit a probe takes at a point it does not support.  ``covers`` reads one
-    probe value: at each supported point the base value must lie in the
-    parent's base stage when it lies in the stage's, and, for a parent probe,
-    it is sifted through that point's base row.
+    digit a probe takes at a point it does not support.  ``cover`` builds,
+    once per pair, the check of one probe value: at each supported point the
+    base value must lie in the parent's base stage when it lies in the
+    stage's, and, for a parent probe, it is sifted through that point's base
+    row.
 
     The split rests on the extension maps being homomorphisms that the
     retraction or the projection undoes, and on elements with disjoint
@@ -333,32 +334,27 @@ class _RowChecks:
     def test(self, stage: SubgroupDescriptor) -> Callable[[object], bool]:
         return self._cached("test", lambda: _value_test(stage), stage)
 
+    def place(self, stage: SubgroupDescriptor) -> Callable:
+        return self._cached("place", lambda: _placer(stage.transversal, stage), stage)
+
     def split(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(parts, values, nested) for a row that splits, else None:
-        ``parts`` maps a key to a (parent, stage) pair, ``values(v)`` lists
-        the (key, value) pairs of ``v`` that a part reads, and ``nested``
-        says whether each part's stage must lie in its parent on them."""
+        """(parts, back) for a row that splits, else None.  ``parts`` maps
+        a key to a (parent, stage) pair: the point, for a power row, whose
+        probe values are read at their supported points; None, for an
+        image, whose probe values ``back`` takes to the source (or to None,
+        off the image)."""
         return self._cached("split", lambda: self._split(parent, stage), parent, stage)
 
     @staticmethod
     def _split(parent, stage):
         ps, ss = getattr(parent, "_source", None), getattr(stage, "_source", None)
         if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
-            back = ss.back
-            return ({None: (ps.source, ss.source)},
-                    lambda v: () if (w := back(v)) is None else ((None, w),), False)
+            return {None: (ps.source, ss.source)}, ss.back
         if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
                 and ps.support is ss.support and ps.coords.keys() <= ss.coords.keys()
                 and (ss.top is not None or ss.coords.keys() <= ps.coords.keys())):
-            parts = {x: (ps.coords.get(x, ss.top), base) for x, base in ss.coords.items()}
-            return parts, lambda v: [(x, w) for x, w in v if x in parts], True
+            return {x: (ps.coords.get(x, ss.top), base) for x, base in ss.coords.items()}, None
         return None
-
-    def _leaf(self, stage):
-        """A leaf's place function and the value tests of its intermediates."""
-        t = stage.transversal
-        return self._cached("leaf", lambda: (_placer(t, stage), list(map(self.test, t.intermediates))),
-                            stage)
 
     def passes(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor) -> bool:
         return self._cached("passes", lambda: self._passes(parent, stage), parent, stage)
@@ -372,26 +368,46 @@ class _RowChecks:
         if any(_coset_check(reps, subgroups[j], subgroups[j + 1]) is not None
                for j, reps in enumerate(t.factor_reps())):
             return False
-        return self._leaf(stage)[0](stage.owner.identity_value()) is not None
+        return self.place(stage)(stage.owner.identity_value()) is not None
 
-    def covers(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor, v,
-               sift: bool) -> bool:
+    def cover(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+        """The check ``cover(v, sift)`` of a probe value ``v`` of the row,
+        which sifts ``v`` when ``sift`` says that it lies in the parent,
+        and whether it reads a value outside the parent at all."""
+        return self._cached("cover", lambda: self._cover(parent, stage), parent, stage)
+
+    def _cover(self, parent, stage):
         split = self.split(parent, stage)
         if split is None:
-            place, tests = self._leaf(stage)
-            if tests:
-                inside = [self.test(parent)(v), *(test(v) for test in tests), self.test(stage)(v)]
+            place, intermediates = self.place(stage), stage.transversal.intermediates
+            if not intermediates:
+                return (lambda v, sift: not sift or place(v) is not None), False
+            tests = [self.test(parent), *map(self.test, intermediates), self.test(stage)]
+
+            def nested_cover(v, sift) -> bool:
+                inside = [test(v) for test in tests]
                 if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
                     return False
-            return not sift or place(v) is not None
-        parts, values, nested = split
-        for key, w in values(v):
-            base_parent, base = parts[key]
-            if nested and self.test(base)(w) and not self.test(base_parent)(w):
-                return False
-            if not self.covers(base_parent, base, w, sift):
-                return False
-        return True
+                return not sift or place(v) is not None
+            return nested_cover, True
+        parts, back = split
+        if back is not None:
+            source, reads_all = self.cover(*parts[None])
+            if reads_all:
+                return (lambda v, sift: (w := back(v)) is None or source(w, sift)), True
+            return (lambda v, sift: not sift or (w := back(v)) is None or source(w, True)), False
+        points = {x: (self.test(base_parent), self.test(base), self.cover(base_parent, base)[0])
+                  for x, (base_parent, base) in parts.items()}
+
+        def power_cover(v, sift) -> bool:
+            for x, w in v:
+                point = points.get(x)
+                if point is not None:
+                    in_parent, inside, base_cover = point
+                    if inside(w) and not in_parent(w) or not base_cover(w, sift):
+                        return False
+            return True
+        return power_cover, True
 
 
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
@@ -411,11 +427,11 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     explicit transversal is one factor, so this is the pairwise check and a
     scan."""
     rows = _RowChecks() if rows is None else rows
-    if (t is stage.transversal and rows.split(parent, stage) is not None
-            and rows.passes(parent, stage)
-            and all(rows.covers(parent, stage, p.value, in_k0)
-                    for p, in_k0 in zip(probes, in_parent))):
-        return t.size, None
+    if t is stage.transversal and rows.split(parent, stage) is not None and rows.passes(parent, stage):
+        cover, reads_all = rows.cover(parent, stage)
+        if all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
+               if in_k0 or reads_all):
+            return t.size, None
     subgroups = (parent, *t.intermediates, stage)
     for j, reps in enumerate(t.factor_reps()):
         failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
