@@ -12,7 +12,11 @@ Verification emits certificates: per-stage descent and index reports
 (indices are certified by transversals when available, otherwise only
 probe-counted and reported unverified), per-probe separation stages, and a
 single Pass/Fail/Inconclusive verdict.  A Fail always carries a concrete
-witness element and stage.
+witness element and stage.  The stages that the combinators build from
+other stages (pullbacks, kernel copies, power stages) record what they were
+built from, and their rows keep that shape, so one verify run certifies each
+distinct base row once however many tower levels and points carry it (see
+``stages``).
 """
 
 from __future__ import annotations
@@ -563,7 +567,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
         infinite_index=infinite, transversal=None if infinite or not coords else product,
         label=label,
-    ), _Power(grp, dict(coords), support, top))
+    ), _Power(grp, coords, support, top))
 
 
 def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
@@ -904,10 +908,11 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     pairwise distinct modulo K_j; the K_j must nest on the probes; and each
     parent probe is sifted through the factors, and the sift's last digit
     is the stage's own membership test.  The index is the
-    product of the factor sizes, so a row is never built in full.  Rows of
-    pullbacks, kernel copies and powers are products whenever the stages
-    they map are, so they are certified the same way.  An explicit
-    transversal is a single factor, checked pairwise.
+    product of the factor sizes, so a row is never built in full.  An
+    explicit transversal is a single factor, checked pairwise.  Rows of
+    pullbacks, kernel copies and powers keep their shape and are certified
+    through the rows they map (``stages._RowChecks``): each distinct base
+    row once per run, and each probe at its supported points only.
     """
     if levels < 1:
         raise ChainError("need at least one level")

@@ -12,6 +12,18 @@ checks a transversal factor by factor and covers probes by the sift of
 own membership test.  A trivial stage tests membership with
 ``Element.is_identity``, by which the check recognises it.
 
+A row that the library builds from other rows keeps its shape
+(``_ShapedRow``): the stages of a kernel copy or a pullback record their
+source stage, and the stages of a finite-support power record the base
+stage at each point (``_Image``, ``_Power``).  Such a row is certified
+through its source or base rows (``_RowChecks``): each distinct base row
+once per verify run, and each probe only at its supported points, so a power
+row over n points costs its new base row and a walk of each probe's support,
+not n factors and n - 1 intermediate stages.  Its factors and intermediates
+are built only when a caller reads them, or when the row fails and the
+factorwise check names the failure.  A stage that ``dataclasses.replace``
+makes loses the record, and its row is checked factor by factor.
+
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
 reads only the element's value and exposes that test, or is a trivial
@@ -175,13 +187,13 @@ class _Image:
 
 class _Power:
     """How the library built a stage of the finite-support power ``group``:
-    ``coords`` maps points to the base stages that hold their values,
+    ``coords`` pairs points with the base stages that hold their values,
     ``support`` (or None) holds every supported value, and ``top`` (or None)
     is the base stage that a parent leaving a point free holds it in."""
 
     __slots__ = ("group", "coords", "support", "top")
 
-    def __init__(self, group: Group, coords: dict, support: Optional[SubgroupDescriptor],
+    def __init__(self, group: Group, coords, support: Optional[SubgroupDescriptor],
                  top: Optional[SubgroupDescriptor]):
         self.group, self.coords, self.support, self.top = group, coords, support, top
 
@@ -351,9 +363,10 @@ class _RowChecks:
         if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
             return {None: (ps.source, ss.source)}, ss.back
         if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
-                and ps.support is ss.support and ps.coords.keys() <= ss.coords.keys()
-                and (ss.top is not None or ss.coords.keys() <= ps.coords.keys())):
-            return {x: (ps.coords.get(x, ss.top), base) for x, base in ss.coords.items()}, None
+                and ps.support is ss.support):
+            inner, outer = dict(ss.coords), dict(ps.coords)
+            if outer.keys() <= inner.keys() and (ss.top is not None or inner.keys() <= outer.keys()):
+                return {x: (outer.get(x, ss.top), base) for x, base in inner.items()}, None
         return None
 
     def passes(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor) -> bool:
