@@ -308,6 +308,24 @@ def _placer(t: Transversal, stage: SubgroupDescriptor) -> Callable:
     return place
 
 
+def _factor_failure(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+    """The first failure of ``_coset_check`` over the factors of ``t``, each
+    against its own pair (K_(j-1), K_j) of the subgroups parent = K_0, K_1,
+    ..., K_m = stage, or None."""
+    subgroups = (parent, *t.intermediates, stage)
+    for j, reps in enumerate(t.factor_reps()):
+        failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
+        if failure is not None:
+            return failure
+    return None
+
+
+def _nested(inside: list) -> bool:
+    """Whether memberships listed from the outermost subgroup in descend:
+    no subgroup holds an element that one around it misses."""
+    return not any(not outer and inner for outer, inner in zip(inside, inside[1:]))
+
+
 class _RowChecks:
     """The checks of library-built rows that one verify run shares.
 
@@ -343,9 +361,6 @@ class _RowChecks:
             self._memo[key] = build(), stages
         return self._memo[key][0]
 
-    def test(self, stage: SubgroupDescriptor) -> Callable[[object], bool]:
-        return self._cached("test", lambda: _value_test(stage), stage)
-
     def place(self, stage: SubgroupDescriptor) -> Callable:
         return self._cached("place", lambda: _placer(stage.transversal, stage), stage)
 
@@ -365,7 +380,8 @@ class _RowChecks:
         if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
                 and ps.support is ss.support):
             inner, outer = dict(ss.coords), dict(ps.coords)
-            if outer.keys() <= inner.keys() and (ss.top is not None or inner.keys() <= outer.keys()):
+            free = inner.keys() - outer.keys()  # points that the parent leaves in ``top``
+            if outer.keys() <= inner.keys() and (ss.top is not None or not free):
                 return {x: (outer.get(x, ss.top), base) for x, base in inner.items()}, None
         return None
 
@@ -376,10 +392,7 @@ class _RowChecks:
         split = self.split(parent, stage)
         if split is not None:
             return all(self.passes(*pair) for pair in split[0].values())
-        t = stage.transversal
-        subgroups = (parent, *t.intermediates, stage)
-        if any(_coset_check(reps, subgroups[j], subgroups[j + 1]) is not None
-               for j, reps in enumerate(t.factor_reps())):
+        if _factor_failure(stage.transversal, parent, stage) is not None:
             return False
         return self.place(stage)(stage.owner.identity_value()) is not None
 
@@ -395,21 +408,16 @@ class _RowChecks:
             place, intermediates = self.place(stage), stage.transversal.intermediates
             if not intermediates:
                 return (lambda v, sift: not sift or place(v) is not None), False
-            tests = [self.test(parent), *map(self.test, intermediates), self.test(stage)]
-
-            def nested_cover(v, sift) -> bool:
-                inside = [test(v) for test in tests]
-                if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
-                    return False
-                return not sift or place(v) is not None
-            return nested_cover, True
+            tests = list(map(_value_test, (parent, *intermediates, stage)))
+            return (lambda v, sift: _nested([test(v) for test in tests])
+                    and (not sift or place(v) is not None)), True
         parts, back = split
         if back is not None:
             source, reads_all = self.cover(*parts[None])
             if reads_all:
                 return (lambda v, sift: (w := back(v)) is None or source(w, sift)), True
             return (lambda v, sift: not sift or (w := back(v)) is None or source(w, True)), False
-        points = {x: (self.test(base_parent), self.test(base), self.cover(base_parent, base)[0])
+        points = {x: (_value_test(base_parent), _value_test(base), self.cover(base_parent, base)[0])
                   for x, (base_parent, base) in parts.items()}
 
         def power_cover(v, sift) -> bool:
@@ -440,21 +448,19 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     explicit transversal is one factor, so this is the pairwise check and a
     scan."""
     rows = _RowChecks() if rows is None else rows
-    if t is stage.transversal and rows.split(parent, stage) is not None and rows.passes(parent, stage):
+    shaped = t is stage.transversal and rows.split(parent, stage) is not None
+    if shaped and rows.passes(parent, stage):
         cover, reads_all = rows.cover(parent, stage)
         if all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
                if in_k0 or reads_all):
             return t.size, None
-    subgroups = (parent, *t.intermediates, stage)
-    for j, reps in enumerate(t.factor_reps()):
-        failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
-        if failure is not None:
-            return None, failure
+    failure = _factor_failure(t, parent, stage)
+    if failure is not None:
+        return None, failure
     if t.intermediates:
         tests = [_value_test(k) for k in t.intermediates]
         for p, in_k0, in_km in zip(probes, in_parent, in_stage):
-            inside = [in_k0, *(test(p.value) for test in tests), in_km]
-            if any(not outer and inner for outer, inner in zip(inside, inside[1:])):
+            if not _nested([in_k0, *(test(p.value) for test in tests), in_km]):
                 return None, ("descent violated", p)
     place = _placer(t, stage)
     for p, in_k0 in zip(probes, in_parent):
