@@ -335,14 +335,14 @@ class _RowChecks:
     source parent, or into one base row per point that ``stage`` constrains,
     of its base stage in the parent's base stage there (or in ``top``).  A
     row that does not split is a leaf, checked as ``_certify_transversal``
-    checks a caller's row.  ``passes`` makes the checks that read no probe,
-    once per distinct (parent, stage) pair: coset checks of each leaf's
-    factors, and the sift of the identity through each leaf, which is every
-    digit a probe takes at a point it does not support.  ``cover`` builds,
-    once per pair, the check of one probe value: at each supported point the
-    base value must lie in the parent's base stage when it lies in the
-    stage's, and, for a parent probe, it is sifted through that point's base
-    row.
+    checks a caller's row.  ``checks`` builds a row's checks once per
+    distinct (parent, stage) pair.  The checks that read no probe are the
+    coset checks of each leaf's factors, and the sift of the identity
+    through each leaf, which gives every digit that a probe takes at a point
+    it does not support.  The check of one probe value: at each supported
+    point the base value must lie in the parent's base stage when it lies in
+    the stage's, and a parent probe's base value is sifted through that
+    point's base row.
 
     The split rests on the extension maps being homomorphisms that the
     retraction or the projection undoes, and on elements with disjoint
@@ -353,30 +353,27 @@ class _RowChecks:
     def __init__(self):
         self._memo: dict = {}
 
-    def _cached(self, kind: str, build: Callable, *stages):
-        """``build()``, once per ``kind`` and stage objects; the memo holds
-        the stages, so their ids stay theirs."""
-        key = (kind, *map(id, stages))
+    def _cached(self, kind: str, build: Callable, parent, stage):
+        """``build()``, once per ``kind`` and pair; the memo holds the
+        stages, so their ids stay theirs."""
+        key = (kind, id(parent), id(stage))
         if key not in self._memo:
-            self._memo[key] = build(), stages
+            self._memo[key] = build(), parent, stage
         return self._memo[key][0]
 
-    def place(self, stage: SubgroupDescriptor) -> Callable:
-        return self._cached("place", lambda: _placer(stage.transversal, stage), stage)
-
     def split(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(parts, back) for a row that splits, else None.  ``parts`` maps
+        """(parts, image) for a row that splits, else None.  ``parts`` maps
         a key to a (parent, stage) pair: the point, for a power row, whose
         probe values are read at their supported points; None, for an
-        image, whose probe values ``back`` takes to the source (or to None,
-        off the image)."""
+        image, whose probe values the ``_Image`` ``image`` takes back to the
+        source (or to None, off the image)."""
         return self._cached("split", lambda: self._split(parent, stage), parent, stage)
 
     @staticmethod
     def _split(parent, stage):
         ps, ss = getattr(parent, "_source", None), getattr(stage, "_source", None)
         if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
-            return {None: (ps.source, ss.source)}, ss.back
+            return {None: (ps.source, ss.source)}, ss
         if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
                 and ps.support is ss.support):
             inner, outer = dict(ss.coords), dict(ps.coords)
@@ -385,40 +382,37 @@ class _RowChecks:
                 return {x: (outer.get(x, ss.top), base) for x, base in inner.items()}, None
         return None
 
-    def passes(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor) -> bool:
-        return self._cached("passes", lambda: self._passes(parent, stage), parent, stage)
+    def checks(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+        """(passes, cover, reads_all) for the row: whether the checks that
+        read no probe pass; the check ``cover(v, sift)`` of a probe value
+        ``v``, which sifts ``v`` when ``sift`` says that it lies in the
+        parent; and whether ``cover`` reads a value outside the parent."""
+        return self._cached("checks", lambda: self._checks(parent, stage), parent, stage)
 
-    def _passes(self, parent, stage) -> bool:
-        split = self.split(parent, stage)
-        if split is not None:
-            return all(self.passes(*pair) for pair in split[0].values())
-        if _factor_failure(stage.transversal, parent, stage) is not None:
-            return False
-        return self.place(stage)(stage.owner.identity_value()) is not None
-
-    def cover(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """The check ``cover(v, sift)`` of a probe value ``v`` of the row,
-        which sifts ``v`` when ``sift`` says that it lies in the parent,
-        and whether it reads a value outside the parent at all."""
-        return self._cached("cover", lambda: self._cover(parent, stage), parent, stage)
-
-    def _cover(self, parent, stage):
+    def _checks(self, parent, stage):
         split = self.split(parent, stage)
         if split is None:
-            place, intermediates = self.place(stage), stage.transversal.intermediates
-            if not intermediates:
-                return (lambda v, sift: not sift or place(v) is not None), False
-            tests = list(map(_value_test, (parent, *intermediates, stage)))
-            return (lambda v, sift: _nested([test(v) for test in tests])
-                    and (not sift or place(v) is not None)), True
-        parts, back = split
-        if back is not None:
-            source, reads_all = self.cover(*parts[None])
+            t = stage.transversal
+            place = _placer(t, stage)
+            passes = (_factor_failure(t, parent, stage) is None
+                      and place(stage.owner.identity_value()) is not None)
+            if not t.intermediates:
+                return passes, (lambda v, sift: not sift or place(v) is not None), False
+            tests = list(map(_value_test, (parent, *t.intermediates, stage)))
+            return passes, (lambda v, sift: _nested([test(v) for test in tests])
+                            and (not sift or place(v) is not None)), True
+        parts, image = split
+        if image is not None:
+            (passes, source, reads_all), back = self.checks(*parts[None]), image.back
             if reads_all:
-                return (lambda v, sift: (w := back(v)) is None or source(w, sift)), True
-            return (lambda v, sift: not sift or (w := back(v)) is None or source(w, True)), False
-        points = {x: (_value_test(base_parent), _value_test(base), self.cover(base_parent, base)[0])
-                  for x, (base_parent, base) in parts.items()}
+                return passes, (lambda v, sift: (w := back(v)) is None or source(w, sift)), True
+            return passes, (lambda v, sift: not sift or (w := back(v)) is None
+                            or source(w, True)), False
+        points, passes = {}, True
+        for x, (base_parent, base) in parts.items():
+            base_passes, base_cover, _ = self.checks(base_parent, base)
+            passes = passes and base_passes
+            points[x] = _value_test(base_parent), _value_test(base), base_cover
 
         def power_cover(v, sift) -> bool:
             for x, w in v:
@@ -428,7 +422,7 @@ class _RowChecks:
                     if inside(w) and not in_parent(w) or not base_cover(w, sift):
                         return False
             return True
-        return power_cover, True
+        return passes, power_cover, True
 
 
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
@@ -448,11 +442,10 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     explicit transversal is one factor, so this is the pairwise check and a
     scan."""
     rows = _RowChecks() if rows is None else rows
-    shaped = t is stage.transversal and rows.split(parent, stage) is not None
-    if shaped and rows.passes(parent, stage):
-        cover, reads_all = rows.cover(parent, stage)
-        if all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
-               if in_k0 or reads_all):
+    if t is stage.transversal and rows.split(parent, stage) is not None:
+        passes, cover, reads_all = rows.checks(parent, stage)
+        if passes and all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
+                          if in_k0 or reads_all):
             return t.size, None
     failure = _factor_failure(t, parent, stage)
     if failure is not None:
