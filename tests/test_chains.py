@@ -984,6 +984,36 @@ class TestTransversalCertification:
             counts.append(len(calls))
         assert counts[1] <= 4 * counts[0]
 
+    @pytest.mark.parametrize("expr", ["Dinf", "wreath(C(2),Z)"])
+    def test_rows_over_a_wrong_base_certify_as_factor_by_factor(self, expr, monkeypatch):
+        # a power or tower over a base chain with one row that drops a
+        # representative, takes the next row's test, or admits a generator
+        # its parent may not hold: the rows that split give the certificate
+        # that the factorwise check gives
+        verdicts = set()
+        for k in range(1, 5):
+            base = chain_for(parse_expr(expr))
+            stage = base.stage_at(0, k)
+            reps = list(stage.transversal)[:-1]
+            inside, extra = stages._value_test(stage), base.group.generators[-1].value
+            for wrong in (dataclasses.replace(stage, transversal=Transversal(
+                              base.group, [e.value for e in reps])),
+                          dataclasses.replace(stage, membership=base.stage_at(0, k + 1).membership),
+                          dataclasses.replace(stage, membership=ValueTest(
+                              lambda v, inside=inside, extra=extra: v == extra or inside(v)))):
+                mutant = dataclasses.replace(base, block_rule=lambda b, n, wrong=wrong, base=base: (
+                    wrong if (b, n) == (0, k) else base.stage_at(b, n)))
+                built = [(power_chain(mutant, natural_points()), 5)]
+                if mutant.num_blocks == 1:
+                    built.append((tower_chain(mutant.group, mutant, 2), 4))
+                for chain, levels in built:
+                    split = verify_prefix(chain, levels, 64, 0).to_jsonable()
+                    with monkeypatch.context() as m:
+                        m.setattr(_RowChecks, "split", lambda self, parent, stage: None)
+                        assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
+                    verdicts.add(split["verdict"])
+        assert verdicts == {"pass", "fail"}
+
     @pytest.mark.parametrize("stage", [
         lambda: s3_chain()[1].tail[-1],
         lambda: integers_chain(2).final_limit,

@@ -11,7 +11,7 @@ Each mutant swaps one stage of a library chain through
 - *smaller*: the limit stage w*b is step 1 of block b.
 
 Every mutant certifies a wrong index or a wrong limit, so a ``pass`` is a
-wrong verdict.  ``SURVIVORS`` lists the mutants that pass today with the CLI
+wrong verdict.  ``SURVIVORS`` lists the mutants that still pass with the CLI
 defaults (64 probes, seed 0, word length 8).  It is an open defect, not a
 tolerance: a row whose parent stage holds no non-identity probe is never
 tested for cover, and a bigger limit is caught only by an element deep in the
