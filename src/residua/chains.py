@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .elements import Element, Group, random_words
+from .elements import Element, Group, ValueMap, random_words
 from .groups import (
     ExtensionHandle,
     FinitePoints,
@@ -400,17 +400,25 @@ def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element], target: 
     return build
 
 
+def _imaged(stage: SubgroupDescriptor, maps, image: _Image) -> SubgroupDescriptor:
+    """``stage``, marked as ``image`` when the library built every one of
+    the extension's ``maps`` (each a ``ValueMap``).  A caller's maps are
+    checked only on probes (``extension_from_quotient``), so a row mapped by
+    them is certified factor by factor, on its own representatives."""
+    return _sourced(stage, image) if all(isinstance(f, ValueMap) for f in maps) else stage
+
+
 def _pullback_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
     """The preimage of ``stage``: its value test of the projected value."""
     project, inside = _value_map(ext.projection, ext.total), _value_test(stage)
-    return _sourced(SubgroupDescriptor(
+    return _imaged(SubgroupDescriptor(
         owner=ext.total,
         membership=ValueTest(lambda v: inside(project(v))),
         infinite_index=stage.infinite_index,
         transversal=None if ext.section is None
         else _mapped(stage, ext.section, ext.total, lambda k: _pullback_stage(ext, k)),
         label=f"pullback of {stage.label}" if stage.label else "pullback",
-    ), _Image(ext.section, stage, project))
+    ), (ext.projection, ext.section), _Image(ext.section, stage, project))
 
 
 def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> SubgroupDescriptor:
@@ -418,14 +426,15 @@ def _embed_kernel_stage(ext: ExtensionHandle, stage: SubgroupDescriptor) -> Subg
     quotient's identity, and the retracted value passes ``stage``'s test."""
     project, one = _value_map(ext.projection, ext.total), ext.quotient.identity_value()
     retract, inside = _value_map(ext.kernel_retract, ext.total), _value_test(stage)
-    return _sourced(SubgroupDescriptor(
+    return _imaged(SubgroupDescriptor(
         owner=ext.total,
         membership=ValueTest(lambda v: project(v) == one and inside(retract(v))),
         infinite_index=stage.infinite_index,
         transversal=_mapped(stage, ext.kernel_embed, ext.total,
                             lambda k: _embed_kernel_stage(ext, k)),
         label=f"kernel copy of {stage.label}" if stage.label else "kernel copy",
-    ), _Image(ext.kernel_embed, stage, lambda v: retract(v) if project(v) == one else None))
+    ), (ext.projection, ext.kernel_embed, ext.kernel_retract),
+       _Image(ext.kernel_embed, stage, lambda v: retract(v) if project(v) == one else None))
 
 
 def concat_extension(ext: ExtensionHandle, chain_q: ChainSchema,

@@ -1014,6 +1014,29 @@ class TestTransversalCertification:
                     verdicts.add(split["verdict"])
         assert verdicts == {"pass", "fail"}
 
+    def test_rows_mapped_by_a_callers_extension_are_checked_factor_by_factor(self):
+        # the same lamplighter maps, given as a caller's functions of elements:
+        # no row splits, and the certificate is the library chain's
+        from residua.groups import extension_from_quotient
+
+        w, library = lamplighter_chain()
+        ext = w.extension()
+        caller = concat_extension(extension_from_quotient(
+            total=w, quotient=w.top, projection=lambda e: ext.projection(e),
+            section=lambda q: ext.section(q), kernel_group=w.kernel,
+            kernel_embed=lambda k: ext.kernel_embed(k),
+            kernel_retract=lambda e: ext.kernel_retract(e),
+        ), integers_chain(2), power_chain(promote_to_omega(single_step_chain(make_cyclic(2))),
+                                          w.points))
+        splits = {}
+        for name, chain in (("library", library), ("caller", caller)):
+            rows = _RowChecks()
+            splits[name] = sum(rows.split(parent, stage) is not None for block in _blocks(chain, 5)
+                               for parent, stage in zip(block, block[1:]))
+        assert splits == {"library": 9, "caller": 0}
+        assert verify_prefix(caller, 5, 64, 0).to_jsonable() == \
+            verify_prefix(library, 5, 64, 0).to_jsonable()
+
     @pytest.mark.parametrize("stage", [
         lambda: s3_chain()[1].tail[-1],
         lambda: integers_chain(2).final_limit,
