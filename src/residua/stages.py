@@ -22,7 +22,8 @@ row over n points costs its new base row and a walk of each probe's support,
 not n factors and n - 1 intermediate stages.  Its factors and intermediates
 are built only when a caller reads them, or when the row fails and the
 factorwise check names the failure.  A stage that ``dataclasses.replace``
-makes loses the record, and its row is checked factor by factor.
+makes loses the record, and a stage mapped by a caller's extension maps
+has none, so their rows are checked factor by factor.
 
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
