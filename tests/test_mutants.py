@@ -10,12 +10,17 @@ Each mutant swaps one stage of a library chain through
 - *bigger*: the limit stage w*b is step ``levels`` of block b - 1;
 - *smaller*: the limit stage w*b is step 1 of block b.
 
+A finite chain has no blocks, so its mutants are of one kind: each row of
+its tail, in turn, is *dropped* through ``dataclasses.replace`` on ``tail``.
+
 Every mutant certifies a wrong index or a wrong limit, so a ``pass`` is a
-wrong verdict.  ``SURVIVORS`` lists the mutants that still pass with the CLI
-defaults (64 probes, seed 0, word length 8).  It is an open defect, not a
-tolerance: a row whose parent stage holds no non-identity probe is never
-tested for cover, and a bigger limit is caught only by an element deep in the
-block below it.  A fix removes entries; a new survivor fails this test.
+wrong verdict.  ``SURVIVORS`` and ``FINITE_SURVIVORS`` list the mutants that
+still pass with the CLI defaults (64 probes, seed 0, word length 8).  They
+are an open defect, not a tolerance: a row whose parent stage holds no
+non-identity probe is never tested for cover, a dropped row passes when no
+probe lands in the coset it lost, and a bigger limit is caught only by an
+element deep in the block below it.  A fix removes entries; a new survivor
+fails these tests.
 """
 
 import dataclasses
@@ -56,6 +61,12 @@ SURVIVORS = {
     *[("wreath(wreath(C(2),Z),Z)", "deeper", b, n) for b, n in ((0, 4), (1, 4), (2, 3), (2, 4))],
     ("wreath(wreath(C(2),Z),Z)", "bigger", 1, 0), ("wreath(wreath(C(2),Z),Z)", "bigger", 2, 0),
 }
+
+FINITE_CHAINS = ["S(5)", "A(6)", "S(7)", "wreath(C(2),C(4))", "power(C(2),6)", "C(1000)"]
+
+# (expression, tail step) of every dropped finite row that passes: no probe
+# lands in the coset that lost its representative
+FINITE_SURVIVORS = {("S(5)", 5), ("A(6)", 1), ("S(7)", 1)}
 
 
 def swapped(chain, b, n, stage):
@@ -101,3 +112,20 @@ def test_the_survivors_are_66_of_178_mutants():
     # the list only shrinks; a fix that empties it closes the defect
     count = sum(1 for expr, levels in CHAINS for _ in mutants(chain_for(parse_expr(expr)), levels))
     assert (len(SURVIVORS), count) == (66, 178)
+
+
+def dropped_tail_rows(chain):
+    """(step, mutant chain) for each row of ``chain``'s tail, dropped in turn."""
+    for n, stage in enumerate(chain.tail, start=1):
+        wrong = dataclasses.replace(stage, transversal=dropped(stage.transversal))
+        yield n, dataclasses.replace(chain, tail=(*chain.tail[:n - 1], wrong, *chain.tail[n:]))
+
+
+def test_exactly_the_listed_dropped_finite_rows_pass():
+    passed, count = set(), 0
+    for expr in FINITE_CHAINS:
+        for n, chain in dropped_tail_rows(chain_for(parse_expr(expr))):
+            count += 1
+            if verify_prefix(chain, 1, 64, 0).verdict == "pass":
+                passed.add((expr, n))
+    assert (passed, count) == (FINITE_SURVIVORS, 12)
