@@ -294,23 +294,18 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
 
     Transversals are materialized by greedy left-coset decomposition, in
     element order with the identity first, so all indices are certified.
-    The cosets are read off the group's Cayley table when it has one.  A
-    trivial stage tests membership with ``Element.is_identity``, by which
-    its transversal is recognised and checked in linear time, not pairwise.
+    The cosets are products by ``Group.multiply``, read off the group's
+    Cayley table when it has one.  A trivial stage tests membership with
+    ``Element.is_identity``, by which its transversal is recognised and
+    checked in linear time, not pairwise.
     The last set need not be trivial; verification will fail such a chain,
     which is exactly what negative tests want.
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
     sets = [frozenset(group.validate_value(v) for v in s) for s in subgroups]
-    table, values = group.cayley_table(), group.element_values()
-
-    def coset(v, s):  # the left coset v * s
-        if table is None:
-            return {group.mul_values(v, h) for h in s}
-        row = table.mul[table.index[v]]
-        return {values[row[table.index[h]]] for h in s}
-
+    group.cayley_table()  # so that each product below is a table lookup
+    values = group.element_values()
     ident = group.identity_value()
     prev = frozenset(values)
     stages = []
@@ -324,7 +319,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
         for v in sorted([v for v in values if v in prev], key=lambda v: v != ident):
             if v not in covered:
                 reps.append(v)
-                covered |= coset(v, s)
+                covered.update(group.multiply(v, h) for h in s)
         stages.append(
             SubgroupDescriptor(
                 owner=group,
@@ -863,7 +858,7 @@ def _check_indices(blocks, probes: list[Element], mem, kappa: CardinalBound,
                    fail: _Fail) -> list[dict]:
     """Descent from step n - 1 to step n of each block and the step index,
     one report per stage.  The rows share one ``_RowChecks``, so each
-    distinct base row is checked once."""
+    distinct row is checked once."""
     reports, rows = [], _RowChecks()
     for b, block in enumerate(blocks):
         for n, stage in enumerate(block):
@@ -918,10 +913,11 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     parent probe is sifted through the factors, and the sift's last digit
     is the stage's own membership test.  The index is the
     product of the factor sizes, so a row is never built in full.  An
-    explicit transversal is a single factor, checked pairwise.  Rows of
-    pullbacks, kernel copies and powers keep their shape and are certified
-    through the rows they map (``stages._RowChecks``): each distinct base
-    row once per run, and each probe at its supported points only.
+    explicit transversal is a single factor, checked pairwise.  Each
+    stage's own row goes through ``stages._RowChecks``, each distinct row
+    once per run.  Rows of pullbacks, kernel copies and powers keep their
+    shape and are certified through the rows they map, each probe at its
+    supported points only.
     """
     if levels < 1:
         raise ChainError("need at least one level")

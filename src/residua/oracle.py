@@ -62,10 +62,6 @@ class SubgroupLattice:
         return len(self.subgroups)
 
     @property
-    def trivial(self) -> frozenset:
-        return self.subgroups[0]
-
-    @property
     def whole(self) -> frozenset:
         return self.subgroups[-1]
 

@@ -6,24 +6,26 @@ transversal has an unverified index, unless it is declared infinite.
 Transversals are explicit, or products of explicit factors (Sims 1970;
 Seress, *Permutation Group Algorithms*, 2003, ch. 4), and a stage may give
 its transversal as a function that builds it on first read, so a stage that
-is only tested for membership never builds one.  ``_certify_transversal``
-checks a transversal factor by factor and covers probes by the sift of
-``_placer``, which coset trees share; the sift's last digit is the stage's
-own membership test.  A trivial stage tests membership with
-``Element.is_identity``, by which the check recognises it.
+is only tested for membership never builds one.  A transversal is checked
+factor by factor, and probes are covered by the sift of ``_placer``, which
+coset trees share; the sift's last digit is the stage's own membership
+test.  A trivial stage tests membership with ``Element.is_identity``, by
+which the check recognises it.
 
-A row that the library builds from other rows keeps its shape
-(``_ShapedRow``): the stages of a kernel copy or a pullback record their
-source stage, and the stages of a finite-support power record the base
-stage at each point (``_Image``, ``_Power``).  Such a row is certified
-through its source or base rows (``_RowChecks``): each distinct base row
-once per verify run, and each probe only at its supported points, so a power
-row over n points costs its new base row and a walk of each probe's support,
-not n factors and n - 1 intermediate stages.  Its factors and intermediates
-are built only when a caller reads them, or when the row fails and the
-factorwise check names the failure.  A stage that ``dataclasses.replace``
-makes loses the record, and a stage mapped by a caller's extension maps
-has none, so their rows are checked factor by factor.
+Every row that a stage owns is certified through ``_RowChecks``, once per
+distinct (parent, stage) pair in a verify run.  A row that the library
+builds from other rows keeps its shape (``_ShapedRow``): the stages of a
+kernel copy or a pullback record their source stage, and the stages of a
+finite-support power record the base stage at each point (``_Image``,
+``_Power``).  Such a row splits into its source or base rows, and each
+probe is read only at its supported points, so a power row over n points
+costs its new base row and a walk of each probe's support, not n factors
+and n - 1 intermediate stages.  A row that does not split is a leaf,
+checked factor by factor.  A stage that ``dataclasses.replace`` makes loses
+the record, and a stage mapped by a caller's extension maps has none, so
+their rows are leaves.  The factorwise scan of ``_certify_transversal``
+names the failure of a row that fails there; only then, or when a caller
+reads them, are a shaped row's factors and intermediates built.
 
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
@@ -328,22 +330,23 @@ def _nested(inside: list) -> bool:
 
 
 class _RowChecks:
-    """The checks of library-built rows that one verify run shares.
+    """The checks of the rows that stages own, which one verify run shares.
 
     The row of ``stage`` in ``parent`` splits when the library built both
     as images under one extension map, or as stages of one finite-support
     power (``_Image``, ``_Power``): into the row of the source stage in the
     source parent, or into one base row per point that ``stage`` constrains,
     of its base stage in the parent's base stage there (or in ``top``).  A
-    row that does not split is a leaf, checked as ``_certify_transversal``
-    checks a caller's row.  ``checks`` builds a row's checks once per
-    distinct (parent, stage) pair.  The checks that read no probe are the
-    coset checks of each leaf's factors, and the sift of the identity
-    through each leaf, which gives every digit that a probe takes at a point
-    it does not support.  The check of one probe value: at each supported
-    point the base value must lie in the parent's base stage when it lies in
-    the stage's, and a parent probe's base value is sifted through that
-    point's base row.
+    row that does not split is a leaf, checked factor by factor.
+    ``checks`` builds a row's checks once per distinct (parent, stage)
+    pair.  The checks that read no probe are the coset checks of each
+    leaf's factors, and the sift of the identity through each leaf, which
+    gives every digit that a probe takes at a point it does not support.
+    The check of one probe value: at each supported point the base value
+    must lie in the parent's base stage when it lies in the stage's, and a
+    parent probe's base value is sifted through that point's base row; a
+    leaf's probe values nest through its intermediates and are sifted
+    through its factors.
 
     The split rests on the extension maps being homomorphisms that the
     retraction or the projection undoes, and on elements with disjoint
@@ -354,24 +357,13 @@ class _RowChecks:
     def __init__(self):
         self._memo: dict = {}
 
-    def _cached(self, kind: str, build: Callable, parent, stage):
-        """``build()``, once per ``kind`` and pair; the memo holds the
-        stages, so their ids stay theirs."""
-        key = (kind, id(parent), id(stage))
-        if key not in self._memo:
-            self._memo[key] = build(), parent, stage
-        return self._memo[key][0]
-
-    def split(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+    @staticmethod
+    def split(parent: SubgroupDescriptor, stage: SubgroupDescriptor):
         """(parts, image) for a row that splits, else None.  ``parts`` maps
         a key to a (parent, stage) pair: the point, for a power row, whose
         probe values are read at their supported points; None, for an
         image, whose probe values the ``_Image`` ``image`` takes back to the
         source (or to None, off the image)."""
-        return self._cached("split", lambda: self._split(parent, stage), parent, stage)
-
-    @staticmethod
-    def _split(parent, stage):
         ps, ss = getattr(parent, "_source", None), getattr(stage, "_source", None)
         if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
             return {None: (ps.source, ss.source)}, ss
@@ -387,8 +379,13 @@ class _RowChecks:
         """(passes, cover, reads_all) for the row: whether the checks that
         read no probe pass; the check ``cover(v, sift)`` of a probe value
         ``v``, which sifts ``v`` when ``sift`` says that it lies in the
-        parent; and whether ``cover`` reads a value outside the parent."""
-        return self._cached("checks", lambda: self._checks(parent, stage), parent, stage)
+        parent; and whether ``cover`` reads a value outside the parent.  They
+        are built once per pair; the memo holds the stages, so their ids
+        stay theirs."""
+        key = id(parent), id(stage)
+        if key not in self._memo:
+            self._memo[key] = self._checks(parent, stage), parent, stage
+        return self._memo[key][0]
 
     def _checks(self, parent, stage):
         split = self.split(parent, stage)
@@ -432,19 +429,19 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     """The certified index of ``stage`` in ``parent`` and None, or None and
     the first failure (reason, witness) of its transversal ``t``.
 
-    When ``t`` is ``stage``'s own row and the row splits (``_RowChecks``),
-    its base rows are checked, each distinct one once per ``rows``, and the
-    probes are read at their supported points; if that passes, so does the
-    row.  Otherwise, and to name the first failure of a row that splits:
-    each factor is checked against its own pair (K_(j-1), K_j) of the
-    subgroups parent = K_0, K_1, ..., K_m = stage; the K_j must nest on the
-    probes; and each probe in the parent is sifted through the factors,
-    whose last digit is ``stage``'s own membership test of rep^-1 * p.  An
-    explicit transversal is one factor, so this is the pairwise check and a
-    scan."""
-    rows = _RowChecks() if rows is None else rows
-    if t is stage.transversal and rows.split(parent, stage) is not None:
-        passes, cover, reads_all = rows.checks(parent, stage)
+    When ``t`` is ``stage``'s own row, it goes through ``rows``
+    (``_RowChecks``): a row that splits through its base rows, a leaf factor
+    by factor, each distinct one once per ``rows``, and each probe at its
+    supported points; if that passes, so does the row.  The factorwise scan
+    names the first failure of a row that fails there, and checks a row
+    that ``stage`` does not own: each factor is checked against its own
+    pair (K_(j-1), K_j) of the subgroups parent = K_0, K_1, ..., K_m =
+    stage; the K_j must nest on the probes; and each probe in the parent is
+    sifted through the factors, whose last digit is ``stage``'s own
+    membership test of rep^-1 * p.  An explicit transversal is one factor,
+    so this is the pairwise check and a scan."""
+    if t is stage.transversal:
+        passes, cover, reads_all = (rows or _RowChecks()).checks(parent, stage)
         if passes and all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
                           if in_k0 or reads_all):
             return t.size, None

@@ -16,6 +16,8 @@ import random
 import time
 from contextlib import redirect_stdout
 
+from fixture_groups import finite_fixtures
+
 from residua.catalog import build_group, depth_interval
 from residua.chains import (
     chain_at,
@@ -29,7 +31,6 @@ from residua.chains import (
 )
 from residua.cli import main
 from residua.dsl import parse_expr
-from residua.fixtures import finite_fixtures
 from residua.groups import (
     CountablePoints,
     Element,

@@ -6,10 +6,11 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixture_groups import finite_fixtures
+
 from residua import catalog, elements, groups
 from residua.catalog import build_group
 from residua.dsl import parse_expr
-from residua.fixtures import finite_fixtures
 from residua.elements import (
     ORACLE_CAP,
     Element,

@@ -23,6 +23,9 @@ from the module that defines it, so a name has one home.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -95,6 +98,16 @@ def test_element_algebra_imports_nothing_from_the_package():
 def test_package_exports_its_compatibility_surface():
     assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 76
     assert [name for name in PUBLIC_NAMES if not hasattr(residua, name)] == []
+
+
+def test_the_package_and_its_cli_load_every_module():
+    # a module that only tests import is test data or dead code; a fresh
+    # process, since this one holds whatever the other tests imported
+    code = ("import sys, residua, residua.cli; "
+            "print(sorted(n[len('residua.'):] for n in sys.modules if n.startswith('residua.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert ast.literal_eval(done.stdout) == [p.stem for p in MODULES if p.stem != "__init__"]
 
 
 def defined_names(path: Path) -> set:

@@ -1,9 +1,10 @@
 import pytest
 
+from fixture_groups import finite_fixtures, make_klein_four
+
 from residua import elements, groups, oracle
 from residua.catalog import build_group
 from residua.dsl import parse_expr
-from residua.fixtures import finite_fixtures, make_klein_four
 from residua.groups import (
     GroupError,
     make_alternating,
