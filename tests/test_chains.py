@@ -969,6 +969,20 @@ class TestTransversalCertification:
                                             in_stage, rows) == (2 ** n, None)
             assert len(calls) == (1 + 6 if remake is not dataclasses.replace else 21)
 
+    def test_a_leaf_row_is_checked_once_per_run(self, monkeypatch):
+        # a row that does not split goes through _RowChecks as well, so one
+        # run checks its cosets once however often it certifies the row
+        s3, chain = s3_chain()
+        parent, stage = chain.tail
+        sample = random_words(s3, 16, 0)
+        in_parent = [parent.contains(p) for p in sample]
+        in_stage = [stage.contains(p) for p in sample]
+        calls, rows = self.count_coset_checks(monkeypatch), _RowChecks()
+        for _ in range(3):
+            assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
+                                        in_stage, rows) == (3, None)
+        assert len(calls) == 1
+
     def test_nested_wreath_checks_grow_linearly(self, monkeypatch):
         # step 1 of each block after the first is a product of 2^n factors
         # of size 2; checked factor by factor, n = 4 made 49 coset checks and
@@ -989,7 +1003,8 @@ class TestTransversalCertification:
         # a power or tower over a base chain with one row that drops a
         # representative, takes the next row's test, or admits a generator
         # its parent may not hold: the rows that split give the certificate
-        # that the factorwise check gives
+        # that leaf rows give (split off) and that the factorwise scan gives
+        # (row checks off)
         verdicts = set()
         for k in range(1, 5):
             base = chain_for(parse_expr(expr))
@@ -1008,9 +1023,11 @@ class TestTransversalCertification:
                     built.append((tower_chain(mutant.group, mutant, 2), 4))
                 for chain, levels in built:
                     split = verify_prefix(chain, levels, 64, 0).to_jsonable()
-                    with monkeypatch.context() as m:
-                        m.setattr(_RowChecks, "split", lambda self, parent, stage: None)
-                        assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
+                    for name, off in (("split", lambda self, parent, stage: None),
+                                      ("checks", lambda self, parent, stage: (False, None, False))):
+                        with monkeypatch.context() as m:
+                            m.setattr(_RowChecks, name, off)
+                            assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
                     verdicts.add(split["verdict"])
         assert verdicts == {"pass", "fail"}
 

@@ -1,5 +1,7 @@
 """Every module of the package stays below 8,192 parser tokens and holds
-no assert statement, and the package keeps the names it exports.
+no assert statement, the package keeps the names it exports, and importing
+``residua`` and ``residua.cli`` loads every module, so none is reached only
+from tests.
 
 Where bytecode is not cached (``PYTHONDONTWRITEBYTECODE=1``), each run
 compiles the package from source, and compiling a module past 8,192 tokens
