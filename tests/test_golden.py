@@ -92,6 +92,7 @@ PULLBACK_CASES = {
     ("verify", "tower(Dinf,6)", "--levels", "2"): "c37e4b984000cda7",
     ("verify", "tower(Dinf,7)", "--levels", "2"): "0f611342bc6646d3",
     ("verify", "tower(Dinf,8)", "--levels", "2"): "dbd8692c86badcd3",
+    ("verify", "tower(Dinf,16)", "--levels", "1"): "aa0a42a9783a92c2",
     ("verify", "S(7)", "--probes", "4"): "e509c0dc36767ba6",
     ("depth", "tower(Dinf,3)", "--format", "json"): "1de1292c24a46c70",
     ("tree", "wreath(C(2),Z)", "--levels", "12", "--format", "json"): "bec3b93a2a676939",
