@@ -188,7 +188,8 @@ def limit_membership(chain: ChainSchema, i, element: Element,
     Evaluates the canonical cofinal sequence (the previous block's stages)
     up to ``budget`` steps: False once some stage excludes the element, True
     only if the declared limit stage also accepts it, None when the budget
-    runs out undecided.
+    runs out undecided.  A library chain answers from its exclusion depth
+    and a caller's chain walks (see ``_first_excluding_step``).
     """
     if isinstance(i, int):
         i = Ordinal.from_int(i)
@@ -204,7 +205,23 @@ def limit_membership(chain: ChainSchema, i, element: Element,
 
 def _first_excluding_step(chain: ChainSchema, block: int, element: Element,
                           budget: int, start: int = 0) -> Optional[int]:
-    """The first n in start..budget whose stage w*block + n excludes the element."""
+    """The first n in start..budget whose stage w*block + n excludes the element.
+
+    A block rule that a library constructor returns carries the chain's
+    exclusion depth: ``rule.exclusion(b, v, budget)`` is the first step of
+    block b whose stage excludes the value v, or None when none does; past
+    ``budget`` it may be any later step or None.  It is read when the
+    chain's ``block_rule`` still carries it and the answer is at or past
+    ``start``, so no stage is built.  A caller's block rule, or one that
+    ``dataclasses.replace`` puts in, has none, and its stages are walked.
+    """
+    exclusion = getattr(chain.block_rule, "exclusion", None)
+    if exclusion is not None and block < chain.num_blocks:
+        n = exclusion(block, element.value, budget)
+        if n is None or n > budget:
+            return None
+        if n >= start:
+            return n
     for n in range(start, budget + 1):
         if not chain.stage_at(block, n).contains(element):
             return n
@@ -212,6 +229,14 @@ def _first_excluding_step(chain: ChainSchema, block: int, element: Element,
 
 
 # --- built-in chains ---------------------------------------------------------
+
+
+def _valuation(v: int, p: int) -> int:
+    """The exponent of the prime power p^k that exactly divides v != 0."""
+    k = 0
+    while v % p == 0:
+        v, k = v // p, k + 1
+    return k
 
 
 def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSchema:
@@ -237,6 +262,7 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
             label=f"multiples of {modulus}",
         )
 
+    rule.exclusion = lambda b, v, budget: _valuation(v, p) + 1 if v else None
     final = SubgroupDescriptor(
         owner=z,
         membership=Element.is_identity,
@@ -277,6 +303,13 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
             label=f"translations by multiples of {modulus}",
         )
 
+    def exclusion(b: int, v, budget: int) -> Optional[int]:
+        """1 for a flip, and ``valuation + 2`` for a translation by t != 0."""
+        if v[1]:
+            return 1
+        return _valuation(v[0], p) + 2 if v[0] else None
+
+    rule.exclusion = exclusion
     final = SubgroupDescriptor(
         owner=d,
         membership=Element.is_identity,
@@ -364,6 +397,8 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
             label=(last.label or "last stage") + " (repeated)",
         )
 
+    rule.exclusion = lambda b, v, budget: next(
+        (n for n in range(r + 1) if not _value_test(chain.stage_at(0, n))(v)), None)
     final = SubgroupDescriptor(
         owner=chain.group,
         membership=last.membership,
@@ -462,6 +497,25 @@ def concat_extension(ext: ExtensionHandle, chain_q: ChainSchema,
             return _embed_kernel_stage(ext, chain_n.stage_at(0, n - r1))
         return _embed_kernel_stage(ext, chain_n.stage_at(b - q1, n))
 
+    excl_q, excl_n = (getattr(c.block_rule, "exclusion", None) for c in (chain_q, chain_n))
+
+    def exclusion(b: int, v, budget: int) -> Optional[int]:
+        """The quotient's depth of the projected value in its blocks.  In
+        block q1, 0 off the quotient's final limit and 1 off the kernel;
+        past it, 0 off the kernel; else the kernel's depth of the retracted
+        value, at least 1 in block q1."""
+        u = _value_map(ext.projection, ext.total)(v)
+        if b < q1:
+            return excl_q(b, u, budget)
+        if b == q1 and not _value_test(chain_q.stage_at(q1, 0))(u):
+            return 0
+        if u != ext.quotient.identity_value():
+            return int(b == q1)
+        k = excl_n(b - q1, _value_map(ext.kernel_retract, ext.total)(v), budget)
+        return k if b > q1 or k is None else max(1, k)
+
+    if r1 == 0 and (excl_q or not q1) and (excl_n or not q2):
+        rule.exclusion = exclusion
     return ChainSchema(
         group=ext.total,
         kappa=max(chain_q.kappa, chain_n.kappa),
@@ -608,6 +662,23 @@ def _power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSch
             f"coordinatewise block {b} step {n}", top,
         )
 
+    base_exclusion = getattr(base_chain.block_rule, "exclusion", None)
+    index: dict = {}  # point label -> its place in the enumeration, listed as budgets ask
+
+    def exclusion(b: int, v, budget: int) -> Optional[int]:
+        """0 when a supported value leaves base stage (b, 0) (b >= 1), and
+        otherwise the least i + max(1, base depth) over the supported points
+        x_i with i < budget (the others give more than the budget)."""
+        if b and not all(map(_value_test(base_chain.stage_at(b, 0)), (y for _, y in v))):
+            return 0
+        for i in range(len(index), budget):
+            index[grp.points.label(i)] = i
+        depths = (index[x] + max(1, k) for x, y in v if index.get(x, budget) < budget
+                  and (k := base_exclusion(b, y, budget)) is not None)
+        return min(depths, default=None)
+
+    if base_exclusion is not None:
+        rule.exclusion = exclusion
     final = _coordinatewise_stage(grp, [], [], base_chain.stage_at(q, 0),
                                   "supportwise final stage")
     return ChainSchema(
@@ -638,6 +709,11 @@ def _diagonal_power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) ->
         return lift(base_chain.stage_at(b, n), base_chain.stage_at(b, n - 1) if n else None)
 
     q = base_chain.num_blocks
+    base_exclusion = getattr(base_chain.block_rule, "exclusion", None)
+    if base_exclusion is not None:  # the least base depth over the supported values
+        rule.exclusion = lambda b, v, budget: min(
+            (k for k in (base_exclusion(b, y, budget) for _, y in v) if k is not None),
+            default=None)
     parents = (base_chain.stage_at(q, 0) if q else None, *base_chain.tail)
     return ChainSchema(
         group=grp,
@@ -899,7 +975,10 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     Checks ``levels`` finite steps past each limit stage, in phases: the
     stages to check, block by block; the identity in every stage and stage
     0 full; coherence of each declared limit stage against the lazy
-    intersection of the previous block; descent between consecutive steps
+    intersection of the previous block, which a library chain answers from
+    its exclusion depth, building no stage past the checked steps, and a
+    caller's chain or a replaced block rule by walking the stages (see
+    ``_first_excluding_step``); descent between consecutive steps
     of a block and step indices strictly below kappa (certified by
     transversals where present, otherwise probe-counted and left
     unverified); triviality of the final stage on probes; and the first

@@ -12,7 +12,7 @@ Exit codes are a stable contract:
     3  verify: Inconclusive
     4  unregistered construction / no chain constructor
     5  non-materializable tree level
-    6  oracle cap exceeded
+    6  a cap exceeded: the oracle's, or a flag value over ``FLAG_CAPS``
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_UNREGISTERED = 4
 EXIT_NON_MATERIALIZABLE = 5
 EXIT_CAP = 6
+
+# the largest value of each flag; a larger one would give a run that does not end
+FLAG_CAPS = {"probes": 100_000, "levels": 1_000, "word_len": 64, "limit_budget": 1_000}
 
 # Python 3.11 and later refuse to write ints of over 4,300 digits unless lifted
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -297,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     if "seed" not in given and (env_seed := _env_seed(parser)) is not None:
         given["seed"] = env_seed
     config = RunConfig(**given)
+    for name, cap in FLAG_CAPS.items():
+        if given.get(name, 0) > cap:
+            flag = "--" + name.replace("_", "-")
+            print(f"residua: {flag} {given[name]} is over its cap of {cap}", file=sys.stderr)
+            return EXIT_CAP
     limit = _digit_limit()
     try:
         expr = parse_expr(args.expr)

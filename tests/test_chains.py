@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from residua import chains, cli, stages
 from residua.catalog import chain_for
@@ -658,6 +659,12 @@ def count_membership_tests(monkeypatch, bound=None) -> list:
     return calls
 
 
+def walked(chain: ChainSchema) -> ChainSchema:
+    """``chain`` with the same stages, through a block rule that carries no
+    exclusion depth, so that limit coherence walks them."""
+    return dataclasses.replace(chain, block_rule=lambda b, n: chain.stage_at(b, n))
+
+
 def count_transversals(monkeypatch) -> list[int]:
     """A one-item list counting ``Transversal`` constructions from now on."""
     built = [0]
@@ -684,7 +691,7 @@ class TestLazyTransversals:
         assert built[0] < 20_000
 
     def test_stages_the_limit_walk_reaches_build_none(self, monkeypatch):
-        chain = chain_for(parse_expr("tower(Dinf,3)"))
+        chain = walked(chain_for(parse_expr("tower(Dinf,3)")))
         built = count_transversals(monkeypatch)
         # no stage excludes the identity, so the walk reaches all 65 steps
         assert _first_excluding_step(chain, 1, chain.group.identity(), 64) is None
@@ -696,7 +703,7 @@ class TestLazyTransversals:
 
     def test_stages_the_limit_walk_reaches_multiply_no_indices(self, monkeypatch):
         # a stage's index is its transversal's size, read only with the row
-        chain = chain_for(parse_expr("tower(Dinf,3)"))
+        chain = walked(chain_for(parse_expr("tower(Dinf,3)")))
         calls = []
         monkeypatch.setattr(math, "prod", lambda *args, f=math.prod: calls.append(1) or f(*args))
         assert _first_excluding_step(chain, 1, chain.group.identity(), 64) is None
@@ -723,6 +730,46 @@ class TestLazyTransversals:
                 final_limit=lazy.final_limit and remake(lazy.final_limit),
                 tail=tuple(map(remake, lazy.tail)))
             assert verify_prefix(chain, levels, 64, 0).to_jsonable() == expected
+
+
+# the chains of the benchmark's verify ops, and the towers up to height 4
+EXCLUSION_CHAINS = [
+    "Z", "Dinf", "wreath(C(2),Z)", "wreath(S(3),Z)", "wreath(C(2),Dinf)", "prod(Z,Dinf)",
+    "power(C(2),N)", "power(Dinf,N)", "wreath(wreath(C(2),Z),Z)",
+    *[f"tower({g},{h})" for g in ("Z", "Dinf") for h in (2, 3, 4)],
+]
+
+
+class TestExclusionDepth:
+    """A library chain answers limit coherence from its exclusion depth, as
+    the walk over its stages does; a replaced block rule walks."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.sampled_from(EXCLUSION_CHAINS), st.integers(0, 2 ** 16), st.integers(0, 64),
+           st.integers(1, 8))
+    def test_depth_is_the_first_step_the_walk_finds(self, expr, seed, budget, levels):
+        chain = chain_for(parse_expr(expr))
+        assert callable(chain.block_rule.exclusion)
+        for p in [chain.group.identity(), *random_words(chain.group, 4, seed)]:
+            for b in range(chain.num_blocks):
+                inside = [chain.stage_at(b, n).contains(p) for n in range(budget + 1)]
+                # from 0 (limit_membership), 1 (verify_simple past block 0), and
+                # the first step that verify_prefix has not tested
+                for start in (0, 1, min(levels, budget) + 1):
+                    walk = next((n for n in range(start, budget + 1) if not inside[n]), None)
+                    assert _first_excluding_step(chain, b, p, budget, start) == walk
+                expected = (False if False in inside
+                            else True if chain.stage_at(b + 1, 0).contains(p) else None)
+                assert limit_membership(chain, OMEGA * (b + 1), p, budget) is expected
+
+    def test_no_stage_past_the_checked_steps_is_built(self):
+        chain = chain_for(parse_expr("tower(Dinf,3)"))
+        certificate = verify_prefix(chain, 1, 64, 0)
+        assert max(n for _, n in chain._stage_cache) == 1
+        # a replaced block rule walks the stages below each limit, to the same certificate
+        replaced = walked(chain_for(parse_expr("tower(Dinf,3)")))
+        assert verify_prefix(replaced, 1, 64, 0) == certificate
+        assert max(n for _, n in replaced._stage_cache) > 1
 
 
 class TestStageCache:
@@ -873,7 +920,7 @@ class TestTransversalCertification:
     def test_limit_coherence_reads_the_checked_rows(self, monkeypatch):
         # the block below a limit was already tested on steps 0..levels; the
         # coherence check reads those verdicts and tests only deeper steps
-        chain = chain_for(parse_expr("wreath(C(2),Z)"))
+        chain = walked(chain_for(parse_expr("wreath(C(2),Z)")))
         checked = {id(stage) for block in _blocks(chain, 4) for stage in block}
         tested, in_coherence = [], []
         contains, coherence = SubgroupDescriptor.contains, chains._check_limit_coherence

@@ -464,6 +464,24 @@ class TestUsageErrors:
         assert cli._build_parser() is cli._build_parser()
 
 
+class TestFlagCaps:
+    @pytest.mark.parametrize("command, name", [
+        ("verify", "probes"), ("verify", "levels"), ("verify", "word_len"),
+        ("verify", "limit_budget"), ("tree", "levels"),
+    ])
+    def test_over_the_cap_exits_6_with_one_line(self, capsys, command, name):
+        # these values gave runs that did not end within 20 s, or took gigabytes
+        flag, cap = "--" + name.replace("_", "-"), cli.FLAG_CAPS[name]
+        code, out, err = run(capsys, command, "Z", flag, str(cap + 1))
+        assert (code, out) == (6, "")
+        assert err == f"residua: {flag} {cap + 1} is over its cap of {cap}\n"
+
+    def test_the_caps_admit_their_own_values(self, capsys):
+        code, out, _ = run(capsys, "verify", "Z", "--levels", "1000", "--word-len", "64",
+                           "--limit-budget", "1000", "--probes", "2")
+        assert code == 0 and out.startswith("verdict: pass\n")
+
+
 _COMMANDS = [("depth",), ("tree",),
              ("verify", "--levels", "1", "--probes", "2", "--limit-budget", "1")]
 _NESTED = "prod(C(2), " * (MAX_NESTING - 1) + "Z" + ")" * (MAX_NESTING - 1)
@@ -530,7 +548,8 @@ class TestGroupsTooBigToList:
 
 # Argv drawn for the fuzz test below.  Sizes stay small (nesting <= 2,
 # --probes <= 8, --levels <= 3, --limit-budget <= 4) so that every run is
-# quick; the bounded defaults come first and a drawn flag overrides them.
+# quick, or go past a flag's cap, which exits 6 before any work; the bounded
+# defaults come first and a drawn flag overrides them.
 _SMALL = ["1", "Z", "Dinf", "C(2)", "C(3)", "Deligne"]
 _LEAVES = _SMALL + ["S(3)", "A(4)", "perm(3; (0 1 2))"]
 _MALFORMED = [
@@ -563,12 +582,12 @@ _FLAG_VALUES = {
     "--seed": ["0", "7", "-3", "x", _BIG],
     "--format": ["text", "json", "dot", "xml"],
     "--out": ["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"],
-    "--levels": ["0", "1", "3", "-1", "x"],
-    "--probes": ["0", "1", "8", "-1", "x"],
+    "--levels": ["0", "1", "3", "-1", "x", "1001"],
+    "--probes": ["0", "1", "8", "-1", "x", "100001"],
     "--kappa": ["aleph0", "1", "2", "5", "0", "-3", "foo", _BIG],
     "--chain": ["auto", "p-adic:2", ""],
-    "--word-len": ["0", "1", "3", "x"],
-    "--limit-budget": ["0", "1", "4", "-1", "x"],
+    "--word-len": ["0", "1", "3", "x", "65"],
+    "--limit-budget": ["0", "1", "4", "-1", "x", "1001"],
     "--block": ["0", "1", "-1", "5", "x"],
     "--max-index": ["0", "1", "2", "x", _BIG],
 }
