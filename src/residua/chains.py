@@ -304,7 +304,7 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
         )
 
     def exclusion(b: int, v, budget: int) -> Optional[int]:
-        """1 for a flip, and ``valuation + 2`` for a translation by t != 0."""
+        """1 for a flip, and nu_p(t) + 2 for a translation by t != 0."""
         if v[1]:
             return 1
         return _valuation(v[0], p) + 2 if v[0] else None

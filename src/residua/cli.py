@@ -49,7 +49,7 @@ EXIT_UNREGISTERED = 4
 EXIT_NON_MATERIALIZABLE = 5
 EXIT_CAP = 6
 
-# the largest value of each flag; a larger one would give a run that does not end
+# the largest value of each flag: past these a run takes minutes or gigabytes
 FLAG_CAPS = {"probes": 100_000, "levels": 1_000, "word_len": 64, "limit_budget": 1_000}
 
 # Python 3.11 and later refuse to write ints of over 4,300 digits unless lifted
