@@ -328,7 +328,11 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
     Transversals are materialized by greedy left-coset decomposition, in
     element order with the identity first, so all indices are certified.
     The cosets are products by ``Group.multiply``, read off the group's
-    Cayley table when it has one.  A trivial stage tests membership with
+    Cayley table when it has one.  With a table, each stage also keeps the
+    decomposition as its coset table: each parent value maps to its digit
+    and rep^-1 * value, which coset trees look up in place of the sift
+    (``stages._table_placer``).  A group above ``ORACLE_CAP`` has no table
+    and keeps none.  A trivial stage tests membership with
     ``Element.is_identity``, by which its transversal is recognised and
     checked in linear time, not pairwise.
     The last set need not be trivial; verification will fail such a chain,
@@ -336,8 +340,14 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
-    sets = [frozenset(group.validate_value(v) for v in s) for s in subgroups]
-    group.cayley_table()  # so that each product below is a table lookup
+    return _finite_chain(group, [frozenset(group.validate_value(v) for v in s) for s in subgroups],
+                         kappa, name)
+
+
+def _finite_chain(group: Group, sets: list[frozenset], kappa: CardinalBound = ALEPH0,
+                  name: str = "") -> ChainSchema:
+    """``finite_chain`` over sets of canonical values, which it does not validate."""
+    table = group.cayley_table()  # so that each product below is a table lookup
     values = group.element_values()
     ident = group.identity_value()
     prev = frozenset(values)
@@ -347,20 +357,26 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
             raise ChainError(f"stage {k} is not contained in stage {k - 1}")
         if len(prev) % len(s):
             raise ChainError(f"stage {k} size does not divide its parent")
-        reps = []
-        covered = set()
+        reps, covered = [], {} if table else set()  # with a table: value -> (digit, residue)
+        members = [(table.index[h], h) for h in s] if table else ()
         for v in sorted([v for v in values if v in prev], key=lambda v: v != ident):
             if v not in covered:
+                if table:
+                    row, d = table.mul[table.index[v]], len(reps)
+                    covered.update((values[row[i]], (d, h)) for i, h in members)
+                else:
+                    covered.update(group.multiply(v, h) for h in s)
                 reps.append(v)
-                covered.update(group.multiply(v, h) for h in s)
-        stages.append(
-            SubgroupDescriptor(
-                owner=group,
-                membership=Element.is_identity if s == {ident} else ValueTest(s.__contains__),
-                transversal=Transversal(group, reps),
-                label=f"order {len(s)}",
-            )
+        t = Transversal(group, reps)
+        stage = SubgroupDescriptor(
+            owner=group,
+            membership=Element.is_identity if s == {ident} else ValueTest(s.__contains__),
+            transversal=t,
+            label=f"order {len(s)}",
         )
+        if table:  # not a field: dataclasses.replace drops it, as it drops ``_source``
+            object.__setattr__(stage, "_cosets", (t, covered))
+        stages.append(stage)
         prev = s
     return ChainSchema(
         group=group, kappa=kappa, num_blocks=0, tail=tuple(stages),

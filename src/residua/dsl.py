@@ -15,7 +15,10 @@ the byte offset of the first offending character and the expected tokens.
 Towers are at most ``MAX_TOWER_HEIGHT`` high and constructor calls nest at
 most ``MAX_NESTING`` deep: the parser, the group algebra and the chain
 builders recurse once per level, and deeper inputs would exhaust Python's
-stack.
+stack.  Permutation degrees are at most ``MAX_DEGREE``: a permutation
+group's order is the length of its enumerated closure, so ``S(n)`` past
+the bound would multiply permutations of that degree until the closure
+cap, for minutes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .ordinal import MAX_NESTING, OrdinalParseError, _Scanner
 
 __all__ = [
     "MAX_TOWER_HEIGHT",
+    "MAX_DEGREE",
     "DslError",
     "DslParseError",
     "GroupExpr",
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 MAX_TOWER_HEIGHT = 64
+MAX_DEGREE = 64  # of S(n), A(n) and perm(n; ...); S(64) still parses, and reaches the closure cap
 # MAX_NESTING, shared with ordinals, bounds constructor calls open at once: prod(prod(Z)) nests 2
 
 
@@ -80,6 +85,8 @@ class Perm:
     generators: tuple  # each generator is a tuple of cycles; a cycle is a tuple of ints
 
     def __post_init__(self):
+        if self.degree > MAX_DEGREE:
+            raise DslError(f"degree must be <= {MAX_DEGREE}, got {self.degree}")
         for gen in self.generators:
             if not gen:
                 raise DslError("a generator needs at least one cycle")
@@ -224,9 +231,9 @@ class _Parser(_Scanner):
         if name == "C":
             return Cyclic, (self.at_least(1, "cyclic order"),)
         if name in _SUGAR:
-            return _SUGAR[name], (self.at_least(0, "degree"),)
+            return _SUGAR[name], (self.at_least(0, "degree", MAX_DEGREE),)
         if name == "perm":
-            degree = self.at_least(0, "degree")
+            degree = self.at_least(0, "degree", MAX_DEGREE)
             self.expect(";")
             if self.peek() not in ("(", ")"):
                 raise DslParseError("unexpected character", self.pos, ("'('", "')'"))

@@ -7,10 +7,13 @@ Transversals are explicit, or products of explicit factors (Sims 1970;
 Seress, *Permutation Group Algorithms*, 2003, ch. 4), and a stage may give
 its transversal as a function that builds it on first read, so a stage that
 is only tested for membership never builds one.  A transversal is checked
-factor by factor, and probes are covered by the sift of ``_placer``, which
-coset trees share; the sift's last digit is the stage's own membership
-test.  A trivial stage tests membership with ``Element.is_identity``, by
-which the check recognises it.
+factor by factor, and probes are covered by the sift of ``_placer``; the
+sift's last digit is the stage's own membership test.  Coset trees place
+by the sift too, except at a stage that still holds the coset table that
+``chains.finite_chain`` recorded for it, where one lookup gives the digit
+and the residue (``_table_placer``).  The verifier never reads that table.
+A trivial stage tests membership with ``Element.is_identity``, by which the
+check recognises it.
 
 Every row that a stage owns is certified through ``_RowChecks``, once per
 distinct (parent, stage) pair in a verify run.  A row that the library
@@ -309,6 +312,21 @@ def _placer(t: Transversal, stage: SubgroupDescriptor) -> Callable:
         return index, v
 
     return place
+
+
+def _table_placer(stage: SubgroupDescriptor) -> Optional[Callable]:
+    """Placement in the row of ``stage`` by lookup, or None.
+
+    ``chains.finite_chain`` records a stage's coset table, (transversal,
+    cosets), when its group has a Cayley table: ``cosets`` maps each parent
+    value to the digit of its coset and rep^-1 * value, what ``_placer``'s
+    sift gives, and the lookup gives None for any other value, as the sift
+    does.  The lookup serves while the stage holds that transversal; a stage
+    that ``dataclasses.replace`` makes has no record, and is sifted."""
+    cosets = getattr(stage, "_cosets", None)
+    if cosets is not None and cosets[0] is stage.transversal:
+        return cosets[1].get
+    return None
 
 
 def _factor_failure(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor):

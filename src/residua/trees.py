@@ -4,11 +4,14 @@ A chain whose materialized stages carry transversals induces a rooted tree:
 the level-k vertices inside one block are the coherent tuples of cosets of
 the first k stages, encoded as mixed-radix digit strings over the stage
 transversals (digit i picks the coset representative at stage i).  Parent
-maps drop the last digit.  Group elements act by left translation, placed
-by the verifier's factorwise sift, and a deepest vertex r*K (K the last
-stage) is fixed exactly by the conjugate r*K*r^-1; stabilizers of a
-root-to-leaf thread recover a chain, conjugate to the original when the
-thread is not the identity one.
+maps drop the last digit.  Group elements act by left translation.  An
+element is placed level by level: by one lookup in the coset table that
+``finite_chain`` keeps for a stage while the stage still holds it, and
+otherwise by the verifier's factorwise sift (``stages._table_placer``,
+``stages._placer``).  A deepest vertex r*K (K the last stage) is fixed
+exactly by the conjugate r*K*r^-1; stabilizers of a root-to-leaf thread
+recover a chain, conjugate to the original when the thread is not the
+identity one.
 
 Limit levels are never enumerated: a truncation materializes finitely many
 levels of one block, hanging off the identity thread at the block's base.
@@ -23,11 +26,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .chains import (ChainSchema, _first_excluding_step, _probe_id, _split_stage_ordinal,
-                     finite_chain)
+from .chains import (ChainSchema, _finite_chain, _first_excluding_step, _probe_id,
+                     _split_stage_ordinal)
 from .elements import Element, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal, json_text
-from .stages import ChainError, SubgroupDescriptor, Transversal, _placer
+from .stages import (ChainError, SubgroupDescriptor, Transversal, _placer, _table_placer,
+                     _value_test)
 
 __all__ = [
     "TreeError",
@@ -148,9 +152,12 @@ class TreeTruncation:
 
     @cached_property
     def _placers(self) -> list[Callable]:
-        """Each level's placement routine (``stages._placer``), built on first use."""
+        """Each level's placement routine, built on first use: the lookup in
+        the stage's coset table (``stages._table_placer``), or else the sift
+        (``stages._placer``)."""
         stages = self._stages(self.depth)
-        return [_placer(stage.transversal, stage) for stage in stages[1:]]
+        return [_table_placer(stage) or _placer(stage.transversal, stage)
+                for stage in stages[1:]]
 
     @cached_property
     def _deepest_reps(self) -> list[Element]:
@@ -170,7 +177,12 @@ class TreeTruncation:
         self._check_element(e)
         if depth is not None:
             self._level(depth)
-        digits, v = [], e.value
+        return self._digits(e.value, depth)
+
+    def _digits(self, v, depth: Optional[int] = None) -> tuple[int, ...]:
+        """Digit string of the value ``v``'s coset thread, down to ``depth``
+        (the deepest level when None); a level that does not cover it raises."""
+        digits = []
         for k, place in enumerate(self._placers[:depth], start=1):
             placed = place(v)
             if placed is None:
@@ -339,11 +351,13 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     For finite chains over finite groups this is exhaustive over all elements
     and all deepest vertices, and the verdict is definitive: fixed-point
     freeness there holds exactly when the chain terminates at the trivial
-    subgroup.  Every element is sifted once, so a transversal that misses a
-    coset raises; the fixed points are then read off the last stage K, with
-    no element translated vertex by vertex: deepest vertex r*K is fixed
-    exactly by the conjugates r*k*r^-1, k in K (Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, ch. 4).  Otherwise
+    subgroup.  The element group is checked once, and every element value
+    is placed once, by lookup or sift (``TreeTruncation._placers``), so a
+    transversal that misses a coset raises; the fixed points are then read
+    off the last stage K, with no element translated vertex by vertex:
+    deepest vertex r*K is fixed exactly by the conjugates r*k*r^-1, k in K
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005, ch. 4), and a trivial K fixes none.  Otherwise
     each probe is walked down the stages (``budget`` steps per block) until
     a stage excludes it, i.e. until it moves the identity thread's vertex at
     that level.  A probe that survives a block's budget but not the limit
@@ -359,17 +373,19 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
     )
     if exhaustive:
         group.cayley_table()  # element products below become lookups
-        elements = group.elements()
-        for e in elements:  # a transversal that misses a coset raises here
-            tr.digits_of_element(e)
-        final = tr._stages(tr.depth)[-1]
-        members = [k for k in elements if not k.is_identity() and final.contains(k)]
-        fixed = {}  # element -> the deepest vertices it fixes, ascending
-        for idx, rep in enumerate(tr._deepest_reps):  # g fixes rep*K iff g is in rep*K*rep^-1
-            for k in members:
-                fixed.setdefault(rep * k * rep.inverse(), []).append(idx)
-        violations = [{"element": _probe_id(e), "level": tr.depth, "vertex": idx}
-                      for e in elements for idx in fixed.get(e, ())]
+        tr._check_element(group.identity())  # every value below is of this group
+        values = group.element_values()
+        for v in values:  # a transversal that misses a coset raises here
+            tr._digits(v)
+        inside, one = _value_test(tr._stages(tr.depth)[-1]), group.identity_value()
+        members = [v for v in values if v != one and inside(v)]
+        multiply, fixed = group.multiply, {}  # value -> the deepest vertices it fixes, ascending
+        for idx, rep in enumerate(tr._deepest_reps if members else ()):
+            r, r_inv = rep.value, group.invert(rep.value)
+            for k in members:  # g fixes rep*K iff g is in rep*K*rep^-1
+                fixed.setdefault(multiply(multiply(r, k), r_inv), []).append(idx)
+        violations = [{"element": _probe_id(Element(group, v)), "level": tr.depth, "vertex": idx}
+                      for v in values for idx in fixed.get(v, ())]
         return SimplicityReport(
             mode="exhaustive",
             verdict="simple" if not violations else "violation",
@@ -407,11 +423,15 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
 def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema:
     """Recover the chain of vertex stabilizers along a root-to-deepest thread.
 
-    The acting group must be finite; each stage is computed exhaustively.
-    The identity thread returns the original stages; any other thread gives
-    the conjugate chain by the deepest representative.  A level whose
+    The acting group must be finite; each stage is computed exhaustively,
+    by the stage's value test over every element value.  The identity
+    thread returns the original stages; any other thread gives the
+    conjugate chain by the deepest representative.  Each level's
+    representative is the one above it times the stage's representative at
+    the thread's digit there, one product per level, and a level whose
     representative is the identity reads its stage directly, without
-    conjugating.
+    conjugating.  The member sets are canonical values, so the chain is
+    built from them unvalidated.
     """
     stages = tr._stages(tr.depth)
     group = tr.chain.group
@@ -423,22 +443,20 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
         if tr.parent(k, thread[k]) != thread[k - 1]:
             raise TreeError("incoherent thread: parent links broken")
     group.cayley_table()  # element products below become lookups
-    elements = group.elements()
-    subgroups = []
+    values = group.element_values()
+    multiply, rep = group.multiply, group.identity_value()
+    one, subgroups = rep, []
     for k in range(1, tr.depth + 1):
-        rep = tr.representative(k, thread[k])
-        if rep.is_identity():
-            members = {e.value for e in elements if stages[k].contains(e)}
+        rep = multiply(rep, stages[k].transversal.rep(thread[k] % tr.fibres[k - 1]).value)
+        inside = _value_test(stages[k])
+        if rep == one:
+            members = frozenset(filter(inside, values))
         else:
-            rep_inv = rep.inverse()
-            members = {e.value for e in elements if stages[k].contains(rep_inv * e * rep)}
+            rep_inv = group.invert(rep)
+            members = frozenset(v for v in values if inside(multiply(multiply(rep_inv, v), rep)))
         subgroups.append(members)
-    return finite_chain(
-        group,
-        subgroups,
-        kappa=tr.chain.kappa,
-        name=f"stabilizers along {list(thread)} of {tr.provenance}",
-    )
+    return _finite_chain(group, subgroups, tr.chain.kappa,
+                         f"stabilizers along {list(thread)} of {tr.provenance}")
 
 
 def emit(tr: TreeTruncation, format: str) -> str:
