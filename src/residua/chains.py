@@ -344,8 +344,8 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
                          kappa, name)
 
 
-def _finite_chain(group: Group, sets: list[frozenset], kappa: CardinalBound = ALEPH0,
-                  name: str = "") -> ChainSchema:
+def _finite_chain(group: Group, sets: list[frozenset], kappa: CardinalBound,
+                  name: str) -> ChainSchema:
     """``finite_chain`` over sets of canonical values, which it does not validate."""
     table = group.cayley_table()  # so that each product below is a table lookup
     values = group.element_values()

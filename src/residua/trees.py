@@ -444,8 +444,8 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
             raise TreeError("incoherent thread: parent links broken")
     group.cayley_table()  # element products below become lookups
     values = group.element_values()
-    multiply, rep = group.multiply, group.identity_value()
-    one, subgroups = rep, []
+    multiply, one = group.multiply, group.identity_value()
+    rep, subgroups = one, []
     for k in range(1, tr.depth + 1):
         rep = multiply(rep, stages[k].transversal.rep(thread[k] % tr.fibres[k - 1]).value)
         inside = _value_test(stages[k])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import residua
 from residua import catalog, chains, cli, groups, oracle
 from residua.cli import main
-from residua.dsl import MAX_NESTING, MAX_TOWER_HEIGHT, parse_expr
+from residua.dsl import MAX_DEGREE, MAX_NESTING, MAX_TOWER_HEIGHT, parse_expr
 from residua.groups import FinSupportPowerGroup, WreathProductGroup, make_cyclic
 
 
@@ -500,12 +500,20 @@ class TestDeepInputs:
     @pytest.mark.parametrize("expr, message", [
         (f"tower(Dinf,{MAX_TOWER_HEIGHT + 1})", "tower height must be <="),
         ("prod(" + _NESTED + ")", "constructors nest at most"),
-    ], ids=["tower-too-tall", "nesting-too-deep"])
+        ("S(100000)", "degree must be <="),
+        (f"perm({MAX_DEGREE + 1}; (0 1))", "degree must be <="),
+    ], ids=["tower-too-tall", "nesting-too-deep", "degree-too-high", "perm-degree-too-high"])
     def test_past_the_bound_is_a_parse_error(self, capsys, command, expr, message):
         code, out, err = run(capsys, command[0], expr, *command[1:])
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and message in err
+
+    def test_highest_degree_reaches_the_closure_cap(self, capsys):
+        # S(MAX_DEGREE) still parses; its closure stops at the cap, in seconds
+        code, out, err = run(capsys, "depth", f"S({MAX_DEGREE})")
+        assert (code, out) == (4, "")
+        assert err == "residua: closure exceeded cap 200000\n"
 
 
 class TestDeepRows:
@@ -556,6 +564,7 @@ _MALFORMED = [
     "", "C(0)", "S(-1)", "C(2", "C 5", "N", "9", "C(" + "9" * 5000 + ")", "C(\u00b2)",
     "perm(2; (0 2))", "perm(2; (0 -1))", "wreath(C(2))", "prod()", "power(Z,0)",
     "tower(Z,0)", "Z extra", "((", "w*2", "C(2)) ",
+    f"S({MAX_DEGREE + 1})", "A(1000000000000)", "perm(100000; (0 1))",
 ]
 
 

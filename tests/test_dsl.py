@@ -12,6 +12,7 @@ from residua.catalog import (
     register_extension,
 )
 from residua.dsl import (
+    MAX_DEGREE,
     MAX_NESTING,
     MAX_TOWER_HEIGHT,
     Cyclic,
@@ -152,6 +153,18 @@ class TestParse:
         assert str(err.value).startswith(f"tower height must be <= {MAX_TOWER_HEIGHT}")
         with pytest.raises(DslError):
             Tower(Int(), MAX_TOWER_HEIGHT + 1)
+
+    @pytest.mark.parametrize("name, offset", [("S", 2), ("A", 2), ("perm", 5)])
+    def test_degree_bound(self, name, offset):
+        args = ";" if name == "perm" else ""
+        assert parse_expr(f"{name}({MAX_DEGREE}{args})").degree == MAX_DEGREE
+        for degree in (MAX_DEGREE + 1, 10 ** 12):
+            with pytest.raises(DslParseError) as err:
+                parse_expr(f"{name}({degree}{args})")
+            assert err.value.position == offset
+            assert str(err.value).startswith(f"degree must be <= {MAX_DEGREE}")
+        with pytest.raises(DslError):
+            Perm(MAX_DEGREE + 1, ())
 
     def test_nesting_bound(self):
         deepest = "prod(" * MAX_NESTING + "Z" + ")" * MAX_NESTING

@@ -7,7 +7,7 @@ import pytest
 
 from residua import stages, trees
 from residua.catalog import build_group, chain_for
-from residua.chains import SubgroupDescriptor, Transversal, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.chains import SubgroupDescriptor, Transversal, ValueTest, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
 from residua.dsl import parse_expr
 from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
@@ -717,6 +717,83 @@ class TestPlacement:
         for idx, rep in enumerate(reps):
             assert tr.index_of_digits(tr.digits_of_element(rep)) == idx
         assert calls[0] < 150_000
+
+
+def count_sifts(monkeypatch):
+    """A list that gets one item per ``stages._placer`` sift that a tree builds from now on."""
+    sifts, original = [], stages._placer
+
+    def counting(t, stage):
+        sifts.append(stage)
+        return original(t, stage)
+
+    monkeypatch.setattr(trees, "_placer", counting)
+    return sifts
+
+
+def s4_depth_three():
+    """S(4), and its first length-3 chain of ``chain_enumerate`` as a finite chain."""
+    s4 = make_symmetric(4)
+    sets = next(s for s in chain_enumerate(s4, 3) if len(s) == 4)
+    return s4, finite_chain(s4, sets[1:])
+
+
+class TestCosetTables:
+    @pytest.mark.parametrize("name", [*TREE_GROUPS, "A(5)"])
+    def test_table_placement_equals_the_sift(self, name):
+        # every element, at every level: the same digit and residue, or None
+        # outside the parent stage, from the lookup as from the sift
+        group = build_group(parse_expr(name))
+        values = group.element_values()
+        for sets in chain_enumerate(group, 3):
+            for stage in finite_chain(group, sets[1:]).tail:
+                lookup = stages._table_placer(stage)
+                assert lookup is not None
+                sift = stages._placer(stage.transversal, stage)
+                assert [lookup(v) for v in values] == [sift(v) for v in values]
+
+    @pytest.mark.parametrize("change", [
+        lambda stage: dataclasses.replace(stage, membership=ValueTest(stage.membership.test)),
+        lambda stage: dataclasses.replace(stage, transversal=Transversal(
+            stage.owner, stage.transversal.factor_reps()[0])),
+        lambda stage: dataclasses.replace(stage, label="replaced"),
+    ], ids=["membership", "transversal", "label"])
+    def test_replaced_stage_places_by_the_sift(self, monkeypatch, change):
+        s4, chain = s4_depth_three()
+        stage = chain.tail[0]
+        assert stages._table_placer(stage) is not None
+        replaced = change(stage)
+        assert stages._table_placer(replaced) is None
+        changed = dataclasses.replace(chain, tail=(replaced, *chain.tail[1:]))
+        sifts, calls = count_sifts(monkeypatch), count_membership(monkeypatch)
+        tr, kept = (truncate(coset_tree(c), 3) for c in (changed, chain))
+        assert [tr.thread_of(e) for e in s4.elements()] == [kept.thread_of(e)
+                                                           for e in s4.elements()]
+        assert sifts == [replaced] and calls[0] > 0
+
+    def test_stage_given_a_new_transversal_places_by_the_sift(self):
+        _, chain = s4_depth_three()
+        stage = chain.tail[1]
+        object.__setattr__(stage, "transversal",
+                           Transversal(stage.owner, stage.transversal.factor_reps()[0]))
+        assert stages._table_placer(stage) is None
+
+    def test_group_above_the_table_cap_keeps_no_table(self):
+        chain = single_step_chain(make_symmetric(6))  # order 720 > ORACLE_CAP
+        assert stages._table_placer(chain.tail[0]) is None
+
+    def test_finite_chain_places_by_lookup(self, monkeypatch):
+        s4, chain = s4_depth_three()
+        tr = truncate(coset_tree(chain), 3)
+        sifts, calls = count_sifts(monkeypatch), count_membership(monkeypatch)
+        for g in s4.elements():
+            tr.thread_of(g)
+            act(g, tr)
+        assert (sifts, calls[0]) == ([], 0)
+        assert verify_simple(chain, tr).verdict == "simple"
+        # the scan of the final stage's members tests each element at most
+        # once; placing them tests none
+        assert sifts == [] and calls[0] <= s4.order
 
 
 # group -> (first, last) length-3 chain of chain_enumerate(group, 3), and the
