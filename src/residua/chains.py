@@ -340,13 +340,7 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
     """
     if group.order is None:
         raise ChainError("finite chains need a finite group")
-    return _finite_chain(group, [frozenset(group.validate_value(v) for v in s) for s in subgroups],
-                         kappa, name)
-
-
-def _finite_chain(group: Group, sets: list[frozenset], kappa: CardinalBound,
-                  name: str) -> ChainSchema:
-    """``finite_chain`` over sets of canonical values, which it does not validate."""
+    sets = [frozenset(group.validate_value(v) for v in s) for s in subgroups]
     table = group.cayley_table()  # so that each product below is a table lookup
     values = group.element_values()
     ident = group.identity_value()
@@ -355,7 +349,7 @@ def _finite_chain(group: Group, sets: list[frozenset], kappa: CardinalBound,
     for k, s in enumerate(sets, start=1):
         if not s <= prev:
             raise ChainError(f"stage {k} is not contained in stage {k - 1}")
-        if len(prev) % len(s):
+        if not s or len(prev) % len(s):  # an empty set's size 0 divides nothing
             raise ChainError(f"stage {k} size does not divide its parent")
         reps, covered = [], {} if table else set()  # with a table: value -> (digit, residue)
         members = [(table.index[h], h) for h in s] if table else ()

@@ -30,7 +30,7 @@ from .dsl import DslParseError, GroupExpr, parse_expr, print_expr
 from .elements import GroupError
 from .oracle import (
     OracleCapError,
-    _sorted_values,
+    _in_table_order,
     all_subgroups,
     core_up_to_index,
     depth_exact_finite,
@@ -221,7 +221,7 @@ def cmd_oracle(subcommand: str, expr: GroupExpr, config: RunConfig) -> int:
             "group": group.tag,
             "max_index": config.max_index,
             "core_order": len(core),
-            "core": [group.value_to_jsonable(v) for v in _sorted_values(group, core)],
+            "core": [group.value_to_jsonable(v) for v in _in_table_order(group, core)],
             "is_trivial": len(core) == 1,  # a core always holds the identity
         }
     elif subcommand == "min-kappa":

@@ -42,7 +42,8 @@ class OracleCapError(GroupError):
     """Group too large (or infinite) for exhaustive lattice work."""
 
 
-def _sorted_values(group: Group, values) -> tuple:
+def _in_table_order(group: Group, values) -> tuple:
+    """``values`` in the order of the group's Cayley table."""
     return tuple(sorted(values, key=group.cayley_table().index.__getitem__))
 
 
@@ -78,7 +79,7 @@ class SubgroupLattice:
             "subgroups": [
                 {
                     "order": len(s),
-                    "elements": [encode(v) for v in _sorted_values(self.group, s)],
+                    "elements": [encode(v) for v in _in_table_order(self.group, s)],
                 }
                 for s in self.subgroups
             ],

@@ -11,7 +11,8 @@ otherwise by the verifier's factorwise sift (``stages._table_placer``,
 ``stages._placer``).  A deepest vertex r*K (K the last stage) is fixed
 exactly by the conjugate r*K*r^-1; stabilizers of a root-to-leaf thread
 recover a chain, conjugate to the original when the thread is not the
-identity one.
+identity one, and each is built from the truncation's stage by
+conjugation, with no element scanned.
 
 Limit levels are never enumerated: a truncation materializes finitely many
 levels of one block, hanging off the identity thread at the block's base.
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .chains import (ChainSchema, _finite_chain, _first_excluding_step, _probe_id,
-                     _split_stage_ordinal)
+from .chains import ChainSchema, _first_excluding_step, _probe_id, _split_stage_ordinal
 from .elements import Element, GroupError, random_words
 from .ordinal import OMEGA, Ordinal, format_ordinal, json_text
-from .stages import (ChainError, SubgroupDescriptor, Transversal, _placer, _table_placer,
-                     _value_test)
+from .stages import (ChainError, SubgroupDescriptor, Transversal, ValueTest, _placer,
+                     _table_placer, _value_test)
 
 __all__ = [
     "TreeError",
@@ -423,15 +423,18 @@ def verify_simple(chain: ChainSchema, tr: Optional[TreeTruncation] = None,
 def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema:
     """Recover the chain of vertex stabilizers along a root-to-deepest thread.
 
-    The acting group must be finite; each stage is computed exhaustively,
-    by the stage's value test over every element value.  The identity
-    thread returns the original stages; any other thread gives the
-    conjugate chain by the deepest representative.  Each level's
-    representative is the one above it times the stage's representative at
-    the thread's digit there, one product per level, and a level whose
-    representative is the identity reads its stage directly, without
-    conjugating.  The member sets are canonical values, so the chain is
-    built from them unvalidated.
+    The acting group must be finite.  The thread's vertex at level k is
+    r_k*K_k, where K_k is the truncation's stage and r_k = r_(k-1) * t, t
+    the stage's representative at the thread's digit, one product per level;
+    its stabilizer is the conjugate r_k*K_k*r_k^-1 (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4).  So each stage
+    is built from the truncation's own by conjugation, with no element
+    scanned: a value v is a member when r_k^-1 * v * r_k lies in K_k, and
+    the representatives r_(k-1) * s * r_k^-1, s in K_k's transversal and in
+    its order, are a transversal in the stage above, since their cosets
+    are r_(k-1) * s*K_k * r_k^-1.  A stage whose r_k is the identity, or
+    that is trivial, keeps its own membership test, so the identity thread
+    returns the original stages.
     """
     stages = tr._stages(tr.depth)
     group = tr.chain.group
@@ -442,21 +445,21 @@ def stabilizer_chain(tr: TreeTruncation, thread: tuple[int, ...]) -> ChainSchema
     for k in range(1, len(thread)):
         if tr.parent(k, thread[k]) != thread[k - 1]:
             raise TreeError("incoherent thread: parent links broken")
-    group.cayley_table()  # element products below become lookups
-    values = group.element_values()
     multiply, one = group.multiply, group.identity_value()
-    rep, subgroups = one, []
-    for k in range(1, tr.depth + 1):
-        rep = multiply(rep, stages[k].transversal.rep(thread[k] % tr.fibres[k - 1]).value)
-        inside = _value_test(stages[k])
-        if rep == one:
-            members = frozenset(filter(inside, values))
-        else:
-            rep_inv = group.invert(rep)
-            members = frozenset(v for v in values if inside(multiply(multiply(rep_inv, v), rep)))
-        subgroups.append(members)
-    return _finite_chain(group, subgroups, tr.chain.kappa,
-                         f"stabilizers along {list(thread)} of {tr.provenance}")
+    rep, recovered = one, []
+    for k, stage in enumerate(stages[1:], start=1):
+        above, t = rep, stage.transversal
+        rep = multiply(above, t.rep(thread[k] % tr.fibres[k - 1]).value)
+        rep_inv, membership = group.invert(rep), stage.membership
+        if rep != one and membership is not Element.is_identity:
+            membership = ValueTest(lambda v, r=rep, r_inv=rep_inv, inside=_value_test(stage):
+                                   inside(multiply(multiply(r_inv, v), r)))
+        recovered.append(SubgroupDescriptor(
+            owner=group, membership=membership, label=stage.label,
+            transversal=Transversal(group, [multiply(multiply(above, s.value), rep_inv)
+                                            for s in t])))
+    return ChainSchema(group=group, kappa=tr.chain.kappa, num_blocks=0, tail=tuple(recovered),
+                       name=f"stabilizers along {list(thread)} of {tr.provenance}")
 
 
 def emit(tr: TreeTruncation, format: str) -> str:

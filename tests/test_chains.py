@@ -14,6 +14,7 @@ from residua.catalog import chain_for
 from residua.chains import (
     ChainError,
     ChainSchema,
+    DepthInterval,
     SubgroupDescriptor,
     Transversal,
     _certify_transversal,
@@ -1249,3 +1250,53 @@ class TestCoreSandwich:
     def test_requires_infinite_top(self):
         with pytest.raises(ChainError):
             core_sandwich(wreath_product(make_symmetric(3), make_cyclic(3)))
+
+
+def two_unverified_steps():
+    """A finite chain over C(2) whose two steps have no transversal."""
+    c2 = make_cyclic(2)
+    trivial = SubgroupDescriptor(owner=c2, membership=Element.is_identity)
+    return ChainSchema(group=c2, kappa=ALEPH0, num_blocks=0, tail=(trivial, trivial))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainSchema(group=make_integers(), kappa=ALEPH0, num_blocks=-1),
+     "negative block count"),
+    (lambda: ChainSchema(group=make_integers(), kappa=ALEPH0, num_blocks=1),
+     "need a block rule"),
+    (lambda: ChainSchema(group=make_integers(), kappa=ALEPH0, num_blocks=1,
+                         block_rule=integers_chain(2).block_rule),
+     "need the stage at their last limit"),
+    (lambda: integers_chain(2).stage_at(-1, 0), "negative stage address"),
+    (lambda: limit_membership(integers_chain(2), 3, make_integers().element(0)),
+     "3 is not a limit stage"),
+    (lambda: integers_chain(1), "need p >= 2"),
+    (lambda: dihedral_chain(1), "need p >= 2"),
+    (lambda: finite_chain(make_integers(), []), "need a finite group"),
+    (lambda: finite_chain(make_symmetric(3), [{(0, 1, 2)}, {(0, 1, 2), (1, 0, 2)}]),
+     "stage 2 is not contained in stage 1"),
+    (lambda: finite_chain(make_symmetric(3), [{(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0)}]),
+     "stage 1 size does not divide its parent"),
+    (lambda: finite_chain(make_symmetric(3), [set()]), "stage 1 size does not divide its parent"),
+    (lambda: promote_to_omega(integers_chain(2)), "only finite chains are promoted"),
+    (lambda: compress_successor_tail(single_step_chain(make_cyclic(2))), "nothing to compress"),
+    (lambda: compress_successor_tail(two_unverified_steps()), "non-finite or unverified index"),
+    (lambda: diagonal_power_chain(single_step_chain(make_cyclic(2)), natural_points()),
+     "need finite points"),
+    (lambda: tower_chain(make_integers(), dihedral_chain(2), 2), "over the wrong group"),
+    (lambda: tower_chain(make_integers(), dataclasses.replace(
+        integers_chain(2), tail=(integers_chain(2).final_limit,)), 2),
+     "need a chain of length exactly w"),
+    (lambda: tower_chain(make_integers(), integers_chain(2), 0), "height must be >= 1"),
+    (lambda: core_sandwich(make_integers()), "defined for wreath products"),
+    (lambda: verify_prefix(integers_chain(2), 0, 4, 0), "need at least one level"),
+    (lambda: DepthInterval(lower=OMEGA, upper=Ordinal.from_int(1)),
+     "lower depth bound exceeds the upper bound"),
+], ids=["negative-blocks", "no-block-rule", "no-final-limit", "negative-address",
+        "not-a-limit", "integers-p-1", "dihedral-p-1", "infinite-finite-chain", "not-nested",
+        "not-dividing", "empty-set", "promote-infinite", "compress-one-step",
+        "compress-unverified", "diagonal-countable", "tower-wrong-group", "tower-wrong-length",
+        "tower-height-0", "sandwich-not-wreath", "zero-levels", "interval-upside-down"])
+def test_chain_preconditions(call, message):
+    with pytest.raises(ChainError, match=message):
+        call()

@@ -7,13 +7,13 @@ import pytest
 
 from residua import stages, trees
 from residua.catalog import build_group, chain_for
-from residua.chains import SubgroupDescriptor, Transversal, ValueTest, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension
+from residua.chains import SubgroupDescriptor, Transversal, ValueTest, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension, verify_prefix
 from residua.dsl import parse_expr
 from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
 from residua.subgroups import SubgroupHandle
-from residua.ordinal import OMEGA, add, omega_power
+from residua.ordinal import OMEGA, CardinalBound, Ordinal, add, omega_power
 from residua.trees import (
     NonMaterializableError,
     TreeError,
@@ -314,22 +314,16 @@ class TestStabilizerChain:
             for e in s3.elements():
                 assert conj.contains(e) == stage.contains(x.inverse() * e * x)
 
-    def test_identity_thread_is_not_conjugated(self, monkeypatch):
-        # the identity thread's representatives are the identity, so its
-        # stabilizers are read without the 2 * |G| products per level
+    def test_identity_thread_keeps_the_stages(self):
+        # on the identity thread every representative r_k is the identity,
+        # so each recovered stage keeps its stage's own membership test, and
+        # its representatives r_(k-1) * s * r_k^-1 are the stage's own
         s3, chain = s3_chain()
         tr = truncate(coset_tree(chain), 2)
-        thread = tr.thread_of(s3.identity())
-        products = [0]
-        mul = Element.__mul__
-
-        def counting(a, b):
-            products[0] += 1
-            return mul(a, b)
-
-        monkeypatch.setattr(Element, "__mul__", counting)
-        stabilizer_chain(tr, thread)
-        assert products[0] < s3.order
+        recovered = stabilizer_chain(tr, tr.thread_of(s3.identity()))
+        for stage, got in zip(chain.tail, recovered.tail, strict=True):
+            assert got.membership is stage.membership
+            assert got.transversal.factor_reps() == stage.transversal.factor_reps()
 
     def test_constant_action_gives_constant_chain(self):
         c2 = make_cyclic(2)
@@ -794,6 +788,96 @@ class TestCosetTables:
         # the scan of the final stage's members tests each element at most
         # once; placing them tests none
         assert sifts == [] and calls[0] <= s4.order
+
+
+def spread_threads(tr, number):
+    """The threads down to a few deepest vertices of ``tr``: the first, the
+    last, the middle one and one that moves with ``number``."""
+    deepest = tr.size(tr.depth)
+    spans = [deepest // tr.size(k) for k in range(tr.depth + 1)]
+    return [tuple(idx // span for span in spans)
+            for idx in sorted({0, deepest - 1, deepest // 2, number * 7 % deepest})]
+
+
+class TestStabilizersByConjugation:
+    @pytest.mark.parametrize("name", TREE_GROUPS)
+    def test_stages_are_the_conjugates(self, name):
+        # stage k along a thread is r_k*K_k*r_k^-1, r_k the thread's
+        # level-k representative, and the recovered chain verifies with the
+        # original step indices
+        group = build_group(parse_expr(name))
+        values, multiply, invert = group.element_values(), group.multiply, group.invert
+        for number, sets in enumerate(chain_enumerate(group, 3)):
+            tr = truncate(coset_tree(finite_chain(group, sets[1:])), len(sets) - 1)
+            steps = [len(sets[k - 1]) // len(sets[k]) for k in range(1, len(sets))]
+            for thread in spread_threads(tr, number):
+                recovered = stabilizer_chain(tr, thread)
+                cert = verify_prefix(recovered, 1, 16, 0)
+                assert cert.verdict == "pass"
+                assert [level["index"] for level in cert.levels[1:]] == steps
+                for k, expected in enumerate(sets):
+                    r = tr.representative(k, thread[k]).value
+                    conjugates = {multiply(multiply(r, h), invert(r)) for h in expected}
+                    inside = stages._value_test(chain_at(recovered, k))
+                    assert {v for v in values if inside(v)} == conjugates
+
+    def test_builds_without_testing_members(self, monkeypatch):
+        # no stage value test runs while the chain is built; the recovered
+        # stages test members only when asked
+        s4, chain = s4_depth_three()
+        tr = truncate(coset_tree(chain), 3)
+        threads = [tr.thread_of(g) for g in s4.elements()]
+        calls, tests = count_membership(monkeypatch), [0]
+        for stage in chain.tail:
+            if isinstance(stage.membership, ValueTest):
+                test = stage.membership.test
+                monkeypatch.setattr(stage.membership, "test",
+                                    lambda v, test=test: tests.__setitem__(0, tests[0] + 1)
+                                    or test(v))
+        recovered = [stabilizer_chain(tr, thread) for thread in threads]
+        assert (calls[0], tests[0]) == (0, 0)
+        assert chain_at(recovered[-1], 1).contains(s4.identity())
+        assert tests[0] == 1
+
+    def test_trivial_stage_stays_trivial_off_the_identity_thread(self):
+        # a trivial stage keeps Element.is_identity, so the verifier checks
+        # its 5040 representatives in linear time, not pairwise
+        s7 = make_symmetric(7)
+        tr = truncate(coset_tree(single_step_chain(s7)), 1)
+        recovered = stabilizer_chain(tr, (0, 17))
+        assert tr.representative(1, 17) != s7.identity()
+        assert recovered.tail[0].membership is Element.is_identity
+        assert verify_prefix(recovered, 1, 16, 0).verdict == "pass"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: truncate(coset_tree(s3_chain()[1]), -1), "negative depth"),
+    (lambda: truncate(coset_tree(s3_chain()[1]), 1, block=1), "block 1 outside the chain"),
+    (lambda: truncate(coset_tree(dataclasses.replace(s3_chain()[1], tail=(dataclasses.replace(
+        s3_chain()[1].tail[0], transversal=None),))), 1), "stage 1 has no certified finite fibre"),
+    (lambda: truncate(coset_tree(finite_chain(make_symmetric(3), [{(0, 1, 2)}],
+                                              kappa=CardinalBound.finite(6))), 1),
+     "fibre 6 at level 1 is not below kappa"),
+    (lambda: truncate(coset_tree(integers_chain(2)), 18), "exceeds the vertex cap"),
+    (lambda: restriction_map(truncate(coset_tree(lamplighter_chain()[1]), 2, block=1),
+                             Ordinal.from_int(1), OMEGA), "below this truncation's base"),
+    (lambda: restriction_map(truncate(coset_tree(lamplighter_chain()[1]), 2), 0, OMEGA),
+     "is not in block 0"),
+    (lambda: restriction_map(truncate(coset_tree(s3_chain()[1]), 2), 2, 1),
+     "from deeper levels to shallower ones"),
+    (lambda: stabilizer_chain(truncate(coset_tree(integers_chain(2)), 2), (0, 0, 0)),
+     "need a finite acting group"),
+    (lambda: stabilizer_chain(truncate(coset_tree(s3_chain()[1]), 2), (0, 0)),
+     "from the root to the deepest level"),
+    (lambda: parse_truncation(tree_json((2, (0, 0)))), "level 0 must be a single root"),
+    (lambda: parse_truncation(json.dumps({"depth": 1, "levels": [{"size": 1, "parents": []}]})),
+     "depth field disagrees"),
+], ids=["negative-depth", "block-outside", "no-fibre", "fibre-not-below-kappa", "vertex-cap",
+        "below-the-base", "another-block", "deeper-to-shallower", "infinite-group",
+        "thread-length", "root-not-single", "depth-disagrees"])
+def test_tree_errors(call, message):
+    with pytest.raises(TreeError, match=message):
+        call()
 
 
 # group -> (first, last) length-3 chain of chain_enumerate(group, 3), and the
