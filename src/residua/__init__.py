@@ -54,17 +54,15 @@ from .chains import (  # noqa: F401
     compress_successor_tail,
     concat_extension,
     core_sandwich,
-    diagonal_power_chain,
     dihedral_chain,
     finite_chain,
     integers_chain,
     limit_membership,
-    power_chain,
     promote_to_omega,
     single_step_chain,
-    tower_chain,
     verify_prefix,
 )
+from .powers import diagonal_power_chain, power_chain, tower_chain  # noqa: F401
 from .trees import (  # noqa: F401
     AlphaTreeSchema,
     TreeAutomorphism,

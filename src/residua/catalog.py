@@ -14,6 +14,9 @@ builder and (except unresolved extension references) a chain constructor:
   power chain;
 - towers iterate that construction, one w block per level.
 
+The last three come from ``powers``, and the rest from ``chains`` and
+``oracle``.
+
 Named extension references resolve against programmatic registrations only.
 """
 
@@ -28,10 +31,6 @@ from . import dsl
 from .chains import (
     ChainSchema,
     DepthInterval,
-    _lifted_power_chain,
-    _tower_chain,
-    _tower_levels,
-    _wreath_chain,
     concat_extension,
     dihedral_chain,
     finite_chain,
@@ -54,6 +53,7 @@ from .groups import (
 )
 from .oracle import minimax_chain
 from .ordinal import OMEGA, ONE, ZERO, Ordinal, add, decompose_successor, multiply
+from .powers import _lifted_power_chain, _tower_chain, _tower_levels, _wreath_chain
 
 __all__ = [
     "UnregisteredConstructionError",

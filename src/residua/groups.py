@@ -470,7 +470,7 @@ class FinSupportPowerGroup(Group):
         return ValueMap(lambda v: self._canon({point: v}), self.base, self)
 
     def _compute_order(self):
-        if self.base.order == 1:
+        if self.base.order == 1 or self.points.size == 0:
             return 1
         if self.points.size is not None and self.base.order is not None:
             return self.base.order ** self.points.size
@@ -488,10 +488,8 @@ class FinSupportPowerGroup(Group):
         return tuple(self._canon({self.points.label(i): g.value}) for i in range(n) for g in base)
 
     def _enumerate_values(self):
-        if self.base.order == 1:
+        if self.order == 1:  # a trivial base, or no points: the one empty support
             return [()]
-        if self.points.size is None or self.base.order is None:
-            raise GroupError(f"{self.tag} is infinite")
         pts = [self.points.label(i) for i in range(self.points.size)]
         base_vals = self.base.element_values()
         out = []

@@ -10,15 +10,15 @@ descending chain, exact depth for finite groups, and exhaustive descending
 chain enumeration.  Everything
 here is independent of the chain machinery so it can validate it.  Two
 checks do not trust the table: every subgroup found is re-verified closed
-(``_verify_closed``), and ``all_subgroups_naive`` scans subsets with
-``mul_values`` directly.  Elements are ordered by their table index, which
-is the ``label_sort_key`` order of ``element_values``.
+(``_verify_closed``), and the test suite compares small lattices with a
+scan of every subset that multiplies with ``mul_values`` directly
+(``tests/test_oracle.py``).  Elements are ordered by their table index,
+which is the ``label_sort_key`` order of ``element_values``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,7 +29,6 @@ __all__ = [
     "OracleCapError",
     "SubgroupLattice",
     "all_subgroups",
-    "all_subgroups_naive",
     "core_up_to_index",
     "min_kappa",
     "minimax_chain",
@@ -86,12 +85,12 @@ class SubgroupLattice:
         }
 
 
-def _require_small(g: Group, cap: int = ORACLE_CAP) -> int:
+def _require_small(g: Group) -> int:
     n = g.order
     if n is None:
         raise OracleCapError(f"{g.tag} is infinite; the oracle only handles finite groups")
-    if n > cap:
-        raise OracleCapError(f"|{g.tag}| = {n} exceeds the oracle cap {cap}")
+    if n > ORACLE_CAP:
+        raise OracleCapError(f"|{g.tag}| = {n} exceeds the oracle cap {ORACLE_CAP}")
     return n
 
 
@@ -190,24 +189,6 @@ def _verify_closed(mul: list, inv: list, e: int, mask: int, members: list[int]):
             raise GroupError("subgroup candidate not closed under inversion")
         if _coset(mul[a], members) & ~mask:
             raise GroupError("subgroup candidate not closed under multiplication")
-
-
-def all_subgroups_naive(g: Group) -> SubgroupLattice:
-    """Independent check: scan every subset for closure.  Only for |g| <= 12."""
-    n = _require_small(g, cap=12)
-    values = g.element_values()
-    e = values.index(g.identity_value())
-    rest = [i for i in range(n) if i != e]
-    subs = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            members = sorted((e, *combo))
-            if n % len(members) != 0:
-                continue
-            s = {values[i] for i in members}
-            if all(g.mul_values(a, b) in s for a in s for b in s):
-                subs.append(members)
-    return _canon_lattice(g, subs)
 
 
 def core_up_to_index(g: Group, k: int) -> frozenset:

@@ -41,7 +41,6 @@ __all__ = [
     "format_ordinal",
     "parse_ordinal",
     "ordinal_to_jsonable",
-    "ordinal_from_jsonable",
     "json_text",
 ]
 
@@ -357,7 +356,7 @@ def format_ordinal(a: OrdinalLike) -> str:
     return " + ".join(parts)
 
 
-MAX_NESTING = 64  # brackets open at once in either grammar, and exp objects in JSON
+MAX_NESTING = 64  # brackets open at once in either grammar
 
 
 class _Scanner:
@@ -483,27 +482,6 @@ def parse_ordinal(text: str) -> Ordinal:
 def ordinal_to_jsonable(a: OrdinalLike) -> dict:
     a = _coerce(a)
     return {"terms": [{"exp": ordinal_to_jsonable(e), "coeff": c} for (e, c) in a._terms]}
-
-
-def ordinal_from_jsonable(data) -> Ordinal:
-    """Inverse of ``ordinal_to_jsonable``; any other value, and ``exp``
-    objects nested more than ``MAX_NESTING`` deep, raise ``OrdinalError``."""
-    return _from_jsonable(data, MAX_NESTING)
-
-
-def _from_jsonable(data, room: int) -> Ordinal:
-    """``ordinal_from_jsonable`` with room for ``room`` more nested ``exp`` objects."""
-    terms = data.get("terms") if isinstance(data, dict) else None
-    if not isinstance(terms, list):
-        raise OrdinalError("ordinal JSON must be an object with a 'terms' list")
-    out = []
-    for item in terms:
-        if not isinstance(item, dict) or "exp" not in item or type(item.get("coeff")) is not int:
-            raise OrdinalError(f"ordinal term must have an 'exp' and an integer 'coeff': {item!r}")
-        if room == 0:
-            raise OrdinalError(f"ordinal exponents nest at most {MAX_NESTING} deep")
-        out.append((_from_jsonable(item["exp"], room - 1), item["coeff"]))
-    return Ordinal(tuple(out))
 
 
 # --- JSON text ---------------------------------------------------------------

@@ -18,12 +18,13 @@ check recognises it.
 Every row that a stage owns is certified through ``_RowChecks``, once per
 distinct (parent, stage) pair in a verify run.  A row that the library
 builds from other rows keeps its shape (``_ShapedRow``): the stages of a
-kernel copy or a pullback record their source stage, and the stages of a
-finite-support power record the base stage at each point (``_Image``,
-``_Power``).  Such a row splits into its source or base rows, and each
-probe is read only at its supported points, so a power row over n points
-costs its new base row and a walk of each probe's support, not n factors
-and n - 1 intermediate stages.  A row that does not split is a leaf,
+kernel copy or a pullback record their source stage (``_Image``), and the
+stages of a finite-support power record the base stage at each point (in
+``powers``, which alone reads that record).  Each record says how its row
+splits against its parent's record: into its source row, or into base
+rows, at whose points alone each probe is read, so a power row over n
+points costs its new base row and a walk of each probe's support, not n
+factors and n - 1 intermediate stages.  A row that does not split is a leaf,
 checked factor by factor.  A stage that ``dataclasses.replace`` makes loses
 the record, and a stage mapped by a caller's extension maps has none, so
 their rows are leaves.  The factorwise scan of ``_certify_transversal``
@@ -119,7 +120,7 @@ class Transversal:
 
 class _ShapedRow(Transversal):
     """The row of a stage the library built from other stages' rows (see
-    ``_Image`` and ``_Power``): ``size`` representatives, whose factors and
+    ``_sourced``): ``size`` representatives, whose factors and
     intermediates ``flat`` builds as a ``Transversal`` on their first read.
     The certifier reads the row's shape from its stages instead."""
 
@@ -190,24 +191,21 @@ class _Image:
     def __init__(self, via, source: SubgroupDescriptor, back: Callable):
         self.via, self.source, self.back = via, source, back
 
-
-class _Power:
-    """How the library built a stage of the finite-support power ``group``:
-    ``coords`` pairs points with the base stages that hold their values,
-    ``support`` (or None) holds every supported value, and ``top`` (or None)
-    is the base stage that a parent leaving a point free holds it in."""
-
-    __slots__ = ("group", "coords", "support", "top")
-
-    def __init__(self, group: Group, coords, support: Optional[SubgroupDescriptor],
-                 top: Optional[SubgroupDescriptor]):
-        self.group, self.coords, self.support, self.top = group, coords, support, top
+    def split(self, parent: object):
+        """``_RowChecks.split`` against the parent's record ``parent``: the
+        source stage in the parent's source, when both are images under one
+        map, else None."""
+        if isinstance(parent, _Image) and parent.via is self.via:
+            return {None: (parent.source, self.source)}, self
+        return None
 
 
 def _sourced(stage: SubgroupDescriptor, source) -> SubgroupDescriptor:
-    """``stage``, marked as built from ``source`` (an ``_Image`` or a
-    ``_Power``).  ``dataclasses.replace`` drops the mark, so a replaced
-    stage is certified as a caller's."""
+    """``stage``, marked as built from ``source``, a record whose
+    ``split(parent)`` gives the row's split against the parent stage's
+    record (``_Image``, or the power stages' record in ``powers``).
+    ``dataclasses.replace`` drops the mark, so a replaced stage is
+    certified as a caller's."""
     object.__setattr__(stage, "_source", source)
     return stage
 
@@ -352,10 +350,10 @@ class _RowChecks:
 
     The row of ``stage`` in ``parent`` splits when the library built both
     as images under one extension map, or as stages of one finite-support
-    power (``_Image``, ``_Power``): into the row of the source stage in the
-    source parent, or into one base row per point that ``stage`` constrains,
-    of its base stage in the parent's base stage there (or in ``top``).  A
-    row that does not split is a leaf, checked factor by factor.
+    power, as the record of ``stage`` says (``split``): into the row of the
+    source stage in the source parent, or into one base row per point that
+    ``stage`` constrains.  A row that does not split is a leaf, checked
+    factor by factor.
     ``checks`` builds a row's checks once per distinct (parent, stage)
     pair.  The checks that read no probe are the coset checks of each
     leaf's factors, and the sift of the identity through each leaf, which
@@ -377,21 +375,14 @@ class _RowChecks:
 
     @staticmethod
     def split(parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(parts, image) for a row that splits, else None.  ``parts`` maps
+        """(parts, image) for a row that splits, else None, as the record
+        of ``stage`` says against the record of ``parent``.  ``parts`` maps
         a key to a (parent, stage) pair: the point, for a power row, whose
         probe values are read at their supported points; None, for an
         image, whose probe values the ``_Image`` ``image`` takes back to the
         source (or to None, off the image)."""
-        ps, ss = getattr(parent, "_source", None), getattr(stage, "_source", None)
-        if isinstance(ss, _Image) and isinstance(ps, _Image) and ps.via is ss.via:
-            return {None: (ps.source, ss.source)}, ss
-        if (isinstance(ss, _Power) and isinstance(ps, _Power) and ps.group is ss.group
-                and ps.support is ss.support):
-            inner, outer = dict(ss.coords), dict(ps.coords)
-            free = inner.keys() - outer.keys()  # points that the parent leaves in ``top``
-            if outer.keys() <= inner.keys() and (ss.top is not None or not free):
-                return {x: (outer.get(x, ss.top), base) for x, base in inner.items()}, None
-        return None
+        source = getattr(stage, "_source", None)
+        return None if source is None else source.split(getattr(parent, "_source", None))
 
     def checks(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
         """(passes, cover, reads_all) for the row: whether the checks that

@@ -23,10 +23,8 @@ from residua.chains import (
     chain_at,
     finite_chain,
     integers_chain,
-    power_chain,
     promote_to_omega,
     single_step_chain,
-    tower_chain,
     verify_prefix,
 )
 from residua.cli import main
@@ -63,6 +61,7 @@ from residua.ordinal import (
     omega_absorbs,
     omega_power,
 )
+from residua.powers import power_chain, tower_chain
 from residua.chains import dihedral_chain
 from residua.trees import coset_tree, stabilizer_chain, truncate, verify_simple
 

@@ -24,15 +24,12 @@ from residua.chains import (
     compress_successor_tail,
     concat_extension,
     core_sandwich,
-    diagonal_power_chain,
     dihedral_chain,
     finite_chain,
     integers_chain,
     limit_membership,
-    power_chain,
     promote_to_omega,
     single_step_chain,
-    tower_chain,
     verify_prefix,
 )
 from residua.dsl import parse_expr
@@ -49,6 +46,7 @@ from residua.groups import (
     wreath_product,
 )
 from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
+from residua.powers import diagonal_power_chain, power_chain, tower_chain
 from residua.stages import ValueTest, _coset_check, _RowChecks
 
 

@@ -240,6 +240,20 @@ class TestDeterminismAndIO:
         _, out, _ = run(capsys, "verify", "Z", "--format", "json")
         assert json.loads(out)["version"] == "0.1.0"
 
+    def test_stdout_is_the_same_under_two_hash_seeds(self, monkeypatch):
+        # str and tuple hashes, and so the order of sets and of dicts built
+        # from them, change with PYTHONHASHSEED; a fresh process per seed
+        for argv in (("verify", "tower(Dinf,3)", "--levels", "5"),
+                     ("tree", "wreath(C(2),Z)", "--levels", "6"),
+                     ("oracle", "lattice", "S(4)")):
+            outs = []
+            for seed in ("0", "1"):
+                monkeypatch.setenv("PYTHONHASHSEED", seed)
+                done = run_module(*argv)
+                assert done.returncode == 0 and done.stdout, done.stderr
+                outs.append(done.stdout)
+            assert outs[0] == outs[1], argv
+
 
 # expressions whose groups cannot be built, with the exit-4 message each gives
 BAD_EXPRESSIONS = {

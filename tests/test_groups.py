@@ -141,6 +141,13 @@ class TestFinSupportPower:
         p = finite_support_power(make_cyclic(2), FinitePoints([0, 1, 2]))
         assert p.identity().value == ()
 
+    @pytest.mark.parametrize("base", [make_integers(), make_cyclic(3)], ids=["Z", "C3"])
+    def test_no_points_give_the_trivial_group(self, base):
+        # the one function from no points is the empty support, whatever the base
+        p = finite_support_power(base, FinitePoints([]))
+        assert p.order == 1
+        assert p.element_values() == [()]
+
     def test_disjoint_product_support_union(self):
         p = finite_support_power(make_cyclic(3), FinitePoints([0, 1, 2, 3]))
         a = p.element(((0, 1),))

@@ -97,6 +97,30 @@ def test_element_algebra_imports_nothing_from_the_package():
     assert lines == [], f"package imports at lines {lines}"
 
 
+def package_imports(path: Path) -> set:
+    """The package modules that a module imports, anywhere in its code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("residua."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("residua."))
+    return names
+
+
+@pytest.mark.parametrize("module,above", [
+    ("chains", {"powers", "catalog", "trees", "cli"}),
+    ("powers", {"catalog"}),
+], ids=["chains", "powers"])
+def test_chain_layers_import_no_module_above_them(module, above):
+    # the verifier and the combinators sit below the power and tower chains,
+    # which sit below the expression catalog
+    assert "chains" in package_imports(PACKAGE / "powers.py")
+    assert package_imports(PACKAGE / f"{module}.py") & above == set()
+
+
 def test_package_exports_its_compatibility_surface():
     assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 76
     assert [name for name in PUBLIC_NAMES if not hasattr(residua, name)] == []

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fixture_groups import finite_fixtures, make_klein_four
@@ -14,8 +16,8 @@ from residua.groups import (
 )
 from residua.oracle import (
     OracleCapError,
+    SubgroupLattice,
     all_subgroups,
-    all_subgroups_naive,
     chain_enumerate,
     core_up_to_index,
     depth_exact_finite,
@@ -23,6 +25,30 @@ from residua.oracle import (
     minimax_chain,
 )
 from residua.ordinal import ONE, ZERO
+
+
+def all_subgroups_naive(g) -> SubgroupLattice:
+    """The lattice by a scan of every subset that holds the identity, closed
+    under ``mul_values``: independent of the Cayley table and of the
+    cyclic-extension search.  There are 2^(n-1) subsets, so only for
+    |g| <= 12."""
+    n = g.order
+    assert n <= 12
+    values = g.element_values()
+    e = values.index(g.identity_value())
+    rest = [i for i in range(n) if i != e]
+    subs = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            members = sorted((e, *combo))
+            if n % len(members) != 0:
+                continue
+            s = {values[i] for i in members}
+            if all(g.mul_values(a, b) in s for a in s for b in s):
+                subs.append(members)
+    subs.sort(key=lambda members: (len(members), members))
+    return SubgroupLattice(group=g, subgroups=tuple(
+        frozenset(values[i] for i in members) for members in subs))
 
 
 def largest_prime_factor(n: int) -> int:

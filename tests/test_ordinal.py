@@ -28,10 +28,30 @@ from residua.ordinal import (
     multiply,
     omega_absorbs,
     omega_power,
-    ordinal_from_jsonable,
     ordinal_to_jsonable,
     parse_ordinal,
 )
+
+
+def ordinal_from_jsonable(data) -> Ordinal:
+    """Inverse of ``ordinal_to_jsonable``; any other value, and ``exp``
+    objects nested more than ``MAX_NESTING`` deep, raise ``OrdinalError``."""
+    return _from_jsonable(data, MAX_NESTING)
+
+
+def _from_jsonable(data, room: int) -> Ordinal:
+    """``ordinal_from_jsonable`` with room for ``room`` more nested ``exp`` objects."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise OrdinalError("ordinal JSON must be an object with a 'terms' list")
+    out = []
+    for item in terms:
+        if not isinstance(item, dict) or "exp" not in item or type(item.get("coeff")) is not int:
+            raise OrdinalError(f"ordinal term must have an 'exp' and an integer 'coeff': {item!r}")
+        if room == 0:
+            raise OrdinalError(f"ordinal exponents nest at most {MAX_NESTING} deep")
+        out.append((_from_jsonable(item["exp"], room - 1), item["coeff"]))
+    return Ordinal(tuple(out))
 
 
 def random_ordinal(rng, max_exp=4, max_coeff=5):

@@ -7,13 +7,14 @@ import pytest
 
 from residua import stages, trees
 from residua.catalog import build_group, chain_for
-from residua.chains import SubgroupDescriptor, Transversal, ValueTest, _probe_id, chain_at, finite_chain, integers_chain, power_chain, promote_to_omega, single_step_chain, concat_extension, verify_prefix
+from residua.chains import SubgroupDescriptor, Transversal, ValueTest, _probe_id, chain_at, finite_chain, integers_chain, promote_to_omega, single_step_chain, concat_extension, verify_prefix
 from residua.dsl import parse_expr
 from residua.groups import (Element, PermGroup, make_cyclic, make_integers, make_symmetric,
                             wreath_product)
 from residua.oracle import chain_enumerate
 from residua.subgroups import SubgroupHandle
 from residua.ordinal import OMEGA, CardinalBound, Ordinal, add, omega_power
+from residua.powers import power_chain
 from residua.trees import (
     NonMaterializableError,
     TreeError,
