@@ -45,6 +45,7 @@ from .ordinal import (
     CardinalBound,
     DepthClass,
     Ordinal,
+    _coerce,
     classify,
     format_ordinal,
     ordinal_to_jsonable,
@@ -143,9 +144,9 @@ class ChainSchema:
         return stage
 
 
-def _split_stage_ordinal(i: Ordinal) -> tuple[int, int]:
+def _split_stage_ordinal(i) -> tuple[int, int]:
     b = n = 0
-    for exp, coeff in i.terms:
+    for exp, coeff in _coerce(i).terms:
         if exp == ZERO:
             n = coeff
         elif exp.is_finite and exp.to_int() == 1:
@@ -164,14 +165,7 @@ def chain_at(chain: ChainSchema, i) -> SubgroupDescriptor:
     ``limit_membership`` evaluates the underlying intersection lazily per
     element, and verification cross-checks the two on probes.
     """
-    if isinstance(i, int):
-        i = Ordinal.from_int(i)
-    if i > chain.length:
-        raise ChainError(
-            f"stage {format_ordinal(i)} beyond chain length {format_ordinal(chain.length)}"
-        )
-    b, n = _split_stage_ordinal(i)
-    return chain.stage_at(b, n)
+    return chain.stage_at(*_split_stage_ordinal(i))
 
 
 def limit_membership(chain: ChainSchema, i, element: Element,
@@ -184,8 +178,6 @@ def limit_membership(chain: ChainSchema, i, element: Element,
     runs out undecided.  A library chain answers from its exclusion depth
     and a caller's chain walks (see ``_first_excluding_step``).
     """
-    if isinstance(i, int):
-        i = Ordinal.from_int(i)
     b, n = _split_stage_ordinal(i)
     if n != 0 or b == 0:
         raise ChainError(f"{format_ordinal(i)} is not a limit stage of this chain")
@@ -373,8 +365,6 @@ def finite_chain(group: Group, subgroups, kappa: CardinalBound = ALEPH0,
 
 def single_step_chain(group: Group, kappa: CardinalBound = ALEPH0) -> ChainSchema:
     """The one-step chain: full group, then the trivial subgroup."""
-    if group.order is None:
-        raise ChainError("single-step chains need a finite group")
     return finite_chain(group, [{group.identity_value()}], kappa=kappa,
                         name=f"one step over {group.tag}")
 

@@ -8,7 +8,8 @@ diagnostics go to stderr.
 Exit codes are a stable contract:
     0  success (verify: Pass)
     1  expression parse error
-    2  verify: Fail; also a usage error (argparse) or an unwritable --out
+    2  verify: Fail; also a usage error (argparse), or an unwritable --out
+       or stdout (a closed pipe): one line on stderr, no traceback
     3  verify: Inconclusive
     4  unregistered construction / no chain constructor
     5  non-materializable tree level
@@ -115,6 +116,7 @@ def _emit(text: str, config: RunConfig):
             fh.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
 
 
 def cmd_depth(expr: GroupExpr, config: RunConfig) -> int:
@@ -226,13 +228,11 @@ def cmd_oracle(subcommand: str, expr: GroupExpr, config: RunConfig) -> int:
         }
     elif subcommand == "min-kappa":
         payload = {"group": group.tag, "min_kappa": min_kappa(group)}
-    elif subcommand == "depth":
+    else:  # depth: argparse admits only the four subcommands
         payload = {
             "group": group.tag,
             "depth": format_ordinal(depth_exact_finite(group)),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown oracle subcommand {subcommand!r}")
     payload = {"version": __version__, "expression": print_expr(expr), **payload}
     if config.format == "json":
         _emit(json_text(payload), config)
@@ -335,9 +335,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"residua: {exc}", file=sys.stderr)
         return EXIT_UNREGISTERED
     except OSError as exc:
-        if config.out is None:
-            raise
-        print(f"residua: cannot write '{config.out}': {exc.strerror}", file=sys.stderr)
+        if config.out is None:  # what stdout still buffers would fail again at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"residua: cannot write '{config.out or '<stdout>'}': {exc.strerror}",
+              file=sys.stderr)
         return EXIT_USAGE
     finally:
         _set_digit_limit(limit)

@@ -19,6 +19,12 @@ stack.  Permutation degrees are at most ``MAX_DEGREE``: a permutation
 group's order is the length of its enumerated closure, so ``S(n)`` past
 the bound would multiply permutations of that degree until the closure
 cap, for minutes.
+
+Callers may build AST values themselves: ``build_group``, ``chain_for`` and
+``depth_interval`` take them.  So each AST class checks its own fields as
+the parser does (``Cyclic(0)``, ``Product(())`` and ``Tower(Int(), 65)``
+raise ``DslError``), which keeps ``parse_expr(print_expr(ast)) == ast`` and
+keeps tower recursion bounded.
 """
 
 from __future__ import annotations

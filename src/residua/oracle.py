@@ -183,7 +183,7 @@ def _translates(mul: list, mask: int, members: list[int], gens: list[int],
 def _verify_closed(mul: list, inv: list, e: int, mask: int, members: list[int]):
     """Every product and inverse of ``members`` lies in ``mask``, and so does e."""
     if not mask >> e & 1:
-        raise GroupError("subgroup candidate misses the identity")
+        raise GroupError("subgroup candidate misses the identity")  # unreachable: joins grow from e
     for a in members:
         if not mask >> inv[a] & 1:
             raise GroupError("subgroup candidate not closed under inversion")

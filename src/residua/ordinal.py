@@ -74,7 +74,7 @@ class Ordinal:
     tuple is 0.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: tuple = ()):
         terms = tuple((e, int(c)) for (e, c) in terms)
@@ -88,7 +88,6 @@ class Ordinal:
                 raise OrdinalError("exponents must be strictly decreasing")
             prev = e
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -134,11 +133,8 @@ class Ordinal:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(tuple((hash(e), c) for (e, c) in self._terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # a finite ordinal equals an int, so it hashes as one
+        return hash(self.to_int()) if self.is_finite else hash(self._terms)
 
     def __lt__(self, other) -> bool:
         return _cmp(self, _coerce(other)) < 0
@@ -317,9 +313,7 @@ def left_subtract(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     (ea, ca), (eb, cb) = a._terms[k], b._terms[k]
     if _cmp(ea, eb) < 0:
         return Ordinal(b._terms[k:])
-    if ea == eb and ca < cb:
-        return Ordinal(((eb, cb - ca),) + b._terms[k + 1:])
-    raise OrdinalError("left subtraction underflow")  # unreachable when a <= b
+    return Ordinal(((eb, cb - ca),) + b._terms[k + 1:])  # a <= b: ea == eb and ca < cb
 
 
 # --- text notation ---------------------------------------------------------

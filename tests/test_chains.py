@@ -36,7 +36,9 @@ from residua.dsl import parse_expr
 from residua.groups import (
     CountablePoints,
     Element,
+    ExtensionHandle,
     FinitePoints,
+    IntegerGroup,
     label_sort_key,
     make_cyclic,
     make_infinite_dihedral,
@@ -45,7 +47,8 @@ from residua.groups import (
     random_words,
     wreath_product,
 )
-from residua.ordinal import ALEPH0, OMEGA, ZERO, CardinalBound, Ordinal, add, multiply
+from residua.ordinal import (ALEPH0, OMEGA, OMEGA_OMEGA, ZERO, CardinalBound, Ordinal, add,
+                             multiply)
 from residua.powers import diagonal_power_chain, power_chain, tower_chain
 from residua.stages import ValueTest, _coset_check, _RowChecks
 
@@ -108,6 +111,13 @@ class TestChainAt:
     def test_beyond_length_rejected(self):
         with pytest.raises(ChainError):
             chain_at(integers_chain(2), add(OMEGA, 1))
+
+    def test_stage_address_is_an_ordinal_or_an_int(self):
+        z = make_integers()
+        for bad in (lambda: chain_at(integers_chain(2), 1.5),
+                    lambda: limit_membership(integers_chain(2), 1.5, z.element(0))):
+            with pytest.raises(TypeError, match="^expected Ordinal or int, got float$"):
+                bad()
 
     def test_base_chain_over_a_given_group(self):
         z, d = make_integers(), make_infinite_dihedral()
@@ -472,6 +482,19 @@ class TestPowerChain:
         chain = power_chain(promote_to_omega(single_step_chain(make_cyclic(2))), natural_points())
         cert = verify_prefix(chain, levels=5, probes=32, seed=3)
         assert cert.verdict == "pass"
+
+    def test_stage_under_a_parent_that_constrains_more_points(self):
+        # a caller's chain that lists power stages out of order: the parent
+        # (step 2) constrains a point that the stage (step 1) leaves free, so
+        # the row does not split into base rows and is checked as one leaf
+        chain = power_chain(promote_to_omega(single_step_chain(make_cyclic(2))), natural_points())
+        s1, s2 = chain.stage_at(0, 1), chain.stage_at(0, 2)
+        out_of_order = ChainSchema(group=chain.group, kappa=ALEPH0, num_blocks=0,
+                                   tail=(s1, s2, s1))
+        cert = verify_prefix(out_of_order, levels=1, probes=32, seed=0)
+        assert cert.verdict == "fail"
+        assert (cert.failure["reason"], cert.failure["stage"]) == ("descent violated", "3")
+        assert [row["index"] for row in cert.levels] == [None, 2, 2, None]
 
     def test_infinite_base_index_fails(self):
         from residua.chains import ChainSchema, SubgroupDescriptor
@@ -1250,6 +1273,12 @@ class TestCoreSandwich:
             core_sandwich(wreath_product(make_symmetric(3), make_cyclic(3)))
 
 
+class _UnclaimedIntegers(IntegerGroup):
+    """Z without the residual-finiteness claim, as a caller's group may be."""
+
+    is_residually_finite_claimed = False
+
+
 def two_unverified_steps():
     """A finite chain over C(2) whose two steps have no transversal."""
     c2 = make_cyclic(2)
@@ -1290,11 +1319,34 @@ def two_unverified_steps():
     (lambda: verify_prefix(integers_chain(2), 0, 4, 0), "need at least one level"),
     (lambda: DepthInterval(lower=OMEGA, upper=Ordinal.from_int(1)),
      "lower depth bound exceeds the upper bound"),
+    (lambda: chain_at(integers_chain(2), OMEGA + 1), r"^stage w \+ 1 beyond chain length w$"),
+    (lambda: chain_at(dihedral_chain(2), multiply(OMEGA, 3) + 2),
+     r"^stage w\*3 \+ 2 beyond chain length w$"),
+    (lambda: chain_at(integers_chain(2), OMEGA_OMEGA),
+     r"^chain stages have shape w\*q \+ r; w\^w does not$"),
+    (lambda: single_step_chain(make_integers()), "^finite chains need a finite group$"),
+    (lambda: concat_extension(ExtensionHandle(total=lamplighter(), quotient=make_integers(),
+                                              projection=lamplighter().projection),
+                              integers_chain(2), integers_chain(2)),
+     "^extension lacks a kernel bundle$"),
+    (lambda: concat_extension(lamplighter().extension(), integers_chain(2), integers_chain(2)),
+     "^kernel chain is over the wrong group$"),
+    (lambda: core_sandwich(wreath_product(make_integers(), make_integers())),
+     "^lower bound needs a finite base for its derived subgroup$"),
+    (lambda: DepthInterval(lower=Ordinal.from_int(2), upper=OMEGA),
+     "^2 is not a valid depth shape$"),
+    (lambda: Transversal(factors=[Transversal(make_cyclic(2), [0, 1])] * 2),
+     "^a product of m factors names m - 1 intermediate subgroups$"),
+    (lambda: tower_chain(_UnclaimedIntegers(), integers_chain(2), 2),
+     "^tower bases must carry the residually-finite claim$"),
 ], ids=["negative-blocks", "no-block-rule", "no-final-limit", "negative-address",
         "not-a-limit", "integers-p-1", "dihedral-p-1", "infinite-finite-chain", "not-nested",
         "not-dividing", "empty-set", "promote-infinite", "compress-one-step",
         "compress-unverified", "diagonal-countable", "tower-wrong-group", "tower-wrong-length",
-        "tower-height-0", "sandwich-not-wreath", "zero-levels", "interval-upside-down"])
+        "tower-height-0", "sandwich-not-wreath", "zero-levels", "interval-upside-down",
+        "past-the-tail", "past-the-blocks", "not-w-q-r", "single-step-infinite",
+        "no-kernel-bundle", "kernel-chain-group", "sandwich-infinite-base",
+        "interval-shape", "factors-without-intermediates", "tower-unclaimed"])
 def test_chain_preconditions(call, message):
     with pytest.raises(ChainError, match=message):
         call()

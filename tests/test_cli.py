@@ -61,6 +61,14 @@ class TestDepth:
         assert out == ""
         assert "no chain constructor registered" in err
 
+    def test_wreath_over_a_tower_without_the_hypotheses_claims_nothing(self, capsys):
+        # Z lacks a finite abelianization, so tower(Z,2) claims no depth and
+        # the wreath over it claims none either, keeping the tower's flag
+        code, out, _ = run(capsys, "depth", "wreath(tower(Z,2),C(2))")
+        assert code == 0
+        assert out == ("[w, w*2]\nflag: exact-depth claim withheld: the tower base does not "
+                       "carry the residual-finiteness and finite-abelianization hypotheses\n")
+
     def test_single_item_product_keeps_the_claim(self, capsys):
         assert run(capsys, "depth", "prod(tower(Dinf,2))") == run(capsys, "depth", "tower(Dinf,2)")
 
@@ -438,6 +446,43 @@ class TestUsageErrors:
         assert result.stdout == ""
         assert result.stderr == (
             f"residua: cannot write '{target}': No such file or directory\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "Z"),
+        ("tree", "wreath(C(2),Z)", "--levels", "14", "--format", "dot"),
+    ], ids=["verify", "tree-dot"])
+    def test_closed_stdout_is_one_line(self, argv, unbuffered):
+        # stdout is a pipe whose read end closed before the run, as in
+        # `residua verify Z | (exit 0)`: exit 2, as for an unwritable --out.
+        # Buffered, as by default, a short write fails only when flushed,
+        # and what stays buffered must not fail again at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(residua.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "residua.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "residua: cannot write '<stdout>': Broken pipe\n"
+
+    def test_closed_stdout_in_process(self, capsys, monkeypatch):
+        # the buffered rest goes to devnull, so closing stdout later succeeds
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(write_end, "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["verify", "Z"]) == 2
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == "residua: cannot write '<stdout>': Broken pipe\n"
 
     def test_bad_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RESIDUA_SEED", "7x")

@@ -137,6 +137,8 @@ class TestParse:
         ("9", "unexpected integer literal", 0),
         ("N", "'N' is only valid as a power point set", 0),
         ("prod()", "unexpected character", 5),
+        ("perm(3;())", "empty cycle", 8),
+        ("perm(3;(0 0))", "cycle repeats a point: (0, 0)", 5),
         ("wreath(C(2), Z) extra", "trailing input", 16),
     ])
     def test_error_message_and_offset(self, text, message, position):
@@ -192,6 +194,25 @@ class TestParse:
             parse_expr(text)
         except DslParseError:
             pass
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Cyclic(0), DslError, "^cyclic order must be >= 1, got 0$"),
+    (lambda: Perm(3, (((0, 0),),)), DslError, r"^cycle repeats a point: \(0, 0\)$"),
+    (lambda: Product(()), DslError, "^prod needs at least one item$"),
+    (lambda: FinSupportPower(Int(), 0), DslError, "^points must be 'N' or a positive int, got 0$"),
+    (lambda: Tower(Int(), 0), DslError, "^tower height must be >= 1, got 0$"),
+    (lambda: Tower(Int(), MAX_TOWER_HEIGHT + 1), DslError,
+     f"^tower height must be <= {MAX_TOWER_HEIGHT}, got {MAX_TOWER_HEIGHT + 1}$"),
+    (lambda: print_expr(3), DslError, "^not an expression AST: 3$"),
+    (lambda: build_group(3), UnregisteredConstructionError, "^unknown expression 3$"),
+], ids=["cyclic-0", "repeated-point", "empty-product", "points-0", "tower-0", "tower-too-high",
+        "print-non-ast", "build-non-ast"])
+def test_ast_guards(call, error, message):
+    # callers build ASTs (build_group, chain_for and depth_interval take
+    # them), so each constructor refuses what the parser refuses
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestPrint:

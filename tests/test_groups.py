@@ -827,3 +827,102 @@ class TestCayleyTable:
         z = make_integers()
         assert z.cayley_table() is None
         assert (z.element(2) * z.element(3)).value == 5
+
+
+class _MiscountedKlein(_Klein):
+    """A caller's group whose enumeration misses an element of its order."""
+
+    def _enumerate_values(self):
+        return [(0, 0), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FinitePoints([1.5]), GroupError, "^unorderable label 1.5$"),
+    (lambda: make_integers().element_values(), GroupError,
+     "^Z is infinite; no element enumeration$"),
+    (lambda: _MiscountedKlein("m").element_values(), GroupError,
+     r"^klein\[m\]: enumerated 3 values but order is 4$"),
+    (lambda: make_integers().element(1) * 2, TypeError, "unsupported operand"),
+], ids=["float-label", "infinite-enumeration", "miscounted-enumeration", "element-times-int"])
+def test_element_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _z_mod_2(**maps):
+    """``extension_from_quotient`` of Z onto C(2) with a caller's ``maps``."""
+    z, c2 = make_integers(), make_cyclic(2)
+    return extension_from_quotient(z, lambda e: Element(c2, e.value % 2), c2, **maps)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FinitePoints([True, 1]), GroupError, "^finite point set has repeated labels$"),
+    (lambda: make_cyclic(0), GroupError, "^cyclic order must be >= 1, got 0$"),
+    (lambda: make_cyclic(2).element("a"), InvalidElementError,
+     "^cyclic value must be int, got 'a'$"),
+    (lambda: make_integers().element("a"), InvalidElementError,
+     "^integer value must be int, got 'a'$"),
+    (lambda: make_perm(-1, []), GroupError, "^degree must be >= 0$"),
+    (lambda: perm_from_cycles(3, [(0, 3)]), GroupError,
+     "^cycle point 3 out of range for degree 3$"),
+    (lambda: make_infinite_dihedral().element((0, 2)), InvalidElementError,
+     r"^dihedral value must be \(int, 0\|1\), got \(0, 2\)$"),
+    (lambda: groups.DirectProductGroup([]), GroupError, "^product needs at least one factor$"),
+    (lambda: build_group(parse_expr("prod(Z,C(2))")).element((1,)), InvalidElementError,
+     "^product value arity mismatch$"),
+    (lambda: wreath_product(make_cyclic(2), make_integers()).element(((("x", 1),), 0)),
+     InvalidElementError, r"^'x' is not a point of enum\[Z\]$"),
+    (lambda: finite_support_power(make_cyclic(2), FinitePoints([0, 1])).element(((0, 1), (0, 1))),
+     InvalidElementError, "^repeated point 0$"),
+    (lambda: finite_support_power(make_cyclic(2), FinitePoints([0, 1])).embed_at(5),
+     InvalidElementError, r"^5 is not a point of fin\[0,1\]$"),
+    (lambda: wreath_product(make_cyclic(2), make_integers()).element((1, 2, 3)),
+     InvalidElementError, r"^wreath value must be a \(functions, top\) pair$"),
+    (lambda: extension_from_quotient(make_integers(), lambda e: Element(make_cyclic(2), 1),
+                                     make_cyclic(2)),
+     GroupError, "^projection does not preserve the identity$"),
+    (lambda: _z_mod_2(section=lambda q: Element(make_integers(), 0)),
+     GroupError, "^section is not a right inverse of the projection$"),
+    (lambda: _z_mod_2(kernel_group=make_integers(), kernel_embed=lambda k: k),
+     GroupError, "^kernel embedding leaves the kernel$"),
+    (lambda: _z_mod_2(kernel_group=make_integers(),
+                      kernel_embed=lambda k: Element(k.group, 2 * k.value),
+                      kernel_retract=lambda e: e),
+     GroupError, "^kernel retract does not invert the embedding$"),
+], ids=["repeated-labels", "cyclic-order-0", "cyclic-value", "integer-value", "negative-degree",
+        "cycle-point-range", "dihedral-value", "empty-product", "product-arity",
+        "wreath-unknown-point", "power-repeated-point", "embed-off-points", "wreath-shape",
+        "projection-identity", "section-not-inverse", "embed-leaves-kernel",
+        "retract-not-inverse"])
+def test_group_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SubgroupHandle(make_cyclic(4), [2]), GroupError,
+     "^subgroup must contain the identity$"),
+    (lambda: SubgroupHandle(make_cyclic(4), [0, 2]).element(1), InvalidElementError,
+     "^1 is not in the subgroup$"),
+], ids=["no-identity", "not-a-member"])
+def test_subgroup_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+class TestElementSurface:
+    def test_reprs(self):
+        assert repr(make_integers().element(3)) == "<Z: 3>"
+        assert repr(make_cyclic(2)) == "<group C(2)>"
+
+    def test_an_element_equals_no_other_type(self):
+        assert make_integers().element(1) != 1
+
+    def test_bool_labels_sort_as_ints(self):
+        assert label_sort_key(True) == label_sort_key(1) == (0, 1)
+
+    def test_subgroup_inverts_and_writes_in_the_parent(self):
+        h = SubgroupHandle(make_cyclic(4), [0, 2])
+        assert h.element(2).inverse() == h.element(2)
+        flips = SubgroupHandle(make_infinite_dihedral(), [(0, 0), (0, 1)])
+        assert flips.element((0, 1)).to_jsonable() == {"t": 0, "flip": 1}

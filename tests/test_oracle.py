@@ -333,3 +333,39 @@ class TestCayleyTableLattice:
         g = _dsl_group(expr)
         assert g.order <= 12
         assert all_subgroups(g).subgroups == all_subgroups_naive(g).subgroups
+
+
+class _Loop(groups.Group):
+    """A caller's group whose product is not associative: a loop of order 5
+    (a Latin square with an identity row), generated by 1 and 2."""
+
+    _ROWS = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    tag = "loop5"
+
+    def identity_value(self):
+        return 0
+
+    def mul_values(self, a, b):
+        return self._ROWS[a][b]
+
+    def inv_value(self, a):
+        return self._ROWS[a].index(0)
+
+    def validate_value(self, v):
+        return v
+
+    def _compute_order(self):
+        return 5
+
+    def _generator_values(self):
+        return (1, 2)
+
+    def _enumerate_values(self):
+        return list(range(5))
+
+
+def test_a_non_associative_product_fails_reverification():
+    # the table composes generator rows as if the product were associative;
+    # the closure it finds is then not closed under the table's products
+    with pytest.raises(GroupError, match="^subgroup candidate not closed under multiplication$"):
+        all_subgroups(_Loop())

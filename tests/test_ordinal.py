@@ -466,3 +466,55 @@ class TestJsonText:
         for write in (self.reference, json_text):
             with pytest.raises(ValueError, match="Circular reference detected"):
                 write(cycle)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Ordinal(((1, 1),)), OrdinalError, "exponent must be an Ordinal, got int"),
+    (lambda: Ordinal(((ONE, 0),)), OrdinalError, "coefficients must be >= 1, got 0"),
+    (lambda: Ordinal(((ZERO, 1), (ONE, 1))), OrdinalError, "exponents must be strictly decreasing"),
+    (lambda: Ordinal.from_int(-1), OrdinalError, "ordinals are non-negative, got -1"),
+    (lambda: OMEGA.to_int(), OrdinalError, "w is not a finite ordinal"),
+    (lambda: setattr(OMEGA, "_terms", ()), AttributeError, "Ordinal is immutable"),
+    (lambda: OMEGA + 1.5, TypeError, "expected Ordinal or int, got float"),
+    (lambda: setattr(ALEPH0, "_finite", 1), AttributeError, "CardinalBound is immutable"),
+], ids=["int-exponent", "zero-coefficient", "increasing-exponents", "negative-int",
+        "infinite-to-int", "ordinal-setattr", "float-operand", "bound-setattr"])
+def test_ordinal_guards(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+class TestDunders:
+    def test_reflected_and_mixed_operators(self):
+        assert 1 + OMEGA == OMEGA
+        assert 2 * OMEGA == OMEGA
+        assert OMEGA >= 5 and OMEGA >= OMEGA and not ONE >= OMEGA
+        assert ZERO.to_int() == 0
+
+    def test_equality_with_other_types(self):
+        assert ZERO != -1 and ONE != -1
+        assert OMEGA != "w"
+        assert ALEPH0 != "aleph0"
+
+    def test_repr(self):
+        assert repr(multiply(OMEGA, 2)) == "Ordinal('w*2')"
+
+    def test_cardinal_bound_value_hash_and_le(self):
+        assert ALEPH0.value is None and CardinalBound.finite(4).value == 4
+        assert len({CardinalBound.finite(4), CardinalBound(4), ALEPH0, CardinalBound(None)}) == 2
+        assert CardinalBound.finite(4) <= CardinalBound.finite(4) <= ALEPH0
+        assert not ALEPH0 <= CardinalBound.finite(4)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(ordinals_small, st.integers(min_value=0, max_value=10 ** 30))
+    def test_equal_values_hash_equal(self, a, n):
+        copy = Ordinal(a.terms)
+        assert copy == a and hash(copy) == hash(a)
+        assert Ordinal.from_int(n) == n and hash(Ordinal.from_int(n)) == hash(n)
+        if a.is_finite:
+            assert a == a.to_int() and hash(a) == hash(a.to_int())
+
+    def test_finite_ordinals_and_ints_share_keys(self):
+        assert len({Ordinal.from_int(3), 3}) == 1
+        assert {3: "x"}.get(Ordinal.from_int(3)) == "x"
+        assert {0: "zero"}[ZERO] == "zero"

@@ -276,6 +276,16 @@ class TestVerifySimple:
         assert report.verdict == "violation"
         assert report.violations
 
+    def test_probe_in_the_last_stage_is_a_violation(self):
+        # without a truncation the probes are read against the chain; (0 1)
+        # lies in its last stage, so it fixes the identity thread's deepest vertex
+        s3 = make_symmetric(3)
+        report = verify_simple(finite_chain(s3, [{s3.identity_value(), (1, 0, 2)}]))
+        assert report.mode == "probe"
+        assert report.verdict == "violation"
+        assert report.violations == (
+            {"element": "[1,0,2]", "level": "1", "vertex": "identity thread"},)
+
     def test_probes_past_the_budget_are_unresolved(self):
         # 4, -4 and -8 leave the 2-adic chain at stages 3, 3 and 4, past a
         # budget of 2; the limit stage w excludes them but does not move them
