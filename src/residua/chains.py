@@ -58,8 +58,8 @@ from .stages import (
     ValueTest,
     _certify_transversal,
     _Image,
+    _LazyRow,
     _RowChecks,
-    _ShapedRow,
     _sourced,
     _value_map,
     _value_test,
@@ -243,7 +243,7 @@ def integers_chain(p: int = 2, group: Optional[IntegerGroup] = None) -> ChainSch
         return SubgroupDescriptor(
             owner=z,
             membership=ValueTest(lambda v, m=modulus: v % m == 0),
-            transversal=lambda: Transversal(z, [j * p ** (n - 1) for j in range(p)]),
+            transversal=_LazyRow(z, lambda: Transversal(z, [j * p ** (n - 1) for j in range(p)])),
             label=f"multiples of {modulus}",
         )
 
@@ -277,14 +277,15 @@ def dihedral_chain(p: int = 2, group: Optional[InfiniteDihedralGroup] = None) ->
             return SubgroupDescriptor(
                 owner=d,
                 membership=ValueTest(lambda v: v[1] == 0),
-                transversal=lambda: Transversal(d, ((0, 0), (0, 1))),
+                transversal=_LazyRow(d, lambda: Transversal(d, ((0, 0), (0, 1)))),
                 label="translations",
             )
         modulus = p ** (n - 1)
         return SubgroupDescriptor(
             owner=d,
             membership=ValueTest(lambda v, m=modulus: v[1] == 0 and v[0] % m == 0),
-            transversal=lambda: Transversal(d, [(j * p ** (n - 2), 0) for j in range(p)]),
+            transversal=_LazyRow(d, lambda: Transversal(d, [(j * p ** (n - 2), 0)
+                                                            for j in range(p)])),
             label=f"translations by multiples of {modulus}",
         )
 
@@ -386,7 +387,7 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
         return SubgroupDescriptor(
             owner=chain.group,
             membership=last.membership,
-            transversal=lambda: Transversal(chain.group, identity),
+            transversal=_LazyRow(chain.group, lambda: Transversal(chain.group, identity)),
             label=(last.label or "last stage") + " (repeated)",
         )
 
@@ -408,19 +409,16 @@ def promote_to_omega(chain: ChainSchema) -> ChainSchema:
 
 def _mapped(stage: SubgroupDescriptor, f: Callable[[Element], Element], target: Group,
             stage_map: Callable[[SubgroupDescriptor], SubgroupDescriptor]):
-    """A function building ``stage``'s row carried into ``target``, or None
-    when the stage has none.  The row keeps its shape (``_ShapedRow``): its
-    factors, built on first read, are the images of the stage's factors,
-    each representative value through the value map of ``f``
-    (``_value_map``), and its intermediates those of the stage through
-    ``stage_map``."""
-    def build() -> Optional[Transversal]:
-        t, values = stage.transversal, _value_map(f, stage.owner)
-        if t is not None:
-            return _ShapedRow(target, t.size, lambda: Transversal(
-                factors=[Transversal(target, map(values, reps)) for reps in t.factor_reps()],
-                intermediates=map(stage_map, t.intermediates)))
-    return build
+    """``stage``'s row carried into ``target``, or None when the stage has
+    none.  The row keeps its shape (``_LazyRow``): its factors, built on
+    first read, are the images of the stage's factors, each representative
+    value through the value map of ``f`` (``_value_map``), and its
+    intermediates those of the stage through ``stage_map``."""
+    t, values = stage.transversal, _value_map(f, stage.owner)
+    if t is not None:
+        return _LazyRow(target, lambda: Transversal(
+            factors=[Transversal(target, map(values, reps)) for reps in t.factor_reps()],
+            intermediates=map(stage_map, t.intermediates)), lambda: t.size)
 
 
 def _imaged(stage: SubgroupDescriptor, maps, image: _Image) -> SubgroupDescriptor:

@@ -22,15 +22,15 @@ cap, for minutes.
 
 Callers may build AST values themselves: ``build_group``, ``chain_for`` and
 ``depth_interval`` take them.  So each AST class checks its own fields as
-the parser does (``Cyclic(0)``, ``Product(())`` and ``Tower(Int(), 65)``
-raise ``DslError``), which keeps ``parse_expr(print_expr(ast)) == ast`` and
-keeps tower recursion bounded.
+the parser does (``Cyclic(0)``, ``Cyclic(True)``, ``Product(())`` and
+``Tower(Int(), 65)`` raise ``DslError``), which keeps
+``parse_expr(print_expr(ast)) == ast`` and keeps tower recursion bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .groups import _alternating_cycles, _symmetric_cycles
 from .ordinal import MAX_NESTING, OrdinalParseError, _Scanner
@@ -71,6 +71,16 @@ class DslParseError(DslError):
     __init__ = OrdinalParseError.__init__
 
 
+def _check_int(value, what: str, low: int, high: Optional[int] = None) -> None:
+    """Raise ``DslError`` unless ``value`` is an int, not a bool, in [low, high]."""
+    if type(value) is not int:
+        raise DslError(f"{what} must be an int, got {value!r}")
+    if value < low:
+        raise DslError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DslError(f"{what} must be <= {high}, got {value}")
+
+
 @dataclass(frozen=True)
 class Trivial:
     pass
@@ -81,8 +91,7 @@ class Cyclic:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DslError(f"cyclic order must be >= 1, got {self.n}")
+        _check_int(self.n, "cyclic order", 1)
 
 
 @dataclass(frozen=True)
@@ -91,12 +100,13 @@ class Perm:
     generators: tuple  # each generator is a tuple of cycles; a cycle is a tuple of ints
 
     def __post_init__(self):
-        if self.degree > MAX_DEGREE:
-            raise DslError(f"degree must be <= {MAX_DEGREE}, got {self.degree}")
+        _check_int(self.degree, "degree", 0, MAX_DEGREE)
         for gen in self.generators:
             if not gen:
                 raise DslError("a generator needs at least one cycle")
             for cycle in gen:
+                for p in cycle:
+                    _check_int(p, "cycle point", 0)
                 if len(set(cycle)) != len(cycle):
                     raise DslError(f"cycle repeats a point: {cycle}")
                 for p in cycle:
@@ -129,7 +139,7 @@ class FinSupportPower:
     points: Union[int, str]  # an int for finite points, "N" for the naturals
 
     def __post_init__(self):
-        if self.points != "N" and (not isinstance(self.points, int) or self.points < 1):
+        if self.points != "N" and (type(self.points) is not int or self.points < 1):
             raise DslError(f"points must be 'N' or a positive int, got {self.points!r}")
 
 
@@ -145,10 +155,7 @@ class Tower:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DslError(f"tower height must be >= 1, got {self.n}")
-        if self.n > MAX_TOWER_HEIGHT:
-            raise DslError(f"tower height must be <= {MAX_TOWER_HEIGHT}, got {self.n}")
+        _check_int(self.n, "tower height", 1, MAX_TOWER_HEIGHT)
 
 
 @dataclass(frozen=True)

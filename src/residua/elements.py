@@ -41,6 +41,7 @@ __all__ = [
 
 ORACLE_CAP = 128  # the largest order that gets a Cayley table and an oracle lattice
 ENUMERATION_CAP = 5_000_000  # the largest order whose elements are listed
+CLOSURE_CAP = 200_000  # the most values that mulclose gathers
 
 
 class GroupError(Exception):
@@ -303,8 +304,8 @@ class ValueMap:
         return Element(self.target, self.values(e.value))
 
 
-def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
-    """Closure of a value set under multiplication, breadth-first.
+def mulclose(values: Iterable, mul: Callable) -> list:
+    """Closure of a value set under multiplication, breadth-first, up to ``CLOSURE_CAP`` values.
 
     Deterministic order of discovery given a deterministic input order.
     """
@@ -319,8 +320,8 @@ def mulclose(values: Iterable, mul: Callable, cap: int = 200000) -> list:
                 if c not in seen:
                     seen[c] = None
                     new.append(c)
-                    if len(seen) > cap:
-                        raise GroupError(f"closure exceeded cap {cap}")
+                    if len(seen) > CLOSURE_CAP:
+                        raise GroupError(f"closure exceeded cap {CLOSURE_CAP}")
         frontier = new
     return list(seen)
 

@@ -21,7 +21,7 @@ from .elements import Group
 from .groups import (FinitePoints, FinSupportPowerGroup, PointSet, WreathProductGroup,
                      finite_support_power, wreath_product)
 from .ordinal import ALEPH0
-from .stages import (ChainError, SubgroupDescriptor, Transversal, ValueTest, _ShapedRow,
+from .stages import (ChainError, SubgroupDescriptor, Transversal, ValueTest, _LazyRow,
                      _sourced, _value_test)
 
 __all__ = ["power_chain", "diagonal_power_chain", "tower_chain"]
@@ -91,7 +91,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     and the index is infinite when one point's is.  ``parent_coords``
     constrains the parent stage the same way (points past its end only by
     ``support``, which leaves them in the base stage ``top``).  The row
-    keeps its shape (``_ShapedRow``, ``_Power``), and its factors are built
+    keeps its shape (``_LazyRow``, ``_Power``), and its factors are built
     on their first read: factor j is the base transversal at the j-th point,
     embedded at that point, and the intermediate K_j takes the stage's
     constraints at the first j points and the parent's at the rest, so each
@@ -109,20 +109,18 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
         )
 
     def flat() -> Transversal:
-        factors = [_mapped(stage, grp.embed_at(x), grp, lambda m, j=j, x=x: between(j, [(x, m)]))()
+        factors = [_mapped(stage, grp.embed_at(x), grp, lambda m, j=j, x=x: between(j, [(x, m)]))
                    for j, (x, stage) in enumerate(coords)]
         return Transversal(factors=factors, intermediates=[between(j, parent_coords[j:j + 1])
                                                            for j in range(1, len(coords))])
 
-    def product() -> Optional[Transversal]:
-        rows = [stage.transversal for _, stage in coords]
-        if None not in rows:
-            return _ShapedRow(grp, math.prod(row.size for row in rows), flat)
-
+    rows = [stage.transversal for _, stage in coords]
     infinite = any(stage.infinite_index for _, stage in coords)
     return _sourced(SubgroupDescriptor(
         owner=grp, membership=_coordinatewise_membership(grp, coords, support),
-        infinite_index=infinite, transversal=None if infinite or not coords else product,
+        infinite_index=infinite,
+        transversal=None if infinite or not rows or None in rows
+        else _LazyRow(grp, flat, lambda: math.prod(row.size for row in rows)),
         label=label,
     ), _Power(grp, coords, support, top))
 

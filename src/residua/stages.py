@@ -4,12 +4,12 @@ A stage's finite index in its parent is the size of its transversal of
 coset representatives, which the verifier certifies; a stage with no
 transversal has an unverified index, unless it is declared infinite.
 Transversals are explicit, or products of explicit factors (Sims 1970;
-Seress, *Permutation Group Algorithms*, 2003, ch. 4), and a stage may give
-its transversal as a function that builds it on first read, so a stage that
-is only tested for membership never builds one.  A transversal is checked
+Seress, *Permutation Group Algorithms*, 2003, ch. 4).  The library's stages
+hold rows that build their factors on first read (``_LazyRow``), so a stage
+that is only tested for membership builds none.  A transversal is checked
 factor by factor, and probes are covered by the sift of ``_placer``; the
-sift's last digit is the stage's own membership test.  Coset trees place
-by the sift too, except at a stage that still holds the coset table that
+sift's last digit is the stage's own membership test.  Coset trees place by
+the sift too, except at a stage that still holds the coset table that
 ``chains.finite_chain`` recorded for it, where one lookup gives the digit
 and the residue (``_table_placer``).  The verifier never reads that table.
 A trivial stage tests membership with ``Element.is_identity``, by which the
@@ -17,7 +17,7 @@ check recognises it.
 
 Every row that a stage owns is certified through ``_RowChecks``, once per
 distinct (parent, stage) pair in a verify run.  A row that the library
-builds from other rows keeps its shape (``_ShapedRow``): the stages of a
+builds from other rows keeps its shape (``_LazyRow``): the stages of a
 kernel copy or a pullback record their source stage (``_Image``), and the
 stages of a finite-support power record the base stage at each point (in
 ``powers``, which alone reads that record).  Each record says how its row
@@ -29,7 +29,7 @@ checked factor by factor.  A stage that ``dataclasses.replace`` makes loses
 the record, and a stage mapped by a caller's extension maps has none, so
 their rows are leaves.  The factorwise scan of ``_certify_transversal``
 names the failure of a row that fails there; only then, or when a caller
-reads them, are a shaped row's factors and intermediates built.
+reads them, are such a row's factors and intermediates built.
 
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
@@ -118,18 +118,24 @@ class Transversal:
         return self._reps
 
 
-class _ShapedRow(Transversal):
-    """The row of a stage the library built from other stages' rows (see
-    ``_sourced``): ``size`` representatives, whose factors and
-    intermediates ``flat`` builds as a ``Transversal`` on their first read.
-    The certifier reads the row's shape from its stages instead."""
+class _LazyRow(Transversal):
+    """A row whose factors and intermediates ``build`` makes as a
+    ``Transversal`` on their first read; its ``size`` is ``size()`` when
+    given, else the built row's.  A row the library builds from other rows
+    (see ``_sourced``) gives ``size``, and the certifier reads its shape from
+    its stages."""
 
-    def __init__(self, group: Group, size: int, flat: Callable[[], Transversal]):
-        self.group, self.size, self._flat = group, size, flat
+    def __init__(self, group: Group, build: Callable[[], Transversal],
+                 size: Optional[Callable[[], int]] = None):
+        self.group, self._build, self._size = group, build, size
 
     @functools.cached_property
     def _built(self) -> Transversal:
-        return self._flat()
+        return self._build()
+
+    @functools.cached_property
+    def size(self) -> int:
+        return self._built.size if self._size is None else self._size()
 
     @property
     def _reps(self):
@@ -140,22 +146,6 @@ class _ShapedRow(Transversal):
         return self._built.intermediates
 
 
-class _BuiltOnFirstRead:
-    """The ``transversal`` field: a value given as a function of no
-    arguments is called on the first read, and its result is kept."""
-
-    def __get__(self, stage, owner=None):
-        if stage is None:
-            return None  # the field's default
-        value = stage.__dict__["_transversal"]
-        if callable(value):
-            value = stage.__dict__["_transversal"] = value()
-        return value
-
-    def __set__(self, stage, value):
-        stage.__dict__["_transversal"] = value
-
-
 @dataclass(frozen=True)
 class SubgroupDescriptor:
     """One chain stage: a membership test plus index evidence.
@@ -163,9 +153,7 @@ class SubgroupDescriptor:
     ``transversal`` holds coset representatives of this stage inside its
     parent stage; its size is the stage's finite index, which the verifier
     certifies.  Without one the verifier can only count cosets among probes
-    and reports the index unverified.  It may be given as a function of no
-    arguments returning the transversal or None; it then runs on the first
-    read of ``transversal``.  ``infinite_index`` declares the index
+    and reports the index unverified.  ``infinite_index`` declares the index
     infinite, which no transversal can show.  ``membership`` tests an
     element; a ``ValueTest`` tests its value, which the stages built on this
     one then read without an ``Element``.
@@ -174,8 +162,13 @@ class SubgroupDescriptor:
     owner: Group
     membership: Callable[[Element], bool]
     infinite_index: bool = False
-    transversal: Optional[Transversal] = _BuiltOnFirstRead()
+    transversal: Optional[Transversal] = None
     label: str = ""
+
+    def __post_init__(self):
+        if not (self.transversal is None or isinstance(self.transversal, Transversal)):
+            raise ChainError(f"a stage's transversal is a Transversal or None, "
+                             f"not {type(self.transversal).__name__}")
 
     def contains(self, e: Element) -> bool:
         return self.membership(e)

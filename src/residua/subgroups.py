@@ -7,6 +7,7 @@ builds the derived subgroup of a finite group as one.
 
 from __future__ import annotations
 
+import zlib
 from typing import Iterable
 
 from .elements import Group, GroupError, InvalidElementError, label_sort_key, mulclose
@@ -31,7 +32,8 @@ class SubgroupHandle(Group):
 
     @property
     def tag(self) -> str:
-        return f"sub({self.parent.tag};{len(self._values)}:{hash(self._values) & 0xFFFFFFFF:x})"
+        digest = zlib.crc32(repr(self._values).encode())  # hash() changes with PYTHONHASHSEED
+        return f"sub({self.parent.tag};{len(self._values)}:{digest:x})"
 
     def identity_value(self):
         return self.parent.identity_value()

@@ -700,9 +700,17 @@ def count_transversals(monkeypatch) -> list[int]:
     return built
 
 
+# the chains of the benchmark's verify ops, and the towers up to height 4
+EXCLUSION_CHAINS = [
+    "Z", "Dinf", "wreath(C(2),Z)", "wreath(S(3),Z)", "wreath(C(2),Dinf)", "prod(Z,Dinf)",
+    "power(C(2),N)", "power(Dinf,N)", "wreath(wreath(C(2),Z),Z)",
+    *[f"tower({g},{h})" for g in ("Z", "Dinf") for h in (2, 3, 4)],
+]
+
+
 class TestLazyTransversals:
-    """A stage builds its transversal on the first read of ``transversal``,
-    so stages used only for membership build none."""
+    """A library stage holds a row that builds its factors on their first
+    read, so stages used only for membership build none."""
 
     def test_height_four_tower_builds_few_transversals(self, monkeypatch):
         # limit coherence walks up to 64 stages into each block; when each
@@ -753,13 +761,34 @@ class TestLazyTransversals:
                 tail=tuple(map(remake, lazy.tail)))
             assert verify_prefix(chain, levels, 64, 0).to_jsonable() == expected
 
+    @pytest.mark.parametrize("expr", EXCLUSION_CHAINS)
+    def test_every_stage_holds_a_row_or_none(self, expr):
+        chain = chain_for(parse_expr(expr))
+        for b in range(chain.num_blocks):
+            for n in range(5):
+                t = vars(chain.stage_at(b, n))["transversal"]  # as held, past any descriptor
+                assert t is None or isinstance(t, Transversal) and not callable(t)
 
-# the chains of the benchmark's verify ops, and the towers up to height 4
-EXCLUSION_CHAINS = [
-    "Z", "Dinf", "wreath(C(2),Z)", "wreath(S(3),Z)", "wreath(C(2),Dinf)", "prod(Z,Dinf)",
-    "power(C(2),N)", "power(Dinf,N)", "wreath(wreath(C(2),Z),Z)",
-    *[f"tower({g},{h})" for g in ("Z", "Dinf") for h in (2, 3, 4)],
-]
+    def test_a_function_for_a_transversal_is_refused(self):
+        z = make_integers()
+        with pytest.raises(ChainError, match="^a stage's transversal is a Transversal or "
+                                             "None, not function$"):
+            SubgroupDescriptor(owner=z, membership=Element.is_identity,
+                               transversal=lambda: Transversal(z, [0]))
+
+    def test_a_power_row_size_builds_no_product(self, monkeypatch):
+        stage = chain_for(parse_expr("power(Dinf,N)")).stage_at(0, 5)
+        products, init = [], Transversal.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("factors"):
+                products.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Transversal, "__init__", counting)
+        assert stage.transversal.size == 2 ** 5
+        assert products == []
+        assert len(stage.transversal.factor_reps()) == 5 and products
 
 
 class TestExclusionDepth:

@@ -262,6 +262,19 @@ class TestDeterminismAndIO:
                 outs.append(done.stdout)
             assert outs[0] == outs[1], argv
 
+    def test_subgroup_tag_is_the_same_under_two_hash_seeds(self):
+        # the tag digests the subgroup's values, whose tuple hash changes with the seed
+        src = str(Path(residua.__file__).resolve().parents[1])
+        code = ("from residua.groups import FinitePoints, finite_support_power, make_symmetric\n"
+                "from residua.subgroups import commutator_subgroup\n"
+                "print(commutator_subgroup(finite_support_power(\n"
+                "    make_symmetric(3), FinitePoints(['a', 'b']))).tag)")
+        tags = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "PYTHONHASHSEED": seed}).stdout
+                for seed in ("0", "1")]
+        assert tags[0] == tags[1] and tags[0].rstrip().endswith(";9:a5b8cb91)")
+
 
 # expressions whose groups cannot be built, with the exit-4 message each gives
 BAD_EXPRESSIONS = {

@@ -206,8 +206,18 @@ class TestParse:
      f"^tower height must be <= {MAX_TOWER_HEIGHT}, got {MAX_TOWER_HEIGHT + 1}$"),
     (lambda: print_expr(3), DslError, "^not an expression AST: 3$"),
     (lambda: build_group(3), UnregisteredConstructionError, "^unknown expression 3$"),
+    # a bool or a float prints as text that does not parse back
+    (lambda: Cyclic(True), DslError, "^cyclic order must be an int, got True$"),
+    (lambda: Cyclic(2.5), DslError, r"^cyclic order must be an int, got 2\.5$"),
+    (lambda: Tower(Int(), 2.0), DslError, r"^tower height must be an int, got 2\.0$"),
+    (lambda: FinSupportPower(Int(), True), DslError,
+     "^points must be 'N' or a positive int, got True$"),
+    (lambda: Perm(-1, ()), DslError, "^degree must be >= 0, got -1$"),
+    (lambda: Perm(2.0, ()), DslError, r"^degree must be an int, got 2\.0$"),
+    (lambda: Perm(3, ((("a",),),)), DslError, "^cycle point must be an int, got 'a'$"),
 ], ids=["cyclic-0", "repeated-point", "empty-product", "points-0", "tower-0", "tower-too-high",
-        "print-non-ast", "build-non-ast"])
+        "print-non-ast", "build-non-ast", "cyclic-bool", "cyclic-float", "tower-float",
+        "points-bool", "degree-negative", "degree-float", "point-str"])
 def test_ast_guards(call, error, message):
     # callers build ASTs (build_group, chain_for and depth_interval take
     # them), so each constructor refuses what the parser refuses
