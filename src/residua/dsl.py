@@ -22,9 +22,10 @@ cap, for minutes.
 
 Callers may build AST values themselves: ``build_group``, ``chain_for`` and
 ``depth_interval`` take them.  So each AST class checks its own fields as
-the parser does (``Cyclic(0)``, ``Cyclic(True)``, ``Product(())`` and
-``Tower(Int(), 65)`` raise ``DslError``), which keeps
-``parse_expr(print_expr(ast)) == ast`` and keeps tower recursion bounded.
+the parser does (``Cyclic(0)``, ``Cyclic(True)``, ``Product(())``,
+``Product([Int()])``, ``ExtensionRef('Z')`` and ``Tower(Int(), 65)`` raise
+``DslError``), which keeps ``parse_expr(print_expr(ast)) == ast``, keeps
+every AST hashable and keeps tower recursion bounded.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class DslParseError(DslError):
     __init__ = OrdinalParseError.__init__
 
 
+def _check_tuple(value, what: str, item: str = "") -> None:
+    """Raise ``DslError`` unless ``value`` is a tuple of at least one ``item`` (when named)."""
+    if not isinstance(value, tuple):
+        raise DslError(f"{what} must be a tuple, got {value!r}")
+    if item and not value:
+        raise DslError(f"{what} needs at least one {item}")
+
+
 def _check_int(value, what: str, low: int, high: Optional[int] = None) -> None:
     """Raise ``DslError`` unless ``value`` is an int, not a bool, in [low, high]."""
     if type(value) is not int:
@@ -101,10 +110,11 @@ class Perm:
 
     def __post_init__(self):
         _check_int(self.degree, "degree", 0, MAX_DEGREE)
+        _check_tuple(self.generators, "perm generators")
         for gen in self.generators:
-            if not gen:
-                raise DslError("a generator needs at least one cycle")
+            _check_tuple(gen, "a generator", "cycle")
             for cycle in gen:
+                _check_tuple(cycle, "a cycle", "point")
                 for p in cycle:
                     _check_int(p, "cycle point", 0)
                 if len(set(cycle)) != len(cycle):
@@ -129,8 +139,7 @@ class Product:
     items: tuple
 
     def __post_init__(self):
-        if not self.items:
-            raise DslError("prod needs at least one item")
+        _check_tuple(self.items, "prod", "item")
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,12 @@ class Tower:
 class ExtensionRef:
     name: str
 
+    def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name not in _RESERVED
+                and 0 < _identifier_end(self.name, 0) == len(self.name)):
+            raise DslError(f"extension name must be an identifier other than Z, Dinf, N "
+                           f"and the constructors, got {self.name!r}")
+
 
 GroupExpr = Union[
     Trivial, Cyclic, Perm, Int, Dinf, Product, FinSupportPower, Wreath, Tower, ExtensionRef
@@ -173,6 +188,16 @@ _SUGAR = {
     "A": lambda n: Perm(n, _alternating_cycles(n)),
 }
 _CONSTRUCTORS = ("C", "S", "A", "perm", "power", "wreath", "tower", "prod")
+_RESERVED = {"Z", "Dinf", "N", *_CONSTRUCTORS}
+
+
+def _identifier_end(text: str, start: int) -> int:
+    """The end of the identifier (a letter or _, then letters, digits or _) at ``start``."""
+    end = start
+    while end < len(text) and (text[end] == "_" or (
+            text[end].isalnum() if end > start else text[end].isalpha())):
+        end += 1
+    return end
 
 
 class _Parser(_Scanner):
@@ -180,19 +205,9 @@ class _Parser(_Scanner):
 
     def identifier(self) -> tuple[str, int]:
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
+        start, self.pos = self.pos, _identifier_end(self.text, self.pos)
         if self.pos == start:
-            raise DslParseError(
-                "unexpected character", start, ("expression",)
-            )
+            raise DslParseError("unexpected character", start, ("expression",))
         return self.text[start:self.pos], start
 
     def cycle(self) -> tuple[int, ...]:

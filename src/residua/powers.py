@@ -30,33 +30,36 @@ __all__ = ["power_chain", "diagonal_power_chain", "tower_chain"]
 class _Power:
     """How the library built a stage of the finite-support power ``group``:
     ``coords`` pairs points with the base stages that hold their values,
-    ``support`` (or None) holds every supported value, and ``top`` (or None)
-    is the base stage that a parent leaving a point free holds it in."""
+    and ``free`` is the base stage that holds every supported value (none
+    for a diagonal stage, which constrains every point)."""
 
-    __slots__ = ("group", "coords", "support", "top")
+    __slots__ = ("group", "coords", "free")
 
-    def __init__(self, group: Group, coords, support: Optional[SubgroupDescriptor],
-                 top: Optional[SubgroupDescriptor]):
-        self.group, self.coords, self.support, self.top = group, coords, support, top
+    def __init__(self, group: Group, coords, free: Optional[SubgroupDescriptor]):
+        self.group, self.coords, self.free = group, coords, free
 
     def split(self, parent: object):
-        """``_RowChecks.split`` against the parent's record ``parent``: a
-        (parent base stage, base stage) pair at each point that this stage
-        constrains, when both are stages of one power and one ``support``,
-        the parent constrains only those points and ``top`` holds the rest."""
+        """``_RowChecks.split`` against the parent's record ``parent``, when
+        both are stages of one power with one ``free`` stage: the row of the
+        base stage at each point that this stage constrains in the parent's
+        there (``free`` where the parent leaves it free), which reads the
+        value's (point, value) pairs.  A parent that constrains a point that
+        this stage leaves free keeps the row a leaf: no part would read the
+        value there, which can break descent through the row's intermediates
+        (step 2 under step 3 of the power over Z, 2Z, 2Z, ... with rows of
+        index 1)."""
         if (not isinstance(parent, _Power) or parent.group is not self.group
-                or parent.support is not self.support):
+                or parent.free is not self.free):
             return None
         inner, outer = dict(self.coords), dict(parent.coords)
-        free = inner.keys() - outer.keys()  # points that the parent leaves in ``top``
-        if not outer.keys() <= inner.keys() or free and self.top is None:
+        if not outer.keys() <= inner.keys():
             return None
-        return {x: (outer.get(x, self.top), base) for x, base in inner.items()}, None
+        return {x: (outer.get(x, self.free), base) for x, base in inner.items()}, tuple
 
 
 def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
-                               support: Optional[SubgroupDescriptor]) -> ValueTest:
-    """Every supported value in ``support`` (when given), and the value at
+                               free: Optional[SubgroupDescriptor]) -> ValueTest:
+    """Every supported value in ``free`` (when given), and the value at
     each point of ``coords`` (point, base stage) in that stage, tested on
     the (point, value) pairs of the support.  Only the supported points are
     read: every other point holds the identity, which each distinct stage of
@@ -64,13 +67,13 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
     one stage object at every point, so its points share one value test)."""
     tests = {id(stage): _value_test(stage) for _, stage in coords}
     at = {x: tests[id(stage)] for x, stage in coords}
-    in_support = (lambda v: True) if support is None else _value_test(support)
+    in_free = (lambda v: True) if free is None else _value_test(free)
     identity_inside = None
 
     def member(value) -> bool:
         nonlocal identity_inside
         for x, v in value:
-            if not in_support(v):
+            if not in_free(v):
                 return False
             inside = at.get(x)
             if inside is not None and not inside(v):
@@ -84,13 +87,12 @@ def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,
 
 
 def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
-                          support: Optional[SubgroupDescriptor], label: str,
-                          top: Optional[SubgroupDescriptor] = None) -> SubgroupDescriptor:
+                          free: Optional[SubgroupDescriptor], label: str) -> SubgroupDescriptor:
     """A finite-support power stage with the membership test of ``coords``
-    and ``support``.  The transversal is the product of the points' ones,
-    and the index is infinite when one point's is.  ``parent_coords``
-    constrains the parent stage the same way (points past its end only by
-    ``support``, which leaves them in the base stage ``top``).  The row
+    and of ``free``, which holds every supported value (when given).  The
+    transversal is the product of the points' ones, and the index is
+    infinite when one point's is.  ``parent_coords`` constrains the parent
+    stage the same way (points past its end only by ``free``).  The row
     keeps its shape (``_LazyRow``, ``_Power``), and its factors are built
     on their first read: factor j is the base transversal at the j-th point,
     embedded at that point, and the intermediate K_j takes the stage's
@@ -104,7 +106,7 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
         return SubgroupDescriptor(
             owner=grp,
             membership=_coordinatewise_membership(
-                grp, [*coords[:j], *at_j, *parent_coords[j + 1:]], support),
+                grp, [*coords[:j], *at_j, *parent_coords[j + 1:]], free),
             label=f"{label}, intermediate",
         )
 
@@ -117,12 +119,12 @@ def _coordinatewise_stage(grp: FinSupportPowerGroup, coords, parent_coords,
     rows = [stage.transversal for _, stage in coords]
     infinite = any(stage.infinite_index for _, stage in coords)
     return _sourced(SubgroupDescriptor(
-        owner=grp, membership=_coordinatewise_membership(grp, coords, support),
+        owner=grp, membership=_coordinatewise_membership(grp, coords, free),
         infinite_index=infinite,
         transversal=None if infinite or not rows or None in rows
         else _LazyRow(grp, flat, lambda: math.prod(row.size for row in rows)),
         label=label,
-    ), _Power(grp, coords, support, top))
+    ), _Power(grp, coords, free))
 
 
 def power_chain(base_chain: ChainSchema, points: PointSet) -> ChainSchema:
@@ -153,20 +155,17 @@ def _power_chain(base_chain: ChainSchema, grp: FinSupportPowerGroup) -> ChainSch
         return [(grp.points.label(i), base_chain.stage_at(b, n - i)) for i in range(n)]
 
     def rule(b: int, n: int) -> SubgroupDescriptor:
-        top = base_chain.stage_at(b, 0)
-        return _coordinatewise_stage(
-            grp, coords(b, n), coords(b, n - 1), top if b > 0 else None,
-            f"coordinatewise block {b} step {n}", top,
-        )
+        return _coordinatewise_stage(grp, coords(b, n), coords(b, n - 1), base_chain.stage_at(b, 0),
+                                     f"coordinatewise block {b} step {n}")
 
     base_exclusion = getattr(base_chain.block_rule, "exclusion", None)
     index: dict = {}  # point label -> its place in the enumeration, listed as budgets ask
 
     def exclusion(b: int, v, budget: int) -> Optional[int]:
-        """0 when a supported value leaves base stage (b, 0) (b >= 1), and
-        otherwise the least i + max(1, base depth) over the supported points
-        x_i with i < budget (the others give more than the budget)."""
-        if b and not all(map(_value_test(base_chain.stage_at(b, 0)), (y for _, y in v))):
+        """0 when a supported value leaves base stage (b, 0), and otherwise
+        the least i + max(1, base depth) over the supported points x_i with
+        i < budget (the others give more than the budget)."""
+        if not all(map(_value_test(base_chain.stage_at(b, 0)), (y for _, y in v))):
             return 0
         for i in range(len(index), budget):
             index[grp.points.label(i)] = i

@@ -20,16 +20,17 @@ distinct (parent, stage) pair in a verify run.  A row that the library
 builds from other rows keeps its shape (``_LazyRow``): the stages of a
 kernel copy or a pullback record their source stage (``_Image``), and the
 stages of a finite-support power record the base stage at each point (in
-``powers``, which alone reads that record).  Each record says how its row
-splits against its parent's record: into its source row, or into base
-rows, at whose points alone each probe is read, so a power row over n
-points costs its new base row and a walk of each probe's support, not n
-factors and n - 1 intermediate stages.  A row that does not split is a leaf,
-checked factor by factor.  A stage that ``dataclasses.replace`` makes loses
-the record, and a stage mapped by a caller's extension maps has none, so
-their rows are leaves.  The factorwise scan of ``_certify_transversal``
-names the failure of a row that fails there; only then, or when a caller
-reads them, are such a row's factors and intermediates built.
+``powers``, which alone reads that record).  Rows speak one protocol: a
+row is a leaf, checked factor by factor, or its record's ``split`` against
+the parent's record gives part rows and what each reads of a probe value
+(its source value, or its value at each supported point), so a power row
+over n points costs its new base row and a walk of each probe's support,
+not n factors and n - 1 intermediate stages.  A stage that
+``dataclasses.replace`` makes loses the record, and a stage mapped by a
+caller's extension maps has none, so their rows are leaves.  The factorwise
+scan of ``_certify_transversal`` names the failure of a row that fails
+there; only then, or when a caller reads them, are such a row's factors and
+intermediates built.
 
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
@@ -185,11 +186,14 @@ class _Image:
         self.via, self.source, self.back = via, source, back
 
     def split(self, parent: object):
-        """``_RowChecks.split`` against the parent's record ``parent``: the
-        source stage in the parent's source, when both are images under one
-        map, else None."""
+        """``_RowChecks.split`` against the parent's record ``parent``, when
+        both are images under one map: the row of the source stage in the
+        parent's source, which reads a value's source value, and nothing
+        off the image."""
         if isinstance(parent, _Image) and parent.via is self.via:
-            return {None: (parent.source, self.source)}, self
+            back = self.back
+            return {None: (parent.source, self.source)}, lambda v: (
+                () if (w := back(v)) is None else ((None, w),))
         return None
 
 
@@ -341,21 +345,19 @@ def _nested(inside: list) -> bool:
 class _RowChecks:
     """The checks of the rows that stages own, which one verify run shares.
 
-    The row of ``stage`` in ``parent`` splits when the library built both
-    as images under one extension map, or as stages of one finite-support
-    power, as the record of ``stage`` says (``split``): into the row of the
-    source stage in the source parent, or into one base row per point that
-    ``stage`` constrains.  A row that does not split is a leaf, checked
-    factor by factor.
-    ``checks`` builds a row's checks once per distinct (parent, stage)
-    pair.  The checks that read no probe are the coset checks of each
-    leaf's factors, and the sift of the identity through each leaf, which
-    gives every digit that a probe takes at a point it does not support.
-    The check of one probe value: at each supported point the base value
-    must lie in the parent's base stage when it lies in the stage's, and a
-    parent probe's base value is sifted through that point's base row; a
-    leaf's probe values nest through its intermediates and are sifted
-    through its factors.
+    A row is a leaf or splits into part rows, as the record of its stage
+    says against the record of its parent (``split``): an image row into
+    the row of the source stage in the source parent, a power row into one
+    base row per point that its stage constrains.  A leaf passes its coset
+    checks and the sift of the identity, which gives every digit that a
+    probe takes at a point it does not support; its cover sifts a value that
+    lies in the parent and checks that any other value does not break
+    descent, and either must nest through its intermediates.  A row that
+    splits passes when its parts do, and its cover hands each part the
+    values that the split reads (the source value, or the value at each
+    supported point), which lie in the part's parent when the probe value
+    lies in the row's: a record and its stage's membership test are built
+    from the same stages.
 
     The split rests on the extension maps being homomorphisms that the
     retraction or the projection undoes, and on elements with disjoint
@@ -368,22 +370,19 @@ class _RowChecks:
 
     @staticmethod
     def split(parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(parts, image) for a row that splits, else None, as the record
-        of ``stage`` says against the record of ``parent``.  ``parts`` maps
-        a key to a (parent, stage) pair: the point, for a power row, whose
-        probe values are read at their supported points; None, for an
-        image, whose probe values the ``_Image`` ``image`` takes back to the
-        source (or to None, off the image)."""
+        """(parts, read) for a row that splits, else None, as the record of
+        ``stage`` says against the record of ``parent``: ``parts`` maps a
+        key to a part row's (parent, stage) pair, and ``read`` takes a
+        probe value to its (key, value) pairs, the values that the parts
+        check."""
         source = getattr(stage, "_source", None)
         return None if source is None else source.split(getattr(parent, "_source", None))
 
     def checks(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(passes, cover, reads_all) for the row: whether the checks that
-        read no probe pass; the check ``cover(v, sift)`` of a probe value
-        ``v``, which sifts ``v`` when ``sift`` says that it lies in the
-        parent; and whether ``cover`` reads a value outside the parent.  They
-        are built once per pair; the memo holds the stages, so their ids
-        stay theirs."""
+        """(passes, cover) for the row: whether the checks that read no
+        probe pass, and the check ``cover(v, sift)`` of a probe value ``v``,
+        where ``sift`` says whether ``v`` lies in the parent.  They are built
+        once per pair; the memo holds the stages, so their ids stay theirs."""
         key = id(parent), id(stage)
         if key not in self._memo:
             self._memo[key] = self._checks(parent, stage), parent, stage
@@ -396,33 +395,24 @@ class _RowChecks:
             place = _placer(t, stage)
             passes = (_factor_failure(t, parent, stage) is None
                       and place(stage.owner.identity_value()) is not None)
-            if not t.intermediates:
-                return passes, (lambda v, sift: not sift or place(v) is not None), False
             tests = list(map(_value_test, (parent, *t.intermediates, stage)))
-            return passes, (lambda v, sift: _nested([test(v) for test in tests])
-                            and (not sift or place(v) is not None)), True
-        parts, image = split
-        if image is not None:
-            (passes, source, reads_all), back = self.checks(*parts[None]), image.back
-            if reads_all:
-                return passes, (lambda v, sift: (w := back(v)) is None or source(w, sift)), True
-            return passes, (lambda v, sift: not sift or (w := back(v)) is None
-                            or source(w, True)), False
-        points, passes = {}, True
-        for x, (base_parent, base) in parts.items():
-            base_passes, base_cover, _ = self.checks(base_parent, base)
-            passes = passes and base_passes
-            points[x] = _value_test(base_parent), _value_test(base), base_cover
+            if not t.intermediates:
+                in_parent, inside = tests
+                return passes, lambda v, sift: (place(v) is not None if sift
+                                                else not inside(v) or in_parent(v))
+            return passes, lambda v, sift: (_nested([test(v) for test in tests])
+                                            and (not sift or place(v) is not None))
+        parts, read = split
+        checks = {key: self.checks(*pair) for key, pair in parts.items()}
+        covers = {key: part for key, (_, part) in checks.items()}
 
-        def power_cover(v, sift) -> bool:
-            for x, w in v:
-                point = points.get(x)
-                if point is not None:
-                    in_parent, inside, base_cover = point
-                    if inside(w) and not in_parent(w) or not base_cover(w, sift):
-                        return False
+        def cover(v, sift) -> bool:
+            for key, w in read(v):
+                part = covers.get(key)
+                if part is not None and not part(w, sift):
+                    return False
             return True
-        return passes, power_cover, True
+        return all(passes for passes, _ in checks.values()), cover
 
 
 def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
@@ -432,20 +422,18 @@ def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: Subg
     the first failure (reason, witness) of its transversal ``t``.
 
     When ``t`` is ``stage``'s own row, it goes through ``rows``
-    (``_RowChecks``): a row that splits through its base rows, a leaf factor
-    by factor, each distinct one once per ``rows``, and each probe at its
-    supported points; if that passes, so does the row.  The factorwise scan
-    names the first failure of a row that fails there, and checks a row
-    that ``stage`` does not own: each factor is checked against its own
-    pair (K_(j-1), K_j) of the subgroups parent = K_0, K_1, ..., K_m =
-    stage; the K_j must nest on the probes; and each probe in the parent is
-    sifted through the factors, whose last digit is ``stage``'s own
-    membership test of rep^-1 * p.  An explicit transversal is one factor,
-    so this is the pairwise check and a scan."""
+    (``_RowChecks``), each distinct row once per ``rows``: the row passes
+    when its checks that read no probe pass and its cover passes every
+    probe.  The factorwise scan names the first failure of a row that fails
+    there, and checks a row that ``stage`` does not own: each factor is
+    checked against its own pair (K_(j-1), K_j) of the subgroups parent =
+    K_0, K_1, ..., K_m = stage; the K_j must nest on the probes; and each
+    probe in the parent is sifted through the factors, whose last digit is
+    ``stage``'s own membership test of rep^-1 * p.  An explicit transversal
+    is one factor, so this is the pairwise check and a scan."""
     if t is stage.transversal:
-        passes, cover, reads_all = (rows or _RowChecks()).checks(parent, stage)
-        if passes and all(cover(p.value, in_k0) for p, in_k0 in zip(probes, in_parent)
-                          if in_k0 or reads_all):
+        passes, cover = (rows or _RowChecks()).checks(parent, stage)
+        if passes and all(map(cover, [p.value for p in probes], in_parent)):
             return t.size, None
     failure = _factor_failure(t, parent, stage)
     if failure is not None:

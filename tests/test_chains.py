@@ -496,6 +496,28 @@ class TestPowerChain:
         assert (cert.failure["reason"], cert.failure["stage"]) == ("descent violated", "3")
         assert [row["index"] for row in cert.levels] == [None, 2, 2, None]
 
+    def test_a_parent_that_constrains_more_points_keeps_the_row_a_leaf(self):
+        # over Z, 2Z, 2Z, ... with rows of index 1, step 2 under step 3 has
+        # base rows that pass at its two points; a probe outside 2Z only at
+        # the third point, which the parent alone constrains, breaks descent
+        # through the row's intermediate, which base rows there would not see
+        z = make_integers()
+        base = ChainSchema(
+            group=z, kappa=ALEPH0, num_blocks=1, final_limit=SubgroupDescriptor(
+                owner=z, membership=ValueTest(lambda v: v == 0)),
+            block_rule=lambda b, n: SubgroupDescriptor(
+                owner=z, membership=ValueTest(lambda v, m=2 if n else 1: v % m == 0),
+                transversal=Transversal(z, [0]) if n else None))
+        chain = power_chain(base, natural_points())
+        s2, s3 = chain.stage_at(0, 2), chain.stage_at(0, 3)
+        probes = random_words(chain.group, 64, 0)
+        index, failure = _certify_transversal(s2.transversal, s3, s2, probes,
+                                              list(map(s3.contains, probes)),
+                                              list(map(s2.contains, probes)))
+        assert index is None and failure[0] == "descent violated"
+        assert failure[1].value == ((1, -1),)
+        assert _RowChecks.split(s3, s2) is None
+
     def test_infinite_base_index_fails(self):
         from residua.chains import ChainSchema, SubgroupDescriptor
 
@@ -1122,12 +1144,29 @@ class TestTransversalCertification:
                 for chain, levels in built:
                     split = verify_prefix(chain, levels, 64, 0).to_jsonable()
                     for name, off in (("split", lambda self, parent, stage: None),
-                                      ("checks", lambda self, parent, stage: (False, None, False))):
+                                      ("checks", lambda self, parent, stage: (False, None))):
                         with monkeypatch.context() as m:
                             m.setattr(_RowChecks, name, off)
                             assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
                     verdicts.add(split["verdict"])
         assert verdicts == {"pass", "fail"}
+
+    @pytest.mark.parametrize("expr, levels", [
+        ("tower(Dinf,2)", 6), ("tower(Z,3)", 3), ("prod(tower(Dinf,2),Z)", 6),
+        ("wreath(wreath(C(2),Z),Z)", 4), ("tower(Dinf,3)", 5),
+    ])
+    def test_library_rows_certify_as_leaves_and_factor_by_factor(self, expr, levels,
+                                                                 monkeypatch):
+        # the same harness on unmutated library chains: rows that split,
+        # rows checked as leaves (split off) and the factorwise scan alone
+        # (row checks off) give one certificate
+        chain = chain_for(parse_expr(expr))
+        split = verify_prefix(chain, levels, 64, 0).to_jsonable()
+        for name, off in (("split", lambda self, parent, stage: None),
+                          ("checks", lambda self, parent, stage: (False, None))):
+            with monkeypatch.context() as m:
+                m.setattr(_RowChecks, name, off)
+                assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
 
     def test_rows_mapped_by_a_callers_extension_are_checked_factor_by_factor(self):
         # the same lamplighter maps, given as a caller's functions of elements:

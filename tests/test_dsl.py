@@ -215,9 +215,18 @@ class TestParse:
     (lambda: Perm(-1, ()), DslError, "^degree must be >= 0, got -1$"),
     (lambda: Perm(2.0, ()), DslError, r"^degree must be an int, got 2\.0$"),
     (lambda: Perm(3, ((("a",),),)), DslError, "^cycle point must be an int, got 'a'$"),
+    # a name the parser reads otherwise, or a list, which parses back unequal and unhashable
+    (lambda: ExtensionRef("Z"), DslError, "^extension name must be an identifier other than "
+     "Z, Dinf, N and the constructors, got 'Z'$"),
+    (lambda: ExtensionRef("a b"), DslError, "got 'a b'$"),
+    (lambda: print_expr(ExtensionRef(3)), DslError, "got 3$"),
+    (lambda: Perm(3, ([(0, 1)],)), DslError, r"^a generator must be a tuple, got \[\(0, 1\)\]$"),
+    (lambda: Product([Int()]), DslError, r"^prod must be a tuple, got \[Int\(\)\]$"),
+    (lambda: Perm(3, (((),),)), DslError, "^a cycle needs at least one point$"),
 ], ids=["cyclic-0", "repeated-point", "empty-product", "points-0", "tower-0", "tower-too-high",
         "print-non-ast", "build-non-ast", "cyclic-bool", "cyclic-float", "tower-float",
-        "points-bool", "degree-negative", "degree-float", "point-str"])
+        "points-bool", "degree-negative", "degree-float", "point-str", "reference-reserved",
+        "reference-two-words", "reference-int", "generator-list", "items-list", "empty-cycle"])
 def test_ast_guards(call, error, message):
     # callers build ASTs (build_group, chain_for and depth_interval take
     # them), so each constructor refuses what the parser refuses
