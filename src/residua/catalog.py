@@ -79,8 +79,9 @@ _EXTENSIONS: dict[str, _ExtensionEntry] = {}
 
 def register_extension(name: str, group_factory: Callable[[], Group],
                        chain_factory: Optional[Callable[[], ChainSchema]] = None):
-    """Register a named group (and optionally a chain) for ExtensionRef use."""
-    _EXTENSIONS[name] = _ExtensionEntry(group_factory, chain_factory)
+    """Register a named group (and optionally a chain) for ExtensionRef use;
+    a name that no expression can reference raises ``DslError``."""
+    _EXTENSIONS[dsl.ExtensionRef(name).name] = _ExtensionEntry(group_factory, chain_factory)
 
 
 _Claim = tuple[Optional[Ordinal], str, tuple[str, ...]]

@@ -666,8 +666,7 @@ def _step_index(ordinal_i: Ordinal, stage: SubgroupDescriptor, parent: SubgroupD
         fail("step index is infinite", ordinal_i, None)
         return "infinite"
     if stage.transversal is not None:
-        size, failure = _certify_transversal(stage.transversal, parent, stage, probes,
-                                             in_parent, in_stage, rows)
+        size, failure = _certify_transversal(parent, stage, probes, in_parent, in_stage, rows)
         if failure is not None:
             fail(failure[0], ordinal_i, failure[1])
             return None
@@ -742,17 +741,12 @@ def verify_prefix(chain: ChainSchema, levels: int, probes: int, seed: int,
     Failures are verdicts with witnesses, never exceptions.  A run that
     draws no probes is at best inconclusive.
 
-    A transversal is certified factor by factor (see ``Transversal``):
-    each factor must hit the identity coset, lie inside K_(j-1) and be
-    pairwise distinct modulo K_j; the K_j must nest on the probes; and each
-    parent probe is sifted through the factors, and the sift's last digit
-    is the stage's own membership test.  The index is the
-    product of the factor sizes, so a row is never built in full.  An
-    explicit transversal is a single factor, checked pairwise.  Each
-    stage's own row goes through ``stages._RowChecks``, each distinct row
-    once per run.  Rows of pullbacks, kernel copies and powers keep their
-    shape and are certified through the rows they map, each probe at its
-    supported points only.
+    Each row goes through ``stages._RowChecks``, each distinct row once per
+    run.  A leaf is certified factor by factor (see ``Transversal``): each
+    factor hits the identity coset, lies inside K_(j-1) and is pairwise
+    distinct modulo K_j; the K_j nest on the probes; and each parent probe
+    sifts through the factors.  Rows of pullbacks, kernel copies and powers
+    are certified through the rows they map, and name the same failures.
     """
     if levels < 1:
         raise ChainError("need at least one level")

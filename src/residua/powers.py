@@ -21,8 +21,8 @@ from .elements import Group
 from .groups import (FinitePoints, FinSupportPowerGroup, PointSet, WreathProductGroup,
                      finite_support_power, wreath_product)
 from .ordinal import ALEPH0
-from .stages import (ChainError, SubgroupDescriptor, Transversal, ValueTest, _LazyRow,
-                     _sourced, _value_test)
+from .stages import (_DESCENT, _UNCOVERED, ChainError, SubgroupDescriptor, Transversal,
+                     ValueTest, _LazyRow, _sourced, _value_test)
 
 __all__ = ["power_chain", "diagonal_power_chain", "tower_chain"]
 
@@ -42,19 +42,65 @@ class _Power:
         """``_RowChecks.split`` against the parent's record ``parent``, when
         both are stages of one power with one ``free`` stage: the row of the
         base stage at each point that this stage constrains in the parent's
-        there (``free`` where the parent leaves it free), which reads the
-        value's (point, value) pairs.  A parent that constrains a point that
-        this stage leaves free keeps the row a leaf: no part would read the
-        value there, which can break descent through the row's intermediates
-        (step 2 under step 3 of the power over Z, 2Z, 2Z, ... with rows of
-        index 1)."""
+        there (``free`` where the parent leaves it free), embedded at that
+        point.  A parent that constrains a point that this stage leaves free
+        keeps the row a leaf, as no part checks the constraint that the last
+        factor drops there (step 2 under step 3 of the power over Z, 2Z, ...)."""
         if (not isinstance(parent, _Power) or parent.group is not self.group
                 or parent.free is not self.free):
             return None
         inner, outer = dict(self.coords), dict(parent.coords)
         if not outer.keys() <= inner.keys():
             return None
-        return {x: (outer.get(x, self.free), base) for x, base in inner.items()}, tuple
+        free, embed = self.free, self.group.embed_at
+        parts = {x: (outer.get(x, free), base) for x, base in inner.items()}
+        return parts, lambda x: embed(x).values, lambda covers: _power_cover(parts, free, covers)
+
+
+def _power_cover(parts: dict, free: Optional[SubgroupDescriptor], covers: dict):
+    """The cover of a power row from the ``covers`` of its ``parts``, the
+    base row at each point in the order of the flattened row's factors.
+    Between those at the j-th point, the earlier points hold the stage's
+    base stages, the later ones the parent's, and all ``free``: a descent
+    broken there is the row's when the value lies in these (``counted``).
+    Outside the parent, only the last point whose value leaves the parent's
+    base stage can break it, by its part or by lying in the stage's base
+    stage.  A value in the parent sifts through the part at each point, the
+    identity at a point it does not support."""
+    position, many = {x: j for j, x in enumerate(parts)}, len(parts) > 1
+    above = {x: _value_test(pair[0]) for x, pair in parts.items()}
+    one = next(iter(parts.values()))[1].owner.identity_value()
+    stuck = {x for x, part in covers.items() if part(one, True)}
+
+    def counted(v, j: int) -> bool:
+        return (all(_value_test(parts[x][1])(w) for x, w in v if position.get(x, j) < j)
+                and (free is None or all(map(_value_test(free), (w for _, w in v)))))
+
+    def cover(v, outer, inner=None, nest=True):
+        if not outer:
+            j = -1  # the last point whose value leaves the parent's base stage
+            for y, u in reversed(v) if nest else ():
+                k = position.get(y, -1)
+                if k > j and not above[y](u):
+                    j, x, w = k, y, u
+            if j < 0:
+                return None
+            broken = many and _value_test(parts[x][1])(w) or covers[x](w, False)
+            return _DESCENT if broken and counted(v, j) else None
+        reason = None
+        for x, w in v:
+            part = covers.get(x)
+            if part is not None:
+                found = part(w, True, None, nest)
+                if found == _DESCENT:
+                    if counted(v, position[x]):
+                        return found
+                    found = part(w, True, None, False)
+                reason = reason or found
+        if reason is None and stuck and not stuck <= {x for x, _ in v}:
+            return _UNCOVERED
+        return reason
+    return cover
 
 
 def _coordinatewise_membership(grp: FinSupportPowerGroup, coords,

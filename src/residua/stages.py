@@ -6,31 +6,23 @@ transversal has an unverified index, unless it is declared infinite.
 Transversals are explicit, or products of explicit factors (Sims 1970;
 Seress, *Permutation Group Algorithms*, 2003, ch. 4).  The library's stages
 hold rows that build their factors on first read (``_LazyRow``), so a stage
-that is only tested for membership builds none.  A transversal is checked
-factor by factor, and probes are covered by the sift of ``_placer``; the
-sift's last digit is the stage's own membership test.  Coset trees place by
-the sift too, except at a stage that still holds the coset table that
-``chains.finite_chain`` recorded for it, where one lookup gives the digit
-and the residue (``_table_placer``).  The verifier never reads that table.
-A trivial stage tests membership with ``Element.is_identity``, by which the
-check recognises it.
+that is only tested for membership builds none.  Coset trees place by the
+verifier's sift (``_placer``), except at a stage that still holds the
+coset table that ``chains.finite_chain`` recorded for it, where one lookup
+gives the digit and the residue (``_table_placer``); the verifier never
+reads that table.  A trivial stage tests membership with
+``Element.is_identity``, by which the check recognises it.
 
-Every row that a stage owns is certified through ``_RowChecks``, once per
-distinct (parent, stage) pair in a verify run.  A row that the library
-builds from other rows keeps its shape (``_LazyRow``): the stages of a
-kernel copy or a pullback record their source stage (``_Image``), and the
-stages of a finite-support power record the base stage at each point (in
-``powers``, which alone reads that record).  Rows speak one protocol: a
-row is a leaf, checked factor by factor, or its record's ``split`` against
-the parent's record gives part rows and what each reads of a probe value
-(its source value, or its value at each supported point), so a power row
-over n points costs its new base row and a walk of each probe's support,
-not n factors and n - 1 intermediate stages.  A stage that
-``dataclasses.replace`` makes loses the record, and a stage mapped by a
-caller's extension maps has none, so their rows are leaves.  The factorwise
-scan of ``_certify_transversal`` names the failure of a row that fails
-there; only then, or when a caller reads them, are such a row's factors and
-intermediates built.
+Every row that a stage owns is certified through ``_RowChecks`` on one
+path, once per distinct (parent, stage) pair in a verify run.  A row that
+the library builds from other rows keeps its shape (``_LazyRow``), and its
+stages record it: a kernel copy or a pullback its source stage
+(``_Image``), a finite-support power stage the base stage at each point (in
+``powers``).  Such a row splits into part rows, so a power row over n
+points costs its new base row and a walk of each probe's support, not n
+factors and n - 1 intermediate stages.  Any other row is a leaf, checked by
+the factorwise scan (``_leaf``): a stage that ``dataclasses.replace`` makes
+loses the record, and a stage mapped by a caller's extension maps has none.
 
 Membership is tested on values, and a transversal holds values.  Every
 stage the library builds carries a ``ValueTest``, a membership test that
@@ -72,15 +64,13 @@ class Transversal:
     least two transversals T_1 .. T_m, naming the subgroups K_1 .. K_{m-1}
     between them; with K_0 = H and K_m = L, T_j is a transversal of K_j in
     K_{j-1}.  A factor that is itself a product is spliced in with its own
-    intermediates, and a product of one factor is that factor.  Either way
-    the representatives are a tuple of factor value-tuples, an explicit
-    transversal being one factor.  Representative i is the ordered product
-    t_1 * ... * t_m of the factors' values at the mixed-radix digits of i,
-    the last factor varying fastest (the order of nested loops over the
-    factors); ``rep(i)`` builds it when asked, and iteration lists the
-    products factor by factor.  Both return elements.  By the product
-    theorem these are a transversal of L in H, so ``verify_prefix``
-    certifies each factor against its own pair (K_{j-1}, K_j) and places an
+    intermediates.  The representatives are a tuple of factor value-tuples,
+    an explicit transversal being one factor.  Representative i is the
+    ordered product t_1 * ... * t_m of the factors' values at the
+    mixed-radix digits of i, the last factor varying fastest; ``rep(i)``
+    builds it as an element when asked, and so does iteration.  By the
+    product theorem these are a transversal of L in H, so the verifier
+    checks each factor against its own pair (K_{j-1}, K_j) and places an
     element by sifting it through the factors.  There is no ``__len__``: a
     product's ``size`` can exceed ``sys.maxsize``.
     """
@@ -123,8 +113,8 @@ class _LazyRow(Transversal):
     """A row whose factors and intermediates ``build`` makes as a
     ``Transversal`` on their first read; its ``size`` is ``size()`` when
     given, else the built row's.  A row the library builds from other rows
-    (see ``_sourced``) gives ``size``, and the certifier reads its shape from
-    its stages."""
+    (see ``_sourced``) gives ``size``, and a row that splits is never built
+    by the certifier."""
 
     def __init__(self, group: Group, build: Callable[[], Transversal],
                  size: Optional[Callable[[], int]] = None):
@@ -188,13 +178,14 @@ class _Image:
     def split(self, parent: object):
         """``_RowChecks.split`` against the parent's record ``parent``, when
         both are images under one map: the row of the source stage in the
-        parent's source, which reads a value's source value, and nothing
-        off the image."""
-        if isinstance(parent, _Image) and parent.via is self.via:
-            back = self.back
-            return {None: (parent.source, self.source)}, lambda v: (
-                () if (w := back(v)) is None else ((None, w),))
-        return None
+        parent's source, embedded by ``via``, whose cover answers for a
+        value's source value; a value off the image lies in no stage."""
+        if not (isinstance(parent, _Image) and parent.via is self.via):
+            return None
+        back, values = self.back, self.via.values
+        return {None: (parent.source, self.source)}, lambda key: values, lambda covers: (
+            lambda v, outer, inner=None, nest=True: None if (w := back(v)) is None
+            else covers[None](w, outer, inner, nest))
 
 
 def _sourced(stage: SubgroupDescriptor, source) -> SubgroupDescriptor:
@@ -248,10 +239,8 @@ def _coset_check(reps: tuple, parent: SubgroupDescriptor, stage: SubgroupDescrip
     transversal of ``stage`` in ``parent``: no representative in ``stage``
     itself, one outside ``parent``, or two in one left coset of ``stage``,
     the first i with a later j, then the first such j, in the order of the
-    pairwise scan.  A trivial stage, recognised by its membership test
-    ``Element.is_identity``, has single elements for cosets, so there the
-    scan is a lookup of equal representatives.  Only a witness is built as
-    an ``Element``."""
+    pairwise scan.  At a trivial stage (membership ``Element.is_identity``)
+    the scan is a lookup of equal representatives."""
     inside, in_parent, owner = _value_test(stage), _value_test(parent), stage.owner
     if not any(map(inside, reps)):
         return "transversal misses the identity coset", None
@@ -259,14 +248,10 @@ def _coset_check(reps: tuple, parent: SubgroupDescriptor, stage: SubgroupDescrip
         if not in_parent(rep):
             return "transversal leaves the parent stage", Element(owner, rep)
     if stage.membership is Element.is_identity:
-        first, witness = {}, None
-        for j, rep in enumerate(reps):
-            i = first.setdefault(rep, j)
-            if i < j and (witness is None or i < witness[0]):
-                witness = i, rep
-        if witness is None:
-            return None
-        return "transversal representatives share a coset", Element(owner, witness[1])
+        first: dict = {}
+        earlier = [first[rep] for j, rep in enumerate(reps) if first.setdefault(rep, j) < j]
+        return (("transversal representatives share a coset", Element(owner, reps[min(earlier)]))
+                if earlier else None)
     multiply, invert = owner.multiply, owner.invert
     for i, rep in enumerate(reps):
         inverse = invert(rep)
@@ -281,13 +266,11 @@ def _placer(t: Transversal, stage: SubgroupDescriptor) -> Callable:
     factors T_1 .. T_m lie between the subgroups K_1 > ... > K_m = stage.
 
     The returned function sifts a value ``v``: for j = 1..m in turn it takes
-    the digit d with t_j[d]^-1 * v in K_j and continues with that value.  It
-    returns the row index (mixed radix over the factor sizes, the last
-    factor fastest, as ``Transversal.rep`` counts) and the residue
-    rep^-1 * v, or None when some factor has no such digit.  Each factor's
-    inverses are computed once, here, by ``Group.invert``; an identity
-    representative has none, and its digit tests ``v`` itself.  Each digit
-    is one ``Group.multiply`` and one value test of K_j."""
+    the first digit d with t_j[d]^-1 * v in K_j and goes on with that value.
+    It returns the row index (mixed radix, as ``Transversal.rep`` counts)
+    and the residue rep^-1 * v, or None when some factor has no such digit.
+    Each factor's inverses are computed once, here; an identity
+    representative has none, and its digit tests ``v`` itself."""
     one, invert = stage.owner.identity_value(), stage.owner.invert
     steps = [([None if rep == one else invert(rep) for rep in reps], _value_test(k))
              for reps, k in zip(t.factor_reps(), (*t.intermediates, stage))]
@@ -324,65 +307,70 @@ def _table_placer(stage: SubgroupDescriptor) -> Optional[Callable]:
     return None
 
 
-def _factor_failure(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-    """The first failure of ``_coset_check`` over the factors of ``t``, each
-    against its own pair (K_(j-1), K_j) of the subgroups parent = K_0, K_1,
-    ..., K_m = stage, or None."""
+_DESCENT, _UNCOVERED = "descent violated", "transversal does not cover a parent probe"
+
+
+def _leaf(parent: SubgroupDescriptor, stage: SubgroupDescriptor):
+    """``_RowChecks.checks`` of a row by the factorwise scan: each factor of
+    the transversal against its own pair (K_(j-1), K_j) of the subgroups
+    parent = K_0, K_1, ..., K_m = stage; a probe's memberships in the K_j
+    must descend, and a probe in the parent must sift (``_placer``)."""
+    t = stage.transversal
     subgroups = (parent, *t.intermediates, stage)
-    for j, reps in enumerate(t.factor_reps()):
-        failure = _coset_check(reps, subgroups[j], subgroups[j + 1])
-        if failure is not None:
-            return failure
-    return None
+    failure = next(filter(None, map(_coset_check, t.factor_reps(), subgroups, subgroups[1:])), None)
+    if failure is not None:
+        return failure, None
+    place = _placer(t, stage)
+    if not t.intermediates:
+        return None, lambda v, outer, inner=None, nest=True: (
+            _UNCOVERED if outer and place(v) is None else None)
+    tests, last = list(map(_value_test, t.intermediates)), _value_test(stage)
 
-
-def _nested(inside: list) -> bool:
-    """Whether memberships listed from the outermost subgroup in descend:
-    no subgroup holds an element that one around it misses."""
-    return not any(not outer and inner for outer, inner in zip(inside, inside[1:]))
+    def cover(v, outer, inner=None, nest=True):
+        if nest:
+            inside = [outer, *(test(v) for test in tests), last(v) if inner is None else inner]
+            if any(b and not a for a, b in zip(inside, inside[1:])):
+                return _DESCENT
+        return _UNCOVERED if outer and place(v) is None else None
+    return None, cover
 
 
 class _RowChecks:
     """The checks of the rows that stages own, which one verify run shares.
 
-    A row is a leaf or splits into part rows, as the record of its stage
-    says against the record of its parent (``split``): an image row into
-    the row of the source stage in the source parent, a power row into one
-    base row per point that its stage constrains.  A leaf passes its coset
-    checks and the sift of the identity, which gives every digit that a
-    probe takes at a point it does not support; its cover sifts a value that
-    lies in the parent and checks that any other value does not break
-    descent, and either must nest through its intermediates.  A row that
-    splits passes when its parts do, and its cover hands each part the
-    values that the split reads (the source value, or the value at each
-    supported point), which lie in the part's parent when the probe value
-    lies in the row's: a record and its stage's membership test are built
-    from the same stages.
-
-    The split rests on the extension maps being homomorphisms that the
-    retraction or the projection undoes, and on elements with disjoint
-    supports commuting; coset checks and sifts then ask the same questions
-    of the source or base values as of the row's own (the product theorem,
-    Seress 2003, ch. 4)."""
+    A row is a leaf (``_leaf``), or splits into part rows as the record of
+    its stage says against its parent's: an image row into the row of the
+    source stage in the source parent, a power row into one base row per
+    point.  Its first failing part, in ``parts`` order, holds the flattened
+    row's first failing factor, and the split's value map carries the
+    witness into the row's group; the record's cover answers each probe as
+    the scan of the flattened row does.  This rests on the extension maps
+    being homomorphisms that the retraction or the projection undoes, on
+    elements with disjoint supports commuting, and on base stages holding
+    the identity and lying in ``free`` (the product theorem, Seress 2003)."""
 
     def __init__(self):
         self._memo: dict = {}
 
     @staticmethod
     def split(parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(parts, read) for a row that splits, else None, as the record of
-        ``stage`` says against the record of ``parent``: ``parts`` maps a
-        key to a part row's (parent, stage) pair, and ``read`` takes a
-        probe value to its (key, value) pairs, the values that the parts
-        check."""
+        """(parts, embed, compose) for a row that splits, else None:
+        ``parts`` maps a key to a part row's (parent, stage), in the order of
+        the flattened row's factors; ``embed(key)`` is the value map from
+        that part's group to the row's; ``compose(covers)`` is the row's
+        cover from the parts' covers, keyed the same way."""
         source = getattr(stage, "_source", None)
         return None if source is None else source.split(getattr(parent, "_source", None))
 
     def checks(self, parent: SubgroupDescriptor, stage: SubgroupDescriptor):
-        """(passes, cover) for the row: whether the checks that read no
-        probe pass, and the check ``cover(v, sift)`` of a probe value ``v``,
-        where ``sift`` says whether ``v`` lies in the parent.  They are built
-        once per pair; the memo holds the stages, so their ids stay theirs."""
+        """(failure, cover) for the row, built once per pair (the memo holds
+        the stages, so their ids stay theirs).  ``failure`` is None or the
+        first (reason, witness) that reads no probe.  Else ``cover(v, outer,
+        inner=None, nest=True)`` is None or the reason probe value ``v``
+        fails, given whether it lies in the parent (``outer``) and, if
+        known, the stage (``inner``): "descent violated" (looked for when
+        ``nest``), or else, in the parent, "transversal does not cover a
+        parent probe"."""
         key = id(parent), id(stage)
         if key not in self._memo:
             self._memo[key] = self._checks(parent, stage), parent, stage
@@ -391,60 +379,30 @@ class _RowChecks:
     def _checks(self, parent, stage):
         split = self.split(parent, stage)
         if split is None:
-            t = stage.transversal
-            place = _placer(t, stage)
-            passes = (_factor_failure(t, parent, stage) is None
-                      and place(stage.owner.identity_value()) is not None)
-            tests = list(map(_value_test, (parent, *t.intermediates, stage)))
-            if not t.intermediates:
-                in_parent, inside = tests
-                return passes, lambda v, sift: (place(v) is not None if sift
-                                                else not inside(v) or in_parent(v))
-            return passes, lambda v, sift: (_nested([test(v) for test in tests])
-                                            and (not sift or place(v) is not None))
-        parts, read = split
-        checks = {key: self.checks(*pair) for key, pair in parts.items()}
-        covers = {key: part for key, (_, part) in checks.items()}
-
-        def cover(v, sift) -> bool:
-            for key, w in read(v):
-                part = covers.get(key)
-                if part is not None and not part(w, sift):
-                    return False
-            return True
-        return all(passes for passes, _ in checks.values()), cover
+            return _leaf(parent, stage)
+        parts, embed, compose = split
+        covers = {}
+        for key, pair in parts.items():
+            failure, covers[key] = self.checks(*pair)
+            if failure is not None:
+                reason, witness = failure
+                return (reason, witness and Element(stage.owner, embed(key)(witness.value))), None
+        return None, compose(covers)
 
 
-def _certify_transversal(t: Transversal, parent: SubgroupDescriptor, stage: SubgroupDescriptor,
+def _certify_transversal(parent: SubgroupDescriptor, stage: SubgroupDescriptor,
                          probes: list[Element], in_parent: list[bool], in_stage: list[bool],
                          rows: Optional[_RowChecks] = None):
     """The certified index of ``stage`` in ``parent`` and None, or None and
-    the first failure (reason, witness) of its transversal ``t``.
-
-    When ``t`` is ``stage``'s own row, it goes through ``rows``
-    (``_RowChecks``), each distinct row once per ``rows``: the row passes
-    when its checks that read no probe pass and its cover passes every
-    probe.  The factorwise scan names the first failure of a row that fails
-    there, and checks a row that ``stage`` does not own: each factor is
-    checked against its own pair (K_(j-1), K_j) of the subgroups parent =
-    K_0, K_1, ..., K_m = stage; the K_j must nest on the probes; and each
-    probe in the parent is sifted through the factors, whose last digit is
-    ``stage``'s own membership test of rep^-1 * p.  An explicit transversal
-    is one factor, so this is the pairwise check and a scan."""
-    if t is stage.transversal:
-        passes, cover = (rows or _RowChecks()).checks(parent, stage)
-        if passes and all(map(cover, [p.value for p in probes], in_parent)):
-            return t.size, None
-    failure = _factor_failure(t, parent, stage)
+    the first failure (reason, witness) of its transversal, in the order of
+    the factorwise scan: the row's failure that reads no probe, else the
+    first probe whose descent breaks, else the first parent probe that the
+    row does not cover.  The checks come from ``rows`` (``_RowChecks``)."""
+    failure, cover = (rows or _RowChecks()).checks(parent, stage)
     if failure is not None:
         return None, failure
-    if t.intermediates:
-        tests = [_value_test(k) for k in t.intermediates]
-        for p, in_k0, in_km in zip(probes, in_parent, in_stage):
-            if not _nested([in_k0, *(test(p.value) for test in tests), in_km]):
-                return None, ("descent violated", p)
-    place = _placer(t, stage)
-    for p, in_k0 in zip(probes, in_parent):
-        if in_k0 and place(p.value) is None:
-            return None, ("transversal does not cover a parent probe", p)
-    return t.size, None
+    reasons = [cover(p.value, outer, inner) for p, outer, inner in zip(probes, in_parent, in_stage)]
+    for reason in (_DESCENT, _UNCOVERED):
+        if reason in reasons:
+            return None, (reason, probes[reasons.index(reason)])
+    return stage.transversal.size, None

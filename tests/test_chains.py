@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
+import json
 import math
 import random
 import time
@@ -66,6 +68,34 @@ def lamplighter_chain():
 
 def natural_points():
     return CountablePoints(lambda i: i, "N", membership=lambda p: isinstance(p, int) and p >= 0)
+
+
+def wrong_base_chain():
+    """The power over N of ``integers_chain(2)`` with base row 3 holding 1,
+    which lies outside its parent 4Z, in place of 4."""
+    base = integers_chain(2)
+    wrong = dataclasses.replace(base.stage_at(0, 3), transversal=Transversal(base.group, [0, 1]))
+    return power_chain(dataclasses.replace(base, block_rule=lambda b, n: (
+        wrong if (b, n) == (0, 3) else base.stage_at(b, n))), natural_points())
+
+
+def bent_base_chain():
+    """A chain over Z of multiples of 1, 2, 4, 16, 32, 64, ... whose row 2
+    is (0, 2, 4) through 3Z, then (0, 3), which breaks descent at 4, and
+    whose row 3 is (8, 4) through 8Z, then (0,), which sifts the identity to
+    -8 and no further."""
+    z = make_integers()
+    moduli = [1, 2, 4, *(2 ** k for k in range(4, 12))]
+    rows = {2: integer_product((0, 2, 4), (0, 3), middle=3),
+            3: Transversal(factors=(integer_reps(8, 4), integer_reps(0)),
+                           intermediates=(multiples(8),))}
+    return ChainSchema(
+        group=z, kappa=ALEPH0, num_blocks=1,
+        final_limit=SubgroupDescriptor(owner=z, membership=ValueTest(lambda v: v == 0)),
+        block_rule=lambda b, n: SubgroupDescriptor(
+            owner=z, membership=ValueTest(lambda v, m=moduli[n]: v % m == 0),
+            transversal=rows.get(n, integer_reps(*range(0, moduli[n], moduli[n - 1])))
+            if n else None))
 
 
 def s3_chain():
@@ -511,8 +541,7 @@ class TestPowerChain:
         chain = power_chain(base, natural_points())
         s2, s3 = chain.stage_at(0, 2), chain.stage_at(0, 3)
         probes = random_words(chain.group, 64, 0)
-        index, failure = _certify_transversal(s2.transversal, s3, s2, probes,
-                                              list(map(s3.contains, probes)),
+        index, failure = _certify_transversal(s3, s2, probes, list(map(s3.contains, probes)),
                                               list(map(s2.contains, probes)))
         assert index is None and failure[0] == "descent violated"
         assert failure[1].value == ((1, -1),)
@@ -869,9 +898,11 @@ def integer_reps(*values):
 
 
 def certify(t, parent, stage, probes):
-    """_certify_transversal on integer probes, with their memberships."""
+    """_certify_transversal of ``stage`` with the row ``t`` on integer
+    probes, with their memberships."""
     probes = [Element(make_integers(), v) for v in probes]
-    return _certify_transversal(t, parent, stage, probes, [parent.contains(p) for p in probes],
+    return _certify_transversal(parent, dataclasses.replace(stage, transversal=t), probes,
+                                [parent.contains(p) for p in probes],
                                 [stage.contains(p) for p in probes])
 
 
@@ -930,7 +961,8 @@ class TestTransversalCertification:
         checks = len(calls)
         calls.clear()
         probes = [Element(make_integers(), v) for v in (0, 1, 4, 5, -3, 9)]
-        assert _certify_transversal(t, multiples(1), stage, probes, [True] * len(probes),
+        assert _certify_transversal(multiples(1), dataclasses.replace(stage, transversal=t), probes,
+                                    [True] * len(probes),
                                     [p.value % 4 == 0 for p in probes]) == (4, None)
         # each residue lies in 4Z, so the last factor stops at its first digit
         assert calls[checks:] == [0, 0, 4, 4, -4, 8]
@@ -982,10 +1014,10 @@ class TestTransversalCertification:
             row_sample = sample + [t.rep(i) * h for i in range(0, t.size, 3) for h in inside]
             in_parent = [parent.contains(p) for p in row_sample]
             in_stage = [stage.contains(p) for p in row_sample]
-            factorwise = _certify_transversal(t, parent, stage, row_sample, in_parent, in_stage)
-            explicit = Transversal(t.group, [e.value for e in t])
-            pairwise = _certify_transversal(explicit, parent, stage, row_sample,
-                                            in_parent, in_stage)
+            factorwise = _certify_transversal(parent, stage, row_sample, in_parent, in_stage)
+            explicit = dataclasses.replace(stage, transversal=Transversal(t.group,
+                                                                          [e.value for e in t]))
+            pairwise = _certify_transversal(parent, explicit, row_sample, in_parent, in_stage)
             assert factorwise == pairwise == (t.size, None)
             compared += 1
         assert compared >= 4
@@ -1033,8 +1065,7 @@ class TestTransversalCertification:
             in_parent = [parent.contains(p) for p in sample]
             in_stage = [stage.contains(p) for p in sample]
             calls.clear()
-            assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
-                                        in_stage) == (size, None)
+            assert _certify_transversal(parent, stage, sample, in_parent, in_stage) == (size, None)
             assert len(calls) < bound, expr
 
     def test_trivial_stage_row_is_checked_in_linear_time(self, monkeypatch):
@@ -1050,8 +1081,8 @@ class TestTransversalCertification:
         bound = [2 * len(row)]
         calls = count_membership_tests(monkeypatch, bound)
         mutant = row[:5030] + [row[4500]] + row[5031:5039] + [row[4000]]
-        index, failure = _certify_transversal(Transversal(chain.group, [e.value for e in mutant]),
-                                              parent, stage, [], [], [])
+        index, failure = _certify_transversal(parent, dataclasses.replace(
+            stage, transversal=Transversal(chain.group, [e.value for e in mutant])), [], [], [])
         assert index is None
         assert failure == ("transversal representatives share a coset", row[4000])
         # a row holds values, whose copies are told apart by nothing but position
@@ -1059,7 +1090,7 @@ class TestTransversalCertification:
         calls.clear()
         bound[0] = 6 * len(row)  # and a scan of the row for each probe
         probes = random_words(chain.group, 4, 0)
-        assert _certify_transversal(stage.transversal, parent, stage, probes, [True] * 4,
+        assert _certify_transversal(parent, stage, probes, [True] * 4,
                                     [p.is_identity() for p in probes]) == (5040, None)
 
     @staticmethod
@@ -1085,8 +1116,8 @@ class TestTransversalCertification:
                 parent, stage = chain.stage_at(1, n - 1), remake(chain.stage_at(1, n))
                 in_parent = [parent.contains(p) for p in sample]
                 in_stage = [stage.contains(p) for p in sample]
-                assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
-                                            in_stage, rows) == (2 ** n, None)
+                assert _certify_transversal(parent, stage, sample, in_parent, in_stage,
+                                            rows) == (2 ** n, None)
             assert len(calls) == (1 + 6 if remake is not dataclasses.replace else 21)
 
     def test_a_leaf_row_is_checked_once_per_run(self, monkeypatch):
@@ -1099,8 +1130,8 @@ class TestTransversalCertification:
         in_stage = [stage.contains(p) for p in sample]
         calls, rows = self.count_coset_checks(monkeypatch), _RowChecks()
         for _ in range(3):
-            assert _certify_transversal(stage.transversal, parent, stage, sample, in_parent,
-                                        in_stage, rows) == (3, None)
+            assert _certify_transversal(parent, stage, sample, in_parent, in_stage,
+                                        rows) == (3, None)
         assert len(calls) == 1
 
     def test_nested_wreath_checks_grow_linearly(self, monkeypatch):
@@ -1123,8 +1154,7 @@ class TestTransversalCertification:
         # a power or tower over a base chain with one row that drops a
         # representative, takes the next row's test, or admits a generator
         # its parent may not hold: the rows that split give the certificate
-        # that leaf rows give (split off) and that the factorwise scan gives
-        # (row checks off)
+        # that leaf rows, each checked by the factorwise scan, give (split off)
         verdicts = set()
         for k in range(1, 5):
             base = chain_for(parse_expr(expr))
@@ -1143,13 +1173,65 @@ class TestTransversalCertification:
                     built.append((tower_chain(mutant.group, mutant, 2), 4))
                 for chain, levels in built:
                     split = verify_prefix(chain, levels, 64, 0).to_jsonable()
-                    for name, off in (("split", lambda self, parent, stage: None),
-                                      ("checks", lambda self, parent, stage: (False, None))):
-                        with monkeypatch.context() as m:
-                            m.setattr(_RowChecks, name, off)
-                            assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
+                    with monkeypatch.context() as m:
+                        m.setattr(_RowChecks, "split", lambda self, parent, stage: None)
+                        assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
                     verdicts.add(split["verdict"])
         assert verdicts == {"pass", "fail"}
+
+    def test_a_wrong_base_row_certifies_as_leaves(self, monkeypatch):
+        # the power rows over the wrong base row 3 fail at the part that
+        # holds it, and name the failure that the leaf rows name
+        chain = wrong_base_chain()
+        split = verify_prefix(chain, 50, 64, 0).to_jsonable()
+        monkeypatch.setattr(_RowChecks, "split", lambda self, parent, stage: None)
+        assert verify_prefix(chain, 50, 64, 0).to_jsonable() == split
+
+    def test_a_wrong_base_row_fails_at_its_own_step(self):
+        cert = verify_prefix(wrong_base_chain(), 50, 64, 0)
+        assert cert.failure == {"reason": "transversal leaves the parent stage", "stage": "3",
+                                "witness": '{"0":1}'}
+        text = json.dumps(cert.to_jsonable(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "17a6dff7507ee091"
+
+    @pytest.mark.parametrize("points", [natural_points(), FinitePoints([0, 1, 2])],
+                             ids=["coordinatewise", "diagonal"])
+    def test_power_rows_answer_each_value_as_their_flattened_rows(self, points):
+        # over a base whose row 2 breaks descent through its intermediate 3Z
+        # and whose row 3 does not cover the identity's residue, every power
+        # row names the flattened row's failure and gives each value the
+        # flattened row's answer, in the parent or outside it
+        chain = (power_chain if points.size is None else diagonal_power_chain)(
+            bent_base_chain(), points)
+        group, rng = chain.group, random.Random(0)
+        for n in range(1, 6):
+            parent, stage = chain.stage_at(0, n - 1), chain.stage_at(0, n)
+            (failure, cover), (flat_failure, flat_cover) = (
+                _RowChecks().checks(parent, stage), stages._leaf(parent, stage))
+            assert failure == flat_failure
+            for _ in range(400 if failure is None else 0):
+                v = group._canon({x: rng.choice((1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48))
+                                  * rng.choice((0, 0, 1, -1)) for x in range(4)})
+                outer, inner = parent.contains(Element(group, v)), stage.contains(Element(group, v))
+                assert cover(v, outer, inner) == flat_cover(v, outer, inner), (n, v)
+                assert cover(v, outer) == flat_cover(v, outer), (n, v)
+
+    def test_a_wrong_base_row_is_checked_once_per_part(self, monkeypatch):
+        # each power row over the wrong base row 3 fails at the part that
+        # holds it; naming that failure checks no row a second time, so the
+        # failing run makes about as many coset checks as the passing one
+        # (flattened and rescanned, 1,226 at 50 levels and 4,951 at 100)
+        calls = self.count_coset_checks(monkeypatch)
+        counts = {}
+        for name, chain, levels in (("true", power_chain(integers_chain(2), natural_points()), 50),
+                                    ("wrong", wrong_base_chain(), 50),
+                                    ("wrong", wrong_base_chain(), 100)):
+            calls.clear()
+            verify_prefix(chain, levels, 64, 0)
+            counts[name, levels] = len(calls)
+        assert counts["true", 50] == 50
+        assert counts["wrong", 50] <= 2 * counts["true", 50]
+        assert counts["wrong", 100] <= 2 * counts["wrong", 50]
 
     @pytest.mark.parametrize("expr, levels", [
         ("tower(Dinf,2)", 6), ("tower(Z,3)", 3), ("prod(tower(Dinf,2),Z)", 6),
@@ -1157,16 +1239,12 @@ class TestTransversalCertification:
     ])
     def test_library_rows_certify_as_leaves_and_factor_by_factor(self, expr, levels,
                                                                  monkeypatch):
-        # the same harness on unmutated library chains: rows that split,
-        # rows checked as leaves (split off) and the factorwise scan alone
-        # (row checks off) give one certificate
+        # the same harness on unmutated library chains: rows that split and
+        # rows checked as leaves (split off) give one certificate
         chain = chain_for(parse_expr(expr))
         split = verify_prefix(chain, levels, 64, 0).to_jsonable()
-        for name, off in (("split", lambda self, parent, stage: None),
-                          ("checks", lambda self, parent, stage: (False, None))):
-            with monkeypatch.context() as m:
-                m.setattr(_RowChecks, name, off)
-                assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
+        monkeypatch.setattr(_RowChecks, "split", lambda self, parent, stage: None)
+        assert verify_prefix(chain, levels, 64, 0).to_jsonable() == split
 
     def test_rows_mapped_by_a_callers_extension_are_checked_factor_by_factor(self):
         # the same lamplighter maps, given as a caller's functions of elements:

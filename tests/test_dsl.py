@@ -278,6 +278,14 @@ class TestBuildGroup:
         register_extension("test_only_c6", lambda: make_cyclic(6))
         assert build_group(parse_expr("test_only_c6")).order == 6
 
+    @pytest.mark.parametrize("name", ["a b", "Z"])
+    def test_unreferenceable_extension_name_is_refused(self, monkeypatch, name):
+        monkeypatch.setattr(catalog, "_EXTENSIONS", dict(catalog._EXTENSIONS))
+        with pytest.raises(DslError, match=r"^extension name must be an identifier other than "
+                                           r"Z, Dinf, N and the constructors, got "):
+            register_extension(name, lambda: make_cyclic(6))
+        assert name not in catalog._EXTENSIONS
+
     @pytest.mark.parametrize("n", range(7))
     def test_symmetric_and_alternating_sugar_match_factories(self, n):
         assert build_group(parse_expr(f"S({n})")).tag == make_symmetric(n).tag

@@ -78,9 +78,10 @@ _SHALLOW = ("--levels", "1", "--probes", "2", "--limit-budget", "1")
 # benchmark runs: shapes whose rows map product transversals through a
 # pullback or a coordinate embedding, towers tall enough that their power
 # stages' indices run to millions of bits, the one-step chain of a group
-# above the oracle cap, a depth interval with boolean claim fields, and a
-# tree deep enough to hold long parent tables.  The same 16 hex digits of
-# the stdout sha256.
+# above the oracle cap, a depth interval with boolean claim fields, a tree
+# deep enough to hold long parent tables, and deep runs that certify
+# thousands of rows that split.  The same 16 hex digits of the stdout
+# sha256.
 PULLBACK_CASES = {
     ("verify", "prod(tower(Dinf,2),Z)", "--format", "json", "--levels", "6"): "d9a5a14c80e7ec7e",
     ("verify", "prod(Z,tower(Dinf,2))", "--format", "json", "--levels", "6"): "cbb5614c8d4177eb",
@@ -98,6 +99,14 @@ PULLBACK_CASES = {
     ("tree", "wreath(C(2),Z)", "--levels", "12", "--format", "json"): "bec3b93a2a676939",
     ("verify", _nested_wreath(4)): "537dd75f5079e518",
 }
+# Deep runs whose thousands of rows split; flattening them all would build
+# a cubic number of stage tests, so ``_verify_argvs`` leaves them out.
+_DEEP_CASES = {
+    ("verify", "wreath(C(2),Z)", "--levels", "250"): "929e55f126ee8287",
+    ("verify", "wreath(C(2),Z)", "--levels", "500"): "9b0194474946fe92",
+    ("verify", "tower(Dinf,32)", "--levels", "1"): "16d92eaf3e264ca4",
+}
+PULLBACK_CASES.update(_DEEP_CASES)
 
 
 @pytest.mark.parametrize("args", list(PULLBACK_CASES), ids=shlex.join)
@@ -142,7 +151,7 @@ def _verify_argvs() -> list:
     argvs = [args for args, _ in CASES] + list(PULLBACK_CASES) + list(VERDICT_CASES)
     return list(dict.fromkeys(
         (args[1], int(args[args.index("--levels") + 1]) if "--levels" in args else 4)
-        for args in argvs if args[0] == "verify"))
+        for args in argvs if args[0] == "verify" and args not in _DEEP_CASES))
 
 
 @pytest.mark.parametrize("expr, levels", _verify_argvs(), ids=str)

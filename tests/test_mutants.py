@@ -24,6 +24,8 @@ fails these tests.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -100,11 +102,32 @@ def mutants(chain, levels: int):
             yield "smaller", b, 0, swapped(chain, b, 0, chain.stage_at(b, 1))
 
 
+def dropped_tail_rows(chain):
+    """(step, mutant chain) for each row of ``chain``'s tail, dropped in turn."""
+    for n, stage in enumerate(chain.tail, start=1):
+        wrong = dataclasses.replace(stage, transversal=dropped(stage.transversal))
+        yield n, dataclasses.replace(chain, tail=(*chain.tail[:n - 1], wrong, *chain.tail[n:]))
+
+
+@pytest.fixture(scope="module")
+def certificates() -> dict:
+    """The certificate of every mutant, built once: the block mutants in
+    ``CHAINS`` order, keyed (expression, kind, block, step), then the
+    dropped finite rows, keyed (expression, tail step)."""
+    certs = {}
+    for expr, levels in CHAINS:
+        for kind, b, n, chain in mutants(chain_for(parse_expr(expr)), levels):
+            certs[expr, kind, b, n] = verify_prefix(chain, levels, 64, 0)
+    for expr in FINITE_CHAINS:
+        for n, chain in dropped_tail_rows(chain_for(parse_expr(expr))):
+            certs[expr, n] = verify_prefix(chain, 1, 64, 0)
+    return certs
+
+
 @pytest.mark.parametrize("expr, levels", CHAINS, ids=[expr for expr, _ in CHAINS])
-def test_exactly_the_listed_mutants_pass(expr, levels):
-    passed = {(expr, kind, b, n)
-              for kind, b, n, chain in mutants(chain_for(parse_expr(expr)), levels)
-              if verify_prefix(chain, levels, 64, 0).verdict == "pass"}
+def test_exactly_the_listed_mutants_pass(expr, levels, certificates):
+    passed = {key for key, cert in certificates.items()
+              if len(key) == 4 and key[0] == expr and cert.verdict == "pass"}
     assert passed == {s for s in SURVIVORS if s[0] == expr}
 
 
@@ -114,18 +137,17 @@ def test_the_survivors_are_66_of_178_mutants():
     assert (len(SURVIVORS), count) == (66, 178)
 
 
-def dropped_tail_rows(chain):
-    """(step, mutant chain) for each row of ``chain``'s tail, dropped in turn."""
-    for n, stage in enumerate(chain.tail, start=1):
-        wrong = dataclasses.replace(stage, transversal=dropped(stage.transversal))
-        yield n, dataclasses.replace(chain, tail=(*chain.tail[:n - 1], wrong, *chain.tail[n:]))
+def test_exactly_the_listed_dropped_finite_rows_pass(certificates):
+    finite = {key: cert for key, cert in certificates.items() if len(key) == 2}
+    passed = {key for key, cert in finite.items() if cert.verdict == "pass"}
+    assert (passed, len(finite)) == (FINITE_SURVIVORS, 12)
 
 
-def test_exactly_the_listed_dropped_finite_rows_pass():
-    passed, count = set(), 0
-    for expr in FINITE_CHAINS:
-        for n, chain in dropped_tail_rows(chain_for(parse_expr(expr))):
-            count += 1
-            if verify_prefix(chain, 1, 64, 0).verdict == "pass":
-                passed.add((expr, n))
-    assert (passed, count) == (FINITE_SURVIVORS, 12)
+def test_the_mutant_certificates_stay_byte_identical(certificates):
+    # one sha256 over the 190 certificates in order, each as sorted JSON:
+    # a change to the verifier cannot move a failure, a witness or an index
+    # of a wrong chain unseen
+    digest = hashlib.sha256()
+    for cert in certificates.values():
+        digest.update(json.dumps(cert.to_jsonable(), sort_keys=True).encode())
+    assert (len(certificates), digest.hexdigest()[:16]) == (190, "3d898c23be31a12e")
